@@ -125,11 +125,6 @@ impl Grid {
         self
     }
 
-    /// The base seed every cell stream derives from.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
     /// Number of cells in the grid.
     pub fn len(&self) -> usize {
         self.workloads.len() * self.policies.len() * self.seeds.len()
@@ -234,7 +229,7 @@ pub fn sim_doc(seed: u64, cells: &[(GridCell, SimCell)]) -> Value {
         ("seed".into(), Value::UInt(seed)),
         (
             "command".into(),
-            Value::Str("cargo run --release -p ff-bench --bin benchsim".into()),
+            Value::Str("cargo run --release -p ff-bench --bin ffbench -- benchsim".into()),
         ),
         ("cells".into(), Value::Array(cell_nodes)),
     ])

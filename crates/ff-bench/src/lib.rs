@@ -1,8 +1,10 @@
 //! # ff-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§3):
+//! Regenerates every table and figure of the paper's evaluation (§3)
+//! through one driver, `ffbench` (`cargo run --release -p ff-bench
+//! --bin ffbench -- <command>`):
 //!
-//! | Binary | Reproduces |
+//! | Command | Reproduces |
 //! |---|---|
 //! | `tables` | Tables 1–3 (device constants, workload inventory) |
 //! | `fig1` | Fig. 1(a)/(b) — grep+make energy vs WNIC latency / bandwidth |
@@ -11,9 +13,12 @@
 //! | `fig4` | Fig. 4(a)/(b) — grep+make ∥ xmms (forced spin-up) |
 //! | `fig5` | Fig. 5(a)/(b) — Acroread with an invalid profile |
 //! | `ablation` | design-knob studies (stage length, loss rate, …) |
+//! | `benchsim`, `benchfaults`, `benchpar` | the benchmark matrices in `bench/` |
+//! | `all` | every committed deterministic artifact, rewritten in place |
 //!
-//! Each binary prints the figure's series as an aligned table and a CSV
-//! block, so results can be diffed against EXPERIMENTS.md.
+//! `ffbench list` names the rest. Each figure prints its series as an
+//! aligned table and a CSV block, so results can be diffed against
+//! EXPERIMENTS.md.
 
 pub mod faults;
 pub mod grid;
@@ -31,6 +36,6 @@ pub use pool::{default_jobs, resolve_jobs, run_ordered};
 pub use scenarios::Scenario;
 pub use svg::{line_chart, rows_to_series};
 pub use sweep::{
-    bandwidth_sweep, bandwidth_sweep_jobs, latency_sweep, latency_sweep_jobs, print_csv,
-    print_table, standard_policies, Row, BANDWIDTHS_MBPS, LATENCIES_MS,
+    bandwidth_sweep, latency_sweep, standard_policies, write_csv, write_table, Row,
+    BANDWIDTHS_MBPS, LATENCIES_MS,
 };

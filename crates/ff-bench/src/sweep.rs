@@ -13,6 +13,7 @@ use ff_base::checked;
 use ff_base::{Dur, Result};
 use ff_policy::PolicyKind;
 use ff_sim::{SimConfig, Simulation};
+use std::fmt::{self, Write};
 
 /// WNIC latencies of the Fig. x(a) sweeps (ms).
 pub const LATENCIES_MS: [u64; 9] = [0, 1, 3, 5, 9, 12, 15, 20, 30];
@@ -46,19 +47,10 @@ fn run_point(scenario: &Scenario, kind: &PolicyKind, cfg: SimConfig, x: f64) -> 
     })
 }
 
-/// Run `policies` over a sweep of WNIC latencies at 11 Mbps, on one
-/// pool worker per hardware thread.
+/// Run `policies` over a sweep of WNIC latencies at 11 Mbps on `jobs`
+/// pool workers (`0` = one per hardware thread). Results are identical
+/// for any `jobs`.
 pub fn latency_sweep(
-    scenario: &Scenario,
-    policies: &[PolicyKind],
-    latencies_ms: &[u64],
-) -> Result<Vec<Row>> {
-    latency_sweep_jobs(scenario, policies, latencies_ms, 0)
-}
-
-/// [`latency_sweep`] with an explicit `--jobs` worker count (`0` = one
-/// per hardware thread). Results are identical for any `jobs`.
-pub fn latency_sweep_jobs(
     scenario: &Scenario,
     policies: &[PolicyKind],
     latencies_ms: &[u64],
@@ -77,19 +69,10 @@ pub fn latency_sweep_jobs(
     })
 }
 
-/// Run `policies` over a sweep of WNIC bandwidths at 1 ms latency, on
-/// one pool worker per hardware thread.
+/// Run `policies` over a sweep of WNIC bandwidths at 1 ms latency on
+/// `jobs` pool workers (`0` = one per hardware thread). Results are
+/// identical for any `jobs`.
 pub fn bandwidth_sweep(
-    scenario: &Scenario,
-    policies: &[PolicyKind],
-    bandwidths_mbps: &[f64],
-) -> Result<Vec<Row>> {
-    bandwidth_sweep_jobs(scenario, policies, bandwidths_mbps, 0)
-}
-
-/// [`bandwidth_sweep`] with an explicit `--jobs` worker count (`0` =
-/// one per hardware thread). Results are identical for any `jobs`.
-pub fn bandwidth_sweep_jobs(
     scenario: &Scenario,
     policies: &[PolicyKind],
     bandwidths_mbps: &[f64],
@@ -133,10 +116,10 @@ fn run_points(
     .collect()
 }
 
-/// Print a figure as an aligned table: one row per x, one column per
+/// Write a figure as an aligned table: one row per x, one column per
 /// policy.
-pub fn print_table(title: &str, x_label: &str, rows: &[Row]) {
-    println!("\n== {title} ==");
+pub fn write_table(out: &mut impl Write, title: &str, x_label: &str, rows: &[Row]) -> fmt::Result {
+    writeln!(out, "\n== {title} ==")?;
     let mut policies: Vec<String> = Vec::new();
     for r in rows {
         if !policies.contains(&r.policy) {
@@ -151,33 +134,39 @@ pub fn print_table(title: &str, x_label: &str, rows: &[Row]) {
     }
     xs.sort_by(f64::total_cmp);
 
-    print!("{x_label:>10}");
+    write!(out, "{x_label:>10}")?;
     for p in &policies {
-        print!(" {p:>16}");
+        write!(out, " {p:>16}")?;
     }
-    println!();
+    writeln!(out)?;
     for &x in &xs {
-        print!("{x:>10}");
+        write!(out, "{x:>10}")?;
         for p in &policies {
             let v = rows
                 .iter()
                 .find(|r| r.policy == *p && (r.x - x).abs() < 1e-9)
                 .map(|r| r.energy_j);
             match v {
-                Some(e) => print!(" {e:>15.1}J"),
-                None => print!(" {:>16}", "-"),
+                Some(e) => write!(out, " {e:>15.1}J")?,
+                None => write!(out, " {:>16}", "-")?,
             }
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
-/// Print the same data as CSV (`policy,x,energy_j,time_s`).
-pub fn print_csv(rows: &[Row]) {
-    println!("policy,x,energy_j,time_s");
+/// Write the same data as CSV (`policy,x,energy_j,time_s`).
+pub fn write_csv(out: &mut impl Write, rows: &[Row]) -> fmt::Result {
+    writeln!(out, "policy,x,energy_j,time_s")?;
     for r in rows {
-        println!("{},{},{:.3},{:.3}", r.policy, r.x, r.energy_j, r.time_s);
+        writeln!(
+            out,
+            "{},{},{:.3},{:.3}",
+            r.policy, r.x, r.energy_j, r.time_s
+        )?;
     }
+    Ok(())
 }
 
 /// The standard four-policy lineup of Figs. 1–3.
@@ -214,10 +203,10 @@ mod tests {
             .build(3),
         );
         let policies = [PolicyKind::DiskOnly, PolicyKind::WnicOnly];
-        let rows = latency_sweep(&s, &policies, &[0, 10]).unwrap();
+        let rows = latency_sweep(&s, &policies, &[0, 10], 0).unwrap();
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.energy_j > 0.0));
-        let rows = bandwidth_sweep(&s, &policies, &[1.0, 11.0]).unwrap();
+        let rows = bandwidth_sweep(&s, &policies, &[1.0, 11.0], 0).unwrap();
         assert_eq!(rows.len(), 4);
         // WNIC-only at 1 Mbps must cost more than at 11 Mbps.
         let w1 = rows
@@ -241,9 +230,9 @@ mod tests {
         }
         .build(2);
         let policies = [PolicyKind::DiskOnly, PolicyKind::WnicOnly];
-        let serial = latency_sweep_jobs(&s, &policies, &[0, 5, 10], 1).unwrap();
+        let serial = latency_sweep(&s, &policies, &[0, 5, 10], 1).unwrap();
         for jobs in [2, 4, 8] {
-            let par = latency_sweep_jobs(&s, &policies, &[0, 5, 10], jobs).unwrap();
+            let par = latency_sweep(&s, &policies, &[0, 5, 10], jobs).unwrap();
             assert_eq!(par, serial, "jobs={jobs}");
         }
     }

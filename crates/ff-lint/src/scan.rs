@@ -66,8 +66,8 @@ pub struct SourceFile {
 ///
 /// Scope: the root package (`src/`, `tests/`, `benches/`, `examples/`)
 /// and every crate under `crates/`. `vendor/` is excluded on purpose —
-/// those shims stand in for crates.io dependencies and e.g. `criterion`
-/// legitimately uses wall-clock time.
+/// those shims stand in for crates.io dependencies and e.g.
+/// `crossbeam` legitimately spawns threads.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     scan_package(root, "flexfetch-repro", &mut files)?;

@@ -78,5 +78,5 @@ fn main() {
     println!("\nSparse small reads sit deep in WNIC territory (§1.1) and FlexFetch");
     println!("matches the best fixed device exactly. The flash tier is a wash here —");
     println!("its ~10 mW idle draw cancels the few re-reads it absorbs; flash pays");
-    println!("off on re-read-heavy sessions (see `ff-bench --bin extensions`).");
+    println!("off on re-read-heavy sessions (see `ffbench extensions`).");
 }

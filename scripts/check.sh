@@ -90,23 +90,30 @@ killscore_step() {
 
 # The parallel sweep engine's acceptance gate: the full benchsim grid
 # serially vs on 8 workers must serialise byte-identically (benchpar
-# exits non-zero otherwise), with the honest speedup recorded in
-# bench/BENCH_parallel.json.
-# bench/BENCH_parallel.json (the committed record) is regenerated
-# explicitly; the gate here writes to results/ so a local check run
-# does not dirty the tree with fresh timings.
+# exits non-zero otherwise). The honest speedup is wall-clock noise, so
+# the gate writes it to results/ (untracked) rather than dirtying the
+# committed bench/BENCH_parallel.json.
 parallel_step() {
     mkdir -p results
-    cargo run --release -q -p ff-bench --bin benchpar -- --jobs 8 \
+    cargo run --release -q -p ff-bench --bin ffbench -- benchpar --jobs 8 \
         --out results/BENCH_parallel.json
+}
+
+# Every committed deterministic artifact (the figures, tables and
+# studies in results/, the BENCH_sim/BENCH_faults matrices and the
+# JSONL traces in bench/) must be what the code prints today:
+# regenerate them all in place and fail on any difference.
+artifacts_step() {
+    cargo run --release -q -p ff-bench --bin ffbench -- all &&
+        git diff --exit-code -- results bench
 }
 
 run_step "cargo fmt --all --check" cargo fmt --all --check
 run_step "ff-lint (ratchet vs crates/ff-lint/baseline.json)" lint_step
 run_step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" doc_step
 run_step "cargo build --release" cargo build --release
-run_step "cargo test -q" cargo test -q
-# The chaos suite already runs inside `cargo test -q`; naming it as its
+run_step "cargo test -q --workspace" cargo test -q --workspace
+# The chaos suite already runs inside `cargo test`; naming it as its
 # own step keeps a visible, independently-failing signal for the
 # fault-injection robustness contract (DESIGN.md §12).
 run_step "chaos suite (fault-injection invariants)" cargo test -q --test chaos
@@ -122,11 +129,12 @@ run_step "absint (golden interval facts + proptest soundness)" \
     cargo test -q --test absint
 run_step "mutation-killscore (kill-rate ratchet vs recorded floors)" killscore_step
 # The doctests are the handbook's executable walkthroughs (FaultPlan,
-# run_recorded, the sweep grid, the lint driver); `cargo test -q` above
+# run_recorded, the sweep grid, the lint driver); `cargo test` above
 # already ran them, but a doc regression should be its own red line.
 run_step "doctests (cargo test --doc)" cargo test -q --doc --workspace
 run_step "handbook (mdbook-or-ff-book build + link check)" handbook_step
 run_step "parallel-determinism (benchpar: jobs=1 vs jobs=8 byte-identical)" parallel_step
+run_step "artifacts-fresh (ffbench all, then git diff results bench)" artifacts_step
 
 if (( ${#failed_steps[@]} > 0 )); then
     echo "==> ${#failed_steps[@]} check(s) FAILED:" >&2
