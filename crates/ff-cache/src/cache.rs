@@ -250,15 +250,10 @@ impl BufferCache {
         if len.is_zero() {
             return 1.0;
         }
-        let mut resident = 0u64;
-        let mut total = 0u64;
-        for p in pages_covering(offset, len.get()) {
-            total += 1;
-            if self.twoq.contains(PageKey { file, index: p }) {
-                resident += 1;
-            }
-        }
-        resident as f64 / total as f64
+        let pages = pages_covering(offset, len.get());
+        let (first, last) = (*pages.start(), *pages.end());
+        let resident = self.twoq.resident_in(file, first, last);
+        resident as f64 / (last - first + 1) as f64
     }
 
     /// Lifetime hit/miss counters (demand pages only).

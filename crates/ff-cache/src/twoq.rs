@@ -14,6 +14,7 @@
 //! (to the ghost queue), then the LRU tail of Am.
 
 use crate::page::PageKey;
+use ff_trace::FileId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Result of touching a page.
@@ -84,6 +85,16 @@ impl TwoQ {
     /// Is the page resident (no state change)?
     pub fn contains(&self, key: PageKey) -> bool {
         self.a1in_set.contains(&key) || self.am_index.contains_key(&key)
+    }
+
+    /// Resident pages of `file` with index in `first..=last` (no state
+    /// change). A1in and Am never share a key, so the two range counts
+    /// add up; `PageKey` orders by file first, so the range never
+    /// reaches a neighbouring file's pages.
+    pub fn resident_in(&self, file: FileId, first: u64, last: u64) -> usize {
+        let lo = PageKey { file, index: first };
+        let hi = PageKey { file, index: last };
+        self.a1in_set.range(lo..=hi).count() + self.am_index.range(lo..=hi).count()
     }
 
     /// Touch `key`; returns the access class and appends any evicted

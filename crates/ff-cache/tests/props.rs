@@ -94,6 +94,51 @@ proptest! {
         }
     }
 
+    /// `resident_fraction`'s range count equals a page-by-page residency
+    /// probe after reads and writes over three adjacent files: the range
+    /// never counts a neighbouring file's pages, and no page is counted
+    /// twice (A1in and Am stay disjoint).
+    #[test]
+    fn resident_fraction_matches_per_page_probe(
+        cap in 8usize..48,
+        ops in proptest::collection::vec((0u64..3, 0u64..40, 1u64..12, any::<bool>()), 1..120),
+        ranges in proptest::collection::vec((0u64..3, 0u64..40 * 4096, 1u64..20 * 4096), 1..20),
+    ) {
+        // Every page an op or a range can reach lies below PAGES.
+        const PAGES: u64 = 64;
+        let size = Bytes(PAGES * 4096);
+        let mut cache = BufferCache::new(CacheConfig {
+            capacity_pages: cap,
+            ..CacheConfig::default()
+        });
+        for (i, &(file, page, n, write)) in ops.iter().enumerate() {
+            let (now, file) = (SimTime::from_secs(i as u64), FileId(10 + file));
+            let len = Bytes(n * 4096);
+            if write {
+                cache.write(now, file, page * 4096, len);
+            } else {
+                cache.read(now, file, page * 4096, len, size);
+            }
+        }
+        // Probe each page by reading it from a copy: the touch hits
+        // exactly when the page is resident.
+        let resident = |file: FileId, page: u64| {
+            cache.clone().read(SimTime::ZERO, file, page * 4096, Bytes(4096), size).hit_pages == 1
+        };
+        let map: Vec<Vec<bool>> = (0..3)
+            .map(|f| (0..PAGES).map(|p| resident(FileId(10 + f), p)).collect())
+            .collect();
+        for (file, offset, len) in ranges {
+            let (first, last) = (offset / 4096, (offset + len - 1) / 4096);
+            let hits = (first..=last)
+                .filter(|&p| map[file as usize][p as usize])
+                .count();
+            let expect = hits as f64 / (last - first + 1) as f64;
+            let got = cache.resident_fraction(FileId(10 + file), offset, Bytes(len));
+            prop_assert_eq!(got.to_bits(), expect.to_bits(), "file {} pages {}..={}", file, first, last);
+        }
+    }
+
     /// Dirty accounting: every written page is either still dirty or was
     /// surfaced through an eviction/flush — nothing is lost.
     #[test]

@@ -28,8 +28,8 @@ use crate::source::{AppRequest, FaultNotice, Policy, PolicyCtx, Source, StageRep
 use ff_base::{Bytes, Dur, SimTime};
 use ff_device::ServiceOutcome;
 use ff_profile::{
-    burst::OnlineBurstBuilder, estimate::filter_resident, stages_of, BurstExtractor, Estimator,
-    Profile, ProfiledBurst,
+    burst::OnlineBurstBuilder, estimate::filter_resident, first_stage, BurstExtractor, BytePrefix,
+    Estimator, Profile, ProfiledBurst,
 };
 
 /// FlexFetch tuning.
@@ -68,10 +68,13 @@ pub struct FlexFetch {
     config: FlexFetchConfig,
     /// The profile recorded in a prior run (may be empty on first run).
     old_profile: Profile,
+    /// Running byte totals of `old_profile`; rebuilt whenever it is set.
+    old_prefix: BytePrefix,
     /// On-line profiler for the current run.
     online: OnlineBurstBuilder,
-    /// Closed bursts observed so far this run.
-    observed: Vec<ProfiledBurst>,
+    /// Bytes observed so far this run. Merging keeps the sum of request
+    /// lengths, so this equals the bytes of every burst `online` built.
+    observed_bytes: Bytes,
     /// Current stage decision.
     current: Source,
     /// Whether the initial decision has been made.
@@ -105,9 +108,10 @@ impl FlexFetch {
         let online = OnlineBurstBuilder::new(config.extractor);
         FlexFetch {
             config,
+            old_prefix: BytePrefix::of(&profile.bursts),
             old_profile: profile,
             online,
-            observed: Vec::new(),
+            observed_bytes: Bytes::ZERO,
             current: Source::Disk,
             decided: false,
             last_n: 0,
@@ -181,10 +185,12 @@ impl FlexFetch {
             // Nothing known about the future: keep whatever we have.
             return self.current;
         }
+        let filtered;
         let bursts = if self.config.adaptive {
-            filter_resident(bursts, |f, o, l| (ctx.resident)(f, o, l))
+            filtered = filter_resident(bursts, |f, o, l| (ctx.resident)(f, o, l));
+            &filtered
         } else {
-            bursts.to_vec()
+            bursts
         };
         let est = Estimator::new(ctx.layout);
         // The paper's literal (T_disk, E_disk) vs (T_network, E_network):
@@ -192,26 +198,16 @@ impl FlexFetch {
         // includes the disk idling at 1.6 W between bursts; E_network
         // includes the card's PSM dwell at 0.39 W — the asymmetry that
         // sends sparse workloads to the network.
-        let disk = est.disk_cost(&bursts, ctx.disk.clone());
-        let wnic = est.wnic_cost(&bursts, ctx.wnic.clone());
+        let disk = est.disk_cost(bursts, ctx.disk.clone());
+        let wnic = est.wnic_cost(bursts, ctx.wnic.clone());
         decide(disk, wnic, self.config.loss_rate)
     }
 
     /// The upcoming stage-worth of bursts according to the (possibly
-    /// spliced) profile.
-    fn upcoming_stage(&self, skip: usize) -> Vec<ProfiledBurst> {
-        let remaining: Vec<ProfiledBurst> =
-            self.old_profile.bursts.iter().skip(skip).cloned().collect();
-        stages_of(&remaining, self.config.stage_len)
-            .into_iter()
-            .next()
-            .map(|s| s.bursts)
-            .unwrap_or_default()
-    }
-
-    /// Pull newly closed bursts out of the on-line profiler.
-    fn sync_observed(&mut self) {
-        self.observed.extend(self.online.take_completed());
+    /// spliced) profile: the stage window starting at burst `skip`.
+    fn upcoming_stage(&self, skip: usize) -> &[ProfiledBurst] {
+        let remaining = self.old_profile.bursts.get(skip..).unwrap_or_default();
+        first_stage(remaining, self.config.stage_len)
     }
 }
 
@@ -232,8 +228,7 @@ impl Policy for FlexFetch {
                 // the stage-end audit steer (adaptive), or stay (static).
                 self.set_current(ctx.now, Source::Disk, "initial:no-profile");
             } else {
-                let stage = self.upcoming_stage(0);
-                let d = self.decide_for(ctx, &stage);
+                let d = self.decide_for(ctx, self.upcoming_stage(0));
                 self.set_current(ctx.now, d, "initial:profile");
             }
         }
@@ -266,23 +261,21 @@ impl Policy for FlexFetch {
             req.offset,
             req.len,
         );
+        self.observed_bytes += req.len;
         if !self.config.adaptive {
             return;
         }
-        self.sync_observed();
         // §2.3.1 re-evaluation: observed bytes just passed the first N
         // profiled bursts → splice and re-run the rules. Suspended while
         // a stage-end audit override is active (the profile was proven
         // ineffective; measurements drive until it recovers).
-        let bytes: Bytes =
-            self.online.observed_bytes() + self.observed.iter().map(|b| b.burst.bytes()).sum();
-        let n = self.old_profile.bursts_covering(bytes);
+        let n = self.old_prefix.covering(self.observed_bytes);
         if n > self.last_n && !self.old_profile.is_empty() {
             self.last_n = n;
             if self.forced.is_none() && !self.degraded() {
                 let stage = self.upcoming_stage(n);
                 if !stage.is_empty() {
-                    let d = self.decide_for(ctx, &stage);
+                    let d = self.decide_for(ctx, stage);
                     self.set_current(ctx.now, d, "reeval:splice");
                 }
             }
@@ -299,21 +292,17 @@ impl Policy for FlexFetch {
         if !self.config.adaptive {
             // Static: re-decide for the next stage purely from the
             // recorded profile position (by stage count).
-            let skip: usize = self
-                .old_profile
-                .stages(self.config.stage_len)
-                .iter()
-                .take(self.stage_index)
-                .map(|s| s.len())
-                .sum();
+            let mut skip = 0;
+            for _ in 0..self.stage_index {
+                skip += self.upcoming_stage(skip).len();
+            }
             let stage = self.upcoming_stage(skip);
             if !stage.is_empty() {
-                let d = self.decide_for(ctx, &stage);
+                let d = self.decide_for(ctx, stage);
                 self.set_current(ctx.now, d, "static:stage");
             }
             return;
         }
-        self.sync_observed();
         if self.degraded() {
             // Mid-outage: measured evidence is dominated by the fault,
             // and the network is not a legal choice anyway. Stay pinned.
@@ -360,7 +349,7 @@ impl Policy for FlexFetch {
         let flip = winner != self.current && (dominates || energy_margin || time_margin);
 
         let stage = self.upcoming_stage(self.last_n);
-        let profile_choice = (!stage.is_empty()).then(|| self.decide_for(ctx, &stage));
+        let profile_choice = (!stage.is_empty()).then(|| self.decide_for(ctx, stage));
         let new = if flip { winner } else { self.current };
         self.set_current(
             ctx.now,
@@ -392,7 +381,7 @@ impl Policy for FlexFetch {
                 if self.decided && !self.degraded() && self.forced.is_none() {
                     let stage = self.upcoming_stage(self.last_n);
                     if !stage.is_empty() {
-                        let d = self.decide_for(ctx, &stage);
+                        let d = self.decide_for(ctx, stage);
                         self.set_current(ctx.now, d, "fault:bandwidth");
                     }
                 }
@@ -409,7 +398,7 @@ impl Policy for FlexFetch {
             if self.decided {
                 let stage = self.upcoming_stage(self.last_n);
                 if !stage.is_empty() {
-                    let d = self.decide_for(ctx, &stage);
+                    let d = self.decide_for(ctx, stage);
                     self.set_current(ctx.now, d, "fault:recovered");
                 }
             }
@@ -422,6 +411,7 @@ impl Policy for FlexFetch {
         // of the fault — but only the adaptive variant can later audit
         // its way out of bad advice. Splice bookkeeping restarts: the
         // observed prefix means nothing against the new burst list.
+        self.old_prefix = BytePrefix::of(&profile.bursts);
         self.old_profile = profile;
         self.last_n = 0;
         self.forced = None;
@@ -431,7 +421,7 @@ impl Policy for FlexFetch {
         if self.decided {
             let stage = self.upcoming_stage(0);
             if !stage.is_empty() {
-                let d = self.decide_for(ctx, &stage);
+                let d = self.decide_for(ctx, stage);
                 self.set_current(ctx.now, d, "fault:profile");
             }
         }
@@ -442,12 +432,9 @@ impl Policy for FlexFetch {
     }
 
     fn recorded_profile(&mut self) -> Option<Profile> {
-        self.sync_observed();
-        let mut bursts = std::mem::take(&mut self.observed);
-        bursts.extend(self.online.flush());
         Some(Profile {
             app: self.old_profile.app.clone(),
-            bursts,
+            bursts: self.online.flush(),
         })
     }
 }
@@ -686,6 +673,58 @@ mod tests {
         };
         p.observe(&c, &req, Some(Source::Disk), &out);
         assert_eq!(p.current_source(), Source::Disk);
+    }
+
+    #[test]
+    fn running_byte_count_tracks_the_online_profiler() {
+        use ff_profile::Profiler;
+        use ff_trace::{Make, Workload};
+        let make = Make {
+            units: 8,
+            headers: 16,
+            misc: 2,
+            input_bytes: 500_000,
+            ..Default::default()
+        };
+        // Replaying the profiled trace itself puts the byte count exactly
+        // on every prefix boundary, where `<` and `<=` differ.
+        let run = make.build(1);
+        let profile = Profiler::standard().profile(&run);
+        let w = World {
+            layout: DiskLayout::build(&run.files, 1),
+            ..world()
+        };
+        let mut p = FlexFetch::new(profile.clone(), FlexFetchConfig::default());
+        for r in &run.records {
+            let c = ctx(&w, r.end(), &nores);
+            let req = AppRequest {
+                file: r.file,
+                op: r.op,
+                offset: r.offset,
+                len: r.len,
+            };
+            p.select(&c, &req);
+            let out = ServiceOutcome {
+                complete: r.end(),
+                service_time: r.dur,
+                energy: Joules::ZERO,
+            };
+            p.observe(&c, &req, Some(Source::Disk), &out);
+            assert_eq!(p.observed_bytes, p.online.observed_bytes());
+            // The splice point by linear scan over the old profile.
+            let mut acc = Bytes::ZERO;
+            let by_scan = profile
+                .bursts
+                .iter()
+                .position(|b| {
+                    acc += b.burst.bytes();
+                    acc > p.observed_bytes
+                })
+                .unwrap_or(profile.len());
+            assert_eq!(p.last_n, by_scan);
+        }
+        assert_eq!(p.observed_bytes, run.total_bytes());
+        assert!(p.last_n > 0, "the replay never spliced");
     }
 
     #[test]

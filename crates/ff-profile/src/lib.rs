@@ -44,5 +44,5 @@ pub mod stage;
 pub use burst::{BurstExtractor, IoBurst, MergedRequest, ProfiledBurst};
 pub use estimate::{Estimate, Estimator};
 pub use hoard::{HoardPlan, HoardPlanner};
-pub use profile::{Profile, Profiler};
-pub use stage::{stages_of, Stage};
+pub use profile::{BytePrefix, Profile, Profiler};
+pub use stage::{first_stage, stages_of, Stage};

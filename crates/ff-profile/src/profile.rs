@@ -63,19 +63,10 @@ impl Profile {
     }
 
     /// The number of leading bursts the observed amount has fully
-    /// covered: the largest `N` with `sum(bursts[..N].bytes) <= bytes` —
-    /// "whenever the amount just exceeds the amount of data requested in
-    /// the first N I/O bursts" (§2.3.1), splicing replaces exactly those
-    /// N bursts.
+    /// covered (see [`BytePrefix::covering`]). Builds the prefix sums on
+    /// every call; a caller asking repeatedly keeps a [`BytePrefix`].
     pub fn bursts_covering(&self, bytes: Bytes) -> usize {
-        let mut acc = Bytes::ZERO;
-        for (i, b) in self.bursts.iter().enumerate() {
-            acc += b.burst.bytes();
-            if acc > bytes {
-                return i;
-            }
-        }
-        self.bursts.len()
+        BytePrefix::of(&self.bursts).covering(bytes)
     }
 
     /// §2.3.3: merge profiles of concurrently running programs into one
@@ -148,6 +139,36 @@ impl Profile {
     pub fn load(path: impl AsRef<Path>) -> Result<Profile> {
         let text = std::fs::read_to_string(path)?;
         Profile::from_json(&text)
+    }
+}
+
+/// Inclusive running byte totals of a burst sequence: entry `i` holds the
+/// bytes of bursts `0..=i`. Built once per profile, it turns the §2.3.1
+/// splice point into a binary search.
+#[derive(Debug, Clone)]
+pub struct BytePrefix(Vec<Bytes>);
+
+impl BytePrefix {
+    /// Prefix sums of `bursts`' byte counts.
+    pub fn of(bursts: &[ProfiledBurst]) -> Self {
+        let mut acc = Bytes::ZERO;
+        BytePrefix(
+            bursts
+                .iter()
+                .map(|b| {
+                    acc += b.burst.bytes();
+                    acc
+                })
+                .collect(),
+        )
+    }
+
+    /// The largest `N` with `sum(bursts[..N].bytes) <= bytes` —
+    /// "whenever the amount just exceeds the amount of data requested in
+    /// the first N I/O bursts" (§2.3.1), splicing replaces exactly those
+    /// N bursts. O(log P) for a P-burst profile.
+    pub fn covering(&self, bytes: Bytes) -> usize {
+        self.0.partition_point(|&c| c <= bytes)
     }
 }
 

@@ -43,33 +43,36 @@ impl Stage {
     }
 }
 
-/// Group a burst sequence into stages whose span *just exceeds*
-/// `stage_len` (the last stage may be shorter). A single burst longer
-/// than `stage_len` forms its own stage.
-pub fn stages_of(bursts: &[ProfiledBurst], stage_len: Dur) -> Vec<Stage> {
-    let mut stages = Vec::new();
-    let mut cur: Vec<ProfiledBurst> = Vec::new();
-    let mut cur_first = 0usize;
-    let mut cur_span = Dur::ZERO;
+/// The leading window of `bursts` whose span *just exceeds* `stage_len`,
+/// or all of `bursts` if their whole span does not. Never empty unless
+/// `bursts` is; a single burst longer than `stage_len` is its own window.
+/// Costs O(window), not O(`bursts`).
+pub fn first_stage(bursts: &[ProfiledBurst], stage_len: Dur) -> &[ProfiledBurst] {
+    let mut span = Dur::ZERO;
     for (i, pb) in bursts.iter().enumerate() {
-        if cur.is_empty() {
-            cur_first = i;
-        }
-        cur_span += pb.span();
-        cur.push(pb.clone());
-        if cur_span > stage_len {
-            stages.push(Stage {
-                first_burst: cur_first,
-                bursts: std::mem::take(&mut cur),
-            });
-            cur_span = Dur::ZERO;
+        span += pb.span();
+        if span > stage_len {
+            return bursts.get(..=i).unwrap_or(bursts);
         }
     }
-    if !cur.is_empty() {
+    bursts
+}
+
+/// Group a burst sequence into stages whose span *just exceeds*
+/// `stage_len` (the last stage may be shorter): repeated
+/// [`first_stage`] windows.
+pub fn stages_of(bursts: &[ProfiledBurst], stage_len: Dur) -> Vec<Stage> {
+    let mut stages = Vec::new();
+    let mut rest = bursts;
+    let mut first_burst = 0;
+    while !rest.is_empty() {
+        let window = first_stage(rest, stage_len);
         stages.push(Stage {
-            first_burst: cur_first,
-            bursts: cur,
+            first_burst,
+            bursts: window.to_vec(),
         });
+        first_burst += window.len();
+        rest = rest.get(window.len()..).unwrap_or_default();
     }
     stages
 }

@@ -1,38 +1,61 @@
 //! Property tests for the profiling layer.
 
 use ff_base::{Bytes, Dur, SimTime};
-use ff_profile::{stages_of, Estimator, IoBurst, MergedRequest, Profile, ProfiledBurst};
+use ff_profile::{
+    first_stage, stages_of, Estimator, IoBurst, MergedRequest, Profile, ProfiledBurst,
+};
 use ff_trace::{DiskLayout, FileId, FileMeta, FileSet, IoOp};
 use proptest::prelude::*;
 
+/// Lay `(bytes, gap_us, dur_us)` triples out back to back as bursts of
+/// one request each.
+fn bursts_from(raw: Vec<(u64, u64, u64)>) -> Vec<ProfiledBurst> {
+    let mut t = 0u64;
+    raw.into_iter()
+        .map(|(bytes, gap_us, dur_us)| {
+            let start = SimTime(t);
+            t += dur_us;
+            let end = SimTime(t);
+            t += gap_us;
+            ProfiledBurst {
+                burst: IoBurst {
+                    start,
+                    end,
+                    requests: vec![MergedRequest {
+                        file: FileId(1),
+                        op: IoOp::Read,
+                        offset: 0,
+                        len: Bytes(bytes),
+                    }],
+                },
+                gap_after: Dur(gap_us),
+            }
+        })
+        .collect()
+}
+
 /// Random burst sequence with realistic spans.
 fn arb_bursts() -> impl Strategy<Value = Vec<ProfiledBurst>> {
-    proptest::collection::vec((1u64..2_000_000, 0u64..60_000_000, 1u64..5_000_000), 0..40).prop_map(
-        |raw| {
-            let mut t = 0u64;
-            raw.into_iter()
-                .map(|(bytes, gap_us, dur_us)| {
-                    let start = SimTime(t);
-                    t += dur_us;
-                    let end = SimTime(t);
-                    t += gap_us;
-                    ProfiledBurst {
-                        burst: IoBurst {
-                            start,
-                            end,
-                            requests: vec![MergedRequest {
-                                file: FileId(1),
-                                op: IoOp::Read,
-                                offset: 0,
-                                len: Bytes(bytes),
-                            }],
-                        },
-                        gap_after: Dur(gap_us),
-                    }
-                })
-                .collect()
-        },
-    )
+    proptest::collection::vec((1u64..2_000_000, 0u64..60_000_000, 1u64..5_000_000), 0..40)
+        .prop_map(bursts_from)
+}
+
+/// Bursts of 0–3 bytes: zero-byte bursts and repeated prefix sums.
+fn arb_tiny_bursts() -> impl Strategy<Value = Vec<ProfiledBurst>> {
+    proptest::collection::vec((0u64..4, 0u64..1_000, 1u64..1_000), 0..30).prop_map(bursts_from)
+}
+
+/// The §2.3.1 splice point by linear scan: the index of the first burst
+/// whose cumulative bytes exceed `bytes`, or the length.
+fn covering_by_scan(bursts: &[ProfiledBurst], bytes: u64) -> usize {
+    let mut acc = 0u64;
+    for (i, b) in bursts.iter().enumerate() {
+        acc += b.burst.bytes().get();
+        if acc > bytes {
+            return i;
+        }
+    }
+    bursts.len()
 }
 
 fn one_file_layout() -> (FileSet, DiskLayout) {
@@ -80,6 +103,52 @@ proptest! {
         let covered: u64 =
             p.bursts.iter().take(na).map(|x| x.burst.bytes().get()).sum();
         prop_assert!(covered <= lo || na == 0);
+    }
+
+    /// The prefix-sum `bursts_covering` agrees with a linear scan at and
+    /// around every prefix boundary, zero-byte bursts included.
+    #[test]
+    fn covering_matches_linear_scan(
+        tiny in arb_tiny_bursts(),
+        big in arb_bursts(),
+        extra in 0u64..1 << 32,
+    ) {
+        for bursts in [tiny, big] {
+            let p = Profile { app: "p".into(), bursts };
+            let mut probes = vec![0, extra];
+            let mut acc = 0u64;
+            for b in &p.bursts {
+                acc += b.burst.bytes().get();
+                probes.extend([acc.saturating_sub(1), acc, acc + 1]);
+            }
+            for bytes in probes {
+                prop_assert_eq!(
+                    p.bursts_covering(Bytes(bytes)),
+                    covering_by_scan(&p.bursts, bytes),
+                    "bytes = {}", bytes
+                );
+            }
+        }
+    }
+
+    /// `first_stage` is the first of `stages_of` from any starting burst,
+    /// and its window *just* exceeds the stage length: dropping its last
+    /// burst brings the span back within it.
+    #[test]
+    fn first_stage_is_the_leading_stage(bursts in arb_bursts(), stage_secs in 1u64..300) {
+        let len = Dur::from_secs(stage_secs);
+        for k in 0..=bursts.len() {
+            let rest = &bursts[k..];
+            let window = first_stage(rest, len);
+            let stages = stages_of(rest, len);
+            let expect: &[ProfiledBurst] = stages.first().map_or(&[], |s| &s.bursts);
+            prop_assert_eq!(window, expect, "k = {}", k);
+            if window.len() < rest.len() {
+                let span = |w: &[ProfiledBurst]| w.iter().map(|b| b.span()).sum::<Dur>();
+                prop_assert!(span(window) > len);
+                prop_assert!(span(&window[..window.len() - 1]) <= len);
+            }
+        }
     }
 
     /// Device costs are monotone in payload: scaling every burst up never
