@@ -15,8 +15,7 @@
 //!   (one long mplayer cell among thirty) cannot idle the pool;
 //! * results carry their task index and are merged by sorting into
 //!   **canonical task order** before they escape, so the output is
-//!   byte-identical whether the grid ran on one worker or sixteen —
-//!   the ordered-merge pattern the `nondet-taint` lint family models.
+//!   byte-identical whether the grid ran on one worker or sixteen.
 //!
 //! The engine is exercised by `tests/parallel.rs` (same grid at
 //! `--jobs 1` and `--jobs 8` must serialise identically) and measured

@@ -1,11 +1,10 @@
-//! Wave 4: numeric abstract interpretation over the item tree.
+//! Numeric abstract interpretation over the item tree.
 //!
-//! The first three semantic waves prove *shape* properties — state
-//! machines, unit dimensions, taint. This wave proves *value-range*
-//! properties, which is what FlexFetch's energy argument actually
-//! rests on: energy accumulators never go negative, divisors never
-//! reach zero, counters do not silently truncate, and the paper's
-//! timeout constants satisfy the §3 break-even ordering.
+//! This pass proves *value-range* and *dimension* properties, which is
+//! what FlexFetch's energy argument actually rests on: energy
+//! accumulators never go negative, divisors never reach zero, counters
+//! do not silently truncate, time units are never mixed, and the
+//! paper's timeout constants satisfy the §3 break-even ordering.
 //!
 //! The domain is a product of three components per expression:
 //!
@@ -13,11 +12,12 @@
 //!   extended reals,
 //! - the **sign** lattice ([`crate::interval::Sign`]), kept alongside
 //!   the interval so polarity survives widening,
-//! - the **dimension** component reused from the dataflow wave
-//!   ([`crate::dataflow::Dim`]: time-at-scale, joules, bytes).
+//! - the **dimension** ([`Dim`]: time-at-scale, joules, bytes), read
+//!   from the workspace's identifier-suffix convention (`deadline_us`,
+//!   `cost_j`, `disk_bytes`) and from `Dur` accessors.
 //!
 //! Abstract values are computed by a small expression evaluator over
-//! the preprocessed line text: numeric literals and the Table 1/2
+//! the preprocessed statement text: numeric literals and the Table 1/2
 //! constant environment (seeded from `ff-device::consts` via
 //! [`crate::consts`]) become points, `let` bindings extend a per-
 //! function environment, reassignment joins, `+=` accumulation widens
@@ -26,10 +26,19 @@
 //! descending fixpoint: round one evaluates every function's return
 //! expression with all calls mapped to `TOP`, round two re-evaluates
 //! with round one's summaries substituted. Both rounds are sound, so
-//! the tighter second round is kept.
+//! the tighter second round is kept. The summaries carry a return
+//! dimension too — the fn-name suffix, else the one dimension every
+//! return site agrees on — so a unit crosses call boundaries.
 //!
-//! Three rule families consume the facts, all pinned at zero:
+//! Four rule families consume the facts, all pinned at zero:
 //!
+//! - **unit-flow** — additive arithmetic or an ordering comparison
+//!   between two different dimensions (`us+s`), a suffixed `let` whose
+//!   initialiser carries another dimension (`let:NAME`), a call
+//!   argument contradicting the callee's parameter suffix
+//!   (`call:NAME`), and a `return` or tail expression contradicting
+//!   the fn-name suffix (`ret:NAME`). `*` and `/` clear the dimension:
+//!   rescaling is how units are *supposed* to change.
 //! - **arith-safety** — divisions whose divisor provably may be zero
 //!   (interval contains zero, or an explicit `.max(0)` floor), lossy
 //!   narrowing and float→int `as` casts that the interval cannot prove
@@ -49,14 +58,70 @@
 //!   `WNIC_PSM_TIMEOUT_MS < T_breakeven` and the requirement that
 //!   every backoff shift is `.min(..)`-clamped and overflow-free.
 
+use crate::callgraph::STD_COLLIDING_METHODS;
 use crate::consts;
-use crate::dataflow::Dim;
 use crate::interval::{Interval, Sign};
 use crate::items::{self, Item, ItemTree};
 use crate::rules::{call_args, parse_num, Finding, Rule};
 use crate::scan::{FileKind, SourceFile};
-use crate::units::Unit;
 use std::collections::BTreeMap;
+
+/// A time scale recovered from a suffix or a `Dur` accessor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Unit {
+    Micros,
+    Millis,
+    Secs,
+}
+
+/// A physical dimension. Time keeps its scale; rescaling between
+/// dimensions is never implicit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Dim {
+    /// A time quantity at a specific scale.
+    Time(Unit),
+    /// Energy in joules (`_j` / `_joules`).
+    Joules,
+    /// A byte count (`_bytes`).
+    Bytes,
+}
+
+/// Identifier suffixes and the dimension each declares.
+const SUFFIXES: [(&str, Dim); 9] = [
+    ("_us", Dim::Time(Unit::Micros)),
+    ("_micros", Dim::Time(Unit::Micros)),
+    ("_ms", Dim::Time(Unit::Millis)),
+    ("_millis", Dim::Time(Unit::Millis)),
+    ("_s", Dim::Time(Unit::Secs)),
+    ("_secs", Dim::Time(Unit::Secs)),
+    ("_j", Dim::Joules),
+    ("_joules", Dim::Joules),
+    ("_bytes", Dim::Bytes),
+];
+
+impl Dim {
+    /// Short label used in finding tokens (`us+s`).
+    pub fn label(self) -> &'static str {
+        match self {
+            Dim::Time(Unit::Micros) => "us",
+            Dim::Time(Unit::Millis) => "ms",
+            Dim::Time(Unit::Secs) => "s",
+            Dim::Joules => "j",
+            Dim::Bytes => "bytes",
+        }
+    }
+
+    /// Dimension implied by an identifier's suffix.
+    pub fn of_ident(name: &str) -> Option<Dim> {
+        SUFFIXES
+            .iter()
+            .find(|(suffix, _)| {
+                name.strip_suffix(suffix)
+                    .is_some_and(|stem| !stem.is_empty())
+            })
+            .map(|&(_, dim)| dim)
+    }
+}
 
 /// Crates whose library code is held to `arith-safety`.
 pub(crate) const ARITH_CRATES: [&str; 4] = ["ff-bench", "ff-profile", "ff-sim", "ff-trace"];
@@ -151,7 +216,77 @@ fn refine(mut v: AbsVal) -> AbsVal {
 }
 
 type Env = BTreeMap<String, AbsVal>;
-type Sums = BTreeMap<String, Interval>;
+
+/// Per-name function summaries. Calls resolve by bare name, so every
+/// same-named fn folds into one entry; where their dimensions
+/// disagree the entry is `None` and nothing is judged.
+#[derive(Debug, Default)]
+struct Sums {
+    /// Joined return interval of the fns whose interval is not `TOP`.
+    ret: BTreeMap<String, Interval>,
+    /// Return dimension: the fn-name suffix, else the one dimension
+    /// every return site agrees on.
+    dim: BTreeMap<String, Option<Dim>>,
+    /// Parameter dimensions from the suffix convention (`self`
+    /// excluded).
+    params: BTreeMap<String, Option<Vec<Option<Dim>>>>,
+}
+
+impl Sums {
+    /// Return dimension of a call to `name`.
+    fn ret_dim(&self, name: &str) -> Option<Dim> {
+        if STD_COLLIDING_METHODS.contains(&name) {
+            return None;
+        }
+        self.dim.get(name).copied().flatten()
+    }
+}
+
+/// Fold one fn's fact into a per-name map: agreeing facts stay,
+/// disagreeing ones become `None`.
+fn fold<T: PartialEq>(map: &mut BTreeMap<String, Option<T>>, name: &str, fact: Option<T>) {
+    match map.get_mut(name) {
+        Some(slot) => {
+            if *slot != fact {
+                *slot = None;
+            }
+        }
+        None => {
+            map.insert(name.to_owned(), fact);
+        }
+    }
+}
+
+/// A `unit-flow` violation met while evaluating: (token, message).
+type UnitIssue = (String, String);
+
+/// The dimension of `lhs op rhs` for an additive or comparison
+/// operator, plus the issue when both sides carry different ones.
+fn combine_dims(
+    l: Option<Dim>,
+    r: Option<Dim>,
+    op: &str,
+    lhs: &str,
+    rhs: &str,
+) -> (Option<Dim>, Option<UnitIssue>) {
+    match (l, r) {
+        (Some(a), Some(b)) if a != b => (
+            None,
+            Some((
+                format!("{}{op}{}", a.label(), b.label()),
+                format!(
+                    "mixed dimensions: `{}` is {} but `{}` is {}; rescale explicitly \
+                     or move both into a newtype",
+                    lhs.trim(),
+                    a.label(),
+                    rhs.trim(),
+                    b.label()
+                ),
+            )),
+        ),
+        _ => (l.or(r), None),
+    }
+}
 
 /// Dimension of an identifier, extended with the energy-field naming
 /// convention (`energy`, `*_energy`) the `_j` suffix rule misses.
@@ -191,6 +326,8 @@ enum TK {
     Slash,
     Percent,
     Shl,
+    /// `<`, `<=`, `>` or `>=`, keyed by its first byte.
+    Cmp(u8),
     As,
     Question,
     Other,
@@ -294,13 +431,21 @@ fn lex(s: &str) -> Vec<Tok> {
                 b'*' => TK::Star,
                 b'/' => TK::Slash,
                 b'%' => TK::Percent,
-                b'<' => {
-                    if i < b.len() && b[i] == b'<' {
+                b'<' if b.get(i) == Some(&b'<') => {
+                    i += 1;
+                    TK::Shl
+                }
+                // An ordering comparison, not generics or `->`/`=>`:
+                // rustfmt spaces it (`a < b`, `a >= b`).
+                b'<' | b'>'
+                    if start > 0
+                        && b[start - 1] == b' '
+                        && matches!(b.get(i), Some(b' ') | Some(b'=')) =>
+                {
+                    if b.get(i) == Some(&b'=') {
                         i += 1;
-                        TK::Shl
-                    } else {
-                        TK::Other
                     }
+                    TK::Cmp(c)
                 }
                 b'?' => TK::Question,
                 _ => TK::Other,
@@ -325,6 +470,8 @@ struct Eval<'a> {
     i: usize,
     env: &'a Env,
     sums: &'a Sums,
+    /// Unit-flow violations met along the way.
+    issues: Vec<UnitIssue>,
 }
 
 impl<'a> Eval<'a> {
@@ -335,6 +482,72 @@ impl<'a> Eval<'a> {
             i: 0,
             env,
             sums,
+            issues: Vec::new(),
+        }
+    }
+
+    /// Byte offset where the next token starts (end of input if none).
+    fn here(&self) -> usize {
+        self.peek().map_or(self.src.len(), |t| t.start)
+    }
+
+    /// Byte offset where the last consumed token ends.
+    fn consumed_end(&self) -> usize {
+        self.i
+            .checked_sub(1)
+            .and_then(|j| self.toks.get(j))
+            .map_or(0, |t| t.end)
+    }
+
+    /// Dimension of `lhs op rhs`, where the operator token is `op_tok`
+    /// and the left operand starts at byte `start`; records a mismatch.
+    fn join_dims(
+        &mut self,
+        start: usize,
+        op_tok: Tok,
+        l: Option<Dim>,
+        r: Option<Dim>,
+    ) -> Option<Dim> {
+        let src = self.src;
+        let lhs = src.get(start..op_tok.start).unwrap_or("");
+        let rhs = src.get(op_tok.end..self.consumed_end()).unwrap_or("");
+        let op = match op_tok.kind {
+            TK::Cmp(c) => char::from(c).to_string(),
+            _ => src.get(op_tok.start..op_tok.end).unwrap_or("").to_owned(),
+        };
+        let (dim, issue) = combine_dims(l, r, &op, lhs, rhs);
+        self.issues.extend(issue);
+        dim
+    }
+
+    /// Flag call arguments whose dimension contradicts the callee's
+    /// parameter suffix. Callees resolve by bare name; std-colliding
+    /// method names and arity mismatches (multi-line calls, unmodelled
+    /// argument syntax) are not judged.
+    fn check_args(&mut self, name: &str, args: &[AbsVal]) {
+        let bare = name.rsplit("::").next().unwrap_or(name);
+        if STD_COLLIDING_METHODS.contains(&bare) {
+            return;
+        }
+        let Some(Some(params)) = self.sums.params.get(bare) else {
+            return;
+        };
+        if params.len() != args.len() {
+            return;
+        }
+        for (arg, want) in args.iter().zip(params) {
+            if let (Some(got), Some(want)) = (arg.dim, *want) {
+                if got != want {
+                    self.issues.push((
+                        format!("call:{bare}"),
+                        format!(
+                            "argument carries {} but `{bare}` expects {} here",
+                            got.label(),
+                            want.label()
+                        ),
+                    ));
+                }
+            }
         }
     }
 
@@ -374,6 +587,7 @@ impl<'a> Eval<'a> {
     }
 
     fn additive(&mut self) -> AbsVal {
+        let start = self.here();
         let mut v = self.term();
         while let Some(t) = self.peek() {
             let op = t.kind;
@@ -382,17 +596,18 @@ impl<'a> Eval<'a> {
             }
             self.bump();
             let rhs = self.term();
+            let dim = self.join_dims(start, t, v.dim, rhs.dim);
             v = match op {
                 TK::Plus => AbsVal {
                     iv: v.iv.add(rhs.iv),
                     sign: v.sign.add(rhs.sign),
-                    dim: if v.dim == rhs.dim { v.dim } else { None },
+                    dim,
                     floaty: v.floaty || rhs.floaty,
                 },
                 _ => AbsVal {
                     iv: v.iv.sub(rhs.iv),
                     sign: v.sign.add(rhs.sign.neg()),
-                    dim: if v.dim == rhs.dim { v.dim } else { None },
+                    dim,
                     floaty: v.floaty || rhs.floaty,
                 },
             };
@@ -414,7 +629,7 @@ impl<'a> Eval<'a> {
                 TK::Star => refine(AbsVal {
                     iv: v.iv.mul(rhs.iv),
                     sign: v.sign.mul(rhs.sign),
-                    dim: v.dim.or(rhs.dim),
+                    dim: None,
                     floaty: v.floaty || rhs.floaty,
                 }),
                 TK::Slash => refine(AbsVal {
@@ -497,7 +712,8 @@ impl<'a> Eval<'a> {
                     if self.peek().map(|t| t.kind) == Some(TK::LParen) {
                         self.bump();
                         let args = self.args();
-                        v = apply_method(v, name, &args);
+                        self.check_args(name, &args);
+                        v = apply_method(v, name, &args, self.sums);
                     } else {
                         // Field access: abstract by the field's name.
                         v = field_val(name);
@@ -565,6 +781,7 @@ impl<'a> Eval<'a> {
                     if self.peek().map(|x| x.kind) == Some(TK::LParen) {
                         self.bump();
                         let args = self.args();
+                        self.check_args(name, &args);
                         call_val(name, &args, self.sums)
                     } else {
                         ident_val(name, self.env)
@@ -636,9 +853,10 @@ fn apply_cast(v: AbsVal, target: &str) -> AbsVal {
 }
 
 /// Abstract a known method call; unknown methods conservatively
-/// return `TOP` (method summaries stay out of divisor reasoning so a
-/// misresolved name can never manufacture a finding).
-fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
+/// return `TOP` carrying only the summarised return dimension (method
+/// intervals stay out of divisor reasoning so a misresolved name can
+/// never manufacture a finding).
+fn apply_method(v: AbsVal, name: &str, args: &[AbsVal], sums: &Sums) -> AbsVal {
     let arg = |i: usize| -> AbsVal { args.get(i).cloned().unwrap_or_else(AbsVal::top) };
     match name {
         "max" => refine(AbsVal {
@@ -703,7 +921,10 @@ fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
             out.floaty = true;
             out
         }
-        _ => AbsVal::top(),
+        _ => AbsVal {
+            dim: sums.ret_dim(name),
+            ..AbsVal::top()
+        },
     }
 }
 
@@ -730,25 +951,24 @@ fn call_val(name: &str, args: &[AbsVal], sums: &Sums) -> AbsVal {
         return v;
     }
     if name.starts_with("Dur::from_") || name.starts_with("SimTime::from_") {
-        let unit = match last {
-            "from_micros" => Some(Unit::Micros),
-            "from_millis" => Some(Unit::Millis),
-            "from_secs" | "from_secs_f64" => Some(Unit::Secs),
-            _ => None,
+        // The newtype carries its own scale, so the result has no
+        // dimension: `Dur::from_millis(a) + Dur::from_secs(b)` is fine.
+        return AbsVal {
+            dim: None,
+            ..arg(0)
         };
-        let mut v = arg(0);
-        v.dim = unit.map(Dim::Time);
-        return v;
     }
     if name == "u64::MAX" {
         return AbsVal::of_interval(Interval::point(u64::MAX as f64));
     }
-    if !name.contains("::") {
-        if let Some(iv) = sums.get(name) {
-            return AbsVal::of_interval(*iv);
-        }
-    }
-    AbsVal::top()
+    // Intervals resolve only bare names; dimensions also resolve a
+    // path's last segment.
+    let mut v = sums
+        .ret
+        .get(name)
+        .map_or_else(AbsVal::top, |iv| AbsVal::of_interval(*iv));
+    v.dim = sums.ret_dim(last);
+    v
 }
 
 /// Abstract a plain identifier: environment, constant registry (both
@@ -790,7 +1010,7 @@ pub fn expr_interval(expr: &str, consts: &BTreeMap<String, f64>) -> Interval {
         .iter()
         .map(|(k, v)| (k.clone(), AbsVal::point(*v, v.fract().abs() > 0.0)))
         .collect();
-    let sums = Sums::new();
+    let sums = Sums::default();
     eval_slice(expr, &env, &sums).iv
 }
 
@@ -1022,8 +1242,25 @@ fn base_env(ctab: &BTreeMap<String, f64>, item: &Item) -> Env {
     env
 }
 
+/// The `;`-separated statements of one line, split outside parens and
+/// brackets (`[u8; 4]` stays whole).
+fn statements(code: &str) -> impl Iterator<Item = &str> {
+    let mut depth = 0i32;
+    code.split(move |c: char| {
+        match c {
+            '(' | '[' => depth += 1,
+            ')' | ']' => depth -= 1,
+            _ => {}
+        }
+        c == ';' && depth <= 0
+    })
+    .map(str::trim)
+    .filter(|s| !s.is_empty())
+}
+
 /// Walk one function's body, maintaining the abstract environment and
-/// yielding each (0-based line index, code, env-before-line) to `sink`.
+/// yielding each (0-based line index, statement, env-before-statement)
+/// to `sink`.
 fn walk_fn<F: FnMut(usize, &str, &Env)>(
     file: &SourceFile,
     item: &Item,
@@ -1040,56 +1277,58 @@ fn walk_fn<F: FnMut(usize, &str, &Env)>(
         if line.in_test {
             continue;
         }
-        let code = line.code.trim();
-        if code.is_empty() {
-            continue;
-        }
-        sink(idx, code, &env);
-        if let Some((name, rhs)) = split_let(code) {
-            let v = refine(eval_slice(rhs, &env, sums));
-            let v = match dim_of_name(name) {
-                Some(d) if v.dim.is_none() => AbsVal { dim: Some(d), ..v },
-                _ => v,
-            };
-            env.insert(name.to_owned(), v);
-        } else if let Some((lhs, op, rhs)) = split_compound(code) {
-            let name = last_segment(lhs);
-            if let Some(old) = env.get(name).cloned() {
-                let rv = eval_slice(rhs, &env, sums);
-                let next = match op {
-                    b'+' => old.iv.add(rv.iv),
-                    b'-' => old.iv.sub(rv.iv),
-                    _ => old.iv.mul(rv.iv),
-                };
-                // Accumulators run inside loops the line walk cannot
-                // see; widen so one abstract pass covers every trip.
-                let widened = old.iv.widen(old.iv.join(next));
-                env.insert(
-                    name.to_owned(),
-                    refine(AbsVal {
-                        iv: widened,
-                        sign: Sign::Unknown,
-                        dim: old.dim,
-                        floaty: old.floaty,
-                    }),
-                );
-            }
-        } else if let Some(eq) = find_plain_eq(code) {
-            let lhs = code.get(..eq).map(str::trim).unwrap_or("");
-            if !lhs.is_empty() && lhs.bytes().all(is_ident_byte) {
-                if let Some(old) = env.get(lhs).cloned() {
-                    let rhs = code
-                        .get(eq + 1..)
-                        .unwrap_or("")
-                        .trim()
-                        .trim_end_matches(';');
-                    let rv = refine(eval_slice(rhs, &env, sums));
-                    env.insert(lhs.to_owned(), old.join(&rv));
-                }
-            }
+        for code in statements(&line.code) {
+            sink(idx, code, &env);
+            bind(code, &mut env, sums);
         }
     }
     env
+}
+
+/// Apply one statement's `let`, compound assignment or reassignment
+/// to the environment.
+fn bind(code: &str, env: &mut Env, sums: &Sums) {
+    if let Some((name, rhs)) = split_let(code) {
+        // The name's suffix is the binding's declared dimension.
+        let v = refine(eval_slice(rhs, env, sums));
+        let dim = dim_of_name(name).or(v.dim);
+        env.insert(name.to_owned(), AbsVal { dim, ..v });
+    } else if let Some((lhs, op, rhs)) = split_compound(code) {
+        let name = last_segment(lhs);
+        if let Some(old) = env.get(name).cloned() {
+            let rv = eval_slice(rhs, env, sums);
+            let next = match op {
+                b'+' => old.iv.add(rv.iv),
+                b'-' => old.iv.sub(rv.iv),
+                _ => old.iv.mul(rv.iv),
+            };
+            // Accumulators run inside loops the line walk cannot
+            // see; widen so one abstract pass covers every trip.
+            let widened = old.iv.widen(old.iv.join(next));
+            env.insert(
+                name.to_owned(),
+                refine(AbsVal {
+                    iv: widened,
+                    sign: Sign::Unknown,
+                    dim: old.dim,
+                    floaty: old.floaty,
+                }),
+            );
+        }
+    } else if let Some(eq) = find_plain_eq(code) {
+        let lhs = code.get(..eq).map(str::trim).unwrap_or("");
+        if !lhs.is_empty() && lhs.bytes().all(is_ident_byte) {
+            if let Some(old) = env.get(lhs).cloned() {
+                let rhs = code
+                    .get(eq + 1..)
+                    .unwrap_or("")
+                    .trim()
+                    .trim_end_matches(';');
+                let rv = refine(eval_slice(rhs, env, sums));
+                env.insert(lhs.to_owned(), old.join(&rv));
+            }
+        }
+    }
 }
 
 /// 0-based line range of a function's body interior.
@@ -1101,18 +1340,20 @@ fn body_range(item: &Item) -> (usize, usize) {
     }
 }
 
-/// Candidate return expressions of a function: `return X;` lines plus
-/// the tail expression (single-line bodies included).
-fn return_exprs<'a>(file: &'a SourceFile, item: &Item) -> Vec<&'a str> {
+/// Candidate return expressions of a function, with their 0-based
+/// line index: `return X;` lines plus the tail expression (single-line
+/// bodies included).
+fn return_exprs<'a>(file: &'a SourceFile, item: &Item) -> Vec<(usize, &'a str)> {
     let mut out = Vec::new();
     if item.body_start != 0 && item.body_start == item.body_end {
-        if let Some(line) = file.lines.get(item.body_start.saturating_sub(1)) {
+        let idx = item.body_start.saturating_sub(1);
+        if let Some(line) = file.lines.get(idx) {
             if let (Some(open), Some(close)) = (line.code.find('{'), line.code.rfind('}')) {
                 if open + 1 < close {
                     if let Some(inner) = line.code.get(open + 1..close) {
                         let inner = inner.trim();
                         if !inner.is_empty() {
-                            out.push(inner);
+                            out.push((idx, inner));
                         }
                     }
                 }
@@ -1121,7 +1362,7 @@ fn return_exprs<'a>(file: &'a SourceFile, item: &Item) -> Vec<&'a str> {
         return out;
     }
     let (lo, hi) = body_range(item);
-    let mut tail: Option<&str> = None;
+    let mut tail: Option<(usize, &str)> = None;
     for idx in lo..hi {
         let Some(line) = file.lines.get(idx) else {
             continue;
@@ -1134,17 +1375,15 @@ fn return_exprs<'a>(file: &'a SourceFile, item: &Item) -> Vec<&'a str> {
             continue;
         }
         if let Some(rest) = code.strip_prefix("return ") {
-            out.push(rest.trim_end_matches(';'));
+            out.push((idx, rest.trim_end_matches(';')));
         }
         if !code.ends_with(';') && !code.ends_with('{') && !code.ends_with('}') {
-            tail = Some(code);
+            tail = Some((idx, code));
         } else {
             tail = None;
         }
     }
-    if let Some(t) = tail {
-        out.push(t);
-    }
+    out.extend(tail);
     out
 }
 
@@ -1156,7 +1395,7 @@ fn summary_round(
     ctab: &BTreeMap<String, f64>,
     prev: &Sums,
 ) -> Sums {
-    let mut next = Sums::new();
+    let mut next = Sums::default();
     for (file, tree) in sources.iter().zip(trees) {
         if file.kind != FileKind::Lib {
             continue;
@@ -1167,18 +1406,25 @@ fn summary_round(
             }
             let env = walk_fn(file, item, ctab, prev, &mut |_, _, _| {});
             let mut joined: Option<Interval> = None;
-            for expr in return_exprs(file, item) {
+            let mut dims: Vec<Dim> = Vec::new();
+            for (_, expr) in return_exprs(file, item) {
                 let v = eval_slice(expr, &env, prev);
                 joined = Some(match joined {
                     Some(j) => j.join(v.iv),
                     None => v.iv,
                 });
+                dims.extend(v.dim);
             }
+            let agreed = dims.first().filter(|d| dims.iter().all(|x| x == *d));
+            let dim = dim_of_name(&item.name).or(agreed.copied());
+            fold(&mut next.dim, &item.name, dim);
+            let params = item.params.iter().map(|p| dim_of_name(p)).collect();
+            fold(&mut next.params, &item.name, Some(params));
             let Some(iv) = joined else { continue };
             if iv.is_top() {
                 continue;
             }
-            let entry = next.entry(item.name.clone()).or_insert(iv);
+            let entry = next.ret.entry(item.name.clone()).or_insert(iv);
             *entry = entry.join(iv);
         }
     }
@@ -1188,13 +1434,14 @@ fn summary_round(
 /// Two-round descending fixpoint over function return intervals. Round
 /// one is computed with every call abstracted to `TOP` (sound); round
 /// two substitutes round one's summaries (still sound, tighter or
-/// equal), so the second round is the result.
+/// equal), so the second round is the result. Return dimensions ride
+/// along, so a two-deep helper chain still carries its unit.
 fn build_summaries(
     sources: &[SourceFile],
     trees: &[ItemTree],
     ctab: &BTreeMap<String, f64>,
 ) -> Sums {
-    let round1 = summary_round(sources, trees, ctab, &Sums::new());
+    let round1 = summary_round(sources, trees, ctab, &Sums::default());
     summary_round(sources, trees, ctab, &round1)
 }
 
@@ -1210,7 +1457,7 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
             continue;
         }
         for (_, item) in tree.fns() {
-            if let Some(iv) = bare.get(&item.name) {
+            if let Some(iv) = bare.ret.get(&item.name) {
                 out.insert(format!("{}::{}", file.crate_name, item.name), *iv);
             }
         }
@@ -1222,7 +1469,8 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
 // Rule families
 // ---------------------------------------------------------------------
 
-/// Run the wave-4 families over the workspace.
+/// Run the four families over the workspace: unit-flow over every
+/// library crate, arith-safety and energy-bounds over their crates.
 pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding> {
     let ctab = consts::const_table(sources);
     let sums = build_summaries(sources, trees, &ctab);
@@ -1233,17 +1481,19 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
         }
         let arith = ARITH_CRATES.contains(&file.crate_name.as_str());
         let energy = ENERGY_CRATES.contains(&file.crate_name.as_str());
-        if !arith && !energy {
-            continue;
-        }
         for (_, item) in tree.fns() {
             if item.in_test {
                 continue;
             }
-            let fn_text = fn_body_text(file, item);
+            let fn_text = if arith {
+                fn_body_text(file, item)
+            } else {
+                String::new()
+            };
             let mut sink = |idx: usize, code: &str, env: &Env| {
+                check_units(file, idx, code, env, &sums, &mut out);
                 if arith {
-                    check_divisions(file, item, idx, code, env, &sums, &fn_text, &mut out);
+                    check_divisions(file, idx, code, env, &sums, &fn_text, &mut out);
                     check_casts(file, idx, code, env, &sums, &mut out);
                     check_counters(file, idx, code, &mut out);
                 }
@@ -1251,7 +1501,8 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
                     check_energy_line(file, idx, code, env, &sums, &mut out);
                 }
             };
-            walk_fn(file, item, &ctab, &sums, &mut sink);
+            let env = walk_fn(file, item, &ctab, &sums, &mut sink);
+            check_returns(file, item, &env, &sums, &mut out);
             if energy {
                 check_drain_fn(file, item, &mut out);
             }
@@ -1259,6 +1510,79 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
     }
     out.extend(timeout_order(sources, &ctab));
     out
+}
+
+/// unit-flow: every expression in one statement (mixed additive
+/// operands, call arguments), top-level ordering comparisons, a
+/// compound `+=`/`-=`, and a suffixed `let` against its initialiser.
+fn check_units(
+    file: &SourceFile,
+    idx: usize,
+    code: &str,
+    env: &Env,
+    sums: &Sums,
+    out: &mut Vec<Finding>,
+) {
+    let mut ev = Eval::new(code, env, sums);
+    while ev.peek().is_some() {
+        let start = ev.here();
+        let lhs = ev.expr();
+        if let Some(op) = ev.peek().filter(|t| matches!(t.kind, TK::Cmp(_))) {
+            ev.bump();
+            let rhs = ev.expr();
+            ev.join_dims(start, op, lhs.dim, rhs.dim);
+        }
+    }
+    let mut issues = ev.issues;
+    if let Some((lhs, op @ (b'+' | b'-'), rhs)) = split_compound(code) {
+        let (l, r) = (eval_slice(lhs, env, sums), eval_slice(rhs, env, sums));
+        let op = char::from(op).to_string();
+        issues.extend(combine_dims(l.dim, r.dim, &op, lhs, rhs).1);
+    }
+    if let Some((name, rhs)) = split_let(code) {
+        if let (Some(want), Some(got)) = (dim_of_name(name), eval_slice(rhs, env, sums).dim) {
+            if want != got {
+                issues.push((
+                    format!("let:{name}"),
+                    format!(
+                        "`{name}` claims {} by its suffix but its initialiser carries {}",
+                        want.label(),
+                        got.label()
+                    ),
+                ));
+            }
+        }
+    }
+    for (token, message) in issues {
+        push(out, Rule::UnitFlow, file, idx, token, message);
+    }
+}
+
+/// unit-flow: `return` and tail expressions against the fn-name suffix.
+fn check_returns(file: &SourceFile, item: &Item, env: &Env, sums: &Sums, out: &mut Vec<Finding>) {
+    let Some(want) = dim_of_name(&item.name) else {
+        return;
+    };
+    for (idx, expr) in return_exprs(file, item) {
+        let Some(got) = eval_slice(expr, env, sums).dim else {
+            continue;
+        };
+        if got != want {
+            push(
+                out,
+                Rule::UnitFlow,
+                file,
+                idx,
+                format!("ret:{}", item.name),
+                format!(
+                    "`{}` promises {} by its suffix but returns a {} value",
+                    item.name,
+                    want.label(),
+                    got.label()
+                ),
+            );
+        }
+    }
 }
 
 fn fn_body_text(file: &SourceFile, item: &Item) -> String {
@@ -1291,7 +1615,6 @@ fn push(
 /// arith-safety: division-by-zero freedom.
 fn check_divisions(
     file: &SourceFile,
-    _item: &Item,
     idx: usize,
     code: &str,
     env: &Env,
@@ -1815,7 +2138,7 @@ mod tests {
     #[test]
     fn evaluator_handles_arithmetic_and_methods() {
         let env = env_of(&[("a", 3.0), ("b", 4.0)]);
-        let sums = Sums::new();
+        let sums = Sums::default();
         let v = eval_slice("a + b * 2", &env, &sums);
         assert_eq!(v.iv, Interval::point(11.0));
         let v = eval_slice("(a - b).abs()", &env, &sums);
@@ -1829,7 +2152,7 @@ mod tests {
     #[test]
     fn suffixed_idents_are_nonneg_counters() {
         let env = Env::new();
-        let sums = Sums::new();
+        let sums = Sums::default();
         let v = eval_slice("total_bytes", &env, &sums);
         assert!(v.iv.is_nonneg() && !v.iv.is_top());
         assert_eq!(v.dim, Some(Dim::Bytes));
@@ -1925,6 +2248,161 @@ mod tests {
         assert!(bad.iter().any(|f| f.token == "task_drain -"));
         let ok = run("pub fn task_drain(&self) -> Joules {\n    self.total() + self.base\n}\n");
         assert!(ok.iter().all(|f| f.rule != Rule::EnergyBounds));
+    }
+
+    /// unit-flow findings for a set of `(path, source)` library files.
+    fn unit_flow(files: &[(&str, &str)]) -> Vec<Finding> {
+        let sources: Vec<SourceFile> = files
+            .iter()
+            .map(|(path, src)| SourceFile {
+                rel_path: (*path).to_owned(),
+                crate_name: path.split('/').nth(1).unwrap_or("ff-sim").to_owned(),
+                kind: FileKind::Lib,
+                lines: preprocess(src),
+            })
+            .collect();
+        let trees = items::build(&sources);
+        let mut out = analyze(&sources, &trees);
+        out.retain(|f| f.rule == Rule::UnitFlow);
+        out
+    }
+
+    fn unit_tokens(src: &str) -> Vec<String> {
+        let found = unit_flow(&[("crates/ff-sim/src/a.rs", src)]);
+        found.into_iter().map(|f| f.token).collect()
+    }
+
+    #[test]
+    fn unit_flow_single_file_goldens() {
+        let cases: [(&str, &[&str]); 16] = [
+            // Additive arithmetic and comparisons between dimensions.
+            (
+                "fn f(start_us: u64, budget_s: u64) -> u64 {\n    start_us + budget_s\n}\n",
+                &["us+s"],
+            ),
+            (
+                "fn f(start_us: u64, dur_us: u64) -> u64 {\n    start_us + dur_us\n}\n",
+                &[],
+            ),
+            (
+                "fn f(t_us: u64, limit_ms: u64) -> bool {\n    t_us < limit_ms\n}\n",
+                &["us<ms"],
+            ),
+            (
+                "fn f(total_j: f64, t_us: f64) -> f64 {\n    total_j + t_us\n}\n",
+                &["j+us"],
+            ),
+            (
+                "fn f(d: Dur, start_us: u64) -> f64 {\n    d.as_secs_f64() + start_us\n}\n",
+                &["s+us"],
+            ),
+            (
+                "fn f(xs_us: Vec<u64>, cap_ms: u64) -> Vec<u64> {\n    let v: Vec<u64> = xs_us;\n    v\n}\n",
+                &[],
+            ),
+            (
+                "fn f(a: u64, b: u64) -> Dur {\n    Dur::from_millis(a) + Dur::from_secs(b)\n}\n",
+                &[],
+            ),
+            // Bindings carry the dimension; `*` and `/` rescale it away.
+            (
+                "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us;\n    begin + end_s\n}\n",
+                &["us+s"],
+            ),
+            (
+                "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us / 1_000_000;\n    begin + end_s\n}\n",
+                &[],
+            ),
+            // Statements spliced onto one line are walked one by one.
+            (
+                "fn f(span: Dur) {\n    let wakeup_ms = 50; let span_us = span.as_micros(); let s_us = span_us + wakeup_ms;\n}\n",
+                &["us+ms"],
+            ),
+            (
+                "fn f(now_us: u64, step_s: u64) {\n    let mut t_us = now_us;\n    t_us += step_s;\n}\n",
+                &["us+s"],
+            ),
+            // Return dimensions flow through the summaries.
+            (
+                "pub fn beacon_interval_ms() -> u64 {\n    100\n}\n\
+                 pub fn next_wake(now_us: u64) -> u64 {\n    let gap = beacon_interval_ms();\n    now_us + gap\n}\n",
+                &["us+ms"],
+            ),
+            (
+                "fn gap(step_ms: u64) -> u64 {\n    step_ms\n}\n\
+                 pub fn f(now_us: u64) -> u64 {\n    now_us + gap(3)\n}\n",
+                &["us+ms"],
+            ),
+            (
+                "pub fn beacon_interval_ms() -> u64 {\n    100\n}\n\
+                 pub fn next_wake(now_us: u64) -> u64 {\n    let gap_us = beacon_interval_ms() * 1_000;\n    now_us + gap_us\n}\n",
+                &[],
+            ),
+            (
+                "pub fn deadline_us() -> u64 {\n    9\n}\n\
+                 pub fn f() {\n    let wake_ms = deadline_us();\n    let _ = wake_ms;\n}\n",
+                &["let:wake_ms"],
+            ),
+            (
+                "pub fn window_ms(limit_s: u64) -> u64 {\n    return limit_s;\n}\n",
+                &["ret:window_ms"],
+            ),
+        ];
+        for (src, want) in cases {
+            assert_eq!(unit_tokens(src), want, "{src}");
+        }
+    }
+
+    #[test]
+    fn unit_flow_reports_the_offending_line() {
+        let f = unit_flow(&[(
+            "crates/ff-sim/src/a.rs",
+            "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us;\n    begin + end_s\n}\n",
+        )]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].message.contains("`begin` is us"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn unit_flow_checks_call_arguments_by_bare_name() {
+        // A free fn in another file.
+        let f = unit_flow(&[
+            (
+                "crates/ff-sim/src/a.rs",
+                "pub fn caller(deadline_s: u64) {\n    record(deadline_s, 4)\n}\n",
+            ),
+            (
+                "crates/ff-sim/src/b.rs",
+                "pub fn record(ts_us: u64, n: u64) {\n    let _ = (ts_us, n);\n}\n",
+            ),
+        ]);
+        let tokens: Vec<&str> = f.iter().map(|f| f.token.as_str()).collect();
+        assert_eq!(tokens, ["call:record"], "{f:?}");
+        assert!(f[0].message.contains("expects us"), "{}", f[0].message);
+        // A method in another crate, fed a summarised return value.
+        let f = unit_flow(&[
+            (
+                "crates/ff-device/src/a.rs",
+                "pub struct Meter;\n\
+                 impl Meter {\n    pub fn push_us(&mut self, ts_us: u64) {\n        let _ = ts_us;\n    }\n}\n",
+            ),
+            (
+                "crates/ff-sim/src/b.rs",
+                "pub fn last_beacon_ms() -> u64 {\n    5\n}\n\
+                 pub fn flush(m: &mut Meter) {\n    let stamp = last_beacon_ms();\n    m.push_us(stamp);\n}\n",
+            ),
+        ]);
+        let tokens: Vec<&str> = f.iter().map(|f| f.token.as_str()).collect();
+        assert_eq!(tokens, ["call:push_us"], "{f:?}");
+        // Same-named callees that disagree on their parameters are not
+        // judged.
+        let tokens = unit_tokens(
+            "pub struct A;\nimpl A {\n    pub fn record(&self, t_us: u64) {\n        let _ = t_us;\n    }\n}\n\
+             pub struct B;\nimpl B {\n    pub fn record(&self, t_ms: u64) {\n        let _ = t_ms;\n    }\n}\n\
+             pub fn f(b: &B, x_s: u64) {\n    b.record(x_s);\n}\n",
+        );
+        assert!(tokens.is_empty(), "{tokens:?}");
     }
 
     #[test]

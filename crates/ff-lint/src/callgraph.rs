@@ -134,20 +134,11 @@ impl Graph {
     /// Build the graph over every non-test fn in library files of the
     /// simulation dependency closure (`GRAPH_CRATES`).
     pub fn build(sources: &[SourceFile], trees: &[ItemTree]) -> Graph {
-        Graph::build_for(sources, trees, &GRAPH_CRATES)
-    }
-
-    /// Build the graph over every non-test fn in library files of the
-    /// named crates. Analyses that need a wider closure than the
-    /// panic-reachability pass (e.g. the nondeterminism taint, which
-    /// must see the bench driver's report pipeline) pass their own
-    /// crate list here.
-    pub fn build_for(sources: &[SourceFile], trees: &[ItemTree], crates: &[&str]) -> Graph {
         let mut g = Graph::default();
         // Pass 1: register all fn nodes by simple name.
         for (fi, tree) in trees.iter().enumerate() {
             if sources[fi].kind != FileKind::Lib
-                || !crates.contains(&sources[fi].crate_name.as_str())
+                || !GRAPH_CRATES.contains(&sources[fi].crate_name.as_str())
             {
                 continue;
             }
@@ -174,7 +165,7 @@ impl Graph {
         // Pass 2: scan bodies for calls and panic sites.
         for (fi, tree) in trees.iter().enumerate() {
             if sources[fi].kind != FileKind::Lib
-                || !crates.contains(&sources[fi].crate_name.as_str())
+                || !GRAPH_CRATES.contains(&sources[fi].crate_name.as_str())
             {
                 continue;
             }
@@ -360,11 +351,6 @@ fn describe_path(
     }
 }
 
-/// Call-ish identifiers on one preprocessed line, names only.
-pub fn call_names(code: &str) -> Vec<&str> {
-    call_sites(code).into_iter().map(|c| c.name).collect()
-}
-
 /// Syntactic call sites on one preprocessed line: `foo(`, `.foo(` and
 /// `path::foo(` (macros `foo!(` and control-flow keywords excluded).
 pub fn call_sites(code: &str) -> Vec<CallSite<'_>> {
@@ -488,9 +474,11 @@ mod tests {
     }
 
     #[test]
-    fn call_names_extracts_calls_not_macros() {
-        let names = call_names("let x = helper(a) + obj.method(b); go!(c); if (x) {}");
+    fn call_sites_extracts_calls_not_macros() {
+        let sites = call_sites("let x = helper(a) + obj.method(b); go!(c); if (x) {}");
+        let names: Vec<&str> = sites.iter().map(|c| c.name).collect();
         assert_eq!(names, ["helper", "method"]);
+        assert!(!sites[0].method && sites[1].method);
     }
 
     #[test]

@@ -124,8 +124,8 @@ const CONTEXTS: [(&str, Kind); 7] = [
 ];
 
 /// Extract `pub const NAME: ty = value;` bindings from the registry
-/// module, raw (unit-suffix) values. Used both here and by the
-/// model-invariants rule to evaluate the migrated constructors.
+/// module, raw (unit-suffix) values. Used both here and by
+/// [`crate::absint`] to seed its constant environment.
 pub(crate) fn const_table(sources: &[SourceFile]) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     let Some(file) = sources.iter().find(|f| f.rel_path == REGISTRY_PATH) else {

@@ -18,13 +18,14 @@
 //!   and the WNIC's CAM→PSM timeout path (`Cam → ToPsm`) and wake path
 //!   (`Psm → ToCam`) must exist;
 //! * **constant consistency** — the timeout arms must reference the
-//!   same pinned parameters the model-invariants family audits
-//!   (`timeout`/`spindown_energy`, `psm_timeout`/`to_psm_energy`).
+//!   pinned parameters whose values `const-provenance` and
+//!   `timeout-order` audit (`timeout`/`spindown_energy`,
+//!   `psm_timeout`/`to_psm_energy`).
 //!
 //! The two expected machines are *required*: if `disk.rs`/`wnic.rs`
 //! move or their `match self.state` disappears, that is itself a
-//! finding (`fsm-missing`), mirroring the model-invariants family —
-//! the checker must not silently pass when the code it audits is gone.
+//! finding (`fsm-missing`): the checker must not silently pass when the
+//! code it audits is gone.
 //!
 //! Extracted tables are also surfaced verbatim in the `--json` report
 //! so downstream tooling (and the tier-1 gate) can assert on them.
@@ -106,21 +107,6 @@ const EXPECTED: [Expected; 2] = [
     },
 ];
 
-/// Meter transition-event names each required machine must emit, used
-/// by the [`crate::coverage`] analysis: (file, enum, names).
-pub(crate) const EXPECTED_METER_NAMES: [(&str, &str, &[&str]); 2] = [
-    (
-        "crates/ff-device/src/disk.rs",
-        "DiskState",
-        &["spin_down", "spin_up"],
-    ),
-    (
-        "crates/ff-device/src/wnic.rs",
-        "WnicState",
-        &["cam_to_psm", "psm_to_cam"],
-    ),
-];
-
 /// Extract every state machine and model-check the required ones.
 pub fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> (Vec<FsmTable>, Vec<Finding>) {
     let mut tables = Vec::new();
@@ -174,9 +160,8 @@ pub fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> (Vec<FsmTable>, Ve
 }
 
 /// The consistency leg: the fn holding the timeout transition (the
-/// `advance_to` loop) must reference the same pinned parameters the
-/// model-invariants family audits, so the FSM cannot silently decouple
-/// from the paper constants.
+/// `advance_to` loop) must reference the pinned parameters, so the FSM
+/// cannot silently decouple from the paper constants.
 fn check_timeout_constants(
     sources: &[SourceFile],
     trees: &[ItemTree],

@@ -1,4 +1,4 @@
-//! The numeric half of the wave-4 abstract domain: closed `f64`
+//! The numeric half of the abstract domain: closed `f64`
 //! intervals with `±inf` endpoints, plus the sign lattice layered on
 //! top of them.
 //!
@@ -8,7 +8,7 @@
 //! property-tested from `tests/absint.rs`: concrete evaluation of a
 //! random expression always lands inside the inferred interval). `Sign`
 //! is the coarser five-point sign lattice; `absint` carries both, plus
-//! the dimension component from the dataflow wave, as a product domain.
+//! a unit dimension, as a product domain.
 //!
 //! Design notes:
 //! - Endpoints are `f64` so one domain serves integer counters, joule
@@ -239,7 +239,7 @@ fn mul_bound(a: f64, b: f64) -> f64 {
 }
 
 /// The five-point sign lattice (plus `Unknown`), the coarse component
-/// of the wave-4 product domain. Kept alongside the interval so rules
+/// of the product domain. Kept alongside the interval so rules
 /// can reason about polarity even after widening has discarded the
 /// magnitude (an accumulator widened to `[0, +inf]` still carries
 /// `NonNeg`, and sign algebra survives multiplications that send the

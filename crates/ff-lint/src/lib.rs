@@ -2,7 +2,9 @@
 //!
 //! A std-only, dependency-free (no `syn`/`quote`; the build environment
 //! is offline) lint pass enforcing the properties the reproduction's
-//! credibility rests on:
+//! credibility rests on. Thirteen rule families, in report order:
+//!
+//! Per-line rules ([`rules`]):
 //!
 //! 1. **determinism** — simulation crates must not read wall-clock time,
 //!    ambient RNGs, or iterate unordered hash maps; simulation state
@@ -14,78 +16,48 @@
 //!    newtypes (`Watts`, `Joules`, `Dur`, `Bytes`) rather than raw `as`
 //!    casts and `f64` seconds.
 //! 4. **float-eq** — no `==`/`!=` against float literals.
-//! 5. **model-invariants** — the hard-coded Hitachi DK23DA and Cisco
-//!    Aironet 350 tables must satisfy the paper's §3 constraints
-//!    (non-negative powers, break-even below the 20 s spin-down
-//!    timeout, 800 ms CAM→PSM below the disk timeout, 802.11b rates).
-//! 6. **hygiene** — inventory of open-work markers and `#[allow]`
+//! 5. **hygiene** — inventory of open-work markers and `#[allow]`
 //!    suppressions.
 //!
-//! On top of the per-line rules, a semantic layer ([`items`] →
-//! [`callgraph`], [`fsm`], [`units`]) recovers item boundaries from the
-//! preprocessed lines and runs three cross-file analyses:
+//! A semantic layer ([`items`] → [`callgraph`], [`fsm`], [`consts`],
+//! [`conformance`]) recovers item boundaries from the preprocessed
+//! lines and runs cross-file analyses:
 //!
-//! 7. **panic-reachability** — which public APIs of the simulation
+//! 6. **panic-reachability** — which public APIs of the simulation
 //!    crates can transitively reach a panic site (`unwrap`, `expect`,
 //!    `panic!`-family, slice indexing) through the workspace call graph.
-//! 8. **fsm** — the DK23DA and Aironet 350 `match self.state` machines,
-//!    extracted into transition tables and model-checked for
-//!    exhaustiveness, reachability, deadlock-freedom, and the presence
-//!    of the spin-down / CAM→PSM timeout paths tied to the pinned
-//!    constants.
-//! 9. **unit-flow** — the `_us`/`_ms`/`_s` suffix convention propagated
-//!    through let-bindings and call sites; mixed-unit arithmetic and
-//!    mismatched call arguments are findings.
+//! 7. **fsm** — the DK23DA and Aironet 350 `match self.state` machines
+//!    (and the server-path failover machine), extracted into transition
+//!    tables and model-checked for exhaustiveness, reachability,
+//!    deadlock-freedom, and the presence of the spin-down / CAM→PSM
+//!    timeout paths tied to the pinned constants.
+//! 8. **const-provenance** — every Table 1/Table 2 physical constant
+//!    has one home, `ff-device::consts`; a matching numeric literal
+//!    anywhere else in the simulation crates is a shadowed constant,
+//!    and the registry itself is cross-checked against the pinned
+//!    values.
+//! 9. **trace-conformance** — the committed observe/chaos JSONL traces
+//!    replayed against the extracted machines: every runtime transition
+//!    must be a static edge, and never-exercised static edges surface
+//!    as machine-readable coverage debt.
 //!
-//! A second semantic wave ([`dataflow`], [`consts`], [`coverage`]) makes
-//! the audit *interprocedural*:
+//! A numeric abstract interpretation ([`interval`], [`absint`]) — a
+//! signed-interval × sign × dimension product domain evaluated through
+//! `let` bindings, accumulator widening, and a two-round
+//! function-summary fixpoint, seeded with the Table 1/2 constants —
+//! backs the last four:
 //!
-//! 10. **unit-flow-interproc** — unit (and joule/byte) facts propagated
-//!     *across* function boundaries through call-graph-resolved return
-//!     and parameter summaries; catches the `_ms` value produced two
-//!     crates away and fed to a `_us` parameter.
-//! 11. **const-provenance** — every Table 1/Table 2 physical constant
-//!     has one home, `ff-device::consts`; a matching numeric literal
-//!     anywhere else in the simulation crates is a shadowed constant,
-//!     and the registry itself is cross-checked against the pinned
-//!     values.
-//! 12. **event-coverage** — every reachable device-state transition must
-//!     be metered (`dwell`/`transition`) where it commits, the pinned
-//!     meter event names must exist, and `ff-sim` must still drain and
-//!     re-emit them as `DeviceTransition` record events.
-//!
-//! A third wave ([`product`], [`taint`], [`conformance`]) moves from
-//! checking each machine and each line to proving the *composed*
-//! system model:
-//!
-//! 13. **fsm-product** — the explicit cross-product automaton of every
-//!     extracted machine (disk × WNIC × server path), exhaustively
-//!     explored: no simultaneous deadlock, no emergent-unreachable
-//!     tuple, every degraded server-path state recovers to healthy,
-//!     backoff ladders are clamped and bounded, and powered-off states
-//!     are only left through their power-up edge.
-//! 14. **nondet-taint** — interprocedural nondeterminism taint over a
-//!     widened call graph: wall-clock reads, env access, and
-//!     unsanitised hash iteration may not flow — through any chain of
-//!     helpers — into `SimReport`, recorder output, or bench JSON.
-//! 15. **trace-conformance** — the committed observe/chaos JSONL
-//!     traces replayed against the product model: every runtime
-//!     transition must be a static edge, and never-exercised static
-//!     edges surface as machine-readable coverage debt.
-//!
-//! A fourth wave ([`interval`], [`absint`]) is a numeric abstract
-//! interpretation — a signed-interval × sign × dimension product
-//! domain evaluated through `let` bindings, accumulator widening, and
-//! a two-round function-summary fixpoint, seeded with the Table 1/2
-//! constants:
-//!
-//! 16. **arith-safety** — division-by-zero freedom, `as` casts the
+//! 10. **unit-flow** — the `_us`/`_ms`/`_s`/`_j`/`_bytes` suffix
+//!     convention propagated through bindings, call arguments and
+//!     return values; mixed-dimension arithmetic, contradicting `let`
+//!     suffixes, arguments and returns are findings.
+//! 11. **arith-safety** — division-by-zero freedom, `as` casts the
 //!     inferred interval cannot prove lossless, and unchecked `+`/`*`
 //!     on `_bytes`/`_us` counters where `saturating_*` or the
 //!     `ff_base::checked` helpers exist.
-//! 17. **energy-bounds** — every `_j` accumulation provably ≥ 0 and
+//! 12. **energy-bounds** — every `_j` accumulation provably ≥ 0 and
 //!     battery `*drain*` functions monotone.
-//! 18. **timeout-order** — T_breakeven recomputed from the constant
+//! 13. **timeout-order** — T_breakeven recomputed from the constant
 //!     registry with interval arithmetic, statically ordered below the
 //!     disk idle timeout and above the WNIC PSM knee, with the
 //!     outage-retry ladder clamped and its clamp ceiling above the
@@ -96,24 +68,20 @@
 //! tracked without blocking the build, while regressions are. The
 //! linter's own regression net is [`mutgen`]: deterministic seed-derived
 //! mutants of the workspace sources, re-analysed in memory, with a
-//! per-family kill-score matrix ratcheted in CI.
+//! per-family kill-score matrix ratcheted in CI. Every family must
+//! kill at least one probe that no other family kills.
 
 pub mod absint;
 pub mod baseline;
 pub mod callgraph;
 pub mod conformance;
 pub mod consts;
-pub mod coverage;
-pub mod dataflow;
 pub mod fsm;
 pub mod interval;
 pub mod items;
 pub mod mutgen;
-pub mod product;
 pub mod rules;
 pub mod scan;
-pub mod taint;
-pub mod units;
 
 pub use baseline::{Baseline, Delta};
 pub use rules::{Finding, Rule};
@@ -136,8 +104,6 @@ pub struct Report {
     /// State machines extracted by the [`fsm`] analysis, whether or not
     /// they produced findings.
     pub fsm_tables: Vec<fsm::FsmTable>,
-    /// The explored cross-product automaton.
-    pub product: product::ProductGraph,
     /// Trace-replay coverage from the [`conformance`] pass.
     pub trace_coverage: conformance::Coverage,
 }
@@ -289,7 +255,6 @@ impl Report {
                 "fsm".into(),
                 Value::Array(self.fsm_tables.iter().map(fsm_node).collect()),
             ),
-            ("product".into(), self.product.summary_json_value()),
             (
                 "conformance".into(),
                 self.trace_coverage.to_json_value(runtime_only),
@@ -324,8 +289,6 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// State machines the [`fsm`] analysis extracted.
     pub fsm_tables: Vec<fsm::FsmTable>,
-    /// The explored cross-product automaton (for `--export-product`).
-    pub product: product::ProductGraph,
     /// Trace-replay coverage from the [`conformance`] pass.
     pub trace_coverage: conformance::Coverage,
     /// Number of files scanned.
@@ -349,7 +312,7 @@ pub fn analyze(root: &Path) -> Result<Analysis> {
 /// Run every analysis wave over an already-collected source set.
 ///
 /// Split out from [`analyze`] so the mutation engine ([`mutgen`]) can
-/// re-run all eighteen families against in-memory mutated sources
+/// re-run all thirteen families against in-memory mutated sources
 /// without touching the filesystem (`root` is still needed by the
 /// trace-conformance pass, which replays committed JSONL traces).
 pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
@@ -359,13 +322,7 @@ pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
     findings.extend(callgraph::panic_reachability(sources, &trees, &graph));
     let (fsm_tables, fsm_findings) = fsm::analyze(sources, &trees);
     findings.extend(fsm_findings);
-    findings.extend(units::analyze(sources, &trees));
-    findings.extend(dataflow::analyze(sources, &trees));
     findings.extend(consts::analyze(sources));
-    findings.extend(coverage::analyze(sources, &trees, &fsm_tables));
-    let (product, product_findings) = product::analyze(sources, &fsm_tables);
-    findings.extend(product_findings);
-    findings.extend(taint::analyze(sources, &trees));
     findings.extend(absint::analyze(sources, &trees));
     let (trace_coverage, conformance_findings) = conformance::analyze(root, &fsm_tables);
     findings.extend(conformance_findings);
@@ -375,7 +332,6 @@ pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
     Analysis {
         findings,
         fsm_tables,
-        product,
         trace_coverage,
         files_scanned: sources.len(),
     }
@@ -401,7 +357,7 @@ pub fn collect_findings(root: &Path) -> Result<(Vec<Finding>, usize)> {
 /// let report = ff_lint::run(&root, &baseline).unwrap();
 ///
 /// assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
-/// // All eighteen families ran; nothing beyond the accepted ratchet.
+/// // All thirteen families ran; nothing beyond the accepted ratchet.
 /// assert!(report.delta.new.is_empty(), "{:?}", report.delta.new);
 /// ```
 pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {
@@ -412,7 +368,6 @@ pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {
         delta,
         files_scanned: analysis.files_scanned,
         fsm_tables: analysis.fsm_tables,
-        product: analysis.product,
         trace_coverage: analysis.trace_coverage,
     })
 }
@@ -452,7 +407,6 @@ mod tests {
             delta,
             files_scanned: analysis.files_scanned,
             fsm_tables: analysis.fsm_tables,
-            product: analysis.product,
             trace_coverage: analysis.trace_coverage,
         };
         assert!(report.is_clean());
@@ -464,9 +418,7 @@ mod tests {
             doc.get("summary").and_then(|s| s.get("clean")),
             Some(&ff_base::json::Value::Bool(true))
         );
-        // The third-wave nodes are part of the document contract.
-        let product = doc.get("product").expect("product node");
-        assert!(product.get("reachable").is_some());
+        // The conformance node is part of the document contract.
         assert!(doc.get("conformance").is_some());
     }
 

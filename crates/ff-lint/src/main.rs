@@ -3,8 +3,7 @@
 //! ```text
 //! cargo run -p ff-lint -- [--json] [--github] [--families] [--root PATH]
 //!                         [--baseline PATH] [--update-baseline] [--forbid-stale]
-//!                         [--sarif PATH] [--export-product PATH]
-//!                         [--killscore PATH] [--seed N]
+//!                         [--sarif PATH] [--killscore PATH] [--seed N]
 //! ```
 //!
 //! Exit codes: `0` clean (no findings beyond the baseline), `1` new
@@ -26,7 +25,6 @@ struct Args {
     update_baseline: bool,
     forbid_stale: bool,
     sarif: Option<PathBuf>,
-    export_product: Option<PathBuf>,
     killscore: Option<PathBuf>,
     seed: u64,
 }
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         update_baseline: false,
         forbid_stale: false,
         sarif: None,
-        export_product: None,
         killscore: None,
         seed: ff_lint::mutgen::DEFAULT_SEED,
     };
@@ -63,11 +60,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--sarif" => {
                 args.sarif = Some(PathBuf::from(it.next().ok_or("--sarif requires a path")?));
-            }
-            "--export-product" => {
-                args.export_product = Some(PathBuf::from(
-                    it.next().ok_or("--export-product requires a path")?,
-                ));
             }
             "--killscore" => {
                 args.killscore = Some(PathBuf::from(
@@ -95,7 +87,7 @@ ff-lint: static analysis for the FlexFetch workspace
 USAGE:
     ff-lint [--json] [--github] [--families] [--root PATH] [--baseline PATH]
             [--update-baseline] [--forbid-stale] [--sarif PATH]
-            [--export-product PATH] [--killscore PATH] [--seed N]
+            [--killscore PATH] [--seed N]
 
 OPTIONS:
     --json              emit the machine-readable JSON report on stdout
@@ -110,12 +102,9 @@ OPTIONS:
     --sarif PATH        also write a SARIF 2.1.0 document for GitHub code
                         scanning (new findings at their family severity,
                         baselined debt as notes)
-    --export-product PATH
-                        also write the explored product-state automaton
-                        (components, alphabet, reachability, recoveries)
     --killscore PATH    run the mutation engine instead of a plain scan:
                         apply every probe mutant in memory, re-run all
-                        eighteen families per mutant, write the per-family
+                        thirteen families per mutant, write the per-family
                         kill matrix to PATH and fail if any family's kill
                         rate is below its recorded floor
     --seed N            occurrence-selection seed for --killscore
@@ -229,14 +218,6 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.sarif {
         let mut text = to_sarif(&report).to_pretty();
-        text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("ff-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &args.export_product {
-        let mut text = report.product.to_json_value().to_pretty();
         text.push('\n');
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("ff-lint: writing {}: {e}", path.display());

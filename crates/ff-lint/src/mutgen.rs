@@ -21,7 +21,7 @@
 //!
 //! Each mutant is applied **in memory**: the file's raw text is edited
 //! at a needle occurrence (fixed, or derived from the seed when several
-//! occurrences exist), re-preprocessed, and the full eighteen-family
+//! occurrences exist), re-preprocessed, and the full thirteen-family
 //! analysis re-runs against the mutated source set. Mutants are never
 //! compiled — the lint is the system under test, not the compiler. A
 //! mutant is *killed* when the families the probe aims at all report
@@ -31,7 +31,10 @@
 //! and is ratcheted: [`KillMatrix::floor_violations`] lists every family
 //! whose kill rate fell below its recorded floor (currently 1.0 across
 //! the board), and tier-1 tests, `scripts/check.sh` and CI fail on any
-//! violation. Same seed ⇒ byte-identical mutant set and matrix.
+//! violation. The tests also require every family to be the *only*
+//! one firing on at least one mutant: a family that never kills a
+//! probe on its own is redundant with the others. Same seed ⇒
+//! byte-identical mutant set and matrix.
 
 use crate::baseline::Baseline;
 use crate::rules::{count_occurrences, Rule};
@@ -47,21 +50,16 @@ pub const DEFAULT_SEED: u64 = 0x00F1EE;
 /// Ratcheted minimum kill rate per family. Every family currently
 /// kills all of its probes; lowering a floor requires editing this
 /// table in the same commit that explains why.
-pub const FLOORS: [(Rule, f64); 18] = [
+pub const FLOORS: [(Rule, f64); 13] = [
     (Rule::Determinism, 1.0),
     (Rule::PanicSafety, 1.0),
     (Rule::PanicReach, 1.0),
     (Rule::UnitSafety, 1.0),
     (Rule::UnitFlow, 1.0),
     (Rule::FloatEq, 1.0),
-    (Rule::ModelInvariants, 1.0),
     (Rule::Fsm, 1.0),
     (Rule::Hygiene, 1.0),
-    (Rule::UnitFlowInterproc, 1.0),
     (Rule::ConstProvenance, 1.0),
-    (Rule::EventCoverage, 1.0),
-    (Rule::ProductFsm, 1.0),
-    (Rule::NondetTaint, 1.0),
     (Rule::TraceConformance, 1.0),
     (Rule::ArithSafety, 1.0),
     (Rule::EnergyBounds, 1.0),
@@ -146,7 +144,7 @@ pub fn probes() -> Vec<Probe> {
             replacement: "self.disk.advance_to(final_t); \
                           let _wall = std::time::SystemTime::now();",
             occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::Determinism, Rule::NondetTaint],
+            aimed: &[Rule::Determinism],
         },
         Probe {
             id: "debug-assert-to-panic",
@@ -156,6 +154,24 @@ pub fn probes() -> Vec<Probe> {
             replacement: "if total <= 0.0 { panic!(\"zero draw\"); }",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::PanicSafety, Rule::PanicReach],
+        },
+        Probe {
+            id: "slice-index-in-pub-api",
+            kind: MutKind::GuardRemoval,
+            file: "crates/ff-sim/src/battery.rs",
+            needle: "self.capacity_wh * 3600.0",
+            replacement: "self.capacity_wh[0] * 3600.0",
+            occurrence: Occurrence::Fixed(1),
+            aimed: &[Rule::PanicReach],
+        },
+        Probe {
+            id: "unwrap-outside-sim-closure",
+            kind: MutKind::GuardRemoval,
+            file: "crates/ff-bench/src/pool.rs",
+            needle: ".unwrap_or(4)",
+            replacement: ".unwrap()",
+            occurrence: Occurrence::Fixed(1),
+            aimed: &[Rule::PanicSafety],
         },
         Probe {
             id: "raw-f64-cast",
@@ -204,7 +220,7 @@ pub fn probes() -> Vec<Probe> {
                           span.as_micros().max(1_000_000); \
                           let span_us = span_us + cost_j;",
             occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::UnitFlowInterproc],
+            aimed: &[Rule::UnitFlow],
         },
         Probe {
             id: "standby-power-bump",
@@ -213,7 +229,7 @@ pub fn probes() -> Vec<Probe> {
             needle: "pub const DISK_STANDBY_POWER_W: f64 = 0.15;",
             replacement: "pub const DISK_STANDBY_POWER_W: f64 = 5.15;",
             occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::ModelInvariants, Rule::ConstProvenance],
+            aimed: &[Rule::ConstProvenance, Rule::TimeoutOrder],
         },
         Probe {
             id: "beacon-interval-drift",
@@ -240,7 +256,7 @@ pub fn probes() -> Vec<Probe> {
             needle: ".transition(\"spin_down\", self.params.spindown_energy);",
             replacement: ".dwell_only();",
             occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::EventCoverage],
+            aimed: &[Rule::Fsm],
         },
         Probe {
             id: "server-path-recovery-drop",
@@ -249,7 +265,16 @@ pub fn probes() -> Vec<Probe> {
             needle: "self.state = ServerPathState::Healthy;",
             replacement: "self.state = ServerPathState::MarkedDead(until, dead);",
             occurrence: Occurrence::Fixed(2),
-            aimed: &[Rule::ProductFsm],
+            aimed: &[Rule::Fsm, Rule::TraceConformance],
+        },
+        Probe {
+            id: "server-path-down-recovery-drop",
+            kind: MutKind::TransitionDrop,
+            file: "crates/ff-sim/src/sim.rs",
+            needle: "self.state = ServerPathState::Healthy;",
+            replacement: "self.state = ServerPathState::MarkedDead(until, until);",
+            occurrence: Occurrence::Fixed(1),
+            aimed: &[Rule::TraceConformance],
         },
         Probe {
             id: "divisor-floor-to-zero",

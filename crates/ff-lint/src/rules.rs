@@ -1,4 +1,4 @@
-//! The eighteen rule families.
+//! The per-line rule families and the shared [`Rule`] / [`Finding`] types.
 //!
 //! Every rule emits [`Finding`]s keyed by `(rule, file, token)`. Line
 //! numbers are reported for humans but are *not* part of the baseline
@@ -6,7 +6,6 @@
 //! an occurrence of a token to a file does.
 
 use crate::scan::{FileKind, SourceFile};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Rule family identifiers.
@@ -23,43 +22,22 @@ pub enum Rule {
     /// Raw `as` numeric casts and `f64`-seconds leakage in device/sim
     /// hot paths where ff-base newtypes exist.
     UnitSafety,
-    /// Mixed time units flowing through let-bindings and call sites
-    /// (`_us` added to `_s`, microseconds passed to a seconds param).
+    /// Mixed dimensions flowing through let-bindings, call sites and
+    /// returns (`_us` added to `_s`, joules passed to a `_us` param).
     UnitFlow,
     /// `==`/`!=` against float literals.
     FloatEq,
-    /// The DK23DA / Aironet 350 constant tables must satisfy the paper's
-    /// §3 invariants.
-    ModelInvariants,
     /// The extracted DK23DA / Aironet 350 state machines must be
     /// exhaustive, reachable, deadlock-free, and keep their timeout arms.
     Fsm,
     /// Work-marker inventory and lint-suppression audit.
     Hygiene,
-    /// Unit facts propagated *across* function calls through the
-    /// workspace call graph: mismatched arguments, returns, and
-    /// joule/byte dimension mixing the intra-procedural pass misses.
-    UnitFlowInterproc,
     /// Numeric literals that shadow a canonical Table 1/Table 2 constant
     /// instead of citing `ff_device::consts`, and drift between that
     /// module and the lint's pinned registry.
     ConstProvenance,
-    /// Every reachable device-state transition must be visible to the
-    /// observability layer (a `StateMeter` record near the assignment,
-    /// drained into `record::Event` by the simulator).
-    EventCoverage,
-    /// The cross-product automaton of every extracted state machine
-    /// (disk × WNIC × server path) must be deadlock-free, fully
-    /// reachable, recover from every degraded state, keep backoff
-    /// ladders bounded, and never leave a powered-off component state
-    /// except through its powered-transition edge.
-    ProductFsm,
-    /// Interprocedural nondeterminism taint: no wall-clock read, env
-    /// access, or unordered-map iteration may flow (through any chain
-    /// of helpers) into `SimReport`, recorder output, or bench JSON.
-    NondetTaint,
     /// Replayed observe/chaos JSONL traces must only take transitions
-    /// the static product automaton contains.
+    /// the extracted state machines contain.
     TraceConformance,
     /// Interval-proven arithmetic safety: division-by-zero freedom,
     /// lossy `as` casts the inferred range cannot justify, and
@@ -86,14 +64,9 @@ impl Rule {
             Rule::UnitSafety => "unit-safety",
             Rule::UnitFlow => "unit-flow",
             Rule::FloatEq => "float-eq",
-            Rule::ModelInvariants => "model-invariants",
             Rule::Fsm => "fsm",
             Rule::Hygiene => "hygiene",
-            Rule::UnitFlowInterproc => "unit-flow-interproc",
             Rule::ConstProvenance => "const-provenance",
-            Rule::EventCoverage => "event-coverage",
-            Rule::ProductFsm => "fsm-product",
-            Rule::NondetTaint => "nondet-taint",
             Rule::TraceConformance => "trace-conformance",
             Rule::ArithSafety => "arith-safety",
             Rule::EnergyBounds => "energy-bounds",
@@ -102,7 +75,7 @@ impl Rule {
     }
 
     /// All families, in report order.
-    pub fn all() -> [Rule; 18] {
+    pub fn all() -> [Rule; 13] {
         [
             Rule::Determinism,
             Rule::PanicSafety,
@@ -110,14 +83,9 @@ impl Rule {
             Rule::UnitSafety,
             Rule::UnitFlow,
             Rule::FloatEq,
-            Rule::ModelInvariants,
             Rule::Fsm,
             Rule::Hygiene,
-            Rule::UnitFlowInterproc,
             Rule::ConstProvenance,
-            Rule::EventCoverage,
-            Rule::ProductFsm,
-            Rule::NondetTaint,
             Rule::TraceConformance,
             Rule::ArithSafety,
             Rule::EnergyBounds,
@@ -140,9 +108,7 @@ impl Rule {
         match self {
             Rule::PanicSafety
             | Rule::PanicReach
-            | Rule::ModelInvariants
             | Rule::Fsm
-            | Rule::ProductFsm
             | Rule::TraceConformance
             | Rule::ArithSafety
             | Rule::EnergyBounds
@@ -237,7 +203,6 @@ pub fn run_all(sources: &[SourceFile]) -> Vec<Finding> {
         float_eq(file, &mut findings);
         hygiene(file, &mut findings);
     }
-    model_invariants(sources, &mut findings);
     findings.sort_by(|a, b| {
         (a.rule, &a.file, a.line, &a.token).cmp(&(b.rule, &b.file, b.line, &b.token))
     });
@@ -381,7 +346,7 @@ fn float_eq(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 6: hygiene — open-work markers (comments) and `#[allow(` (code).
+/// Rule 5: hygiene — open-work markers (comments) and `#[allow(` (code).
 fn hygiene(file: &SourceFile, out: &mut Vec<Finding>) {
     for (idx, line) in file.lines.iter().enumerate() {
         for marker in ["TODO", "FIXME"] {
@@ -405,304 +370,6 @@ fn hygiene(file: &SourceFile, out: &mut Vec<Finding>) {
             });
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Rule 5: model invariants (paper §3, Tables 1 & 2)
-// ---------------------------------------------------------------------
-
-/// A `field: Ctor(number)` binding extracted from a constructor body.
-#[derive(Debug, Clone)]
-struct FieldLit {
-    name: String,
-    ctor: String,
-    /// Value normalised to base units (seconds for durations).
-    value: f64,
-    line: usize,
-}
-
-/// Validate the hard-coded device tables against the paper's §3
-/// parameters. A missing table or field is itself a finding — the rule
-/// must not silently pass when the code it audits moves.
-fn model_invariants(sources: &[SourceFile], out: &mut Vec<Finding>) {
-    let disk_file = "crates/ff-device/src/disk.rs";
-    let wnic_file = "crates/ff-device/src/wnic.rs";
-    // The constructors cite `consts::NAME` rather than raw literals, so
-    // resolve named constants through the ff-device registry module.
-    let ctab = crate::consts::const_table(sources);
-    let disk = parse_ctor(sources, disk_file, "fn hitachi_dk23da", &ctab);
-    let wnic = parse_ctor(sources, wnic_file, "fn cisco_aironet350", &ctab);
-
-    let Some(disk) = disk else {
-        fail(
-            out,
-            disk_file,
-            1,
-            "table-missing",
-            "hitachi_dk23da() table not found".into(),
-        );
-        return;
-    };
-    let Some(wnic) = wnic else {
-        fail(
-            out,
-            wnic_file,
-            1,
-            "table-missing",
-            "cisco_aironet350() table not found".into(),
-        );
-        return;
-    };
-
-    // (a) Every power and energy constant is non-negative.
-    for (file, fields) in [(disk_file, &disk), (wnic_file, &wnic)] {
-        for f in fields {
-            if (f.ctor == "Watts" || f.ctor == "Joules") && f.value < 0.0 {
-                fail(
-                    out,
-                    file,
-                    f.line,
-                    &format!("negative:{}", f.name),
-                    format!("{} = {} must be non-negative", f.name, f.value),
-                );
-            }
-        }
-    }
-
-    // (b) Disk power-state ordering and the §3.1 timeouts.
-    let (active, _) = require(out, disk_file, &disk, "active_power");
-    let (idle, idle_ln) = require(out, disk_file, &disk, "idle_power");
-    let (standby, _) = require(out, disk_file, &disk, "standby_power");
-    let (spinup_e, _) = require(out, disk_file, &disk, "spinup_energy");
-    let (spindown_e, _) = require(out, disk_file, &disk, "spindown_energy");
-    let (spinup_t, _) = require(out, disk_file, &disk, "spinup_time");
-    let (spindown_t, _) = require(out, disk_file, &disk, "spindown_time");
-    let (disk_timeout, timeout_ln) = require(out, disk_file, &disk, "timeout");
-
-    if !(standby < idle && idle <= active) {
-        fail(
-            out,
-            disk_file,
-            idle_ln,
-            "power-ordering",
-            format!("expected standby < idle <= active, got {standby} / {idle} / {active}"),
-        );
-    }
-    if (disk_timeout - 20.0).abs() > 1e-9 {
-        fail(
-            out,
-            disk_file,
-            timeout_ln,
-            "timeout-20s",
-            format!("§3.1 fixes the disk spin-down timeout at 20 s, got {disk_timeout} s"),
-        );
-    }
-    // (c) Spin-down must pay for itself within the fixed timeout: the
-    // break-even time (transition energy recovered at idle−standby watts,
-    // floored by the transition time itself) has to be under 20 s or the
-    // timeout policy would never save energy.
-    if idle > standby {
-        let trans_t = spinup_t + spindown_t;
-        let breakeven =
-            ((spinup_e + spindown_e - standby * trans_t) / (idle - standby)).max(trans_t);
-        if !(breakeven > 0.0) || breakeven >= disk_timeout {
-            fail(
-                out,
-                disk_file,
-                timeout_ln,
-                "breakeven",
-                format!(
-                    "break-even time {breakeven:.2} s must be positive and below the \
-                     {disk_timeout} s timeout"
-                ),
-            );
-        }
-    }
-
-    // (d) WNIC mode ordering and the §3.1 800 ms CAM→PSM timeout.
-    let (psm_idle, psm_ln) = require(out, wnic_file, &wnic, "psm_idle");
-    let (cam_idle, _) = require(out, wnic_file, &wnic, "cam_idle");
-    let (psm_timeout, pt_ln) = require(out, wnic_file, &wnic, "psm_timeout");
-    if !(psm_idle < cam_idle) {
-        fail(
-            out,
-            wnic_file,
-            psm_ln,
-            "psm-below-cam",
-            format!("PSM idle power {psm_idle} W must be below CAM idle {cam_idle} W"),
-        );
-    }
-    if (psm_timeout - 0.8).abs() > 1e-9 {
-        fail(
-            out,
-            wnic_file,
-            pt_ln,
-            "psm-timeout-800ms",
-            format!("§3.1 fixes the CAM→PSM timeout at 800 ms, got {psm_timeout} s"),
-        );
-    }
-    // (e) Timeout ordering across devices: the WNIC drops to PSM long
-    // before the disk would spin down, as the paper's energy argument
-    // assumes.
-    if !(psm_timeout < disk_timeout) {
-        fail(
-            out,
-            wnic_file,
-            pt_ln,
-            "timeout-ordering",
-            format!(
-                "CAM→PSM timeout {psm_timeout} s must be below the disk spin-down \
-                 timeout {disk_timeout} s"
-            ),
-        );
-    }
-
-    // (f) All literal 802.11b link rates in ff-device are from the
-    // standard's set {1, 2, 5.5, 11} Mbps.
-    for file in sources {
-        if file.crate_name != "ff-device" || file.kind != FileKind::Lib {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            for arg in call_args(&line.code, "from_mbit_per_sec(") {
-                if let Some(v) = parse_num(&arg).or_else(|| resolve_const(&arg, &ctab)) {
-                    if !allowed_rate(v) {
-                        fail(
-                            out,
-                            &file.rel_path,
-                            idx + 1,
-                            "bandwidth-set",
-                            format!("{v} Mbps is not an 802.11b rate (1, 2, 5.5, 11)"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Is `v` one of the 802.11b rates {1, 2, 5.5, 11} Mbps?
-fn allowed_rate(v: f64) -> bool {
-    [1.0f64, 2.0, 5.5, 11.0]
-        .iter()
-        .any(|r| (r - v).abs() < 1e-9)
-}
-
-/// Record one model-invariant violation.
-fn fail(out: &mut Vec<Finding>, file: &str, line: usize, token: &str, message: String) {
-    out.push(Finding {
-        rule: Rule::ModelInvariants,
-        file: file.to_owned(),
-        line,
-        token: token.to_owned(),
-        message,
-    });
-}
-
-/// Look up a field the invariants depend on; its absence is a finding.
-fn require(out: &mut Vec<Finding>, file: &str, fields: &[FieldLit], name: &str) -> (f64, usize) {
-    match fields
-        .iter()
-        .find(|f| f.name == name)
-        .map(|f| (f.value, f.line))
-    {
-        Some(v) => v,
-        None => {
-            fail(
-                out,
-                file,
-                1,
-                &format!("field-missing:{name}"),
-                format!("expected literal field `{name}` in the device table"),
-            );
-            (f64::NAN, 1)
-        }
-    }
-}
-
-/// Extract `field: Ctor(lit-or-const)` bindings from the body of the
-/// constructor starting at the line containing `marker` in `rel_path`.
-fn parse_ctor(
-    sources: &[SourceFile],
-    rel_path: &str,
-    marker: &str,
-    ctab: &BTreeMap<String, f64>,
-) -> Option<Vec<FieldLit>> {
-    let file = sources.iter().find(|f| f.rel_path == rel_path)?;
-    let start = file.lines.iter().position(|l| l.code.contains(marker))?;
-    let mut fields = Vec::new();
-    let mut depth = 0i64;
-    let mut opened = false;
-    for (off, line) in file.lines[start..].iter().enumerate() {
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if let Some(f) = parse_field_line(&line.code, start + off + 1, ctab) {
-            fields.push(f);
-        }
-        if opened && depth <= 0 {
-            break;
-        }
-    }
-    Some(fields)
-}
-
-/// Resolve a `consts::NAME`-style argument through the extracted
-/// registry module; the lookup key is the last path segment.
-pub(crate) fn resolve_const(arg: &str, ctab: &BTreeMap<String, f64>) -> Option<f64> {
-    let last = arg.trim().rsplit("::").next()?.trim();
-    if last.is_empty() || !last.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-        return None;
-    }
-    ctab.get(last).copied()
-}
-
-/// Match `ident: Path::ctor(number-or-const)` on one (trimmed) line.
-fn parse_field_line(code: &str, line_no: usize, ctab: &BTreeMap<String, f64>) -> Option<FieldLit> {
-    let trimmed = code.trim().trim_end_matches(',');
-    let (name, rest) = trimmed.split_once(':')?;
-    let name = name.trim();
-    if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-        return None;
-    }
-    let rest = rest.trim();
-    let open = rest.find('(')?;
-    let close = rest.rfind(')')?;
-    if close <= open {
-        return None;
-    }
-    let ctor_path = &rest[..open];
-    let arg = &rest[open + 1..close];
-    let value = parse_num(arg).or_else(|| resolve_const(arg, ctab))?;
-    // Normalise durations to seconds via the constructor name.
-    let last = ctor_path.rsplit("::").next().unwrap_or(ctor_path).trim();
-    let first = ctor_path.split("::").next().unwrap_or(ctor_path).trim();
-    let (ctor, value) = match last {
-        "from_secs" | "from_secs_f64" => ("Dur", value),
-        "from_millis" => ("Dur", value / 1e3),
-        "from_micros" => ("Dur", value / 1e6),
-        "Watts" => ("Watts", value),
-        "Joules" => ("Joules", value),
-        _ if first == "Watts" => ("Watts", value),
-        _ if first == "Joules" => ("Joules", value),
-        other => (other, value),
-    };
-    Some(FieldLit {
-        name: name.to_owned(),
-        ctor: ctor.to_owned(),
-        value,
-        line: line_no,
-    })
 }
 
 /// Parse a numeric literal, tolerating `_` separators and type suffixes.
@@ -938,80 +605,6 @@ mod tests {
         hygiene(&f, &mut out);
         let tokens: Vec<&str> = out.iter().map(|f| f.token.as_str()).collect();
         assert_eq!(tokens, ["TODO", "#[allow]"]);
-    }
-
-    #[test]
-    fn model_invariants_accept_the_paper_tables() {
-        let disk = file(
-            "crates/ff-device/src/disk.rs",
-            "ff-device",
-            FileKind::Lib,
-            "pub fn hitachi_dk23da() -> Self {\n\
-             DiskParams {\n\
-             active_power: Watts(2.0),\n\
-             idle_power: Watts(1.6),\n\
-             standby_power: Watts(0.15),\n\
-             spinup_energy: Joules(5.0),\n\
-             spindown_energy: Joules(2.94),\n\
-             spinup_time: Dur::from_millis(1_600),\n\
-             spindown_time: Dur::from_millis(2_300),\n\
-             timeout: Dur::from_secs(20),\n\
-             }\n}\n",
-        );
-        let wnic = file(
-            "crates/ff-device/src/wnic.rs",
-            "ff-device",
-            FileKind::Lib,
-            "pub fn cisco_aironet350() -> Self {\n\
-             WnicParams {\n\
-             psm_idle: Watts(0.39),\n\
-             cam_idle: Watts(1.41),\n\
-             psm_timeout: Dur::from_millis(800),\n\
-             bandwidth: BytesPerSec::from_mbit_per_sec(11.0),\n\
-             }\n}\n",
-        );
-        let mut out = Vec::new();
-        model_invariants(&[disk, wnic], &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn model_invariants_reject_broken_tables() {
-        let disk = file(
-            "crates/ff-device/src/disk.rs",
-            "ff-device",
-            FileKind::Lib,
-            "pub fn hitachi_dk23da() -> Self {\n\
-             DiskParams {\n\
-             active_power: Watts(2.0),\n\
-             idle_power: Watts(-1.6),\n\
-             standby_power: Watts(0.15),\n\
-             spinup_energy: Joules(5.0),\n\
-             spindown_energy: Joules(2.94),\n\
-             spinup_time: Dur::from_millis(1_600),\n\
-             spindown_time: Dur::from_millis(2_300),\n\
-             timeout: Dur::from_secs(19),\n\
-             }\n}\n",
-        );
-        let wnic = file(
-            "crates/ff-device/src/wnic.rs",
-            "ff-device",
-            FileKind::Lib,
-            "pub fn cisco_aironet350() -> Self {\n\
-             WnicParams {\n\
-             psm_idle: Watts(0.39),\n\
-             cam_idle: Watts(1.41),\n\
-             psm_timeout: Dur::from_millis(800),\n\
-             bandwidth: BytesPerSec::from_mbit_per_sec(6.0),\n\
-             }\n}\n",
-        );
-        let mut out = Vec::new();
-        model_invariants(&[disk, wnic], &mut out);
-        let tokens: Vec<&str> = out.iter().map(|f| f.token.as_str()).collect();
-        assert!(tokens.contains(&"negative:idle_power"), "{tokens:?}");
-        assert!(tokens.contains(&"timeout-20s"), "{tokens:?}");
-        assert!(tokens.contains(&"power-ordering"), "{tokens:?}");
-        assert!(tokens.contains(&"bandwidth-set"), "{tokens:?}");
     }
 
     #[test]

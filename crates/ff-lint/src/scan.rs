@@ -36,11 +36,6 @@ pub enum FileKind {
 pub struct Line {
     /// Code with comments and literal contents blanked to spaces.
     pub code: String,
-    /// The unprocessed source line, literals intact. Most rules must
-    /// match against [`Line::code`]; this exists for the few checks that
-    /// legitimately key on string contents (the event-coverage family
-    /// verifies the pinned meter-event *names*).
-    pub raw: String,
     /// Comment text that appeared on this line (line or block comments).
     pub comment: String,
     /// True when the line is inside a `#[cfg(test)]` module or a
@@ -309,7 +304,7 @@ pub fn preprocess(text: &str) -> Vec<Line> {
         lines.push((code, comment));
     }
 
-    mark_test_scopes(lines, text)
+    mark_test_scopes(lines)
 }
 
 /// If `code` ends with a raw-string prefix (`r`, `br`, `r#`…), return the
@@ -348,14 +343,12 @@ fn count_hashes(chars: &[char], from: usize) -> usize {
 
 /// Second pass: brace-depth tracking to mark `#[cfg(test)]` / `#[test]`
 /// scopes.
-fn mark_test_scopes(lines: Vec<(String, String)>, text: &str) -> Vec<Line> {
+fn mark_test_scopes(lines: Vec<(String, String)>) -> Vec<Line> {
     let mut out = Vec::with_capacity(lines.len());
-    let mut raws = text.lines();
     let mut depth: i64 = 0;
     let mut scopes: Vec<i64> = Vec::new();
     let mut pending = false;
     for (code, comment) in lines {
-        let raw = raws.next().unwrap_or_default().to_owned();
         let had_attr = code.contains("#[cfg(test)]")
             || code.contains("#[test]")
             || code.contains("#[cfg(all(test");
@@ -389,7 +382,6 @@ fn mark_test_scopes(lines: Vec<(String, String)>, text: &str) -> Vec<Line> {
         }
         out.push(Line {
             code,
-            raw,
             comment,
             in_test,
         });

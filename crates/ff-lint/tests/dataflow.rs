@@ -1,5 +1,4 @@
-//! Golden tests for the interprocedural unit-flow family across a
-//! crate boundary: a device crate exports functions whose signatures
+//! Golden tests for the unit-flow family across a crate boundary: a device crate exports functions whose signatures
 //! carry unit suffixes, and a simulator crate consumes them. The
 //! summaries are built over the whole workspace tree, so a millisecond
 //! value produced in one crate and spent as microseconds in another is
@@ -7,7 +6,7 @@
 //!
 //! The sources are scanned, never compiled, so the snippets stay small.
 
-use ff_lint::{analyze, Finding, Rule};
+use ff_lint::{analyze, Rule};
 use std::path::PathBuf;
 
 /// Device crate: a free producer with a `_ms` return and a method with
@@ -26,7 +25,7 @@ impl Meter {
 
 /// Simulator crate: feeds the millisecond reading straight into the
 /// microsecond sink. Nothing in this file spells both units, so only
-/// the interprocedural pass can catch it.
+/// the return-dimension summaries can catch it.
 const SIM_BAD: &str = "
 pub fn record_beacon(meter: &mut Meter) {
     let stamp = last_beacon_ms();
@@ -63,19 +62,15 @@ fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
     dir
 }
 
-fn interproc_tokens(files: &[(&str, &str)], name: &str) -> Vec<String> {
+fn unit_flow_tokens(files: &[(&str, &str)], name: &str) -> Vec<String> {
     let dir = temp_tree(name, files);
     let analysis = analyze(&dir).expect("analyze");
     analysis
         .findings
         .iter()
-        .filter(|f| f.rule == Rule::UnitFlowInterproc)
+        .filter(|f| f.rule == Rule::UnitFlow)
         .map(|f| f.token.clone())
         .collect()
-}
-
-fn by_rule(findings: &[Finding], rule: Rule) -> usize {
-    findings.iter().filter(|f| f.rule == rule).count()
 }
 
 const DEVICE_PATH: &str = "crates/ff-device/src/meter.rs";
@@ -83,36 +78,21 @@ const SIM_PATH: &str = "crates/ff-sim/src/schedule.rs";
 
 #[test]
 fn millisecond_return_into_microsecond_method_across_crates() {
-    let tokens = interproc_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD)], "cross-bad");
+    let tokens = unit_flow_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD)], "cross-bad");
     assert_eq!(tokens, ["call:push_us"]);
 }
 
 #[test]
 fn rescaled_boundary_is_clean_across_crates() {
-    let tokens = interproc_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_GOOD)], "cross-good");
+    let tokens = unit_flow_tokens(&[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_GOOD)], "cross-good");
     assert_eq!(tokens, Vec::<String>::new());
 }
 
 #[test]
 fn cross_crate_return_contradiction_is_flagged() {
-    let tokens = interproc_tokens(
+    let tokens = unit_flow_tokens(
         &[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD_RETURN)],
         "cross-ret",
     );
     assert_eq!(tokens, ["ret:next_wakeup_us"]);
-}
-
-#[test]
-fn cross_crate_defect_is_invisible_to_the_intraprocedural_family() {
-    // The old per-file pass keys on suffixes visible at the call site;
-    // the laundered flow above has none, so it must stay silent and the
-    // new family is the only detector. Guards the partition between the
-    // two families: neither double-reports the other's ground.
-    let dir = temp_tree(
-        "cross-partition",
-        &[(DEVICE_PATH, DEVICE), (SIM_PATH, SIM_BAD)],
-    );
-    let analysis = analyze(&dir).expect("analyze");
-    assert_eq!(by_rule(&analysis.findings, Rule::UnitFlow), 0);
-    assert_eq!(by_rule(&analysis.findings, Rule::UnitFlowInterproc), 1);
 }

@@ -62,11 +62,6 @@ fn good_machines_extract_clean_tables() {
         Vec::<&str>::new(),
         "the known-good machines must model-check clean"
     );
-    assert_eq!(
-        tokens_for(&analysis.findings, Rule::ModelInvariants),
-        Vec::<&str>::new(),
-        "the fixture parameter tables must match the pinned constants"
-    );
 
     let [disk, wnic] = &analysis.fsm_tables[..] else {
         panic!("expected exactly two tables, got {:?}", analysis.fsm_tables);

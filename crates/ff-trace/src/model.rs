@@ -128,9 +128,10 @@ impl TraceRecord {
         self.ts + self.dur
     }
 
-    /// Exclusive end offset of the byte range touched.
+    /// Exclusive end offset of the byte range touched, saturating at
+    /// `u64::MAX` ([`Trace::validate`] rejects a range that overflows).
     pub fn end_offset(&self) -> u64 {
-        self.offset + self.len.get()
+        self.offset.saturating_add(self.len.get())
     }
 }
 
@@ -244,7 +245,8 @@ impl Trace {
                 });
             }
             let meta = self.files.get(r.file).ok_or(Error::UnknownFile(r.file.0))?;
-            if r.end_offset() > meta.size.get() {
+            let end = r.offset.checked_add(r.len.get());
+            if end.is_none_or(|end| end > meta.size.get()) {
                 return Err(Error::OutOfBounds {
                     inode: r.file.0,
                     end: r.end_offset(),
@@ -391,6 +393,18 @@ mod tests {
         assert!(matches!(
             t.validate(),
             Err(Error::OutOfBounds { inode: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_an_overflowing_end() {
+        // Even a file as large as u64::MAX cannot hold a range that wraps.
+        let mut t = tiny_trace();
+        t.files.insert(file(3, u64::MAX));
+        t.records.push(rec(10, 3, u64::MAX, 10, 2_000, 1));
+        assert!(matches!(
+            t.validate(),
+            Err(Error::OutOfBounds { inode: 3, .. })
         ));
     }
 

@@ -28,7 +28,8 @@
 //!   carry pgids; use one import per program).
 //!
 //! Unparseable or irrelevant lines (other syscalls, signal notes,
-//! unfinished/resumed fragments) are skipped and counted.
+//! unfinished/resumed fragments, byte ranges that overflow `u64`) are
+//! skipped and counted.
 
 use crate::model::{FileId, FileMeta, FileSet, IoOp, Trace, TraceRecord};
 use ff_base::{Bytes, Dur, SimTime};
@@ -251,6 +252,8 @@ impl StraceImporter {
                     offset
                 };
                 let len = ret_num as u64;
+                // A range past u64::MAX cannot be a real file access.
+                let end = offset.checked_add(len)?;
                 let op = if sys.contains("read") {
                     IoOp::Read
                 } else {
@@ -266,9 +269,9 @@ impl StraceImporter {
                     ts: ts_sim,
                     dur,
                 });
-                self.touch_size(file, offset + len);
+                self.touch_size(file, end);
                 if !sys.starts_with('p') {
-                    self.fds.insert((pid, fd), (file, offset + len));
+                    self.fds.insert((pid, fd), (file, end));
                 }
                 self.stats.records += 1;
                 Some(())
@@ -356,6 +359,32 @@ garbage line
         let (trace, stats) = StraceImporter::new("app", 1, 1).import(text);
         assert!(trace.is_empty());
         assert_eq!(stats.skipped, 1);
+    }
+
+    #[test]
+    fn overflowing_pread_is_skipped() {
+        let text = "\
+1 1.0 open(\"/f\", O_RDONLY) = 3
+1 1.1 pread64(3, \"\"..., 10, 18446744073709551615) = 10
+";
+        let (trace, stats) = StraceImporter::new("app", 1, 1).import(text);
+        assert!(trace.is_empty());
+        assert_eq!((stats.records, stats.skipped), (0, 1));
+        trace.validate().unwrap();
+    }
+
+    #[test]
+    fn read_past_a_huge_seek_is_skipped() {
+        // The first read ends at 2^64 - 2; the next one would wrap.
+        let text = "\
+1 1.0 open(\"/f\", O_RDONLY) = 3
+1 1.1 lseek(3, 9223372036854775807, SEEK_SET) = 9223372036854775807
+1 1.2 read(3, \"\"..., 9223372036854775807) = 9223372036854775807
+1 1.3 read(3, \"\"..., 10) = 10
+";
+        let (trace, stats) = StraceImporter::new("app", 1, 1).import(text);
+        assert_eq!((stats.records, stats.skipped), (1, 1));
+        trace.validate().unwrap();
     }
 
     #[test]

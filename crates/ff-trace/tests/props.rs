@@ -153,3 +153,51 @@ proptest! {
         prop_assert_eq!(m.len(), a.len() + b.len());
     }
 }
+
+proptest! {
+    // Overflowing ranges need two or three extreme numbers on the right
+    // lines, so this search runs more cases than the others.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random byte edits of valid strace lines — replaced bytes,
+    /// inserted bytes, and numbers overwritten with `i64::MAX` or
+    /// `u64::MAX` — never panic the importer, and whatever imports
+    /// validates.
+    #[test]
+    fn importer_survives_byte_edits_of_valid_lines(
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), 0u8..3), 1..12),
+    ) {
+        let mut bytes = b"7 5.0 open(\"/f\", O_RDWR) = 3
+7 5.1 read(3, \"\"..., 4096) = 4096 <0.000100>
+7 5.2 lseek(3, 65536, SEEK_SET) = 65536
+7 5.3 pread64(3, \"\"..., 512, 1048576) = 512 <0.000050>
+7 5.4 write(3, \"\"..., 100) = 100 <0.000010>
+7 5.5 dup(3) = 4
+7 5.6 read(4, \"\"..., 10) = 10
+7 5.7 close(3) = 0
+"
+        .to_vec();
+        for (pos, byte, kind) in edits {
+            let at = pos % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                0 | 1 => bytes.insert(at, byte),
+                _ => {
+                    let big: &[u8] = if byte % 2 == 0 {
+                        b"9223372036854775807"
+                    } else {
+                        b"18446744073709551615"
+                    };
+                    let digit = |b: &u8| b.is_ascii_digit();
+                    let start = bytes[..at].iter().rposition(|b| !digit(b)).map_or(0, |i| i + 1);
+                    let end = bytes[at..].iter().position(|b| !digit(b)).map_or(bytes.len(), |i| at + i);
+                    bytes.splice(start..end, big.iter().copied());
+                }
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let (trace, stats) = StraceImporter::new("edits", 7, 1).import(&text);
+        prop_assert!(trace.validate().is_ok());
+        prop_assert_eq!(trace.len(), stats.records);
+    }
+}

@@ -37,11 +37,9 @@ lint_step() {
     mkdir -p results
     if cargo run -q -p ff-lint -- --json --forbid-stale \
         --sarif results/lint.sarif \
-        --export-product results/fsm-product.json \
         > results/lint-report.json; then
         echo "    report: results/lint-report.json"
         echo "    sarif: results/lint.sarif"
-        echo "    product automaton: results/fsm-product.json"
         return 0
     fi
     echo "==> ff-lint FAILED — human-readable report follows"
@@ -75,8 +73,8 @@ handbook_step() {
 # The mutation engine's ratchet gate: regenerate the kill-score matrix
 # at the committed seed and fail when any family's kill rate falls
 # below its recorded floor (the binary exits non-zero on a violation).
-# The matrix lands in results/ so CI can upload it next to the product
-# automaton.
+# The matrix lands in results/ so CI can upload it next to the lint
+# report.
 killscore_step() {
     mkdir -p results
     if cargo run -q -p ff-lint -- --killscore results/lint-killscore.json; then
@@ -112,26 +110,10 @@ run_step "cargo fmt --all --check" cargo fmt --all --check
 run_step "ff-lint (ratchet vs crates/ff-lint/baseline.json)" lint_step
 run_step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" doc_step
 run_step "cargo build --release" cargo build --release
+# The workspace tests include the chaos suite, trace conformance, the
+# absint soundness properties and the doctests.
 run_step "cargo test -q --workspace" cargo test -q --workspace
-# The chaos suite already runs inside `cargo test`; naming it as its
-# own step keeps a visible, independently-failing signal for the
-# fault-injection robustness contract (DESIGN.md §12).
-run_step "chaos suite (fault-injection invariants)" cargo test -q --test chaos
-# Same pattern for the static<->dynamic conformance contract (DESIGN.md
-# §13): the committed bench traces must replay clean against the
-# extracted machines, with every static edge exercised.
-run_step "trace conformance (static<->dynamic replay)" \
-    cargo test -q --test lint committed_traces_conform
-# The abstract-interpretation engine's own gate: golden interval facts
-# plus the proptest soundness law (concrete evaluation always lands
-# inside the inferred interval).
-run_step "absint (golden interval facts + proptest soundness)" \
-    cargo test -q --test absint
 run_step "mutation-killscore (kill-rate ratchet vs recorded floors)" killscore_step
-# The doctests are the handbook's executable walkthroughs (FaultPlan,
-# run_recorded, the sweep grid, the lint driver); `cargo test` above
-# already ran them, but a doc regression should be its own red line.
-run_step "doctests (cargo test --doc)" cargo test -q --doc --workspace
 run_step "handbook (mdbook-or-ff-book build + link check)" handbook_step
 run_step "parallel-determinism (benchpar: jobs=1 vs jobs=8 byte-identical)" parallel_step
 run_step "artifacts-fresh (ffbench all, then git diff results bench)" artifacts_step

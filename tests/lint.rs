@@ -79,11 +79,14 @@ fn panic_safety_family_is_fully_burned_down() {
 
 #[test]
 fn model_invariants_hold_for_the_paper_tables() {
+    // The DK23DA / Aironet 350 tables are pinned value by value by
+    // const-provenance, and their §3 break-even and timeout ordering is
+    // proved by timeout-order.
     let root = workspace_root();
     let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
     let violations: Vec<_> = findings
         .iter()
-        .filter(|f| f.rule == Rule::ModelInvariants)
+        .filter(|f| matches!(f.rule, Rule::ConstProvenance | Rule::TimeoutOrder))
         .collect();
     assert!(
         violations.is_empty(),
@@ -112,11 +115,9 @@ fn fsm_family_is_pinned_at_zero() {
 
 #[test]
 fn semantic_families_are_pinned_at_zero() {
-    // The second, third and fourth semantic waves — interprocedural
-    // unit flow, constant provenance, event coverage, the product-state
-    // checker, nondeterminism taint, trace conformance, and the three
+    // Unit flow, constant provenance, trace conformance, and the
     // abstract-interpretation families (arithmetic safety, energy
-    // bounds, timeout ordering) — started life with no accepted debt,
+    // bounds, timeout ordering) started life with no accepted debt,
     // and this gate keeps it that way: empty in the baseline AND empty
     // in the tree, so any regression fails tier-1 rather than
     // ratcheting.
@@ -124,11 +125,8 @@ fn semantic_families_are_pinned_at_zero() {
     let baseline = committed_baseline(&root);
     let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
     for rule in [
-        Rule::UnitFlowInterproc,
+        Rule::UnitFlow,
         Rule::ConstProvenance,
-        Rule::EventCoverage,
-        Rule::ProductFsm,
-        Rule::NondetTaint,
         Rule::TraceConformance,
         Rule::ArithSafety,
         Rule::EnergyBounds,
@@ -175,8 +173,8 @@ fn device_fsm_tables_are_extracted_from_the_workspace() {
     ] {
         assert!(wnic.has_transition(from, to), "wnic {from} -> {to}");
     }
-    // The failover machine added with the product checker: the outage /
-    // retry-ladder / recovery cycle in ff-sim.
+    // The failover machine: the outage / retry-ladder / recovery cycle
+    // in ff-sim.
     let server = analysis
         .fsm_tables
         .iter()
@@ -189,32 +187,6 @@ fn device_fsm_tables_are_extracted_from_the_workspace() {
         ("MarkedDead", "Healthy"),
     ] {
         assert!(server.has_transition(from, to), "server {from} -> {to}");
-    }
-}
-
-#[test]
-fn product_state_machine_proves_recovery_and_full_reachability() {
-    let root = workspace_root();
-    let analysis = ff_lint::analyze(&root).expect("scan succeeds");
-    let product = &analysis.product;
-    assert!(
-        !product.capped,
-        "the product exploration must not hit the cap"
-    );
-    assert_eq!(
-        product.states, product.reachable,
-        "every product state must be reachable from the initial tuple"
-    );
-    assert!(
-        !product.recoveries.is_empty(),
-        "the degraded-state recovery obligations must be checked"
-    );
-    for rec in &product.recoveries {
-        assert!(
-            rec.recovers,
-            "{}::{} must reach {} again",
-            rec.component, rec.state, rec.healthy
-        );
     }
 }
 
@@ -321,14 +293,8 @@ fn cli_exits_zero_on_the_clean_workspace() {
             .any(|r| r.get("rule").and_then(|v| v.as_str()) == Some("panic-reachability")),
         "missing panic-reachability family in: {text}"
     );
-    // Wave 4: eighteen families, plus the product and conformance nodes.
-    assert_eq!(by_rule.len(), 18, "expected eighteen rule families: {text}");
-    let product = doc.get("product").expect("product node");
-    assert_eq!(
-        product.get("states").and_then(|v| v.as_u64()),
-        product.get("reachable").and_then(|v| v.as_u64()),
-        "product reachability must be total: {text}"
-    );
+    // Thirteen families, plus the conformance node.
+    assert_eq!(by_rule.len(), 13, "expected thirteen rule families: {text}");
     let conformance = doc.get("conformance").expect("conformance node");
     assert_eq!(
         conformance.get("runtime_only").and_then(|v| v.as_u64()),
@@ -338,17 +304,14 @@ fn cli_exits_zero_on_the_clean_workspace() {
 }
 
 #[test]
-fn cli_writes_sarif_and_product_exports() {
+fn cli_writes_sarif_export() {
     let dir = std::env::temp_dir().join("ff-lint-cli-exports");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let sarif_path = dir.join("lint.sarif");
-    let product_path = dir.join("fsm-product.json");
     let out = run_ff_lint(&[
         "--json",
         "--sarif",
         sarif_path.to_str().expect("utf-8 temp path"),
-        "--export-product",
-        product_path.to_str().expect("utf-8 temp path"),
     ]);
     assert!(
         out.status.success(),
@@ -366,25 +329,16 @@ fn cli_writes_sarif_and_product_exports() {
         sarif.contains("\"ff-lint\""),
         "driver name missing: {sarif}"
     );
-    let product = std::fs::read_to_string(&product_path).expect("product written");
-    let doc = ff_base::json::Value::parse(&product).expect("product export is JSON");
-    let components = doc
-        .get("components")
-        .and_then(|v| v.as_array())
-        .expect("components array");
-    assert!(
-        components.len() >= 3,
-        "expected the disk, wnic and server machines: {product}"
-    );
 }
 
 #[test]
 fn mutation_kill_rates_meet_the_ratchet_floor() {
     // The ratchet gate of the mutation engine: every probe mutant must
     // be detected at a per-family rate no lower than the recorded floor
-    // in `ff_lint::mutgen::FLOORS`, and the three wave-4 families —
-    // being brand new — must kill 100 % of their probes. A detector
-    // regression lowers a rate below its floor and fails tier-1.
+    // in `ff_lint::mutgen::FLOORS` (1.0 for every family), and every
+    // family must be the only one firing on some mutant. A detector
+    // regression, or a family made redundant by the others, fails
+    // tier-1.
     let root = workspace_root();
     let matrix =
         ff_lint::mutgen::run(&root, ff_lint::mutgen::DEFAULT_SEED).expect("mutation engine");
@@ -394,19 +348,11 @@ fn mutation_kill_rates_meet_the_ratchet_floor() {
         "kill-rate floors violated:\n{}",
         violations.join("\n")
     );
-    for rule in [Rule::ArithSafety, Rule::EnergyBounds, Rule::TimeoutOrder] {
-        let fam = matrix
-            .families
-            .iter()
-            .find(|f| f.rule == rule)
-            .unwrap_or_else(|| panic!("{} missing from the kill matrix", rule.as_str()));
-        assert!(fam.probes > 0, "{}: no probes", rule.as_str());
-        assert_eq!(
-            fam.kills,
-            fam.probes,
-            "{}: kill rate {:.2} — a new family must kill every probe",
-            rule.as_str(),
-            fam.rate()
+    for rule in Rule::all() {
+        assert!(
+            matrix.mutants.iter().any(|m| m.fired == [rule]),
+            "{}: no mutant is killed by this family alone",
+            rule.as_str()
         );
     }
 }
