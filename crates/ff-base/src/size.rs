@@ -98,9 +98,11 @@ impl Sub for Bytes {
     }
 }
 
+/// Totals saturate at `u64::MAX` instead of overflowing: a trace may
+/// legitimately hold several files or requests near the 64-bit limit.
 impl Sum for Bytes {
     fn sum<I: Iterator<Item = Bytes>>(iter: I) -> Bytes {
-        iter.fold(Bytes::ZERO, |a, b| a + b)
+        iter.fold(Bytes::ZERO, Bytes::saturating_add)
     }
 }
 
@@ -140,6 +142,8 @@ mod tests {
     fn arithmetic_and_sum() {
         let total: Bytes = [Bytes(10), Bytes::kib(1)].into_iter().sum();
         assert_eq!(total, Bytes(1034));
+        let huge: Bytes = [Bytes(u64::MAX), Bytes(1)].into_iter().sum();
+        assert_eq!(huge, Bytes(u64::MAX), "sums saturate");
         assert_eq!(Bytes(10).saturating_sub(Bytes(20)), Bytes::ZERO);
         assert_eq!(Bytes(30) - Bytes(20), Bytes(10));
         assert_eq!(Bytes(5).min(Bytes(3)), Bytes(3));

@@ -67,14 +67,9 @@ pub fn ablation(_: &Args, o: &mut Sink) -> Result {
     writeln!(o, "\n== evaluation stage length (§2.2; default 40 s) ==")?;
     writeln!(o, "{:>10} {:>12} {:>10}", "stage", "energy", "time")?;
     for secs in [10u64, 20, 40, 80, 160] {
-        let stage_len = Dur::from_secs(secs);
-        let pcfg = FlexFetchConfig {
-            stage_len,
-            ..Default::default()
-        };
         let mut cfg = default();
-        cfg.stage_len = stage_len;
-        let (e, t) = tuned(cfg, pcfg)?;
+        cfg.stage_len = Dur::from_secs(secs);
+        let (e, t) = tuned(cfg, FlexFetchConfig::default())?;
         let (stage, mark) = (format!("{secs}s"), mark(secs == 40));
         writeln!(o, "{stage:>9}{mark} {e:>11.1}J {t:>9.1}s")?;
     }

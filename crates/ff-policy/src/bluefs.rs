@@ -201,6 +201,7 @@ mod tests {
     fn ctx<'a>(w: &'a World, resident: &'a dyn Fn(FileId, u64, Bytes) -> f64) -> PolicyCtx<'a> {
         PolicyCtx {
             now: SimTime::ZERO,
+            stage_len: Dur::from_secs(40),
             disk: &w.disk,
             wnic: &w.wnic,
             layout: &w.layout,

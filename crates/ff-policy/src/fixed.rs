@@ -33,7 +33,7 @@ impl Policy for WnicOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_base::{Bytes, SimTime};
+    use ff_base::{Bytes, Dur, SimTime};
     use ff_device::{DiskModel, DiskParams, WnicModel, WnicParams};
     use ff_trace::{DiskLayout, FileId, FileSet, IoOp};
 
@@ -44,6 +44,7 @@ mod tests {
         let resident = |_: FileId, _: u64, _: Bytes| 0.0;
         let ctx = PolicyCtx {
             now: SimTime::ZERO,
+            stage_len: Dur::from_secs(40),
             disk: &disk,
             wnic: &wnic,
             layout: &layout,

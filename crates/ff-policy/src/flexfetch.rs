@@ -25,7 +25,7 @@
 
 use crate::rules::decide;
 use crate::source::{AppRequest, FaultNotice, Policy, PolicyCtx, Source, StageReport};
-use ff_base::{Bytes, Dur, SimTime};
+use ff_base::{Bytes, SimTime};
 use ff_device::ServiceOutcome;
 use ff_profile::{
     burst::OnlineBurstBuilder, estimate::filter_resident, first_stage, BurstExtractor, BytePrefix,
@@ -37,8 +37,6 @@ use ff_profile::{
 pub struct FlexFetchConfig {
     /// Maximum tolerable I/O performance loss (§2.2; experiments: 25 %).
     pub loss_rate: f64,
-    /// Evaluation-stage length (§2.2; experiments: 40 s).
-    pub stage_len: Dur,
     /// Enable the §2.3 run-time adaptation. `false` = FlexFetch-static.
     pub adaptive: bool,
     /// Hysteresis for the stage-end audit: the alternative must beat the
@@ -54,7 +52,6 @@ impl Default for FlexFetchConfig {
     fn default() -> Self {
         FlexFetchConfig {
             loss_rate: 0.25,
-            stage_len: Dur::from_secs(40),
             adaptive: true,
             audit_margin: 0.10,
             extractor: BurstExtractor::default(),
@@ -204,10 +201,11 @@ impl FlexFetch {
     }
 
     /// The upcoming stage-worth of bursts according to the (possibly
-    /// spliced) profile: the stage window starting at burst `skip`.
-    fn upcoming_stage(&self, skip: usize) -> &[ProfiledBurst] {
+    /// spliced) profile: the window of the engine's stage length
+    /// starting at burst `skip`.
+    fn upcoming_stage(&self, ctx: &PolicyCtx<'_>, skip: usize) -> &[ProfiledBurst] {
         let remaining = self.old_profile.bursts.get(skip..).unwrap_or_default();
-        first_stage(remaining, self.config.stage_len)
+        first_stage(remaining, ctx.stage_len)
     }
 }
 
@@ -228,7 +226,7 @@ impl Policy for FlexFetch {
                 // the stage-end audit steer (adaptive), or stay (static).
                 self.set_current(ctx.now, Source::Disk, "initial:no-profile");
             } else {
-                let d = self.decide_for(ctx, self.upcoming_stage(0));
+                let d = self.decide_for(ctx, self.upcoming_stage(ctx, 0));
                 self.set_current(ctx.now, d, "initial:profile");
             }
         }
@@ -273,7 +271,7 @@ impl Policy for FlexFetch {
         if n > self.last_n && !self.old_profile.is_empty() {
             self.last_n = n;
             if self.forced.is_none() && !self.degraded() {
-                let stage = self.upcoming_stage(n);
+                let stage = self.upcoming_stage(ctx, n);
                 if !stage.is_empty() {
                     let d = self.decide_for(ctx, stage);
                     self.set_current(ctx.now, d, "reeval:splice");
@@ -294,9 +292,9 @@ impl Policy for FlexFetch {
             // recorded profile position (by stage count).
             let mut skip = 0;
             for _ in 0..self.stage_index {
-                skip += self.upcoming_stage(skip).len();
+                skip += self.upcoming_stage(ctx, skip).len();
             }
-            let stage = self.upcoming_stage(skip);
+            let stage = self.upcoming_stage(ctx, skip);
             if !stage.is_empty() {
                 let d = self.decide_for(ctx, stage);
                 self.set_current(ctx.now, d, "static:stage");
@@ -348,7 +346,7 @@ impl Policy for FlexFetch {
             < cur_est.time.as_secs_f64() * (1.0 - self.config.audit_margin);
         let flip = winner != self.current && (dominates || energy_margin || time_margin);
 
-        let stage = self.upcoming_stage(self.last_n);
+        let stage = self.upcoming_stage(ctx, self.last_n);
         let profile_choice = (!stage.is_empty()).then(|| self.decide_for(ctx, stage));
         let new = if flip { winner } else { self.current };
         self.set_current(
@@ -379,7 +377,7 @@ impl Policy for FlexFetch {
                 // the upcoming stage against the new link rate, unless an
                 // audit override says measurements are steering.
                 if self.decided && !self.degraded() && self.forced.is_none() {
-                    let stage = self.upcoming_stage(self.last_n);
+                    let stage = self.upcoming_stage(ctx, self.last_n);
                     if !stage.is_empty() {
                         let d = self.decide_for(ctx, stage);
                         self.set_current(ctx.now, d, "fault:bandwidth");
@@ -396,7 +394,7 @@ impl Policy for FlexFetch {
             // profile re-decide from the devices' current states.
             self.forced = None;
             if self.decided {
-                let stage = self.upcoming_stage(self.last_n);
+                let stage = self.upcoming_stage(ctx, self.last_n);
                 if !stage.is_empty() {
                     let d = self.decide_for(ctx, stage);
                     self.set_current(ctx.now, d, "fault:recovered");
@@ -419,7 +417,7 @@ impl Policy for FlexFetch {
             return; // stay pinned to the disk until the outage clears
         }
         if self.decided {
-            let stage = self.upcoming_stage(0);
+            let stage = self.upcoming_stage(ctx, 0);
             if !stage.is_empty() {
                 let d = self.decide_for(ctx, stage);
                 self.set_current(ctx.now, d, "fault:profile");
@@ -442,7 +440,7 @@ impl Policy for FlexFetch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_base::Joules;
+    use ff_base::{Dur, Joules};
     use ff_device::{DiskModel, DiskParams, WnicModel, WnicParams};
     use ff_profile::{IoBurst, MergedRequest};
     use ff_trace::{DiskLayout, FileId, FileMeta, FileSet, IoOp};
@@ -474,6 +472,7 @@ mod tests {
     ) -> PolicyCtx<'a> {
         PolicyCtx {
             now,
+            stage_len: Dur::from_secs(40),
             disk: &w.disk,
             wnic: &w.wnic,
             layout: &w.layout,

@@ -25,8 +25,8 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Adaptive FlexFetch with the paper's defaults (25 % loss rate,
-    /// 40 s stages).
+    /// Adaptive FlexFetch with the paper's defaults (25 % loss rate;
+    /// stages follow the engine's `stage_len`).
     pub fn flexfetch(profile: Profile) -> Self {
         PolicyKind::FlexFetch {
             profile,

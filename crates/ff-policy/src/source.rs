@@ -50,6 +50,10 @@ pub struct AppRequest {
 pub struct PolicyCtx<'a> {
     /// Current simulation time.
     pub now: SimTime,
+    /// The engine's evaluation-stage length (§2.2): stage boundaries
+    /// (and so [`Policy::on_stage_end`] audits) fall every `stage_len`,
+    /// and a history-aware policy plans over windows of this length.
+    pub stage_len: Dur,
     /// The live disk (read-only — use [`ff_device::PowerModel::estimate`]).
     pub disk: &'a DiskModel,
     /// The live WNIC.

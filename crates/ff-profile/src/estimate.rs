@@ -116,47 +116,6 @@ impl<'a> Estimator<'a> {
     }
 }
 
-impl<'a> Estimator<'a> {
-    /// System-level `(T, E)` of the **disk option**: the disk serves the
-    /// bursts while the WNIC idles from its current state (dropping to
-    /// PSM). The paper optimises "energy consumption in a mobile
-    /// computer" — both devices draw power whichever one serves.
-    pub fn system_disk_cost(
-        &self,
-        bursts: &[ProfiledBurst],
-        disk: DiskModel,
-        mut wnic: WnicModel,
-    ) -> Estimate {
-        let serving = self.disk_cost(bursts, disk);
-        wnic.reset_meter();
-        let end = wnic.clock() + serving.time;
-        wnic.advance_to(end);
-        Estimate {
-            time: serving.time,
-            energy: serving.energy + wnic.energy(),
-        }
-    }
-
-    /// System-level `(T, E)` of the **network option**: the WNIC serves
-    /// while the disk idles from its current state (timing out into
-    /// standby — the big win for non-bursty workloads).
-    pub fn system_wnic_cost(
-        &self,
-        bursts: &[ProfiledBurst],
-        mut disk: DiskModel,
-        wnic: WnicModel,
-    ) -> Estimate {
-        let serving = self.wnic_cost(bursts, wnic);
-        disk.reset_meter();
-        let end = disk.clock() + serving.time;
-        disk.advance_to(end);
-        Estimate {
-            time: serving.time,
-            energy: serving.energy + disk.energy(),
-        }
-    }
-}
-
 fn to_dir(op: IoOp) -> Dir {
     match op {
         IoOp::Read => Dir::Read,
@@ -351,33 +310,6 @@ mod tests {
         assert_eq!(filtered.len(), 1);
         assert!(filtered[0].burst.requests.is_empty());
         assert_eq!(filtered[0].gap_after, Dur::from_secs(3));
-    }
-
-    #[test]
-    fn system_costs_include_the_idle_device() {
-        let (_, l) = layout_for(1, 100_000_000);
-        let est = Estimator::new(&l);
-        // A sparse window: 100 KB every 6 s for ~96 s — long enough for
-        // the network option to amortise the disk's 20 s drain-down.
-        let bursts: Vec<_> = (0..16)
-            .map(|_| burst(&[100_000], Dur::from_millis(6_000)))
-            .collect();
-        let disk = DiskModel::new(DiskParams::hitachi_dk23da());
-        let wnic = WnicModel::new(WnicParams::cisco_aironet350());
-        let d_only = est.disk_cost(&bursts, disk.clone());
-        let d_sys = est.system_disk_cost(&bursts, disk.clone(), wnic.clone());
-        // System cost adds the WNIC's PSM idle (0.39 W × span).
-        assert!(d_sys.energy > d_only.energy);
-        assert_eq!(d_sys.time, d_only.time);
-        let n_sys = est.system_wnic_cost(&bursts, disk.clone(), wnic.clone());
-        // For this sparse pattern the network option must win at the
-        // system level: the disk sleeps instead of idling at 1.6 W.
-        assert!(
-            n_sys.energy < d_sys.energy,
-            "network option {} must beat disk option {}",
-            n_sys.energy,
-            d_sys.energy
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::faults::{FaultPlan, RetryPolicy};
-use ff_base::Dur;
+use ff_base::{BytesPerSec, Dur, Error, Result};
 use ff_cache::CacheConfig;
 use ff_device::{DiskParams, FlashParams, WnicParams};
 use ff_trace::FileId;
@@ -19,16 +19,14 @@ pub struct SimConfig {
     pub cache: CacheConfig,
     /// Seed for the file→block layout jitter (§3.2).
     pub layout_seed: u64,
-    /// Evaluation-stage cadence (§2.2; the paper uses 40 s).
+    /// Evaluation-stage cadence (§2.2; the paper uses 40 s). The one
+    /// owner of the stage length: policies read it from
+    /// `PolicyCtx::stage_len`.
     pub stage_len: Dur,
     /// Files that exist *only* on the local disk (the §3.3.4 xmms MP3s):
     /// requests for them always hit the disk and count as external,
     /// non-profiled activity.
     pub disk_only_files: BTreeSet<FileId>,
-    /// Start the run with the disk spun down. §3.3.1 confirms the paper's
-    /// setup: "at the beginning FlexFetch spins up the hard disk to
-    /// service the data set of grep" — a quiescent laptop parks its disk.
-    pub disk_starts_standby: bool,
     /// Files *not* hoarded on the local disk (extension of the paper's
     /// §5 limitation: the paper assumes the full working set is
     /// replicated). Requests for them can only be serviced over the
@@ -77,7 +75,6 @@ impl Default for SimConfig {
             layout_seed: 0x5EED,
             stage_len: Dur::from_secs(40),
             disk_only_files: BTreeSet::new(),
-            disk_starts_standby: true,
             network_only_files: BTreeSet::new(),
             sync_writes: false,
             record_power_log: false,
@@ -91,6 +88,44 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// Reject a configuration the engine cannot replay: an invalid fault
+    /// plan or retry ladder, a zero stage length or flusher interval (the
+    /// run would never advance past t = 0), an empty or inverted WNIC
+    /// outage window, or a link rate (`wnic.bandwidth` or a scheduled
+    /// change) that is not positive and finite.
+    pub(crate) fn validate(&self) -> Result<()> {
+        self.faults.validate()?;
+        self.retry.validate()?;
+        if self.stage_len.is_zero() {
+            return Err(Error::Config("zero evaluation-stage length".into()));
+        }
+        if self.cache.writeback.wakeup_interval.is_zero() {
+            return Err(Error::Config("zero write-back wake-up interval".into()));
+        }
+        if let Some((start, end)) = self.wnic_outages.iter().find(|(s, e)| s >= e) {
+            return Err(Error::Config(format!(
+                "WNIC outage {start}..{end} is empty or inverted"
+            )));
+        }
+        let bad_rate = |rate: BytesPerSec| !rate.get().is_finite() || rate.get() <= 0.0;
+        if bad_rate(self.wnic.bandwidth) {
+            return Err(Error::Config(format!(
+                "WNIC bandwidth {} is not a positive finite rate",
+                self.wnic.bandwidth
+            )));
+        }
+        if let Some((at, mbps)) = self
+            .wnic_bandwidth_schedule
+            .iter()
+            .find(|&&(_, mbps)| bad_rate(BytesPerSec::from_mbit_per_sec(mbps)))
+        {
+            return Err(Error::Config(format!(
+                "bandwidth change at {at} to {mbps} Mbit/s is not a positive finite rate"
+            )));
+        }
+        Ok(())
+    }
+
     /// Sweep helper: same config with a different WNIC latency.
     pub fn with_wnic_latency(mut self, latency: Dur) -> Self {
         self.wnic.latency = latency;
@@ -122,16 +157,18 @@ impl SimConfig {
         self
     }
 
-    /// Schedule a bandwidth change at `at` after simulation start.
+    /// Schedule a bandwidth change at `at` after simulation start (a
+    /// rate that is not positive and finite is rejected when the run
+    /// starts).
     pub fn with_bandwidth_change(mut self, at: Dur, mbps: f64) -> Self {
         self.wnic_bandwidth_schedule.push((at, mbps));
         self.wnic_bandwidth_schedule.sort_by_key(|&(t, _)| t);
         self
     }
 
-    /// Inject a wireless outage.
+    /// Inject a wireless outage (an empty or inverted window is
+    /// rejected when the run starts).
     pub fn with_wnic_outage(mut self, start: Dur, end: Dur) -> Self {
-        assert!(start < end, "outage must have positive length");
         self.wnic_outages.push((start, end));
         self.wnic_outages.sort_by_key(|&(s, _)| s);
         self

@@ -72,6 +72,16 @@ impl Device {
     }
 }
 
+impl From<Source> for Device {
+    /// The device a routed request lands on.
+    fn from(source: Source) -> Device {
+        match source {
+            Source::Disk => Device::Disk,
+            Source::Wnic => Device::Wnic,
+        }
+    }
+}
+
 /// One typed, simulated-timestamped observation from the replay engine.
 ///
 /// Every variant carries `at`, the simulated instant it happened; the

@@ -57,6 +57,11 @@ impl<'t> Simulation<'t> {
     /// returned [`SimReport`] unchanged — recorders observe, they do
     /// not steer.
     ///
+    /// Fails before replaying anything on an invalid trace, fault plan
+    /// or retry ladder, and with [`Error::Config`] on an empty trace, a
+    /// zero stage length or flusher interval, an empty or inverted WNIC
+    /// outage window, or a link rate that is not positive and finite.
+    ///
     /// ```
     /// use ff_policy::PolicyKind;
     /// use ff_sim::{EventLog, SimConfig, Simulation};
@@ -73,8 +78,7 @@ impl<'t> Simulation<'t> {
     /// ```
     pub fn run_recorded(self, recorder: &mut dyn Recorder) -> Result<SimReport> {
         self.trace.validate()?;
-        self.config.faults.validate()?;
-        self.config.retry.validate()?;
+        self.config.validate()?;
         if self.trace.is_empty() {
             return Err(Error::Config("cannot simulate an empty trace".into()));
         }
@@ -348,7 +352,6 @@ struct Runner<'t, 'r> {
     wnic_bytes: Bytes,
     flash_requests: u64,
     flash_bytes: Bytes,
-    stages_done: usize,
     /// Policy decisions drained incrementally (so the recorder sees
     /// them as they happen); becomes `SimReport::decisions`.
     decisions: Vec<(SimTime, Source, &'static str)>,
@@ -367,11 +370,8 @@ impl<'t, 'r> Runner<'t, 'r> {
         if let Some(timeout) = policy.disk_timeout_override() {
             disk_params.timeout = timeout;
         }
-        let mut disk = if cfg.disk_starts_standby {
-            DiskModel::new_standby(disk_params)
-        } else {
-            DiskModel::new(disk_params)
-        };
+        // §3.3.1: the runs begin with a parked disk.
+        let mut disk = DiskModel::new_standby(disk_params);
         let mut wnic = WnicModel::new(cfg.wnic.clone());
         let mut flash = cfg
             .flash
@@ -457,7 +457,6 @@ impl<'t, 'r> Runner<'t, 'r> {
             wnic_bytes: Bytes::ZERO,
             flash_requests: 0,
             flash_bytes: Bytes::ZERO,
-            stages_done: 0,
             decisions: Vec::new(),
         };
         if runner.tracing {
@@ -505,20 +504,9 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.events.push(Reverse((t, self.seq, kind)));
     }
 
-    /// Is the wireless link down at `now` — either inside a configured
-    /// outage window or while an injected [`Fault::LinkOutage`] is
-    /// active?
-    fn wnic_out(&self, now: SimTime) -> bool {
-        self.link_down_until.is_some_and(|u| now < u)
-            || self
-                .cfg
-                .wnic_outages
-                .iter()
-                .any(|&(s, e)| now >= SimTime::ZERO + s && now < SimTime::ZERO + e)
-    }
-
     /// Latest end of all outage windows (configured or injected) active
-    /// at `now` — when a stalled network-only request can resume.
+    /// at `now` — when a stalled network-only request can resume — or
+    /// `None` while the wireless link is up.
     fn wnic_resume(&self, now: SimTime) -> Option<SimTime> {
         let static_end = self
             .cfg
@@ -536,6 +524,13 @@ impl<'t, 'r> Runner<'t, 'r> {
     /// never construct events).
     fn emit(&mut self, ev: ObsEvent) {
         self.recorder.record(&ev);
+    }
+
+    /// Energy drawn by the flash tier so far (zero without one).
+    fn flash_energy(&self) -> Joules {
+        self.flash
+            .as_ref()
+            .map_or(Joules::ZERO, |(f, _)| f.energy())
     }
 
     /// Forward the devices' timestamped state changes to the recorder.
@@ -609,28 +604,39 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.decisions.extend(fresh);
     }
 
+    /// The single call path into the policy: run `call` with a
+    /// [`PolicyCtx`] over the live devices, the layout, the buffer
+    /// cache's residency and the stage length.
+    fn with_policy<R>(
+        &mut self,
+        now: SimTime,
+        call: impl FnOnce(&mut dyn Policy, &PolicyCtx<'_>) -> R,
+    ) -> R {
+        let Runner {
+            cfg,
+            policy,
+            disk,
+            wnic,
+            layout,
+            cache,
+            ..
+        } = self;
+        let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
+        let ctx = PolicyCtx {
+            now,
+            stage_len: cfg.stage_len,
+            disk,
+            wnic,
+            layout,
+            resident: &resident,
+        };
+        call(policy.as_mut(), &ctx)
+    }
+
     /// Tell the policy the environment changed, then surface any
     /// decisions it took in response.
     fn policy_fault(&mut self, now: SimTime, notice: FaultNotice) {
-        {
-            let Runner {
-                policy,
-                disk,
-                wnic,
-                layout,
-                cache,
-                ..
-            } = self;
-            let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-            let ctx = PolicyCtx {
-                now,
-                disk,
-                wnic,
-                layout,
-                resident: &resident,
-            };
-            policy.on_fault(&ctx, notice);
-        }
+        self.with_policy(now, |p, ctx| p.on_fault(ctx, notice));
         self.drain_decisions();
     }
 
@@ -740,7 +746,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 // it exactly like any other external disk user, and the
                 // read occupies (and is billed to) the disk.
                 self.policy.on_external_disk(t);
-                let _ = self.service(t, Source::Disk, DeviceRequest::read(Bytes(bytes), None));
+                let _ = self.service(t, Device::Disk, DeviceRequest::read(Bytes(bytes), None));
                 if self.tracing {
                     self.emit(ObsEvent::ExternalDisk {
                         at: t,
@@ -754,25 +760,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 }
                 self.faults_injected += 1;
                 let profile = crate::faults::injected_profile(mode, self.trace);
-                {
-                    let Runner {
-                        policy,
-                        disk,
-                        wnic,
-                        layout,
-                        cache,
-                        ..
-                    } = self;
-                    let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-                    let ctx = PolicyCtx {
-                        now: t,
-                        disk,
-                        wnic,
-                        layout,
-                        resident: &resident,
-                    };
-                    policy.inject_profile(&ctx, profile);
-                }
+                self.with_policy(t, |p, ctx| p.inject_profile(ctx, profile));
                 self.drain_decisions();
                 if self.tracing {
                     self.emit(ObsEvent::ProfileInjected {
@@ -880,13 +868,11 @@ impl<'t, 'r> Runner<'t, 'r> {
             return (Source::Disk, true, "pinned");
         }
         if self.cfg.network_only_files.contains(&req.file) {
-            if self.wnic_out(now) {
+            if let Some(resume) = self.wnic_resume(now) {
                 // Not hoarded AND disconnected: the request stalls until
                 // the link returns — modelled as service at the outage
                 // end (the disk genuinely has no copy).
-                if let Some(resume) = self.wnic_resume(now) {
-                    self.wnic.advance_to(resume);
-                }
+                self.wnic.advance_to(resume);
                 return (Source::Wnic, false, "unhoarded-stall");
             }
             // Not hoarded: the local disk has no copy. The policy is not
@@ -894,75 +880,48 @@ impl<'t, 'r> Runner<'t, 'r> {
             // still the profiled program's own I/O (not external).
             return (Source::Wnic, false, "unhoarded");
         }
-        if self.wnic_out(now) {
+        if self.wnic_resume(now).is_some() {
             // Link down: fail over to the disk regardless of preference.
             // The policy still observes the outcome (measured adaptation).
             return (Source::Disk, false, "outage-failover");
         }
-        let Runner {
-            policy,
-            disk,
-            wnic,
-            layout,
-            cache,
-            ..
-        } = self;
-        let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-        let ctx = PolicyCtx {
-            now,
-            disk,
-            wnic,
-            layout,
-            resident: &resident,
-        };
-        (policy.select(&ctx, req), false, "policy")
+        let source = self.with_policy(now, |p, ctx| p.select(ctx, req));
+        (source, false, "policy")
     }
 
-    fn notify_observe(
-        &mut self,
-        now: SimTime,
-        req: &AppRequest,
-        source: Option<Source>,
-        outcome: &ServiceOutcome,
-    ) {
-        let Runner {
-            policy,
-            disk,
-            wnic,
-            layout,
-            cache,
-            ..
-        } = self;
-        let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-        let ctx = PolicyCtx {
-            now,
-            disk,
-            wnic,
-            layout,
-            resident: &resident,
-        };
-        policy.observe(&ctx, req, source, outcome);
-    }
-
-    /// Service one device request, tallying stats. Returns the outcome.
-    fn service(&mut self, at: SimTime, source: Source, req: DeviceRequest) -> ServiceOutcome {
-        match source {
-            Source::Disk => {
+    /// Service one device request, tallying that device's requests and
+    /// bytes. Returns the outcome. Without a flash tier a flash request
+    /// is a no-op (callers only issue one when the tier exists).
+    fn service(&mut self, at: SimTime, device: Device, req: DeviceRequest) -> ServiceOutcome {
+        match device {
+            Device::Disk => {
                 self.disk_requests += 1;
                 self.disk_bytes = self.disk_bytes.saturating_add(req.bytes);
                 self.disk.service(at, &req)
             }
-            Source::Wnic => {
+            Device::Wnic => {
                 self.wnic_requests += 1;
                 self.wnic_bytes = self.wnic_bytes.saturating_add(req.bytes);
                 self.wnic.service(at, &req)
             }
+            Device::Flash => {
+                let Some((flash, _)) = self.flash.as_mut() else {
+                    return ServiceOutcome {
+                        complete: at,
+                        service_time: Dur::ZERO,
+                        energy: Joules::ZERO,
+                    };
+                };
+                self.flash_requests += 1;
+                self.flash_bytes = self.flash_bytes.saturating_add(req.bytes);
+                flash.service(at, &req)
+            }
         }
     }
 
-    /// Fetch a set of page runs of `file` from `source`. `blocking` runs
-    /// gate the application (their max completion is returned); the rest
-    /// (readahead) just occupy the device.
+    /// Fetch a set of page runs of `file` from `source`. `demand` runs
+    /// gate the application (their max completion is returned); the
+    /// `prefetch` runs (readahead) just occupy the device.
     fn fetch_runs(
         &mut self,
         t: SimTime,
@@ -985,71 +944,56 @@ impl<'t, 'r> Runner<'t, 'r> {
 
         // Flash tier: pages resident in flash are served there; the rest
         // go to the routed device and are then copied into flash.
+        let misses;
         let (demand, prefetch) = if self.flash.is_some() {
             let (hit_d, miss_d) = self.partition_flash(file, demand);
             let (_, miss_p) = self.partition_flash(file, prefetch);
             // Serve flash hits (blocking for the application).
             let mut cur = t;
-            for &(page, n) in &hit_d {
-                let _ = page;
+            for &(_, n) in &hit_d {
                 let req = DeviceRequest::read(Bytes(n * PAGE_SIZE), None);
-                if let Some((f, _)) = self.flash.as_mut() {
-                    let out = f.service(cur, &req);
-                    cur = out.complete;
-                    energy += out.energy;
-                    self.flash_requests += 1;
-                    self.flash_bytes = self.flash_bytes.saturating_add(req.bytes);
-                }
+                let out = self.service(cur, Device::Flash, req);
+                cur = out.complete;
+                energy += out.energy;
             }
             app_done = app_done.max(cur);
             // Populate flash with what the device is about to fetch.
             let mut spilled = Vec::new();
-            for runs in [&miss_d, &miss_p] {
-                for &(page, n) in runs {
+            if let Some((_, fc)) = self.flash.as_mut() {
+                for &(page, n) in miss_d.iter().chain(&miss_p) {
                     for pg in page..page + n {
-                        if let Some((_, fc)) = self.flash.as_mut() {
-                            spilled.extend(fc.insert_clean(PageKey { file, index: pg }));
-                        }
+                        spilled.extend(fc.insert_clean(PageKey { file, index: pg }));
                     }
                 }
             }
             // Dirty pages squeezed out of flash must reach the disk now.
             if !spilled.is_empty() {
-                let (d, e) = self.write_pages_to_disk(cur, &spilled);
-                let _ = d;
-                energy += e;
+                energy += self.write_pages_to_disk(cur, &spilled).1;
             }
-            (hit_keep(miss_d), hit_keep(miss_p))
+            misses = (miss_d, miss_p);
+            (&misses.0[..], &misses.1[..])
         } else {
-            (demand.to_vec(), prefetch.to_vec())
+            (demand, prefetch)
         };
-        let (demand, prefetch) = (&demand[..], &prefetch[..]);
         match source {
             Source::Disk => {
                 // C-SCAN over the combined batch; tag 1 = demand.
                 let mut q = CScanQueue::new();
-                for &(page, n) in demand {
-                    if let Some(start) = self.layout.block_of(file, page * PAGE_SIZE) {
-                        q.push(BlockRequest {
-                            start,
-                            blocks: n,
-                            tag: 1,
-                        });
-                    }
-                }
-                for &(page, n) in prefetch {
-                    if let Some(start) = self.layout.block_of(file, page * PAGE_SIZE) {
-                        q.push(BlockRequest {
-                            start,
-                            blocks: n,
-                            tag: 0,
-                        });
+                for (runs, tag) in [(demand, 1), (prefetch, 0)] {
+                    for &(page, n) in runs {
+                        if let Some(start) = self.layout.block_of(file, page * PAGE_SIZE) {
+                            q.push(BlockRequest {
+                                start,
+                                blocks: n,
+                                tag,
+                            });
+                        }
                     }
                 }
                 let mut cur = t;
                 for r in q.drain_sweep() {
                     let req = DeviceRequest::read(Bytes(r.blocks * PAGE_SIZE), Some(r.start));
-                    let out = self.service(cur, Source::Disk, req);
+                    let out = self.service(cur, Device::Disk, req);
                     cur = out.complete;
                     energy += out.energy;
                     if r.tag == 1 {
@@ -1059,19 +1003,16 @@ impl<'t, 'r> Runner<'t, 'r> {
             }
             Source::Wnic => {
                 let mut cur = t;
-                for &(_page, n) in demand {
-                    let req = DeviceRequest::read(Bytes(n * PAGE_SIZE), None);
-                    let out = self.service(cur, Source::Wnic, req);
-                    cur = out.complete;
-                    energy += out.energy;
-                    app_done = app_done.max(out.complete);
-                }
-                for &(page, n) in prefetch {
-                    let _ = page;
-                    let req = DeviceRequest::read(Bytes(n * PAGE_SIZE), None);
-                    let out = self.service(cur, Source::Wnic, req);
-                    cur = out.complete;
-                    energy += out.energy;
+                for (runs, blocking) in [(demand, true), (prefetch, false)] {
+                    for &(_, n) in runs {
+                        let req = DeviceRequest::read(Bytes(n * PAGE_SIZE), None);
+                        let out = self.service(cur, Device::Wnic, req);
+                        cur = out.complete;
+                        energy += out.energy;
+                        if blocking {
+                            app_done = app_done.max(out.complete);
+                        }
+                    }
                 }
             }
         }
@@ -1107,11 +1048,44 @@ impl<'t, 'r> Runner<'t, 'r> {
         for (start, n) in page_runs(pages) {
             let block = self.layout.block_of(start.file, start.index * PAGE_SIZE);
             let req = DeviceRequest::write(Bytes(n * PAGE_SIZE), block);
-            let out = self.service(cur, Source::Disk, req);
+            let out = self.service(cur, Device::Disk, req);
             cur = out.complete;
             energy += out.energy;
         }
         (cur, energy)
+    }
+
+    /// Destage the flash tier's buffered writes to the disk at `at`.
+    fn destage_flash(&mut self, at: SimTime) {
+        if let Some((_, fc)) = &mut self.flash {
+            let destage = fc.take_destage();
+            if !destage.is_empty() {
+                let _ = self.write_pages_to_disk(at, &destage);
+            }
+        }
+    }
+
+    /// Write back a batch of dirty `pages` at `at` (no-op when empty):
+    /// pinned files go to the disk, the rest wherever the policy
+    /// currently routes the batch's first page.
+    fn write_back(&mut self, at: SimTime, pages: &[PageKey]) {
+        let Some(first) = pages.first() else {
+            return;
+        };
+        if self.tracing {
+            self.emit(ObsEvent::WritebackFlush {
+                at,
+                pages: u64::try_from(pages.len()).unwrap_or(u64::MAX),
+            });
+        }
+        let probe = AppRequest {
+            file: first.file,
+            op: IoOp::Write,
+            offset: first.index * PAGE_SIZE,
+            len: Bytes(PAGE_SIZE),
+        };
+        let (source, _, _) = self.route(at, &probe);
+        let _ = self.write_dirty(at, pages, source);
     }
 
     /// Write evicted-dirty pages out synchronously (they gate the
@@ -1142,17 +1116,12 @@ impl<'t, 'r> Runner<'t, 'r> {
             // Flash write buffering: a write aimed at a sleeping disk
             // parks in flash instead of forcing a spin-up.
             if src == Source::Disk && self.flash.is_some() && !self.disk.is_ready() {
-                let req = DeviceRequest::write(bytes, None);
-                if let Some((f, _)) = self.flash.as_mut() {
-                    let out = f.service(cur, &req);
-                    cur = out.complete;
-                    energy += out.energy;
-                    self.flash_requests += 1;
-                    self.flash_bytes = self.flash_bytes.saturating_add(bytes);
-                }
+                let out = self.service(cur, Device::Flash, DeviceRequest::write(bytes, None));
+                cur = out.complete;
+                energy += out.energy;
                 let mut spilled = Vec::new();
-                for pg in run.0.index..run.0.index + run.1 {
-                    if let Some((_, fc)) = self.flash.as_mut() {
+                if let Some((_, fc)) = self.flash.as_mut() {
+                    for pg in run.0.index..run.0.index + run.1 {
                         spilled.extend(fc.buffer_write(PageKey {
                             file: run.0.file,
                             index: pg,
@@ -1167,7 +1136,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 continue;
             }
             let req = DeviceRequest::write(bytes, if src == Source::Disk { block } else { None });
-            let out = self.service(cur, src, req);
+            let out = self.service(cur, src.into(), req);
             cur = out.complete;
             energy += out.energy;
             // §5 extension: synchronise local writes to the server. The
@@ -1175,7 +1144,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             // blocked beyond the primary write).
             if self.cfg.sync_writes && src == Source::Disk {
                 let up = DeviceRequest::write(bytes, None);
-                let out = self.service(cur, Source::Wnic, up);
+                let out = self.service(cur, Device::Wnic, up);
                 energy += out.energy;
             }
         }
@@ -1279,7 +1248,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 service_time: done.saturating_since(t),
                 energy,
             };
-            self.notify_observe(done, &app_req, source, &outcome);
+            self.with_policy(done, |p, ctx| p.observe(ctx, &app_req, source, &outcome));
         }
         Ok(done)
     }
@@ -1290,33 +1259,10 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.disk.advance_to(now);
         let ready = self.disk.is_ready();
         if ready {
-            if let Some((_, fc)) = &mut self.flash {
-                let destage = fc.take_destage();
-                if !destage.is_empty() {
-                    let _ = self.write_pages_to_disk(now, &destage);
-                }
-            }
+            self.destage_flash(now);
         }
         let pages = self.cache.flush_due(now, ready);
-        if pages.is_empty() {
-            return;
-        }
-        if self.tracing {
-            self.emit(ObsEvent::WritebackFlush {
-                at: now,
-                pages: u64::try_from(pages.len()).unwrap_or(u64::MAX),
-            });
-        }
-        // Route the batch: pinned files to the disk, the rest wherever
-        // the policy currently points writes.
-        let probe = AppRequest {
-            file: pages[0].file,
-            op: IoOp::Write,
-            offset: pages[0].index * PAGE_SIZE,
-            len: Bytes(PAGE_SIZE),
-        };
-        let (source, _, _) = self.route(now, &probe);
-        let _ = self.write_dirty(now, &pages, source);
+        self.write_back(now, &pages);
     }
 
     fn end_stage(&mut self, now: SimTime) {
@@ -1333,25 +1279,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             disk_energy: self.disk.energy() - self.disk_mark,
             wnic_energy: self.wnic.energy() - self.wnic_mark,
         };
-        {
-            let Runner {
-                policy,
-                disk,
-                wnic,
-                layout,
-                cache,
-                ..
-            } = self;
-            let resident = |f: FileId, o: u64, l: Bytes| cache.resident_fraction(f, o, l);
-            let ctx = PolicyCtx {
-                now,
-                disk,
-                wnic,
-                layout,
-                resident: &resident,
-            };
-            policy.on_stage_end(&ctx, &report);
-        }
+        self.with_policy(now, |p, ctx| p.on_stage_end(ctx, &report));
         let fetched_now = self.disk_bytes.saturating_add(self.wnic_bytes);
         let fetched = fetched_now.saturating_sub(self.stage_bytes_mark);
         self.stage_summaries.push(crate::report::StageSummary {
@@ -1375,11 +1303,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 at: now,
                 disk_energy: self.disk.energy(),
                 wnic_energy: self.wnic.energy(),
-                flash_energy: self
-                    .flash
-                    .as_ref()
-                    .map(|(f, _)| f.energy())
-                    .unwrap_or(Joules::ZERO),
+                flash_energy: self.flash_energy(),
             });
             self.emit(ObsEvent::StageStart {
                 at: now,
@@ -1388,7 +1312,6 @@ impl<'t, 'r> Runner<'t, 'r> {
         }
         self.stage_bytes_mark = fetched_now;
         self.stage_index += 1;
-        self.stages_done += 1;
         self.stage_start = now;
         self.disk_mark = self.disk.energy();
         self.wnic_mark = self.wnic.energy();
@@ -1403,16 +1326,11 @@ impl<'t, 'r> Runner<'t, 'r> {
                         debug_assert!(false, "issue event without queued record");
                         continue;
                     };
-                    let rec = &self.trace.records[idx];
-                    let done = self.process_call(t, &rec.clone())?;
+                    let rec = self.trace.records[idx];
+                    let done = self.process_call(t, &rec)?;
                     self.last_completion = self.last_completion.max(done);
                     self.remaining_calls -= 1;
-                    if self
-                        .queues
-                        .get(&pid)
-                        .map(|q| !q.is_empty())
-                        .unwrap_or(false)
-                    {
+                    if self.queues.get(&pid).is_some_and(|q| !q.is_empty()) {
                         self.push_event(done + think, EventKind::Issue(pid));
                     }
                 }
@@ -1435,7 +1353,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                     let (_, mbps) = self.cfg.wnic_bandwidth_schedule[i];
                     self.wnic.advance_to(t);
                     self.wnic
-                        .set_bandwidth(ff_base::BytesPerSec::from_mbit_per_sec(mbps));
+                        .set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
                     // Recorded for observability, but the policy is NOT
                     // notified: scheduled drift (the user walking around)
                     // is discovered by the §2.3.1 stage-end audit, unlike
@@ -1451,33 +1369,13 @@ impl<'t, 'r> Runner<'t, 'r> {
             self.drain_device_events();
         }
 
-        // Final sync: everything still dirty is written out, then both
-        // devices are advanced to the end of the run.
+        // Final sync: everything still dirty is written out, then any
+        // flash-buffered writes, then every device is advanced to the
+        // end of the run.
         let end = self.last_completion;
         let dirty = self.cache.flush_all();
-        if !dirty.is_empty() {
-            if self.tracing {
-                self.emit(ObsEvent::WritebackFlush {
-                    at: end,
-                    pages: u64::try_from(dirty.len()).unwrap_or(u64::MAX),
-                });
-            }
-            let probe = AppRequest {
-                file: dirty[0].file,
-                op: IoOp::Write,
-                offset: dirty[0].index * PAGE_SIZE,
-                len: Bytes(PAGE_SIZE),
-            };
-            let (source, _, _) = self.route(end, &probe);
-            let _ = self.write_dirty(end, &dirty, source);
-        }
-        // Final destage of any flash-buffered writes.
-        if let Some((_, fc)) = &mut self.flash {
-            let destage = fc.take_destage();
-            if !destage.is_empty() {
-                let _ = self.write_pages_to_disk(end, &destage);
-            }
-        }
+        self.write_back(end, &dirty);
+        self.destage_flash(end);
         let final_t = end.max(self.disk.clock()).max(self.wnic.clock()).max(
             self.flash
                 .as_ref()
@@ -1496,11 +1394,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                 at: final_t,
                 disk_energy: self.disk.energy(),
                 wnic_energy: self.wnic.energy(),
-                flash_energy: self
-                    .flash
-                    .as_ref()
-                    .map(|(f, _)| f.energy())
-                    .unwrap_or(Joules::ZERO),
+                flash_energy: self.flash_energy(),
             });
         }
 
@@ -1518,18 +1412,14 @@ impl<'t, 'r> Runner<'t, 'r> {
             wnic_requests: self.wnic_requests,
             disk_bytes: self.disk_bytes,
             wnic_bytes: self.wnic_bytes,
-            flash_energy: self
-                .flash
-                .as_ref()
-                .map(|(f, _)| f.energy())
-                .unwrap_or(Joules::ZERO),
+            flash_energy: self.flash_energy(),
             flash_meter: self.flash.as_ref().map(|(f, _)| f.meter().clone()),
             flash_requests: self.flash_requests,
             flash_bytes: self.flash_bytes,
             cache_hits: hits,
             cache_misses: misses,
             cache_stats: self.cache.stats(),
-            stages: self.stages_done,
+            stages: self.stage_index,
             faults_injected: self.faults_injected,
             retries: self.fault_retries,
             failovers: self.fault_failovers,
@@ -1538,12 +1428,6 @@ impl<'t, 'r> Runner<'t, 'r> {
             stage_summaries: self.stage_summaries,
         })
     }
-}
-
-/// Identity helper naming the flash-miss runs that continue to the
-/// routed device.
-fn hit_keep(runs: PageRuns) -> PageRuns {
-    runs
 }
 
 /// Group sorted page keys into per-file contiguous runs.
@@ -2168,6 +2052,55 @@ mod tests {
             .policy(PolicyKind::DiskOnly)
             .run();
         assert!(matches!(err, Err(Error::Fault(_))));
+    }
+
+    fn config_error(cfg: SimConfig) -> bool {
+        let trace = grep_small();
+        let run = Simulation::new(cfg, &trace)
+            .policy(PolicyKind::WnicOnly)
+            .run();
+        matches!(run, Err(Error::Config(_)))
+    }
+
+    #[test]
+    fn zero_stage_or_flush_cadence_is_rejected_up_front() {
+        let mut cfg = SimConfig::default();
+        cfg.stage_len = Dur::ZERO;
+        assert!(config_error(cfg));
+        let mut cfg = SimConfig::default();
+        cfg.cache.writeback.wakeup_interval = Dur::ZERO;
+        assert!(config_error(cfg));
+    }
+
+    #[test]
+    fn empty_wnic_outage_is_rejected_up_front() {
+        let five = Dur::from_secs(5);
+        assert!(config_error(
+            SimConfig::default().with_wnic_outage(five, five)
+        ));
+    }
+
+    #[test]
+    fn inverted_wnic_outage_is_rejected_up_front() {
+        assert!(config_error(
+            SimConfig::default().with_wnic_outage(Dur::from_secs(5), Dur::from_secs(1))
+        ));
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_scheduled_rate_is_rejected_up_front() {
+        for mbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = SimConfig::default().with_bandwidth_change(Dur::ZERO, mbps);
+            assert!(config_error(cfg), "{mbps} Mbit/s");
+        }
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_link_rate_is_rejected_up_front() {
+        for mbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = SimConfig::default().with_wnic_bandwidth_mbps(mbps);
+            assert!(config_error(cfg), "{mbps} Mbit/s");
+        }
     }
 
     #[test]

@@ -225,9 +225,11 @@ impl Trace {
         }
     }
 
-    /// Validate internal consistency: timestamps non-decreasing, every
-    /// record references a known file and stays within its bounds, and no
-    /// zero-length requests.
+    /// Validate internal consistency: timestamps non-decreasing, no
+    /// record ending past the end of time, every record references a
+    /// known file and stays within its bounds, and no zero-length
+    /// requests. A record-level [`Error::Parse`] carries the 1-based
+    /// record index as its `line`.
     pub fn validate(&self) -> Result<()> {
         let mut prev = SimTime::ZERO;
         for (i, r) in self.records.iter().enumerate() {
@@ -238,6 +240,12 @@ impl Trace {
                 });
             }
             prev = r.ts;
+            if r.ts.checked_add(r.dur).is_none() {
+                return Err(Error::Parse {
+                    line: i + 1,
+                    msg: format!("record end overflows: {} + {}", r.ts, r.dur),
+                });
+            }
             if r.len.is_zero() {
                 return Err(Error::Parse {
                     line: i + 1,
@@ -406,6 +414,17 @@ mod tests {
             t.validate(),
             Err(Error::OutOfBounds { inode: 3, .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_an_overflowing_end_in_time() {
+        let mut t = tiny_trace();
+        t.records.push(rec(10, 1, 0, 1, u64::MAX, 5));
+        assert!(matches!(t.validate(), Err(Error::Parse { line: 3, .. })));
+        // The last representable end is fine.
+        t.records.last_mut().unwrap().dur = Dur::ZERO;
+        t.validate().unwrap();
+        t.stats();
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! ```
 //!
 //! Lines starting with `#` are comments. Records must be timestamp-ordered
-//! (enforced by [`Trace::validate`] on load).
+//! (enforced by [`Trace::validate`] on load; its record-level errors are
+//! reported at the record's text line).
 
 use crate::model::{FileId, FileMeta, IoOp, Trace, TraceRecord};
 use ff_base::{Bytes, Dur, Error, Result, SimTime};
@@ -55,7 +56,7 @@ pub fn to_string(trace: &Trace) -> String {
     out
 }
 
-fn parse_u64(tok: Option<&str>, line: usize, what: &str) -> Result<u64> {
+fn parse_num<T: std::str::FromStr>(tok: Option<&str>, line: usize, what: &str) -> Result<T> {
     tok.ok_or_else(|| Error::Parse {
         line,
         msg: format!("missing {what}"),
@@ -80,6 +81,8 @@ pub fn from_str(text: &str) -> Result<Trace> {
         }
     }
     let mut trace = Trace::new("unnamed");
+    // Text line of each record, for validation errors.
+    let mut record_lines = Vec::new();
     for (idx, raw) in lines {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -92,8 +95,8 @@ pub fn from_str(text: &str) -> Result<Trace> {
         }
         if let Some(rest) = line.strip_prefix("@file ") {
             let mut toks = rest.splitn(3, ' ');
-            let inode = parse_u64(toks.next(), line_no, "inode")?;
-            let size = parse_u64(toks.next(), line_no, "size")?;
+            let inode = parse_num(toks.next(), line_no, "inode")?;
+            let size = parse_num(toks.next(), line_no, "size")?;
             let name = toks
                 .next()
                 .ok_or_else(|| Error::Parse {
@@ -119,13 +122,13 @@ pub fn from_str(text: &str) -> Result<Trace> {
                 });
             }
         };
-        let pid = ff_base::checked::u64_to_u32(parse_u64(toks.next(), line_no, "pid")?);
-        let pgid = ff_base::checked::u64_to_u32(parse_u64(toks.next(), line_no, "pgid")?);
-        let inode = parse_u64(toks.next(), line_no, "inode")?;
-        let offset = parse_u64(toks.next(), line_no, "offset")?;
-        let len = parse_u64(toks.next(), line_no, "len")?;
-        let ts = parse_u64(toks.next(), line_no, "timestamp")?;
-        let dur = parse_u64(toks.next(), line_no, "duration")?;
+        let pid = parse_num(toks.next(), line_no, "pid")?;
+        let pgid = parse_num(toks.next(), line_no, "pgid")?;
+        let inode = parse_num(toks.next(), line_no, "inode")?;
+        let offset = parse_num(toks.next(), line_no, "offset")?;
+        let len = parse_num(toks.next(), line_no, "len")?;
+        let ts = parse_num(toks.next(), line_no, "timestamp")?;
+        let dur = parse_num(toks.next(), line_no, "duration")?;
         if toks.next().is_some() {
             return Err(Error::Parse {
                 line: line_no,
@@ -142,8 +145,18 @@ pub fn from_str(text: &str) -> Result<Trace> {
             ts: SimTime(ts),
             dur: Dur(dur),
         });
+        record_lines.push(line_no);
     }
-    trace.validate()?;
+    trace.validate().map_err(|e| match e {
+        Error::Parse { line, msg } => Error::Parse {
+            line: line
+                .checked_sub(1)
+                .and_then(|i| record_lines.get(i).copied())
+                .unwrap_or(0),
+            msg,
+        },
+        other => other,
+    })?;
     Ok(trace)
 }
 
@@ -223,6 +236,43 @@ mod tests {
             Err(Error::Parse { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn overflowing_record_end_in_time_is_rejected() {
+        let text = format!("{HEADER}\n@file 1 100 f\nr 1 1 1 0 1 18446744073709551615 5\n");
+        assert!(matches!(from_str(&text), Err(Error::Parse { line: 3, .. })));
+    }
+
+    #[test]
+    fn out_of_range_pid_or_pgid_is_a_parse_error_on_its_line() {
+        for rec in ["r 4294967296 1 1 0 1 0 0", "r 1 4294967296 1 0 1 0 0"] {
+            let text = format!("{HEADER}\n@file 1 100 f\n\n{rec}\n");
+            assert!(
+                matches!(from_str(&text), Err(Error::Parse { line: 4, .. })),
+                "{rec}"
+            );
+        }
+        let max = format!("{HEADER}\n@file 1 100 f\nr 4294967295 4294967295 1 0 1 0 0\n");
+        let t = from_str(&max).unwrap();
+        assert_eq!((t.records[0].pid, t.records[0].pgid), (u32::MAX, u32::MAX));
+    }
+
+    #[test]
+    fn validation_errors_report_text_lines() {
+        // The backwards timestamp is record 2 but text line 6.
+        let text = format!(
+            "{HEADER}\n@name x\n@file 1 100 f\nr 1 1 1 0 1 500 0\n# comment\nr 1 1 1 0 1 100 0\n"
+        );
+        match from_str(&text) {
+            Err(Error::Parse { line, msg }) => {
+                assert_eq!(line, 6, "{msg}");
+                assert!(msg.contains("backwards"), "{msg}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        let zero = format!("{HEADER}\n@file 1 100 f\n\nr 1 1 1 0 0 0 0\n");
+        assert!(matches!(from_str(&zero), Err(Error::Parse { line: 4, .. })));
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   carry pgids; use one import per program).
 //!
 //! Unparseable or irrelevant lines (other syscalls, signal notes,
-//! unfinished/resumed fragments, byte ranges that overflow `u64`) are
-//! skipped and counted.
+//! unfinished/resumed fragments, byte ranges that overflow `u64`, calls
+//! ending past the last representable instant) are skipped and counted.
 
 use crate::model::{FileId, FileMeta, FileSet, IoOp, Trace, TraceRecord};
 use ff_base::{Bytes, Dur, SimTime};
@@ -254,6 +254,8 @@ impl StraceImporter {
                 let len = ret_num as u64;
                 // A range past u64::MAX cannot be a real file access.
                 let end = offset.checked_add(len)?;
+                // Nor can a call that ends past the end of time.
+                ts_sim.checked_add(dur)?;
                 let op = if sys.contains("read") {
                     IoOp::Read
                 } else {
@@ -366,6 +368,18 @@ garbage line
         let text = "\
 1 1.0 open(\"/f\", O_RDONLY) = 3
 1 1.1 pread64(3, \"\"..., 10, 18446744073709551615) = 10
+";
+        let (trace, stats) = StraceImporter::new("app", 1, 1).import(text);
+        assert!(trace.is_empty());
+        assert_eq!((stats.records, stats.skipped), (0, 1));
+        trace.validate().unwrap();
+    }
+
+    #[test]
+    fn call_ending_past_the_end_of_time_is_skipped() {
+        let text = "\
+1 1.0 open(\"/f\", O_RDONLY) = 3
+1 1e20 read(3, \"\"..., 10) = 10 <0.000100>
 ";
         let (trace, stats) = StraceImporter::new("app", 1, 1).import(text);
         assert!(trace.is_empty());

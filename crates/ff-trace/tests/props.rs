@@ -1,10 +1,10 @@
 //! Property tests for the trace layer: generators, layout, persistence,
 //! and the raw-strace importer must hold up under arbitrary inputs.
 
-use ff_base::{Bytes, Dur};
+use ff_base::{Bytes, Dur, Error, SimTime};
 use ff_trace::{
-    strace, Acroread, DiskLayout, Grep, Make, Mplayer, StraceImporter, Thunderbird, Trace,
-    Workload, Xmms,
+    strace, Acroread, DiskLayout, FileId, FileMeta, Grep, IoOp, Make, Mplayer, StraceImporter,
+    Thunderbird, Trace, TraceRecord, Workload, Xmms,
 };
 use proptest::prelude::*;
 
@@ -178,26 +178,101 @@ proptest! {
 "
         .to_vec();
         for (pos, byte, kind) in edits {
-            let at = pos % (bytes.len() + 1);
-            match kind {
-                0 if at < bytes.len() => bytes[at] = byte,
-                0 | 1 => bytes.insert(at, byte),
-                _ => {
-                    let big: &[u8] = if byte % 2 == 0 {
-                        b"9223372036854775807"
-                    } else {
-                        b"18446744073709551615"
-                    };
-                    let digit = |b: &u8| b.is_ascii_digit();
-                    let start = bytes[..at].iter().rposition(|b| !digit(b)).map_or(0, |i| i + 1);
-                    let end = bytes[at..].iter().position(|b| !digit(b)).map_or(bytes.len(), |i| at + i);
-                    bytes.splice(start..end, big.iter().copied());
-                }
-            }
+            edit_bytes(&mut bytes, pos, byte, kind);
         }
         let text = String::from_utf8_lossy(&bytes);
         let (trace, stats) = StraceImporter::new("edits", 7, 1).import(&text);
         prop_assert!(trace.validate().is_ok());
         prop_assert_eq!(trace.len(), stats.records);
+    }
+}
+
+/// Apply one random byte edit to `bytes`: replace a byte (kind 0),
+/// insert one (kind 1), or overwrite the number around the position
+/// with `i64::MAX` or `u64::MAX` (kind 2).
+fn edit_bytes(bytes: &mut Vec<u8>, pos: usize, byte: u8, kind: u8) {
+    let at = pos % (bytes.len() + 1);
+    match kind {
+        0 if at < bytes.len() => bytes[at] = byte,
+        0 | 1 => bytes.insert(at, byte),
+        _ => {
+            let big: &[u8] = if byte % 2 == 0 {
+                b"9223372036854775807"
+            } else {
+                b"18446744073709551615"
+            };
+            let digit = |b: &u8| b.is_ascii_digit();
+            let start = bytes[..at]
+                .iter()
+                .rposition(|b| !digit(b))
+                .map_or(0, |i| i + 1);
+            let end = bytes[at..]
+                .iter()
+                .position(|b| !digit(b))
+                .map_or(bytes.len(), |i| at + i);
+            bytes.splice(start..end, big.iter().copied());
+        }
+    }
+}
+
+/// A small valid trace: two files, reads and a write, two process groups.
+fn text_format_sample() -> Trace {
+    let mut t = Trace::new("sample");
+    for (id, size, name) in [(3, 100_000, "a.c"), (9, 4_096, "My Documents/b.h")] {
+        t.files.insert(FileMeta {
+            id: FileId(id),
+            name: name.into(),
+            size: Bytes(size),
+        });
+    }
+    let recs = [
+        (100, 100, 3, IoOp::Read, 0, 4_096, 10, 250),
+        (100, 100, 9, IoOp::Read, 0, 4_096, 1_000, 90),
+        (200, 200, 3, IoOp::Write, 4_096, 100, 5_000, 30),
+        (101, 100, 3, IoOp::Read, 8_192, 65_536, 70_000, 1_200),
+    ];
+    for (pid, pgid, file, op, offset, len, ts, dur) in recs {
+        t.records.push(TraceRecord {
+            pid,
+            pgid,
+            file: FileId(file),
+            op,
+            offset,
+            len: Bytes(len),
+            ts: SimTime(ts),
+            dur: Dur(dur),
+        });
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random byte edits of a valid `strace::to_string` output never
+    /// panic the text parser. Every parse error names a line inside the
+    /// text, and whatever parses validates, summarises and round-trips.
+    #[test]
+    fn text_parser_survives_byte_edits(
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), 0u8..3), 1..12),
+    ) {
+        let mut bytes = strace::to_string(&text_format_sample()).into_bytes();
+        for (pos, byte, kind) in edits {
+            edit_bytes(&mut bytes, pos, byte, kind);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        match strace::from_str(&text) {
+            Ok(trace) => {
+                prop_assert!(trace.validate().is_ok());
+                let _ = trace.stats();
+                let again = strace::from_str(&strace::to_string(&trace));
+                prop_assert_eq!(again.as_ref(), Ok(&trace));
+            }
+            Err(Error::Parse { line, msg }) => {
+                let lines = text.lines().count();
+                prop_assert!((1..=lines.max(1)).contains(&line), "line {} of {}: {}", line, lines, msg);
+            }
+            Err(_) => {}
+        }
     }
 }

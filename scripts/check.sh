@@ -113,6 +113,11 @@ run_step "cargo build --release" cargo build --release
 # The workspace tests include the chaos suite, trace conformance, the
 # absint soundness properties and the doctests.
 run_step "cargo test -q --workspace" cargo test -q --workspace
+# bench/hot is a package of its own (empty [workspace]), so the step
+# above never builds it: a library change that breaks the benchmark's
+# build or its seed-42 fingerprints (expected_json_is_current) fails here.
+run_step "benchmark package (cargo test bench/hot)" \
+    cargo test --release --offline --locked --manifest-path bench/hot/Cargo.toml
 run_step "mutation-killscore (kill-rate ratchet vs recorded floors)" killscore_step
 run_step "handbook (mdbook-or-ff-book build + link check)" handbook_step
 run_step "parallel-determinism (benchpar: jobs=1 vs jobs=8 byte-identical)" parallel_step

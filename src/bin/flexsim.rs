@@ -185,10 +185,9 @@ fn build_workload(name: &str, seed: u64) -> (Trace, Profile, Vec<FileId>) {
     }
 }
 
-fn policies(name: &str, profile: &Profile, loss: f64, stage: Dur) -> Vec<PolicyKind> {
+fn policies(name: &str, profile: &Profile, loss: f64) -> Vec<PolicyKind> {
     let ff_cfg = FlexFetchConfig {
         loss_rate: loss,
-        stage_len: stage,
         ..Default::default()
     };
     let ff = PolicyKind::FlexFetch {
@@ -359,7 +358,7 @@ fn main() {
         "# flexsim report — {} (seed {})\n\nWNIC {} Mbps / {} ms latency; stage {} s; loss rate {}.\n\n",
         args.workload, args.seed, args.bandwidth_mbps, args.latency_ms, args.stage_secs, args.loss_rate
     );
-    for kind in policies(&args.policy, &profile, args.loss_rate, cfg.stage_len) {
+    for kind in policies(&args.policy, &profile, args.loss_rate) {
         let report = match Simulation::new(cfg.clone(), &trace).policy(kind).run() {
             Ok(r) => r,
             Err(e) => {
