@@ -7,7 +7,7 @@ use ff_bench::Scenario;
 use ff_cache::CacheConfig;
 use ff_policy::{BlueFs, FlexFetch, FlexFetchConfig, Oracle, Policy, PolicyKind};
 use ff_profile::{BurstExtractor, HoardPlanner, Profile, Profiler};
-use ff_sim::{SimConfig, SimReport, Simulation};
+use ff_sim::{FaultPlan, SimConfig, SimReport, Simulation};
 use ff_trace::{AccessPattern, Acroread, DiskLayout, Grep, Make, Synthetic, Trace, Workload};
 use std::fmt::{self, Write};
 
@@ -275,9 +275,8 @@ fn mobility(o: &mut Sink) -> Result {
         PolicyKind::DiskOnly,
         PolicyKind::WnicOnly,
     ] {
-        let cfg = s
-            .configure(SimConfig::default())
-            .with_bandwidth_change(Dur::from_secs(120), 1.0);
+        let step = FaultPlan::none().with_bandwidth_step(Dur::from_secs(120), 1.0);
+        let cfg = s.configure(SimConfig::default()).with_faults(step);
         let r = run(cfg, &s.trace, kind)?;
         let (e, t) = (r.total_energy().get(), r.exec_time.as_secs_f64());
         writeln!(o, "{:>18} {e:>11.1}J {t:>9.1}s", r.policy)?;
@@ -296,9 +295,9 @@ fn outage(o: &mut Sink) -> Result {
     let flexfetch = PolicyKind::flexfetch(s.profile.clone());
     for kind in [flexfetch, PolicyKind::WnicOnly, PolicyKind::DiskOnly] {
         let plain = energy(s.configure(SimConfig::default()), &s.trace, kind.clone())?;
-        let cfg = s
-            .configure(SimConfig::default())
-            .with_wnic_outage(Dur::from_secs(300), Dur::from_secs(480));
+        let outage =
+            FaultPlan::none().with_silent_link_outage(Dur::from_secs(300), Dur::from_secs(180));
+        let cfg = s.configure(SimConfig::default()).with_faults(outage);
         let out = energy(cfg, &s.trace, kind.clone())?;
         writeln!(o, "{:>18} {plain:>11.1}J {out:>11.1}J", kind.label())?;
     }

@@ -2,12 +2,13 @@
 //! `tables`, `trace_stats`, `spindown` and `powertrace`.
 
 use crate::{Args, Result, Sink, Usage};
-use ff_base::Dur;
+use ff_base::{Dur, SimTime, Watts};
 use ff_bench::Scenario;
 use ff_device::spindown::{fixed_timeout_energy, idle_periods, oracle_energy, ShareSpindown};
-use ff_device::{DiskParams, PowerEvent, WnicParams};
+use ff_device::{DiskParams, WnicParams};
 use ff_policy::PolicyKind;
-use ff_sim::{SimConfig, Simulation};
+use ff_sim::record::Device;
+use ff_sim::{Event, EventLog, SimConfig, SimReport, Simulation};
 use ff_trace::{analyze, Acroread, Grep, Make, Mplayer, Thunderbird, Trace, Workload, Xmms};
 use std::fmt::{self, Display, Write};
 
@@ -157,6 +158,104 @@ pub fn spindown(_: &Args, o: &mut Sink) -> Result {
     Ok(())
 }
 
+/// One power-trace row: a dwell of `device` in `state` over
+/// `[start, end)` drawing `value` watts, or a transition at
+/// `start == end` costing `value` joules.
+struct PowerRow {
+    device: Device,
+    start: SimTime,
+    end: SimTime,
+    state: &'static str,
+    value: f64,
+}
+
+/// Watts drawn in a disk or WNIC power state. mplayer only reads, so
+/// the transfer states draw the receive power.
+fn state_watts(state: &str, disk: &DiskParams, wnic: &WnicParams) -> Option<Watts> {
+    Some(match state {
+        "active" => disk.active_power,
+        "idle" => disk.idle_power,
+        "standby" => disk.standby_power,
+        "spinning_up" | "spinning_down" | "switching" => Watts::ZERO,
+        "cam_idle" => wnic.cam_idle,
+        "cam_transfer" => wnic.cam_recv,
+        "psm_idle" => wnic.psm_idle,
+        "psm_transfer" => wnic.psm_recv,
+        _ => return None,
+    })
+}
+
+/// Run mplayer under `kind` with an [`EventLog`] and rebuild the disk
+/// and WNIC power timelines from their `DeviceState` and
+/// `DeviceTransition` events. A transition closes the open dwell at
+/// its instant and the same state reopens there; zero-length dwells
+/// are dropped, and the last dwell ends at the final `EnergySample`.
+fn power_trace(kind: PolicyKind, s: &Scenario) -> Result<(SimReport, Vec<PowerRow>)> {
+    let cfg = s.configure(SimConfig::default());
+    let (disk, wnic) = (cfg.disk.clone(), cfg.wnic.clone());
+    let mut log = EventLog::new();
+    let report = Simulation::new(cfg, &s.trace)
+        .policy(kind)
+        .run_recorded(&mut log)?;
+    let end = log
+        .events()
+        .iter()
+        .rev()
+        .find_map(|e| match *e {
+            Event::EnergySample { at, .. } => Some(at),
+            _ => None,
+        })
+        .ok_or("no energy sample recorded")?;
+    let mut rows = Vec::new();
+    for device in [Device::Disk, Device::Wnic] {
+        // `(instant, name, transition energy)`, closed by the run's end.
+        let marks = log.events().iter().filter_map(|e| match *e {
+            Event::DeviceState {
+                at,
+                device: d,
+                state,
+            } if d == device => Some((at, state, None)),
+            Event::DeviceTransition {
+                at,
+                device: d,
+                name,
+                energy,
+            } if d == device => Some((at, name, Some(energy))),
+            _ => None,
+        });
+        let mut open: Option<(SimTime, &'static str)> = None;
+        for (at, name, energy) in marks.chain([(end, "", None)]) {
+            if let Some((start, state)) = open.filter(|&(start, _)| start < at) {
+                let watts = state_watts(state, &disk, &wnic)
+                    .ok_or_else(|| format!("no power figure for state {state}"))?;
+                let value = watts.get();
+                rows.push(PowerRow {
+                    device,
+                    start,
+                    end: at,
+                    state,
+                    value,
+                });
+            }
+            open = match energy {
+                Some(joules) => {
+                    let value = joules.get();
+                    rows.push(PowerRow {
+                        device,
+                        start: at,
+                        end: at,
+                        state: name,
+                        value,
+                    });
+                    open.map(|(_, state)| (at, state))
+                }
+                None => Some((at, name)),
+            };
+        }
+    }
+    Ok((report, rows))
+}
+
 /// `powertrace [flexfetch|bluefs|disk|wnic]`: the chronological power
 /// trace of one mplayer run (the most visibly alternating workload) as
 /// CSV, `t_start_s,t_end_s,device,state,watts_or_joules`, for gnuplot.
@@ -169,25 +268,55 @@ pub fn powertrace(args: &Args, o: &mut Sink) -> Result {
         "wnic" => PolicyKind::WnicOnly,
         other => return Err(Usage(format!("unknown policy {other}")).into()),
     };
-    let mut cfg = s.configure(SimConfig::default());
-    cfg.record_power_log = true;
-    let report = Simulation::new(cfg, &s.trace).policy(kind).run()?;
+    let (report, rows) = power_trace(kind, &s)?;
     writeln!(o.err, "# {}", report.summary())?;
     writeln!(o, "t_start_s,t_end_s,device,state,watts_or_joules")?;
-    for (device, meter) in [("disk", &report.disk_meter), ("wnic", &report.wnic_meter)] {
-        let mut t = 0.0f64;
-        for e in meter.power_log().ok_or("power log not recorded")? {
-            match e {
-                PowerEvent::Dwell { state, power, dur } => {
-                    let end = t + dur.as_secs_f64();
-                    writeln!(o, "{t:.6},{end:.6},{device},{state},{:.3}", power.get())?;
-                    t = end;
-                }
-                PowerEvent::Transition { name, energy } => {
-                    writeln!(o, "{t:.6},{t:.6},{device},{name},{:.3}", energy.get())?;
-                }
+    for r in rows {
+        let (t0, t1) = (r.start.as_secs_f64(), r.end.as_secs_f64());
+        let (dev, state, v) = (r.device.label(), r.state, r.value);
+        writeln!(o, "{t0:.6},{t1:.6},{dev},{state},{v:.3}")?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn joules(r: &PowerRow) -> f64 {
+        if r.start == r.end {
+            r.value
+        } else {
+            r.value * (r.end - r.start).as_secs_f64()
+        }
+    }
+
+    /// The derived timeline accounts for every joule the meters saw:
+    /// dwell rows (watts × duration) plus transition rows, per device.
+    #[test]
+    fn power_trace_balances_the_report_energy() {
+        let s = Scenario::mplayer(42).unwrap();
+        let kinds = [
+            PolicyKind::flexfetch(s.profile.clone()),
+            PolicyKind::BlueFs,
+            PolicyKind::DiskOnly,
+            PolicyKind::WnicOnly,
+        ];
+        for kind in kinds {
+            let (report, rows) = power_trace(kind, &s).unwrap();
+            for (device, want) in [
+                (Device::Disk, report.disk_energy),
+                (Device::Wnic, report.wnic_energy),
+            ] {
+                let got: f64 = rows.iter().filter(|r| r.device == device).map(joules).sum();
+                let want = want.get();
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs(),
+                    "{} {}: rows {got} J vs report {want} J",
+                    report.policy,
+                    device.label()
+                );
             }
         }
     }
-    Ok(())
 }

@@ -1,32 +1,17 @@
-//! # ff-book — the offline handbook builder
+//! # ff-book — the offline handbook check
 //!
 //! The handbook under `docs/` is authored in mdBook's conventions
-//! (`book.toml` + `SUMMARY.md` + Markdown chapters) so a stock
-//! `mdbook build docs` works wherever mdBook is installed. This build
-//! environment has no network access and no mdBook binary, so this
-//! crate provides the std-only fallback the check scripts use:
-//!
-//! * [`build`] — parse `book.toml` and `SUMMARY.md`, render every
-//!   chapter to HTML under `docs/book/`, and fail on structural errors
-//!   (a `SUMMARY.md` entry whose file is missing, an unterminated code
-//!   fence, …).
-//! * [`check_links`] — resolve every relative Markdown link in every
-//!   chapter (including links out into the repository, e.g.
-//!   `../DESIGN.md` or `../crates/ff-sim/src/lib.rs`) and report the
-//!   broken ones.
-//!
-//! The Markdown renderer is deliberately a subset — ATX headings,
-//! fenced code blocks, inline code, links, emphasis, and lists — which
-//! is exactly the subset the handbook chapters use. It is a build
-//! fallback, not a Markdown engine; mdBook remains the reference
-//! renderer.
+//! (`book.toml` + `SUMMARY.md` + Markdown chapters), so a stock
+//! `mdbook build docs` renders it wherever mdBook is installed. mdBook
+//! does not verify links, so this std-only crate is the gate:
+//! [`check`] parses `book.toml` and `SUMMARY.md`, fails if a chapter
+//! file is missing, and reports every relative Markdown link that does
+//! not resolve (including links out into the repository, e.g.
+//! `../DESIGN.md`) and every unterminated code fence.
 //!
 //! ```
-//! use ff_book::render_markdown;
-//!
-//! let html = render_markdown("# Title\n\nSee [the design](DESIGN.md).\n");
-//! assert!(html.contains("<h1 id=\"title\">Title</h1>"));
-//! assert!(html.contains("<a href=\"DESIGN.md\">the design</a>"));
+//! let docs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs");
+//! assert_eq!(ff_book::check(&docs).unwrap(), []);
 //! ```
 
 #![warn(missing_docs)]
@@ -54,27 +39,14 @@ pub struct Chapter {
     pub path: String,
 }
 
-/// What [`build`] produced.
+/// One problem found by [`check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuildReport {
-    /// The book title.
-    pub title: String,
-    /// Chapters rendered, in `SUMMARY.md` order.
-    pub chapters: Vec<Chapter>,
-    /// HTML files written (relative to the output directory).
-    pub written: Vec<String>,
-}
-
-/// One broken link found by [`check_links`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkIssue {
-    /// Chapter file (relative to the source directory) containing the link.
+pub struct Issue {
+    /// Chapter file (relative to the source directory) containing it.
     pub file: String,
-    /// 1-based line of the link.
+    /// 1-based line.
     pub line: usize,
-    /// The link target as written.
-    pub target: String,
-    /// Why it is broken.
+    /// What is wrong.
     pub reason: String,
 }
 
@@ -152,206 +124,8 @@ fn parse_link(text: &str) -> Option<(&str, &str)> {
     Some((&rest[..close], &after[..end]))
 }
 
-/// Escape the four HTML-significant characters.
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Render inline Markdown: `code`, [links](x), **bold**, *emphasis*.
-fn render_inline(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while !rest.is_empty() {
-        if let Some(tail) = rest.strip_prefix('`') {
-            if let Some(end) = tail.find('`') {
-                out.push_str("<code>");
-                out.push_str(&escape(&tail[..end]));
-                out.push_str("</code>");
-                rest = &tail[end + 1..];
-                continue;
-            }
-        }
-        if rest.starts_with('[') {
-            if let Some((label, target)) = parse_link(rest) {
-                let consumed = label.len() + target.len() + 4;
-                out.push_str(&format!(
-                    "<a href=\"{}\">{}</a>",
-                    escape(target),
-                    render_inline(label)
-                ));
-                rest = &rest[consumed..];
-                continue;
-            }
-        }
-        if let Some(tail) = rest.strip_prefix("**") {
-            if let Some(end) = tail.find("**") {
-                out.push_str("<strong>");
-                out.push_str(&render_inline(&tail[..end]));
-                out.push_str("</strong>");
-                rest = &tail[end + 2..];
-                continue;
-            }
-        }
-        if let Some(tail) = rest.strip_prefix('*') {
-            if let Some(end) = tail.find('*') {
-                out.push_str("<em>");
-                out.push_str(&render_inline(&tail[..end]));
-                out.push_str("</em>");
-                rest = &tail[end + 1..];
-                continue;
-            }
-        }
-        let mut chars = rest.char_indices();
-        if let Some((_, c)) = chars.next() {
-            out.push_str(&escape(&c.to_string()));
-            rest = chars.as_str();
-        } else {
-            break;
-        }
-    }
-    out
-}
-
-/// Render a whole Markdown chapter to an HTML body fragment.
-///
-/// Supported blocks: ATX headings (`#`–`####`), fenced code blocks
-/// (triple backtick, optional language info kept as a CSS class),
-/// unordered/ordered lists, block quotes, tables (rendered as
-/// preformatted text), and paragraphs.
-pub fn render_markdown(text: &str) -> String {
-    let mut out = String::new();
-    let mut lines = text.lines().peekable();
-    let mut paragraph: Vec<String> = Vec::new();
-
-    fn flush_paragraph(out: &mut String, paragraph: &mut Vec<String>) {
-        if paragraph.is_empty() {
-            return;
-        }
-        out.push_str("<p>");
-        out.push_str(&render_inline(&paragraph.join(" ")));
-        out.push_str("</p>\n");
-        paragraph.clear();
-    }
-
-    while let Some(line) = lines.next() {
-        let trimmed = line.trim_end();
-        if let Some(info) = trimmed.strip_prefix("```") {
-            flush_paragraph(&mut out, &mut paragraph);
-            let class = if info.is_empty() {
-                String::new()
-            } else {
-                format!(" class=\"language-{}\"", escape(info.trim()))
-            };
-            out.push_str(&format!("<pre><code{class}>"));
-            for code in lines.by_ref() {
-                if code.trim_end().starts_with("```") {
-                    break;
-                }
-                out.push_str(&escape(code));
-                out.push('\n');
-            }
-            out.push_str("</code></pre>\n");
-            continue;
-        }
-        if trimmed.is_empty() {
-            flush_paragraph(&mut out, &mut paragraph);
-            continue;
-        }
-        if let Some(rest) = heading(trimmed) {
-            flush_paragraph(&mut out, &mut paragraph);
-            let (level, text) = rest;
-            out.push_str(&format!(
-                "<h{level} id=\"{}\">{}</h{level}>\n",
-                anchor_of(text),
-                render_inline(text)
-            ));
-            continue;
-        }
-        if trimmed.starts_with("- ") || trimmed.starts_with("* ") {
-            flush_paragraph(&mut out, &mut paragraph);
-            out.push_str("<ul>\n");
-            out.push_str(&format!("<li>{}</li>\n", render_inline(&trimmed[2..])));
-            while let Some(next) = lines.peek() {
-                let n = next.trim();
-                if n.starts_with("- ") || n.starts_with("* ") {
-                    out.push_str(&format!("<li>{}</li>\n", render_inline(&n[2..])));
-                    lines.next();
-                } else {
-                    break;
-                }
-            }
-            out.push_str("</ul>\n");
-            continue;
-        }
-        if trimmed.starts_with('|') {
-            flush_paragraph(&mut out, &mut paragraph);
-            out.push_str("<pre class=\"table\">\n");
-            out.push_str(&escape(trimmed));
-            out.push('\n');
-            while let Some(next) = lines.peek() {
-                if next.trim_start().starts_with('|') {
-                    out.push_str(&escape(next.trim_end()));
-                    out.push('\n');
-                    lines.next();
-                } else {
-                    break;
-                }
-            }
-            out.push_str("</pre>\n");
-            continue;
-        }
-        if let Some(rest) = trimmed.strip_prefix("> ") {
-            flush_paragraph(&mut out, &mut paragraph);
-            out.push_str(&format!(
-                "<blockquote>{}</blockquote>\n",
-                render_inline(rest)
-            ));
-            continue;
-        }
-        paragraph.push(trimmed.to_string());
-    }
-    flush_paragraph(&mut out, &mut paragraph);
-    out
-}
-
-/// `# Heading` → `(1, "Heading")`, up to `####`.
-fn heading(line: &str) -> Option<(usize, &str)> {
-    let level = line.chars().take_while(|&c| c == '#').count();
-    if (1..=4).contains(&level) {
-        line.get(level..)
-            .map(str::trim)
-            .filter(|rest| !rest.is_empty())
-            .map(|rest| (level, rest))
-    } else {
-        None
-    }
-}
-
-/// GitHub/mdBook-style anchor slug for a heading.
-fn anchor_of(text: &str) -> String {
-    let mut slug = String::new();
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() {
-            slug.push(c.to_ascii_lowercase());
-        } else if (c == ' ' || c == '-') && !slug.ends_with('-') {
-            slug.push('-');
-        }
-    }
-    slug.trim_matches('-').to_string()
-}
-
 /// Load the book rooted at `dir` (the directory containing `book.toml`).
-fn load(dir: &Path) -> Result<(BookConfig, PathBuf, Vec<Chapter>)> {
+fn load(dir: &Path) -> Result<(PathBuf, Vec<Chapter>)> {
     let toml = fs::read_to_string(dir.join("book.toml"))
         .map_err(|e| config_err(format!("{}: {e}", dir.join("book.toml").display())))?;
     let config = parse_book_toml(&toml)?;
@@ -359,78 +133,24 @@ fn load(dir: &Path) -> Result<(BookConfig, PathBuf, Vec<Chapter>)> {
     let summary = fs::read_to_string(src.join("SUMMARY.md"))
         .map_err(|e| config_err(format!("{}: {e}", src.join("SUMMARY.md").display())))?;
     let chapters = parse_summary(&summary)?;
-    Ok((config, src, chapters))
-}
-
-/// Build the book at `dir` into `dir/book/` (mdBook's default output
-/// directory): one HTML file per chapter plus an `index.html` table of
-/// contents. Fails if any `SUMMARY.md` entry has no file.
-pub fn build(dir: &Path) -> Result<BuildReport> {
-    let (config, src, chapters) = load(dir)?;
-    let out_dir = dir.join("book");
-    fs::create_dir_all(&out_dir)?;
-
-    let mut written = Vec::new();
-    let mut toc = String::new();
-    for ch in &chapters {
-        let md_path = src.join(&ch.path);
-        let markdown = fs::read_to_string(&md_path)
-            .map_err(|e| config_err(format!("SUMMARY.md entry {}: {e}", md_path.display())))?;
-        let body = render_markdown(&markdown);
-        let html_name = ch.path.replace(".md", ".html");
-        let html = page(&config.title, &ch.title, &body);
-        let out_path = out_dir.join(&html_name);
-        if let Some(parent) = out_path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        fs::write(&out_path, html)?;
-        toc.push_str(&format!(
-            "<li><a href=\"{}\">{}</a></li>\n",
-            escape(&html_name),
-            escape(&ch.title)
-        ));
-        written.push(html_name);
-    }
-    let index = page(
-        &config.title,
-        &config.title,
-        &format!("<h1>{}</h1>\n<ol>\n{toc}</ol>\n", escape(&config.title)),
-    );
-    fs::write(out_dir.join("index.html"), index)?;
-    written.push("index.html".to_string());
-    Ok(BuildReport {
-        title: config.title,
-        chapters,
-        written,
-    })
-}
-
-/// Wrap a rendered body in the page shell.
-fn page(book_title: &str, chapter_title: &str, body: &str) -> String {
-    format!(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>{} — {}</title>\n\
-         <style>body{{max-width:46rem;margin:2rem auto;padding:0 1rem;\
-         font-family:sans-serif;line-height:1.5}}pre{{background:#f4f4f4;\
-         padding:.7rem;overflow-x:auto}}code{{background:#f4f4f4}}</style>\n\
-         </head>\n<body>\n{}\n</body>\n</html>\n",
-        escape(chapter_title),
-        escape(book_title),
-        body
-    )
+    Ok((src, chapters))
 }
 
 /// Extract `(line, target)` for every Markdown link in `text`,
-/// including links inside list items; code fences are skipped.
-fn links_in(text: &str) -> Vec<(usize, String)> {
+/// including links inside list items; code fences are skipped. The
+/// second value is the line of a code fence left open at the end.
+fn links_in(text: &str) -> (Vec<(usize, String)>, Option<usize>) {
     let mut out = Vec::new();
-    let mut in_fence = false;
+    let mut open_fence = None;
     for (idx, line) in text.lines().enumerate() {
         if line.trim_start().starts_with("```") {
-            in_fence = !in_fence;
+            open_fence = match open_fence {
+                None => Some(idx + 1),
+                Some(_) => None,
+            };
             continue;
         }
-        if in_fence {
+        if open_fence.is_some() {
             continue;
         }
         let mut rest = line;
@@ -444,14 +164,17 @@ fn links_in(text: &str) -> Vec<(usize, String)> {
             }
         }
     }
-    out
+    (out, open_fence)
 }
 
-/// Check every relative link in every chapter (and in `SUMMARY.md`)
-/// of the book at `dir`. External (`http…`) links are skipped — this
-/// environment is offline. Returns the broken links; empty means clean.
-pub fn check_links(dir: &Path) -> Result<Vec<LinkIssue>> {
-    let (_config, src, chapters) = load(dir)?;
+/// Check the book at `dir`: every relative link in every chapter (and
+/// in `SUMMARY.md`) must resolve, and every code fence must close.
+/// External (`http…`) links are skipped — the check runs offline.
+/// Returns the problems found; empty means clean. Fails outright when
+/// `book.toml` or `SUMMARY.md` is unreadable or a chapter file is
+/// missing.
+pub fn check(dir: &Path) -> Result<Vec<Issue>> {
+    let (src, chapters) = load(dir)?;
     let mut issues = Vec::new();
     let mut files: Vec<String> = chapters.iter().map(|c| c.path.clone()).collect();
     files.push("SUMMARY.md".to_string());
@@ -460,7 +183,8 @@ pub fn check_links(dir: &Path) -> Result<Vec<LinkIssue>> {
         let text = fs::read_to_string(&path)
             .map_err(|e| config_err(format!("{}: {e}", path.display())))?;
         let base = path.parent().map(Path::to_path_buf).unwrap_or_default();
-        for (line, target) in links_in(&text) {
+        let (links, open_fence) = links_in(&text);
+        for (line, target) in links {
             if target.starts_with("http://")
                 || target.starts_with("https://")
                 || target.starts_with("mailto:")
@@ -472,13 +196,22 @@ pub fn check_links(dir: &Path) -> Result<Vec<LinkIssue>> {
                 continue; // same-page anchor
             }
             if !base.join(bare).exists() {
-                issues.push(LinkIssue {
+                issues.push(Issue {
                     file: file.clone(),
                     line,
-                    target: target.clone(),
-                    reason: format!("target {} does not exist", base.join(bare).display()),
+                    reason: format!(
+                        "broken link [{target}]: {} does not exist",
+                        base.join(bare).display()
+                    ),
                 });
             }
+        }
+        if let Some(line) = open_fence {
+            issues.push(Issue {
+                file: file.clone(),
+                line,
+                reason: "unterminated code fence".to_string(),
+            });
         }
     }
     Ok(issues)
@@ -514,52 +247,34 @@ mod tests {
     }
 
     #[test]
-    fn renderer_covers_the_handbook_subset() {
-        let html = render_markdown(
-            "# Title\n\nBody with `code` and **bold** and a [link](x.md#frag).\n\n\
-             ```rust\nlet x = 1 < 2;\n```\n\n- item one\n- item two\n\n| a | b |\n|---|---|\n",
-        );
-        assert!(html.contains("<h1 id=\"title\">Title</h1>"));
-        assert!(html.contains("<code>code</code>"));
-        assert!(html.contains("<strong>bold</strong>"));
-        assert!(html.contains("<a href=\"x.md#frag\">link</a>"));
-        assert!(html.contains("let x = 1 &lt; 2;"));
-        assert!(html.contains("<li>item one</li>"));
-        assert!(html.contains("<pre class=\"table\">"));
-    }
-
-    #[test]
-    fn anchors_match_github_style() {
-        assert_eq!(
-            anchor_of("Run your first simulation"),
-            "run-your-first-simulation"
-        );
-        assert_eq!(anchor_of("What's in `bench/`?"), "whats-in-bench");
-    }
-
-    #[test]
     fn links_are_extracted_outside_fences_only() {
-        let found = links_in("[a](one.md)\n```\n[b](two.md)\n```\nsee [c](three.md) end\n");
+        let (found, open) = links_in("[a](one.md)\n```\n[b](two.md)\n```\nsee [c](three.md) end\n");
         let targets: Vec<&str> = found.iter().map(|(_, t)| t.as_str()).collect();
         assert_eq!(targets, ["one.md", "three.md"]);
+        assert_eq!(open, None);
     }
 
     #[test]
-    fn build_and_check_a_tiny_book() {
+    fn check_reports_dead_links_and_open_fences_and_fails_on_a_missing_chapter() {
         let dir = std::env::temp_dir().join(format!("ff-book-test-{}", std::process::id()));
         let src = dir.join("src");
         fs::create_dir_all(&src).unwrap();
         fs::write(dir.join("book.toml"), "[book]\ntitle = \"T\"\n").unwrap();
         fs::write(src.join("SUMMARY.md"), "- [One](one.md)\n").unwrap();
-        fs::write(src.join("one.md"), "# One\n\n[dead](missing.md)\n").unwrap();
+        fs::write(
+            src.join("one.md"),
+            "# One\n\n[dead](missing.md)\n\n```rust\nlet x = 1;\n\n[hidden](gone.md)\n",
+        )
+        .unwrap();
 
-        let report = build(&dir).unwrap();
-        assert_eq!(report.written, ["one.html", "index.html"]);
-        assert!(dir.join("book/one.html").exists());
+        let issues = check(&dir).unwrap();
+        let found: Vec<(&str, usize)> = issues.iter().map(|i| (i.file.as_str(), i.line)).collect();
+        assert_eq!(found, [("one.md", 3), ("one.md", 5)], "{issues:?}");
+        assert!(issues[0].reason.contains("[missing.md]"));
+        assert_eq!(issues[1].reason, "unterminated code fence");
 
-        let issues = check_links(&dir).unwrap();
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].target, "missing.md");
+        fs::write(src.join("SUMMARY.md"), "- [One](one.md)\n- [Two](two.md)\n").unwrap();
+        assert!(matches!(check(&dir), Err(Error::Config(m)) if m.contains("two.md")));
 
         fs::remove_dir_all(&dir).unwrap();
     }

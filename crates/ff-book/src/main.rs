@@ -1,65 +1,43 @@
-//! `ff-book` — build or link-check the handbook without mdBook.
+//! `ff-book` — check the handbook without mdBook.
 //!
 //! ```text
-//! cargo run -q -p ff-book -- build docs    # render docs/ -> docs/book/
-//! cargo run -q -p ff-book -- check docs    # verify every relative link
+//! cargo run -q -p ff-book -- check docs    # every relative link, every fence
 //! ```
 //!
-//! `scripts/check.sh` prefers a real `mdbook build docs` when the
-//! binary is installed and falls back to this builder when it is not;
-//! the link check always runs (mdBook itself does not check links).
+//! Exit codes: 0 clean, 1 problems found (or an unreadable book), 2
+//! usage error.
 
 use std::path::Path;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: ff-book check <book-dir>";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, dir) = match args.as_slice() {
-        [cmd, dir] => (cmd.as_str(), Path::new(dir)),
-        _ => {
-            eprintln!("usage: ff-book <build|check> <book-dir>");
-            return ExitCode::from(2);
-        }
+    let [cmd, dir] = args.as_slice() else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
-    match cmd {
-        "build" => match ff_book::build(dir) {
-            Ok(report) => {
-                println!(
-                    "built \"{}\": {} chapter(s) -> {}",
-                    report.title,
-                    report.chapters.len(),
-                    dir.join("book").display()
-                );
-                ExitCode::SUCCESS
+    if cmd != "check" {
+        eprintln!("unknown command {cmd:?}; {USAGE}");
+        return ExitCode::from(2);
+    }
+    let dir = Path::new(dir);
+    match ff_book::check(dir) {
+        Ok(issues) if issues.is_empty() => {
+            println!("handbook OK in {}", dir.display());
+            ExitCode::SUCCESS
+        }
+        Ok(issues) => {
+            for i in &issues {
+                eprintln!("{}:{}: {}", i.file, i.line, i.reason);
             }
-            Err(e) => {
-                eprintln!("ff-book build failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "check" => match ff_book::check_links(dir) {
-            Ok(issues) if issues.is_empty() => {
-                println!("links OK in {}", dir.display());
-                ExitCode::SUCCESS
-            }
-            Ok(issues) => {
-                for i in &issues {
-                    eprintln!(
-                        "{}:{}: broken link [{}]: {}",
-                        i.file, i.line, i.target, i.reason
-                    );
-                }
-                eprintln!("{} broken link(s)", issues.len());
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("ff-book check failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        other => {
-            eprintln!("unknown command {other:?}; usage: ff-book <build|check> <book-dir>");
-            ExitCode::from(2)
+            eprintln!("{} problem(s)", issues.len());
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("ff-book check failed: {e}");
+            ExitCode::FAILURE
         }
     }
 }

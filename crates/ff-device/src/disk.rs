@@ -187,11 +187,6 @@ impl DiskModel {
         self.meter.reset();
     }
 
-    /// Record a chronological power log (see [`StateMeter::power_log`]).
-    pub fn enable_power_log(&mut self) {
-        self.meter.enable_log();
-    }
-
     /// Record timestamped state changes for the observability recorder
     /// (see [`StateMeter::enable_state_log`]). Off by default; the
     /// simulator enables it only when a recorder is attached.

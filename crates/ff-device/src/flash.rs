@@ -80,11 +80,6 @@ impl FlashModel {
         &self.meter
     }
 
-    /// Record a chronological power log.
-    pub fn enable_power_log(&mut self) {
-        self.meter.enable_log();
-    }
-
     /// Record timestamped state changes for the observability recorder
     /// (see [`StateMeter::enable_state_log`]).
     pub fn enable_state_log(&mut self) {

@@ -49,7 +49,7 @@ pub mod wnic;
 
 pub use disk::{DiskModel, DiskParams, DiskState};
 pub use flash::{FlashModel, FlashParams};
-pub use meter::{PowerEvent, StateChange, StateMeter};
+pub use meter::{StateChange, StateMeter};
 pub use model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
 pub use spindown::ShareSpindown;
 pub use wnic::{WnicModel, WnicParams, WnicState};

@@ -3,27 +3,6 @@
 use ff_base::{Dur, Joules, SimTime, Watts};
 use std::collections::BTreeMap;
 
-/// One chronological entry of the optional power log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PowerEvent {
-    /// Dwelled in `state` at `power` for `dur`.
-    Dwell {
-        /// State name.
-        state: &'static str,
-        /// Constant power during the segment.
-        power: Watts,
-        /// Segment length.
-        dur: Dur,
-    },
-    /// A zero-width transition consuming `energy`.
-    Transition {
-        /// Transition name.
-        name: &'static str,
-        /// Lump-sum energy.
-        energy: Joules,
-    },
-}
-
 /// One timestamped entry of the optional state-change log — the input
 /// to the simulator's observability recorder (`ff-sim`'s `Recorder`).
 ///
@@ -85,9 +64,6 @@ pub struct StateMeter {
     residency: BTreeMap<&'static str, (Dur, Joules)>,
     transitions: BTreeMap<&'static str, (u64, Joules)>,
     total: Joules,
-    /// Chronological power log (None = disabled; dwells arrive in time
-    /// order because the models account time single-threadedly).
-    log: Option<Vec<PowerEvent>>,
     /// Timestamped state-change log (None = disabled, the default — the
     /// zero-cost-when-off path the recorder relies on).
     state_log: Option<StateLog>,
@@ -97,17 +73,6 @@ impl StateMeter {
     /// Fresh meter.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Start recording a chronological power log (costs memory
-    /// proportional to state changes; off by default).
-    pub fn enable_log(&mut self) {
-        self.log.get_or_insert_with(Vec::new);
-    }
-
-    /// The chronological power log, if recording was enabled.
-    pub fn power_log(&self) -> Option<&[PowerEvent]> {
-        self.log.as_deref()
     }
 
     /// Start recording timestamped [`StateChange`] entries. `base` must
@@ -149,31 +114,6 @@ impl StateMeter {
             }
             slog.cursor += d;
         }
-        if let Some(log) = &mut self.log {
-            // Coalesce with the previous segment when the state repeats.
-            if let Some(PowerEvent::Dwell {
-                state: s,
-                power: p,
-                dur,
-            }) = log.last_mut()
-            {
-                if *s == state && *p == power {
-                    *dur += d;
-                } else {
-                    log.push(PowerEvent::Dwell {
-                        state,
-                        power,
-                        dur: d,
-                    });
-                }
-            } else {
-                log.push(PowerEvent::Dwell {
-                    state,
-                    power,
-                    dur: d,
-                });
-            }
-        }
         let e = power * d;
         let entry = self
             .residency
@@ -186,9 +126,6 @@ impl StateMeter {
 
     /// Account a one-shot transition (e.g. a spin-up) costing `energy`.
     pub fn transition(&mut self, name: &'static str, energy: Joules) {
-        if let Some(log) = &mut self.log {
-            log.push(PowerEvent::Transition { name, energy });
-        }
         if let Some(slog) = &mut self.state_log {
             slog.pending.push(StateChange {
                 at: slog.base + slog.cursor,
@@ -254,9 +191,6 @@ impl StateMeter {
         self.residency.clear();
         self.transitions.clear();
         self.total = Joules::ZERO;
-        if let Some(log) = &mut self.log {
-            log.clear();
-        }
         if let Some(slog) = &mut self.state_log {
             slog.pending.clear();
         }
@@ -305,54 +239,6 @@ mod tests {
         assert_eq!(m.total(), Joules::ZERO);
         assert_eq!(m.time_in("active"), Dur::ZERO);
         assert_eq!(m.transition_count("spin_up"), 0);
-    }
-
-    #[test]
-    fn power_log_is_chronological_and_coalesced() {
-        let mut m = StateMeter::new();
-        m.enable_log();
-        m.dwell("idle", Watts(1.6), Dur::from_secs(1));
-        m.dwell("idle", Watts(1.6), Dur::from_secs(2)); // coalesces
-        m.transition("spin_down", Joules(2.94));
-        m.dwell("standby", Watts(0.15), Dur::from_secs(5));
-        let log = m.power_log().unwrap();
-        assert_eq!(log.len(), 3);
-        assert_eq!(
-            log[0],
-            PowerEvent::Dwell {
-                state: "idle",
-                power: Watts(1.6),
-                dur: Dur::from_secs(3)
-            }
-        );
-        assert!(matches!(
-            log[1],
-            PowerEvent::Transition {
-                name: "spin_down",
-                ..
-            }
-        ));
-        // Log energy equals meter total.
-        let log_e: f64 = log
-            .iter()
-            .map(|e| match e {
-                PowerEvent::Dwell { power, dur, .. } => (*power * *dur).get(),
-                PowerEvent::Transition { energy, .. } => energy.get(),
-            })
-            .sum();
-        assert!((log_e - m.total().get()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_disabled_by_default_and_cleared_on_reset() {
-        let mut m = StateMeter::new();
-        m.dwell("idle", Watts(1.0), Dur::from_secs(1));
-        assert!(m.power_log().is_none());
-        m.enable_log();
-        m.dwell("idle", Watts(1.0), Dur::from_secs(1));
-        assert_eq!(m.power_log().unwrap().len(), 1);
-        m.reset();
-        assert!(m.power_log().unwrap().is_empty());
     }
 
     #[test]

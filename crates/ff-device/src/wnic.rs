@@ -187,11 +187,6 @@ impl WnicModel {
         self.meter.reset();
     }
 
-    /// Record a chronological power log (see [`StateMeter::power_log`]).
-    pub fn enable_power_log(&mut self) {
-        self.meter.enable_log();
-    }
-
     /// Record timestamped state changes for the observability recorder
     /// (see [`StateMeter::enable_state_log`]).
     pub fn enable_state_log(&mut self) {

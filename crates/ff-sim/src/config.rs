@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::faults::{FaultPlan, RetryPolicy};
-use ff_base::{BytesPerSec, Dur, Error, Result};
+use ff_base::{Dur, Error, Result};
 use ff_cache::CacheConfig;
 use ff_device::{DiskParams, FlashParams, WnicParams};
 use ff_trace::FileId;
@@ -37,28 +37,16 @@ pub struct SimConfig {
     /// system). When set, every flushed dirty page is also uploaded over
     /// the WNIC, so local writes eventually reach the server.
     pub sync_writes: bool,
-    /// Record chronological per-device power logs in the report's meters
-    /// (memory ∝ state changes; off by default).
-    pub record_power_log: bool,
-    /// Scheduled WNIC bandwidth changes `(at, Mbps)` — the user walking
-    /// away from (or back towards) the access point. Applied in time
-    /// order; FlexFetch's re-evaluations see the new rate through its
-    /// device clones (§2.3 environment adaptation).
-    pub wnic_bandwidth_schedule: Vec<(Dur, f64)>,
-    /// Wireless outages `(start, end)` relative to t = 0: while one is
-    /// active, requests routed to the WNIC fail over to the local disk
-    /// (failure injection; disconnected operation per §4 \[11\]).
-    pub wnic_outages: Vec<(Dur, Dur)>,
     /// Optional flash tier (extension — §4's SmartSaver): a low-power
     /// page cache between RAM and the devices, `(params, capacity in
     /// 4 KiB pages)`. Reads hitting flash touch neither the disk nor the
     /// WNIC; writes aimed at a sleeping disk buffer in flash and destage
     /// when the disk wakes.
     pub flash: Option<(FlashParams, usize)>,
-    /// Scripted fault plan (link outages, bandwidth fades, server
-    /// outages, disk storms, profile injection). Empty by default —
-    /// a run without faults behaves exactly as before the fault
-    /// subsystem existed.
+    /// Scripted fault plan (link outages, bandwidth fades and steps,
+    /// server outages, disk storms, profile injection). Empty by
+    /// default — a run without faults behaves exactly as before the
+    /// fault subsystem existed.
     pub faults: FaultPlan,
     /// Retry ladder applied to network requests while an injected
     /// server outage is active (timeout → exponential backoff →
@@ -77,9 +65,6 @@ impl Default for SimConfig {
             disk_only_files: BTreeSet::new(),
             network_only_files: BTreeSet::new(),
             sync_writes: false,
-            record_power_log: false,
-            wnic_bandwidth_schedule: Vec::new(),
-            wnic_outages: Vec::new(),
             flash: None,
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
@@ -90,9 +75,8 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Reject a configuration the engine cannot replay: an invalid fault
     /// plan or retry ladder, a zero stage length or flusher interval (the
-    /// run would never advance past t = 0), an empty or inverted WNIC
-    /// outage window, or a link rate (`wnic.bandwidth` or a scheduled
-    /// change) that is not positive and finite.
+    /// run would never advance past t = 0), or a link rate
+    /// (`wnic.bandwidth`) that is not positive and finite.
     pub(crate) fn validate(&self) -> Result<()> {
         self.faults.validate()?;
         self.retry.validate()?;
@@ -102,25 +86,11 @@ impl SimConfig {
         if self.cache.writeback.wakeup_interval.is_zero() {
             return Err(Error::Config("zero write-back wake-up interval".into()));
         }
-        if let Some((start, end)) = self.wnic_outages.iter().find(|(s, e)| s >= e) {
-            return Err(Error::Config(format!(
-                "WNIC outage {start}..{end} is empty or inverted"
-            )));
-        }
-        let bad_rate = |rate: BytesPerSec| !rate.get().is_finite() || rate.get() <= 0.0;
-        if bad_rate(self.wnic.bandwidth) {
+        let rate = self.wnic.bandwidth.get();
+        if !rate.is_finite() || rate <= 0.0 {
             return Err(Error::Config(format!(
                 "WNIC bandwidth {} is not a positive finite rate",
                 self.wnic.bandwidth
-            )));
-        }
-        if let Some((at, mbps)) = self
-            .wnic_bandwidth_schedule
-            .iter()
-            .find(|&&(_, mbps)| bad_rate(BytesPerSec::from_mbit_per_sec(mbps)))
-        {
-            return Err(Error::Config(format!(
-                "bandwidth change at {at} to {mbps} Mbit/s is not a positive finite rate"
             )));
         }
         Ok(())
@@ -154,23 +124,6 @@ impl SimConfig {
     /// Enable write synchronisation to the remote server.
     pub fn with_sync_writes(mut self) -> Self {
         self.sync_writes = true;
-        self
-    }
-
-    /// Schedule a bandwidth change at `at` after simulation start (a
-    /// rate that is not positive and finite is rejected when the run
-    /// starts).
-    pub fn with_bandwidth_change(mut self, at: Dur, mbps: f64) -> Self {
-        self.wnic_bandwidth_schedule.push((at, mbps));
-        self.wnic_bandwidth_schedule.sort_by_key(|&(t, _)| t);
-        self
-    }
-
-    /// Inject a wireless outage (an empty or inverted window is
-    /// rejected when the run starts).
-    pub fn with_wnic_outage(mut self, start: Dur, end: Dur) -> Self {
-        self.wnic_outages.push((start, end));
-        self.wnic_outages.sort_by_key(|&(s, _)| s);
         self
     }
 

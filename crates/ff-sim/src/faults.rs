@@ -8,6 +8,9 @@
 //!
 //! * [`Fault::BandwidthFade`] — the link rate drops to `mbps` for a
 //!   window, then restores to whatever it was before the fade;
+//! * [`Fault::BandwidthStep`] — the link rate changes to `mbps` for
+//!   good (the user walked away from, or back towards, the access
+//!   point);
 //! * [`Fault::LinkOutage`] — the card loses association entirely; the
 //!   router fails hoarded requests over to the disk and stalls
 //!   network-only ones until the link returns;
@@ -19,6 +22,10 @@
 //!   view), enabling §2.3.3 free-riding;
 //! * [`Fault::ProfileFault`] — a stale or corrupted execution profile is
 //!   handed to the policy mid-run.
+//!
+//! Most faults notify the policy as they strike. A bandwidth step and a
+//! *silent* link outage do not: that drift is the environment the
+//! §2.3.1 stage-end audit has to discover on its own.
 //!
 //! Plans are plain data: the same plan against the same seed and trace
 //! replays to a byte-identical event log. [`FaultPlan::seeded`] derives a
@@ -62,12 +69,24 @@ pub enum Fault {
         /// Faded link bandwidth in Mbit/s.
         mbps: f64,
     },
+    /// The link rate changes to `mbps` from `at` on. Permanent, and
+    /// never announced to the policy.
+    BandwidthStep {
+        /// Onset, relative to simulation start.
+        at: Dur,
+        /// New link bandwidth in Mbit/s.
+        mbps: f64,
+    },
     /// The wireless link loses association for `dur`.
     LinkOutage {
         /// Onset, relative to simulation start.
         at: Dur,
         /// How long the link stays down.
         dur: Dur,
+        /// A silent outage only diverts traffic: the policy is not
+        /// notified, the fault is not counted, and no link events are
+        /// recorded. It also holds after the last application call.
+        silent: bool,
     },
     /// The remote server stops answering for `dur` (the link stays up,
     /// so requests time out instead of failing fast).
@@ -103,6 +122,7 @@ impl Fault {
     pub fn at(&self) -> Dur {
         match *self {
             Fault::BandwidthFade { at, .. }
+            | Fault::BandwidthStep { at, .. }
             | Fault::LinkOutage { at, .. }
             | Fault::ServerOutage { at, .. }
             | Fault::DiskStorm { at, .. }
@@ -114,6 +134,7 @@ impl Fault {
     pub fn label(&self) -> &'static str {
         match self {
             Fault::BandwidthFade { .. } => "bandwidth_fade",
+            Fault::BandwidthStep { .. } => "bandwidth_step",
             Fault::LinkOutage { .. } => "link_outage",
             Fault::ServerOutage { .. } => "server_outage",
             Fault::DiskStorm { .. } => "disk_storm",
@@ -122,14 +143,22 @@ impl Fault {
     }
 
     fn validate(&self) -> Result<()> {
+        let bad_rate = |mbps: f64| !mbps.is_finite() || mbps <= 0.0;
         match *self {
             Fault::BandwidthFade { dur, mbps, .. } => {
                 if dur.is_zero() {
                     return Err(Error::Fault("bandwidth fade with zero duration".into()));
                 }
-                if !mbps.is_finite() || mbps <= 0.0 {
+                if bad_rate(mbps) {
                     return Err(Error::Fault(format!(
                         "bandwidth fade to a non-positive rate ({mbps} Mbit/s)"
+                    )));
+                }
+            }
+            Fault::BandwidthStep { at, mbps } => {
+                if bad_rate(mbps) {
+                    return Err(Error::Fault(format!(
+                        "bandwidth step at {at} to {mbps} Mbit/s is not a positive finite rate"
                     )));
                 }
             }
@@ -157,6 +186,27 @@ impl Fault {
                 }
             }
             Fault::ProfileFault { .. } => {}
+        }
+        // The last action (a window's end, a storm's last touch) must
+        // land inside simulated time.
+        let span = match *self {
+            Fault::BandwidthFade { dur, .. }
+            | Fault::LinkOutage { dur, .. }
+            | Fault::ServerOutage { dur, .. } => Some(dur.as_micros()),
+            Fault::DiskStorm { touches, gap, .. } => gap
+                .as_micros()
+                .checked_mul(u64::from(touches.saturating_sub(1))),
+            Fault::BandwidthStep { .. } | Fault::ProfileFault { .. } => Some(0),
+        };
+        if span
+            .and_then(|s| self.at().as_micros().checked_add(s))
+            .is_none()
+        {
+            return Err(Error::Fault(format!(
+                "{} at {} ends past the end of simulated time",
+                self.label(),
+                self.at()
+            )));
         }
         Ok(())
     }
@@ -262,7 +312,29 @@ impl FaultPlan {
 
     /// Add a link outage: no association from `at` for `dur`.
     pub fn with_link_outage(mut self, at: Dur, dur: Dur) -> Self {
-        self.faults.push(Fault::LinkOutage { at, dur });
+        self.faults.push(Fault::LinkOutage {
+            at,
+            dur,
+            silent: false,
+        });
+        self
+    }
+
+    /// Add a silent link outage: traffic fails over from `at` for
+    /// `dur`, but the policy is never told.
+    pub fn with_silent_link_outage(mut self, at: Dur, dur: Dur) -> Self {
+        self.faults.push(Fault::LinkOutage {
+            at,
+            dur,
+            silent: true,
+        });
+        self
+    }
+
+    /// Add a permanent, unannounced change of the link rate to `mbps`
+    /// at `at`.
+    pub fn with_bandwidth_step(mut self, at: Dur, mbps: f64) -> Self {
+        self.faults.push(Fault::BandwidthStep { at, mbps });
         self
     }
 
@@ -316,7 +388,11 @@ impl FaultPlan {
             // 0.5–20 s of trouble per fault.
             let dur = Dur::from_micros(rng.gen_range(500_000..=20_000_000u64));
             let fault = match rng.gen_range(0..5u32) {
-                0 => Fault::LinkOutage { at, dur },
+                0 => Fault::LinkOutage {
+                    at,
+                    dur,
+                    silent: false,
+                },
                 1 => Fault::BandwidthFade {
                     at,
                     dur,
@@ -402,8 +478,10 @@ mod tests {
             .with_bandwidth_fade(Dur::from_secs(20), Dur::from_secs(5), 1.0)
             .with_server_outage(Dur::from_secs(30), Dur::from_secs(5))
             .with_disk_storm(Dur::from_secs(40), 4, Dur::from_secs(2), 65_536)
-            .with_profile_fault(Dur::from_secs(50), ProfileFaultMode::Corrupt);
-        assert_eq!(plan.faults.len(), 5);
+            .with_profile_fault(Dur::from_secs(50), ProfileFaultMode::Corrupt)
+            .with_silent_link_outage(Dur::from_secs(60), Dur::from_secs(5))
+            .with_bandwidth_step(Dur::from_secs(70), 2.0);
+        assert_eq!(plan.faults.len(), 7);
         assert!(plan.validate().is_ok());
         let labels: Vec<&str> = plan.faults.iter().map(|f| f.label()).collect();
         assert_eq!(
@@ -413,8 +491,18 @@ mod tests {
                 "bandwidth_fade",
                 "server_outage",
                 "disk_storm",
-                "profile_fault"
+                "profile_fault",
+                "link_outage",
+                "bandwidth_step"
             ]
+        );
+        assert_eq!(
+            plan.faults[5],
+            Fault::LinkOutage {
+                at: Dur::from_secs(60),
+                dur: Dur::from_secs(5),
+                silent: true
+            }
         );
     }
 
@@ -424,6 +512,7 @@ mod tests {
             Fault::LinkOutage {
                 at: Dur::ZERO,
                 dur: Dur::ZERO,
+                silent: false,
             },
             Fault::ServerOutage {
                 at: Dur::ZERO,
@@ -456,6 +545,109 @@ mod tests {
             assert!(
                 matches!(plan.validate(), Err(Error::Fault(_))),
                 "{bad:?} must be rejected"
+            );
+        }
+    }
+
+    /// A plan holding `fault` alone is rejected because the fault ends
+    /// past `SimTime::MAX`, while the same fault one step earlier is
+    /// accepted.
+    fn overflow_is_rejected(fault: Fault, in_range: Fault) {
+        let err = FaultPlan {
+            faults: vec![fault],
+        }
+        .validate();
+        assert!(
+            matches!(&err, Err(Error::Fault(m)) if m.contains("past the end")),
+            "{fault:?}: {err:?}"
+        );
+        assert!(FaultPlan {
+            faults: vec![in_range]
+        }
+        .validate()
+        .is_ok());
+    }
+
+    const LATE: Dur = Dur(u64::MAX - 9);
+
+    #[test]
+    fn link_outage_ending_past_simulated_time_is_rejected() {
+        for silent in [false, true] {
+            overflow_is_rejected(
+                Fault::LinkOutage {
+                    at: LATE,
+                    dur: Dur(10),
+                    silent,
+                },
+                Fault::LinkOutage {
+                    at: LATE,
+                    dur: Dur(9),
+                    silent,
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn server_outage_ending_past_simulated_time_is_rejected() {
+        overflow_is_rejected(
+            Fault::ServerOutage {
+                at: LATE,
+                dur: Dur(10),
+            },
+            Fault::ServerOutage {
+                at: LATE,
+                dur: Dur(9),
+            },
+        );
+    }
+
+    #[test]
+    fn bandwidth_fade_ending_past_simulated_time_is_rejected() {
+        overflow_is_rejected(
+            Fault::BandwidthFade {
+                at: LATE,
+                dur: Dur(10),
+                mbps: 1.0,
+            },
+            Fault::BandwidthFade {
+                at: LATE,
+                dur: Dur(9),
+                mbps: 1.0,
+            },
+        );
+    }
+
+    #[test]
+    fn disk_storm_ending_past_simulated_time_is_rejected() {
+        let storm = |touches, gap| Fault::DiskStorm {
+            at: LATE,
+            touches,
+            gap: Dur(gap),
+            bytes: 4096,
+        };
+        // Touches at LATE, LATE + 5 and LATE + 10: the last overflows.
+        overflow_is_rejected(storm(3, 5), storm(2, 9));
+        // The gap times the touch count alone overflows.
+        overflow_is_rejected(
+            Fault::DiskStorm {
+                at: Dur::ZERO,
+                touches: 3,
+                gap: Dur(u64::MAX / 2 + 1),
+                bytes: 4096,
+            },
+            storm(1, u64::MAX),
+        );
+    }
+
+    #[test]
+    fn bandwidth_step_is_validated_by_rate() {
+        let step = |mbps| FaultPlan::none().with_bandwidth_step(Dur(u64::MAX), mbps);
+        assert!(step(1.0).validate().is_ok(), "an instant cannot overflow");
+        for mbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(step(mbps).validate(), Err(Error::Fault(_))),
+                "{mbps} Mbit/s"
             );
         }
     }

@@ -59,8 +59,8 @@ impl<'t> Simulation<'t> {
     ///
     /// Fails before replaying anything on an invalid trace, fault plan
     /// or retry ladder, and with [`Error::Config`] on an empty trace, a
-    /// zero stage length or flusher interval, an empty or inverted WNIC
-    /// outage window, or a link rate that is not positive and finite.
+    /// zero stage length or flusher interval, or a WNIC bandwidth that
+    /// is not positive and finite.
     ///
     /// ```
     /// use ff_policy::PolicyKind;
@@ -96,8 +96,6 @@ enum EventKind {
     Flush,
     /// Evaluation-stage boundary.
     StageEnd,
-    /// Apply the next scheduled WNIC bandwidth change.
-    WnicChange(usize),
     /// Apply the fault action at this index of `Runner::fault_actions`
     /// (actions live in a side table so this enum stays `Ord`).
     Fault(usize),
@@ -109,9 +107,9 @@ enum EventKind {
 #[derive(Debug, Clone, Copy)]
 enum FaultAction {
     /// Link association lost until `until`.
-    LinkDown { until: SimTime },
+    LinkDown { until: SimTime, silent: bool },
     /// Link re-associated.
-    LinkUp,
+    LinkUp { silent: bool },
     /// Server unreachable until `until`.
     ServerDown { until: SimTime },
     /// Server answering again.
@@ -120,6 +118,8 @@ enum FaultAction {
     FadeStart { mbps: f64 },
     /// Bandwidth fade ends: restore the pre-fade rate.
     FadeEnd,
+    /// The link rate changes to `mbps` for good.
+    BandwidthStep { mbps: f64 },
     /// A background process reads `bytes` bytes from the disk.
     DiskTouch { bytes: u64 },
     /// Hand the policy a stale/corrupted replacement profile.
@@ -132,10 +132,13 @@ fn expand_faults(plan: &FaultPlan) -> Vec<(Dur, FaultAction)> {
     let mut actions = Vec::new();
     for f in &plan.faults {
         match *f {
-            Fault::LinkOutage { at, dur } => {
+            Fault::LinkOutage { at, dur, silent } => {
                 let until = SimTime::ZERO + at + dur;
-                actions.push((at, FaultAction::LinkDown { until }));
-                actions.push((at + dur, FaultAction::LinkUp));
+                actions.push((at, FaultAction::LinkDown { until, silent }));
+                actions.push((at + dur, FaultAction::LinkUp { silent }));
+            }
+            Fault::BandwidthStep { at, mbps } => {
+                actions.push((at, FaultAction::BandwidthStep { mbps }));
             }
             Fault::BandwidthFade { at, dur, mbps } => {
                 actions.push((at, FaultAction::FadeStart { mbps }));
@@ -323,8 +326,14 @@ struct Runner<'t, 'r> {
     // Fault injection.
     /// Expanded fault actions, indexed by `EventKind::Fault`.
     fault_actions: Vec<(Dur, FaultAction)>,
-    /// End of the current injected link outage, while one is active.
-    link_down_until: Option<SimTime>,
+    /// End of the current link outage, while one is active, kept
+    /// apart per delivery (`[notified, silent]`) so one kind's window
+    /// never masks the other's restore.
+    link_down_until: [Option<SimTime>; 2],
+    /// The silent outage state as the loop first ran a fault action
+    /// past the last completion: the final write-back routes as of
+    /// that instant.
+    silent_at_end: Option<Option<SimTime>>,
     /// The explicit retry / backoff / failover machine for the remote
     /// server, with its undrained transition log.
     server_path: ServerPath,
@@ -377,13 +386,6 @@ impl<'t, 'r> Runner<'t, 'r> {
             .flash
             .as_ref()
             .map(|(p, pages)| (FlashModel::new(p.clone()), FlashCache::new(*pages)));
-        if cfg.record_power_log {
-            disk.enable_power_log();
-            wnic.enable_power_log();
-            if let Some((f, _)) = &mut flash {
-                f.enable_power_log();
-            }
-        }
         if tracing {
             disk.enable_state_log();
             wnic.enable_state_log();
@@ -436,7 +438,8 @@ impl<'t, 'r> Runner<'t, 'r> {
             seq: 0,
             remaining_calls,
             fault_actions: Vec::new(),
-            link_down_until: None,
+            link_down_until: [None; 2],
+            silent_at_end: None,
             server_path: ServerPath::new(),
             fade_restore: Vec::new(),
             faults_injected: 0,
@@ -467,8 +470,7 @@ impl<'t, 'r> Runner<'t, 'r> {
         }
         // Fault actions first: at equal timestamps a fault applies
         // before the request it should affect (an outage starting at t
-        // covers a call issued at t, exactly like a static outage
-        // window, whose containment check is `now >= start`).
+        // covers a call issued at t; one ending at t does not).
         runner.fault_actions = expand_faults(&runner.cfg.faults);
         for i in 0..runner.fault_actions.len() {
             let at = runner.fault_actions[i].0;
@@ -486,16 +488,6 @@ impl<'t, 'r> Runner<'t, 'r> {
         }
         runner.push_event(SimTime::ZERO + flush_interval, EventKind::Flush);
         runner.push_event(SimTime::ZERO + stage_len, EventKind::StageEnd);
-        let changes: Vec<(usize, Dur)> = runner
-            .cfg
-            .wnic_bandwidth_schedule
-            .iter()
-            .enumerate()
-            .map(|(i, &(at, _))| (i, at))
-            .collect();
-        for (i, at) in changes {
-            runner.push_event(SimTime::ZERO + at, EventKind::WnicChange(i));
-        }
         runner
     }
 
@@ -504,19 +496,15 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.events.push(Reverse((t, self.seq, kind)));
     }
 
-    /// Latest end of all outage windows (configured or injected) active
-    /// at `now` — when a stalled network-only request can resume — or
-    /// `None` while the wireless link is up.
+    /// Latest end of the link outages active at `now` — when a stalled
+    /// network-only request can resume — or `None` while the wireless
+    /// link is up.
     fn wnic_resume(&self, now: SimTime) -> Option<SimTime> {
-        let static_end = self
-            .cfg
-            .wnic_outages
-            .iter()
-            .filter(|&&(s, e)| now >= SimTime::ZERO + s && now < SimTime::ZERO + e)
-            .map(|&(_, e)| SimTime::ZERO + e)
-            .max();
-        let fault_end = self.link_down_until.filter(|&u| now < u);
-        static_end.into_iter().chain(fault_end).max()
+        self.link_down_until
+            .into_iter()
+            .flatten()
+            .filter(|&u| now < u)
+            .max()
     }
 
     /// Record one observability event (no-op unless a recorder is
@@ -644,32 +632,39 @@ impl<'t, 'r> Runner<'t, 'r> {
     /// back up, fade ending) always take effect so the run can never end
     /// wedged in a fault; onsets are skipped once the workload has
     /// drained (`remaining_calls == 0`) — they could no longer affect
-    /// anything and would only stretch device idle time.
+    /// anything and would only stretch device idle time. Silent
+    /// outages and bandwidth steps are not gated: they only shape the
+    /// link, and touch neither the policy nor the fault count.
     fn apply_fault(&mut self, t: SimTime, idx: usize) {
         let (_, action) = self.fault_actions[idx];
         let live = self.remaining_calls > 0;
         match action {
-            FaultAction::LinkDown { until } => {
-                if !live {
+            FaultAction::LinkDown { until, silent } => {
+                if !live && !silent {
+                    return;
+                }
+                // Overlapping outages merge to the furthest end.
+                let slot = &mut self.link_down_until[usize::from(silent)];
+                *slot = Some(slot.map_or(until, |u| u.max(until)));
+                if silent {
                     return;
                 }
                 self.wnic.advance_to(t);
-                // Overlapping outages merge to the furthest end.
-                self.link_down_until = Some(self.link_down_until.map_or(until, |u| u.max(until)));
                 self.faults_injected += 1;
                 if self.tracing {
                     self.emit(ObsEvent::LinkDown { at: t, until });
                 }
                 self.policy_fault(t, FaultNotice::LinkDown);
             }
-            FaultAction::LinkUp => {
+            FaultAction::LinkUp { silent } => {
                 // Only the clear matching the merged window end lifts the
                 // outage (earlier clears of overlapped outages are moot).
-                if self.link_down_until.is_none_or(|u| t < u) {
+                let slot = &mut self.link_down_until[usize::from(silent)];
+                if slot.is_none_or(|u| t < u) {
                     return;
                 }
-                self.link_down_until = None;
-                if !live {
+                *slot = None;
+                if !live || silent {
                     return;
                 }
                 self.wnic.advance_to(t);
@@ -736,6 +731,17 @@ impl<'t, 'r> Runner<'t, 'r> {
                     self.emit(ObsEvent::BandwidthChange { at: t, mbps });
                 }
                 self.policy_fault(t, FaultNotice::BandwidthChanged { mbps });
+            }
+            FaultAction::BandwidthStep { mbps } => {
+                self.wnic.advance_to(t);
+                self.wnic
+                    .set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
+                // Recorded for observability, but the policy is NOT
+                // notified: drift (the user walking around) is
+                // discovered by the §2.3.1 stage-end audit.
+                if self.tracing {
+                    self.emit(ObsEvent::BandwidthChange { at: t, mbps });
+                }
             }
             FaultAction::DiskTouch { bytes } => {
                 if !live {
@@ -1349,20 +1355,10 @@ impl<'t, 'r> Runner<'t, 'r> {
                         self.push_event(t + self.cfg.stage_len, EventKind::StageEnd);
                     }
                 }
-                EventKind::WnicChange(i) => {
-                    let (_, mbps) = self.cfg.wnic_bandwidth_schedule[i];
-                    self.wnic.advance_to(t);
-                    self.wnic
-                        .set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
-                    // Recorded for observability, but the policy is NOT
-                    // notified: scheduled drift (the user walking around)
-                    // is discovered by the §2.3.1 stage-end audit, unlike
-                    // injected fades which push a FaultNotice.
-                    if self.tracing {
-                        self.emit(ObsEvent::BandwidthChange { at: t, mbps });
-                    }
-                }
                 EventKind::Fault(i) => {
+                    if self.remaining_calls == 0 && t > self.last_completion {
+                        self.silent_at_end.get_or_insert(self.link_down_until[1]);
+                    }
                     self.apply_fault(t, i);
                 }
             }
@@ -1371,7 +1367,12 @@ impl<'t, 'r> Runner<'t, 'r> {
 
         // Final sync: everything still dirty is written out, then any
         // flash-buffered writes, then every device is advanced to the
-        // end of the run.
+        // end of the run. The write-back routes as of `end`: every
+        // notified outage has cleared by now, and a silent one holds
+        // if its window spans `end`.
+        if let Some(silent) = self.silent_at_end {
+            self.link_down_until[1] = silent;
+        }
         let end = self.last_completion;
         let dirty = self.cache.flush_all();
         self.write_back(end, &dirty);
@@ -1449,7 +1450,14 @@ fn page_runs(pages: &[PageKey]) -> Vec<(PageKey, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::EventLog;
     use ff_trace::{Grep, Workload};
+
+    /// A config whose plan holds one silent outage over `start..end`.
+    fn silent_outage(start: Dur, end: Dur) -> SimConfig {
+        let plan = FaultPlan::none().with_silent_link_outage(start, end.saturating_sub(start));
+        SimConfig::default().with_faults(plan)
+    }
 
     fn grep_small() -> Trace {
         Grep {
@@ -1811,13 +1819,62 @@ mod tests {
         .build(8);
         // Link down for the whole run: WNIC-only policy still ends up on
         // the disk.
-        let cfg = SimConfig::default().with_wnic_outage(Dur::ZERO, Dur::from_secs(100_000));
+        let cfg = silent_outage(Dur::ZERO, Dur::from_secs(100_000));
+        let mut log = EventLog::new();
         let report = Simulation::new(cfg, &trace)
             .policy(PolicyKind::WnicOnly)
-            .run()
+            .run_recorded(&mut log)
             .unwrap();
         assert_eq!(report.wnic_requests, 0, "outage must block the WNIC");
         assert!(report.disk_requests > 0);
+        // Silent: not counted, not announced, not recorded.
+        assert_eq!(report.faults_injected, 0);
+        assert!(report.decisions.is_empty());
+        assert_eq!(log.count("link_down") + log.count("link_up"), 0);
+    }
+
+    /// One 64 KiB write at t = 0: its dirty pages are still cached when
+    /// the run ends, so the final sync writes them back.
+    fn lone_write() -> Trace {
+        let mut trace = Trace::new("w");
+        trace.files.insert(ff_trace::FileMeta {
+            id: FileId(1),
+            name: "out".into(),
+            size: Bytes(65_536),
+        });
+        trace.records.push(TraceRecord {
+            pid: 1,
+            pgid: 1,
+            file: FileId(1),
+            op: IoOp::Write,
+            offset: 0,
+            len: Bytes(65_536),
+            ts: SimTime::ZERO,
+            dur: Dur::from_millis(1),
+        });
+        trace
+    }
+
+    #[test]
+    fn silent_outage_spanning_the_end_diverts_the_final_write_back() {
+        let trace = lone_write();
+        let window = Dur::from_secs(1_000);
+        let run = |plan: FaultPlan| {
+            Simulation::new(SimConfig::default().with_faults(plan), &trace)
+                .policy(PolicyKind::WnicOnly)
+                .run()
+                .unwrap()
+        };
+        // The loop clears the outage at t = 1000 s before the final
+        // sync at the last completion, which the silent window still
+        // spans: the write-back fails over to the disk.
+        let silent = run(FaultPlan::none().with_silent_link_outage(Dur::ZERO, window));
+        assert_eq!(silent.wnic_requests, 0);
+        assert!(silent.disk_requests > 0);
+        // A notified outage stops diverting once the workload drains.
+        let notified = run(FaultPlan::none().with_link_outage(Dur::ZERO, window));
+        assert!(notified.wnic_requests > 0);
+        assert_eq!(notified.disk_requests, 0);
     }
 
     #[test]
@@ -1828,7 +1885,7 @@ mod tests {
             ..Default::default()
         }
         .build(8);
-        let cfg = SimConfig::default().with_wnic_outage(Dur::from_secs(50), Dur::from_secs(150));
+        let cfg = silent_outage(Dur::from_secs(50), Dur::from_secs(150));
         let report = Simulation::new(cfg, &trace)
             .policy(PolicyKind::WnicOnly)
             .run()
@@ -1847,9 +1904,7 @@ mod tests {
         .build(8);
         let all: Vec<FileId> = trace.files.iter().map(|f| f.id).collect();
         let outage_end = Dur::from_secs(500);
-        let cfg = SimConfig::default()
-            .with_network_only_files(all)
-            .with_wnic_outage(Dur::ZERO, outage_end);
+        let cfg = silent_outage(Dur::ZERO, outage_end).with_network_only_files(all);
         let report = Simulation::new(cfg, &trace)
             .policy(PolicyKind::DiskOnly)
             .run()
@@ -1867,11 +1922,15 @@ mod tests {
             .run()
             .unwrap();
         // Degrade to 1 Mbps almost immediately.
-        let cfg = SimConfig::default().with_bandwidth_change(Dur::from_millis(100), 1.0);
-        let degraded = Simulation::new(cfg, &trace)
+        let plan = FaultPlan::none().with_bandwidth_step(Dur::from_millis(100), 1.0);
+        let mut log = EventLog::new();
+        let degraded = Simulation::new(SimConfig::default().with_faults(plan), &trace)
             .policy(PolicyKind::WnicOnly)
-            .run()
+            .run_recorded(&mut log)
             .unwrap();
+        // Recorded, but neither counted nor announced to the policy.
+        assert_eq!(log.count("bandwidth_change"), 1);
+        assert_eq!(degraded.faults_injected, 0);
         assert!(
             degraded.exec_time > fast.exec_time,
             "degraded link must slow the replay: {} vs {}",
@@ -2054,12 +2113,21 @@ mod tests {
         assert!(matches!(err, Err(Error::Fault(_))));
     }
 
-    fn config_error(cfg: SimConfig) -> bool {
+    /// The error a WNIC-only run of `cfg` fails with, if any.
+    fn rejection(cfg: SimConfig) -> Option<Error> {
         let trace = grep_small();
-        let run = Simulation::new(cfg, &trace)
+        Simulation::new(cfg, &trace)
             .policy(PolicyKind::WnicOnly)
-            .run();
-        matches!(run, Err(Error::Config(_)))
+            .run()
+            .err()
+    }
+
+    fn config_error(cfg: SimConfig) -> bool {
+        matches!(rejection(cfg), Some(Error::Config(_)))
+    }
+
+    fn fault_error(cfg: SimConfig) -> bool {
+        matches!(rejection(cfg), Some(Error::Fault(_)))
     }
 
     #[test]
@@ -2075,23 +2143,25 @@ mod tests {
     #[test]
     fn empty_wnic_outage_is_rejected_up_front() {
         let five = Dur::from_secs(5);
-        assert!(config_error(
-            SimConfig::default().with_wnic_outage(five, five)
-        ));
+        assert!(fault_error(silent_outage(five, five)));
     }
 
     #[test]
     fn inverted_wnic_outage_is_rejected_up_front() {
-        assert!(config_error(
-            SimConfig::default().with_wnic_outage(Dur::from_secs(5), Dur::from_secs(1))
-        ));
+        assert!(fault_error(silent_outage(
+            Dur::from_secs(5),
+            Dur::from_secs(1)
+        )));
     }
 
     #[test]
     fn non_positive_or_non_finite_scheduled_rate_is_rejected_up_front() {
         for mbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cfg = SimConfig::default().with_bandwidth_change(Dur::ZERO, mbps);
-            assert!(config_error(cfg), "{mbps} Mbit/s");
+            let plan = FaultPlan::none().with_bandwidth_step(Dur::ZERO, mbps);
+            assert!(
+                fault_error(SimConfig::default().with_faults(plan)),
+                "{mbps} Mbit/s"
+            );
         }
     }
 

@@ -59,15 +59,11 @@ doc_step() {
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 }
 
-# Build the handbook with mdBook when it is installed, else with the
-# workspace's std-only fallback builder; the link check always uses
-# ff-book (stock mdBook does not verify links).
+# Check the handbook: every SUMMARY.md chapter exists, every relative
+# link resolves, every code fence closes (stock mdBook checks none of
+# these).
 handbook_step() {
-    if command -v mdbook >/dev/null 2>&1; then
-        mdbook build docs
-    else
-        cargo run -q -p ff-book -- build docs
-    fi && cargo run -q -p ff-book -- check docs
+    cargo run -q -p ff-book -- check docs
 }
 
 # The mutation engine's ratchet gate: regenerate the kill-score matrix
@@ -119,7 +115,7 @@ run_step "cargo test -q --workspace" cargo test -q --workspace
 run_step "benchmark package (cargo test bench/hot)" \
     cargo test --release --offline --locked --manifest-path bench/hot/Cargo.toml
 run_step "mutation-killscore (kill-rate ratchet vs recorded floors)" killscore_step
-run_step "handbook (mdbook-or-ff-book build + link check)" handbook_step
+run_step "handbook check" handbook_step
 run_step "parallel-determinism (benchpar: jobs=1 vs jobs=8 byte-identical)" parallel_step
 run_step "artifacts-fresh (ffbench all, then git diff results bench)" artifacts_step
 

@@ -242,8 +242,8 @@ fn extension_mobility_adaptation_beats_static() {
     // WNIC-only.
     let s = Scenario::mplayer(42).unwrap();
     let cfg = || {
-        s.configure(SimConfig::default())
-            .with_bandwidth_change(Dur::from_secs(120), 1.0)
+        let step = FaultPlan::none().with_bandwidth_step(Dur::from_secs(120), 1.0);
+        s.configure(SimConfig::default()).with_faults(step)
     };
     let ff = Simulation::new(cfg(), &s.trace)
         .policy(PolicyKind::flexfetch(s.profile.clone()))

@@ -56,11 +56,11 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
         })
 }
 
-/// Strategy: one random-but-valid fault (every variant reachable via
-/// the leading kind selector).
+/// Strategy: one random-but-valid fault (every variant, silent link
+/// outages included, reachable via the leading kind selector).
 fn arb_fault() -> impl Strategy<Value = Fault> {
     (
-        (0u32..5, 0u64..30_000_000, 100_000u64..15_000_000),
+        (0u32..7, 0u64..30_000_000, 100_000u64..15_000_000),
         (
             1u64..=11,
             1u32..8,
@@ -73,7 +73,15 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
             |((kind, at, dur), (mbps_steps, touches, gap, bytes), corrupt)| {
                 let (at, dur) = (Dur(at), Dur(dur));
                 match kind {
-                    0 => Fault::LinkOutage { at, dur },
+                    0 | 5 => Fault::LinkOutage {
+                        at,
+                        dur,
+                        silent: kind == 5,
+                    },
+                    6 => Fault::BandwidthStep {
+                        at,
+                        mbps: mbps_steps as f64 * 0.5,
+                    },
                     1 => Fault::BandwidthFade {
                         at,
                         dur,
@@ -162,6 +170,17 @@ proptest! {
         prop_assert!(r.total_energy().get() > 0.0);
         // A failover can only follow at least one timed-out attempt.
         prop_assert!(r.failovers == 0 || r.retries > 0);
+        // Silent outages and bandwidth steps are never counted.
+        let countable: u64 = plan
+            .faults
+            .iter()
+            .map(|f| match *f {
+                Fault::LinkOutage { silent: true, .. } | Fault::BandwidthStep { .. } => 0,
+                Fault::DiskStorm { touches, .. } => u64::from(touches),
+                _ => 1,
+            })
+            .sum();
+        prop_assert!(r.faults_injected <= countable);
         let b = run();
         prop_assert_eq!(r.total_energy(), b.total_energy());
         prop_assert_eq!(r.exec_time, b.exec_time);
