@@ -172,11 +172,6 @@ impl DiskModel {
         self.state
     }
 
-    /// Per-state meter.
-    pub fn meter(&self) -> &StateMeter {
-        &self.meter
-    }
-
     /// Forget sequentiality (e.g. after another program used the disk).
     pub fn clear_sequential_hint(&mut self) {
         self.next_seq_block = None;
@@ -310,13 +305,8 @@ impl PowerModel for DiskModel {
         }
     }
 
-    fn estimate(&self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome {
-        let mut probe = self.clone();
-        probe.service(now, req)
-    }
-
-    fn energy(&self) -> Joules {
-        self.meter.total()
+    fn meter(&self) -> &StateMeter {
+        &self.meter
     }
 
     fn clock(&self) -> SimTime {

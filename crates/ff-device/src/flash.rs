@@ -11,7 +11,7 @@
 
 use crate::meter::StateMeter;
 use crate::model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
-use ff_base::{BytesPerSec, Dur, Joules, SimTime, Watts};
+use ff_base::{BytesPerSec, Dur, SimTime, Watts};
 
 /// Flash device constants. Defaults model a 2007 CompactFlash card
 /// (the SmartSaver substrate).
@@ -75,11 +75,6 @@ impl FlashModel {
         &self.params
     }
 
-    /// Per-state meter.
-    pub fn meter(&self) -> &StateMeter {
-        &self.meter
-    }
-
     /// Record timestamped state changes for the observability recorder
     /// (see [`StateMeter::enable_state_log`]).
     pub fn enable_state_log(&mut self) {
@@ -119,13 +114,8 @@ impl PowerModel for FlashModel {
         }
     }
 
-    fn estimate(&self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome {
-        let mut probe = self.clone();
-        probe.service(now, req)
-    }
-
-    fn energy(&self) -> Joules {
-        self.meter.total()
+    fn meter(&self) -> &StateMeter {
+        &self.meter
     }
 
     fn clock(&self) -> SimTime {

@@ -1,5 +1,6 @@
 //! The device abstraction shared by disk and WNIC.
 
+use crate::meter::StateMeter;
 use ff_base::{Bytes, Dur, Joules, SimTime};
 
 /// Transfer direction of a device request.
@@ -57,14 +58,18 @@ pub struct ServiceOutcome {
     pub energy: Joules,
 }
 
-/// Common behaviour of the two power-managed devices.
+/// Common behaviour of the power-managed devices.
 ///
 /// The contract: time flows forward. Callers must present monotonically
 /// non-decreasing `now` values across `advance_to` / `service` calls; the
 /// models `debug_assert` this. `advance_to` integrates idle energy and
 /// applies timeout-driven transitions (disk spin-down, WNIC CAM→PSM);
 /// `service` implicitly advances first.
-pub trait PowerModel {
+///
+/// Models are plain `Clone` data, so the one-request probe
+/// ([`estimate`](PowerModel::estimate)) and the meter total
+/// ([`energy`](PowerModel::energy)) are written once, here.
+pub trait PowerModel: Clone {
     /// Bring the model's clock to `now`, accounting idle/standby energy
     /// and performing any timeout transitions that fired in between.
     fn advance_to(&mut self, now: SimTime);
@@ -73,14 +78,9 @@ pub trait PowerModel {
     /// transients, pays wake-up transitions, positioning and transfer.
     fn service(&mut self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome;
 
-    /// Estimate what `service(now, req)` *would* cost without mutating
-    /// the model (the BlueFS cost probe and FlexFetch's on-line
-    /// simulator both use this).
-    fn estimate(&self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome;
-
-    /// Total energy consumed since construction or the last meter reset,
-    /// *including* idle/standby energy up to the model's current clock.
-    fn energy(&self) -> Joules;
+    /// The per-state meter. Read-only: only the device itself books
+    /// dwells and transitions into it.
+    fn meter(&self) -> &StateMeter;
 
     /// The model's current clock (last instant accounted).
     fn clock(&self) -> SimTime;
@@ -88,4 +88,17 @@ pub trait PowerModel {
     /// True iff the device is in its high-power ready state (disk
     /// spinning, WNIC in CAM) — what the free-rider check wants to know.
     fn is_ready(&self) -> bool;
+
+    /// Estimate what `service(now, req)` *would* cost without mutating
+    /// the model (the BlueFS cost probe): service a clone.
+    fn estimate(&self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome {
+        let mut probe = self.clone();
+        probe.service(now, req)
+    }
+
+    /// Total energy consumed since construction or the last meter reset,
+    /// *including* idle/standby energy up to the model's current clock.
+    fn energy(&self) -> Joules {
+        self.meter().total()
+    }
 }

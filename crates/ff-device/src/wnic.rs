@@ -177,11 +177,6 @@ impl WnicModel {
         self.state
     }
 
-    /// Per-state meter.
-    pub fn meter(&self) -> &StateMeter {
-        &self.meter
-    }
-
     /// Reset energy accounting but keep mode and clock.
     pub fn reset_meter(&mut self) {
         self.meter.reset();
@@ -352,13 +347,8 @@ impl PowerModel for WnicModel {
         }
     }
 
-    fn estimate(&self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome {
-        let mut probe = self.clone();
-        probe.service(now, req)
-    }
-
-    fn energy(&self) -> Joules {
-        self.meter.total()
+    fn meter(&self) -> &StateMeter {
+        &self.meter
     }
 
     fn clock(&self) -> SimTime {

@@ -11,8 +11,8 @@
 
 use crate::source::{AppRequest, FaultNotice, Policy, PolicyCtx, Source};
 use ff_base::{Dur, Joules};
-use ff_device::{DeviceRequest, Dir, DiskModel, PowerModel, ServiceOutcome};
-use ff_trace::IoOp;
+use ff_device::{DiskModel, PowerModel, ServiceOutcome};
+use ff_profile::device_request;
 
 /// Reactive lowest-current-cost selection with ghost hints.
 #[derive(Debug, Clone)]
@@ -66,17 +66,6 @@ impl BlueFs {
     pub fn ghost_hint(&self) -> Joules {
         self.ghost_hint
     }
-
-    pub(crate) fn to_dev(req: &AppRequest, block: Option<u64>) -> DeviceRequest {
-        DeviceRequest {
-            dir: match req.op {
-                IoOp::Read => Dir::Read,
-                IoOp::Write => Dir::Write,
-            },
-            bytes: req.len,
-            block,
-        }
-    }
 }
 
 impl Default for BlueFs {
@@ -99,8 +88,8 @@ impl Policy for BlueFs {
             return Source::Disk;
         }
         let block = ctx.layout.block_of(req.file, req.offset);
-        let disk_req = Self::to_dev(req, block);
-        let wnic_req = Self::to_dev(req, None);
+        let disk_req = device_request(req.op, req.len, block);
+        let wnic_req = device_request(req.op, req.len, None);
 
         let disk_cost = ctx.disk.estimate(ctx.now, &disk_req).energy;
         let wnic_cost = ctx.wnic.estimate(ctx.now, &wnic_req).energy;
@@ -136,9 +125,12 @@ impl Policy for BlueFs {
                 // actually charged (wake-ups included) beyond what an
                 // already-spinning disk would have charged.
                 let block = ctx.layout.block_of(req.file, req.offset);
-                let active_disk = DiskModel::new(ctx.disk.params().clone());
+                let mut active_disk = DiskModel::new(ctx.disk.params().clone());
                 let active_cost = active_disk
-                    .estimate(ff_base::SimTime::ZERO, &Self::to_dev(req, block))
+                    .service(
+                        ff_base::SimTime::ZERO,
+                        &device_request(req.op, req.len, block),
+                    )
                     .energy;
                 if outcome.energy > active_cost {
                     self.ghost_hint += outcome.energy - active_cost;
@@ -170,7 +162,7 @@ mod tests {
     use super::*;
     use ff_base::{Bytes, SimTime};
     use ff_device::{DiskParams, WnicModel, WnicParams};
-    use ff_trace::{DiskLayout, FileId, FileMeta, FileSet};
+    use ff_trace::{DiskLayout, FileId, FileMeta, FileSet, IoOp};
 
     struct World {
         disk: DiskModel,
@@ -244,7 +236,9 @@ mod tests {
         let r = req(len);
         let src = p.select(&c, &r);
         if src == Source::Wnic {
-            let est = w.wnic.estimate(SimTime::ZERO, &BlueFs::to_dev(&r, None));
+            let est = w
+                .wnic
+                .estimate(SimTime::ZERO, &device_request(r.op, r.len, None));
             let out = ff_device::ServiceOutcome {
                 complete: est.complete,
                 service_time: est.service_time,

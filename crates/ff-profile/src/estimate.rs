@@ -14,7 +14,7 @@
 //! exactly as it would live.
 
 use crate::burst::ProfiledBurst;
-use ff_base::{Bytes, Dur, Joules};
+use ff_base::{Bytes, Dur, Joules, SimTime};
 use ff_device::{DeviceRequest, Dir, DiskModel, PowerModel, WnicModel};
 use ff_trace::{DiskLayout, FileId, IoOp};
 
@@ -49,77 +49,78 @@ impl<'a> Estimator<'a> {
     /// disk for one small burst would look ~35 J cheaper than it really
     /// is — the idle tail is a direct consequence of the decision.
     pub fn disk_cost(&self, bursts: &[ProfiledBurst], mut disk: DiskModel) -> Estimate {
-        if bursts.is_empty() {
-            return Estimate {
-                time: Dur::ZERO,
-                energy: Joules::ZERO,
-            };
-        }
         disk.reset_meter();
-        let start = disk.clock();
-        let mut t = start;
-        for pb in bursts {
-            for req in &pb.burst.requests {
-                let dev_req = DeviceRequest {
-                    dir: to_dir(req.op),
-                    bytes: req.len,
-                    block: self.layout.block_of(req.file, req.offset),
-                };
-                let out = disk.service(t, &dev_req);
-                t = out.complete;
-            }
-            t += pb.gap_after;
-            disk.advance_to(t);
-        }
-        let time = t.saturating_since(start);
-        // Park: run out the idle timeout and the spin-down transient.
         let park = disk.params().timeout + disk.params().spindown_time + Dur::from_millis(1);
-        disk.advance_to(t + park);
-        Estimate {
-            time,
-            energy: disk.energy(),
-        }
+        cost(bursts, disk, Some(self.layout), park)
     }
 
     /// `(T_network, E_network)` for servicing `bursts` on `wnic`.
     /// Includes the parking cost (CAM idle-out plus the CAM→PSM switch).
     pub fn wnic_cost(&self, bursts: &[ProfiledBurst], mut wnic: WnicModel) -> Estimate {
-        if bursts.is_empty() {
-            return Estimate {
-                time: Dur::ZERO,
-                energy: Joules::ZERO,
-            };
-        }
         wnic.reset_meter();
-        let start = wnic.clock();
-        let mut t = start;
+        let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
+        cost(bursts, wnic, None, park)
+    }
+
+    /// Walk `bursts` over `model` from its clock, without parking, and
+    /// return the instant the last burst's trailing gap ends. Requests
+    /// inside a burst go back to back; each gap advances the model so
+    /// its timeout policy fires. `layout` resolves request blocks (the
+    /// disk's); `None` sends blockless requests (the WNIC's).
+    pub fn walk<M: PowerModel>(
+        bursts: &[ProfiledBurst],
+        model: &mut M,
+        layout: Option<&DiskLayout>,
+    ) -> SimTime {
+        let mut t = model.clock();
         for pb in bursts {
             for req in &pb.burst.requests {
-                let dev_req = DeviceRequest {
-                    dir: to_dir(req.op),
-                    bytes: req.len,
-                    block: None,
-                };
-                let out = wnic.service(t, &dev_req);
-                t = out.complete;
+                let block = layout.and_then(|l| l.block_of(req.file, req.offset));
+                t = model
+                    .service(t, &device_request(req.op, req.len, block))
+                    .complete;
             }
             t += pb.gap_after;
-            wnic.advance_to(t);
+            model.advance_to(t);
         }
-        let time = t.saturating_since(start);
-        let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
-        wnic.advance_to(t + park);
-        Estimate {
-            time,
-            energy: wnic.energy(),
-        }
+        t
     }
 }
 
-fn to_dir(op: IoOp) -> Dir {
-    match op {
+/// Walk `bursts` over `model`, then park it for `park` past the end; the
+/// energy is the model's meter total.
+fn cost<M: PowerModel>(
+    bursts: &[ProfiledBurst],
+    mut model: M,
+    layout: Option<&DiskLayout>,
+    park: Dur,
+) -> Estimate {
+    if bursts.is_empty() {
+        return Estimate {
+            time: Dur::ZERO,
+            energy: Joules::ZERO,
+        };
+    }
+    let start = model.clock();
+    let end = Estimator::walk(bursts, &mut model, layout);
+    model.advance_to(end + park);
+    Estimate {
+        time: end.saturating_since(start),
+        energy: model.energy(),
+    }
+}
+
+/// The device request for `len` bytes of `op` at `block`: the one place
+/// an application [`IoOp`] becomes a device [`Dir`].
+pub fn device_request(op: IoOp, len: Bytes, block: Option<u64>) -> DeviceRequest {
+    let dir = match op {
         IoOp::Read => Dir::Read,
         IoOp::Write => Dir::Write,
+    };
+    DeviceRequest {
+        dir,
+        bytes: len,
+        block,
     }
 }
 

@@ -42,7 +42,7 @@ pub mod profile;
 pub mod stage;
 
 pub use burst::{BurstExtractor, IoBurst, MergedRequest, ProfiledBurst};
-pub use estimate::{Estimate, Estimator};
+pub use estimate::{device_request, Estimate, Estimator};
 pub use hoard::{HoardPlan, HoardPlanner};
 pub use profile::{BytePrefix, Profile, Profiler};
 pub use stage::{first_stage, stages_of, Stage};

@@ -1,8 +1,10 @@
 //! Property tests for the profiling layer.
 
-use ff_base::{Bytes, Dur, SimTime};
+use ff_base::{Bytes, Dur, Joules, SimTime};
+use ff_device::{DeviceRequest, DiskModel, DiskParams, PowerModel, WnicModel, WnicParams};
 use ff_profile::{
-    first_stage, stages_of, Estimator, IoBurst, MergedRequest, Profile, ProfiledBurst,
+    device_request, first_stage, stages_of, Estimate, Estimator, IoBurst, MergedRequest, Profile,
+    ProfiledBurst,
 };
 use ff_trace::{DiskLayout, FileId, FileMeta, FileSet, IoOp};
 use proptest::prelude::*;
@@ -67,6 +69,189 @@ fn one_file_layout() -> (FileSet, DiskLayout) {
     });
     let l = DiskLayout::build(&fs, 1);
     (fs, l)
+}
+
+/// The disk walk as `Estimator::disk_cost` wrote it before the walk had
+/// one home: the reference the shared walk must match bit for bit.
+fn reference_disk_cost(
+    layout: &DiskLayout,
+    bursts: &[ProfiledBurst],
+    mut disk: DiskModel,
+) -> Estimate {
+    if bursts.is_empty() {
+        return Estimate {
+            time: Dur::ZERO,
+            energy: Joules::ZERO,
+        };
+    }
+    disk.reset_meter();
+    let start = disk.clock();
+    let mut t = start;
+    for pb in bursts {
+        for req in &pb.burst.requests {
+            let block = layout.block_of(req.file, req.offset);
+            t = disk
+                .service(t, &device_request(req.op, req.len, block))
+                .complete;
+        }
+        t += pb.gap_after;
+        disk.advance_to(t);
+    }
+    let time = t.saturating_since(start);
+    let park = disk.params().timeout + disk.params().spindown_time + Dur::from_millis(1);
+    disk.advance_to(t + park);
+    Estimate {
+        time,
+        energy: disk.energy(),
+    }
+}
+
+/// The WNIC walk as `Estimator::wnic_cost` wrote it: reference.
+fn reference_wnic_cost(bursts: &[ProfiledBurst], mut wnic: WnicModel) -> Estimate {
+    if bursts.is_empty() {
+        return Estimate {
+            time: Dur::ZERO,
+            energy: Joules::ZERO,
+        };
+    }
+    wnic.reset_meter();
+    let start = wnic.clock();
+    let mut t = start;
+    for pb in bursts {
+        for req in &pb.burst.requests {
+            t = wnic
+                .service(t, &device_request(req.op, req.len, None))
+                .complete;
+        }
+        t += pb.gap_after;
+        wnic.advance_to(t);
+    }
+    let time = t.saturating_since(start);
+    let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
+    wnic.advance_to(t + park);
+    Estimate {
+        time,
+        energy: wnic.energy(),
+    }
+}
+
+/// A small file and a 200 MB one, so requests can be contiguous, short
+/// seeks, far seeks, or (past a file's end / file 3) blockless.
+fn two_file_layout() -> DiskLayout {
+    let mut fs = FileSet::new();
+    for (id, size) in [(1, 2_000_000), (2, 200_000_000)] {
+        fs.insert(FileMeta {
+            id: FileId(id),
+            name: format!("f{id}"),
+            size: Bytes(size),
+        });
+    }
+    DiskLayout::build(&fs, 3)
+}
+
+/// Think gaps on both sides of the 800 ms PSM timeout, the 20 s disk
+/// timeout and the end of the 2.3 s spin-down after it.
+fn arb_gap() -> impl Strategy<Value = Dur> {
+    const BANDS_US: [(u64, u64); 5] = [
+        (0, 50_000),
+        (600_000, 1_000_000),
+        (19_000_000, 21_000_000),
+        (21_000_000, 23_500_000),
+        (23_500_000, 60_000_000),
+    ];
+    (0usize..BANDS_US.len(), any::<u64>()).prop_map(|(band, x)| {
+        let (lo, hi) = BANDS_US[band];
+        Dur(lo + x % (hi - lo))
+    })
+}
+
+/// Bursts of reads and writes; each request either continues the
+/// previous one or jumps to a drawn file and offset.
+fn arb_walk_bursts() -> impl Strategy<Value = Vec<ProfiledBurst>> {
+    let req = (
+        1u64..=3,
+        any::<bool>(),
+        any::<bool>(),
+        0u64..250_000_000,
+        1u64..300_000,
+    );
+    let burst = (proptest::collection::vec(req, 0..6), arb_gap());
+    proptest::collection::vec(burst, 0..12).prop_map(|raw| {
+        let mut prev: Option<MergedRequest> = None;
+        raw.into_iter()
+            .map(|(reqs, gap_after)| {
+                let requests = reqs
+                    .into_iter()
+                    .map(|(file, write, contiguous, offset, len)| {
+                        let op = if write { IoOp::Write } else { IoOp::Read };
+                        let r = match prev {
+                            Some(p) if contiguous => MergedRequest {
+                                op,
+                                offset: p.end_offset(),
+                                len: Bytes(len),
+                                ..p
+                            },
+                            _ => MergedRequest {
+                                file: FileId(file),
+                                op,
+                                offset,
+                                len: Bytes(len),
+                            },
+                        };
+                        prev = Some(r);
+                        r
+                    })
+                    .collect();
+                ProfiledBurst {
+                    burst: IoBurst {
+                        start: SimTime::ZERO,
+                        end: SimTime::ZERO,
+                        requests,
+                    },
+                    gap_after,
+                }
+            })
+            .collect()
+    })
+}
+
+/// Disk start states: idle, standby, mid-spin-down, and idle after a
+/// request (so the sequential hint is set).
+fn disk_start(kind: u8, at_ms: u64) -> DiskModel {
+    let params = DiskParams::hitachi_dk23da();
+    match kind {
+        0 => DiskModel::new(params),
+        1 => DiskModel::new_standby(params),
+        2 => {
+            let mut d = DiskModel::new(params);
+            let into_spindown = Dur(at_ms * 1_000 % d.params().spindown_time.as_micros());
+            d.advance_to(SimTime::ZERO + d.params().timeout + into_spindown);
+            d
+        }
+        _ => {
+            let mut d = DiskModel::new(params);
+            d.service(
+                SimTime::from_millis(at_ms),
+                &DeviceRequest::read(Bytes::kib(64), Some(0)),
+            );
+            d
+        }
+    }
+}
+
+/// WNIC start states: PSM, CAM, and mid CAM→PSM switch.
+fn wnic_start(kind: u8, at_ms: u64) -> WnicModel {
+    let params = WnicParams::cisco_aironet350();
+    match kind {
+        0 => WnicModel::new(params),
+        1 => WnicModel::new_cam(params),
+        _ => {
+            let mut w = WnicModel::new_cam(params);
+            let into_switch = Dur(at_ms * 1_000 % w.params().to_psm_time.as_micros());
+            w.advance_to(SimTime::ZERO + w.params().psm_timeout + into_switch);
+            w
+        }
+    }
 }
 
 proptest! {
@@ -168,7 +353,6 @@ proptest! {
                 out
             })
             .collect();
-        use ff_device::{DiskModel, DiskParams, WnicModel, WnicParams};
         let d_small = est.disk_cost(&bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
         let d_big = est.disk_cost(&bigger, DiskModel::new(DiskParams::hitachi_dk23da()));
         prop_assert!(d_big.time >= d_small.time);
@@ -204,5 +388,29 @@ proptest! {
         for w in m.bursts.windows(2) {
             prop_assert!(w[0].burst.start <= w[1].burst.start);
         }
+    }
+
+    /// The one shared walk reproduces the two loops it replaced: equal
+    /// time and bit-equal energy from every start state.
+    #[test]
+    fn walk_is_bit_identical_to_the_reference_loops(
+        bursts in arb_walk_bursts(),
+        disk_kind in 0u8..4,
+        wnic_kind in 0u8..3,
+        at_ms in 0u64..10_000,
+    ) {
+        let layout = two_file_layout();
+        let est = Estimator::new(&layout);
+        let disk = disk_start(disk_kind, at_ms);
+        let got = est.disk_cost(&bursts, disk.clone());
+        let want = reference_disk_cost(&layout, &bursts, disk);
+        prop_assert_eq!(got.time, want.time);
+        prop_assert_eq!(got.energy.get().to_bits(), want.energy.get().to_bits());
+
+        let wnic = wnic_start(wnic_kind, at_ms);
+        let got = est.wnic_cost(&bursts, wnic.clone());
+        let want = reference_wnic_cost(&bursts, wnic);
+        prop_assert_eq!(got.time, want.time);
+        prop_assert_eq!(got.energy.get().to_bits(), want.energy.get().to_bits());
     }
 }

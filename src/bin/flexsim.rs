@@ -12,7 +12,7 @@
 //! policies:  flexfetch | flexfetch-static | bluefs | disk | wnic | all
 //! ```
 
-use flexfetch::base::{Bytes, Dur};
+use flexfetch::base::{Bytes, Dur, Error};
 use flexfetch::policy::FlexFetchConfig;
 use flexfetch::prelude::*;
 use flexfetch::profile::HoardPlanner;
@@ -28,7 +28,7 @@ struct Args {
     loss_rate: f64,
     stage_secs: u64,
     sync_writes: bool,
-    hoard_budget_mb: Option<u64>,
+    hoard_budget: Option<Bytes>,
     decisions: bool,
     breakdown: bool,
     save_trace: Option<String>,
@@ -39,6 +39,12 @@ struct Args {
 fn usage() -> ! {
     eprint!("{}", USAGE);
     exit(2)
+}
+
+/// Report a failed run (I/O, workload assembly, simulation) and exit 1.
+fn fail(what: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("{what}: {e}");
+    exit(1)
 }
 
 const USAGE: &str = "\
@@ -77,7 +83,7 @@ fn parse_args() -> Args {
         loss_rate: 0.25,
         stage_secs: 40,
         sync_writes: false,
-        hoard_budget_mb: None,
+        hoard_budget: None,
         decisions: false,
         breakdown: false,
         save_trace: None,
@@ -103,14 +109,23 @@ fn parse_args() -> Args {
                 args.bandwidth_mbps = val("--bandwidth-mbps").parse().unwrap_or_else(|_| usage())
             }
             "--loss-rate" => {
-                args.loss_rate = val("--loss-rate").parse().unwrap_or_else(|_| usage())
+                let rate: f64 = val("--loss-rate").parse().unwrap_or_else(|_| usage());
+                if !(0.0..=1.0).contains(&rate) {
+                    eprintln!("--loss-rate must lie in 0..1, got {rate}");
+                    usage()
+                }
+                args.loss_rate = rate;
             }
             "--stage-secs" => {
                 args.stage_secs = val("--stage-secs").parse().unwrap_or_else(|_| usage())
             }
             "--hoard-budget-mb" => {
-                args.hoard_budget_mb =
-                    Some(val("--hoard-budget-mb").parse().unwrap_or_else(|_| usage()))
+                let mb: u64 = val("--hoard-budget-mb").parse().unwrap_or_else(|_| usage());
+                let bytes = mb.checked_mul(1_000_000).unwrap_or_else(|| {
+                    eprintln!("--hoard-budget-mb {mb} overflows a byte count");
+                    usage()
+                });
+                args.hoard_budget = Some(Bytes(bytes));
             }
             "--sync-writes" => args.sync_writes = true,
             "--decisions" => args.decisions = true,
@@ -132,12 +147,17 @@ fn parse_args() -> Args {
 }
 
 /// Build `(replayed trace, prior-run profile, disk-pinned files)`.
-fn build_workload(name: &str, seed: u64) -> (Trace, Profile, Vec<FileId>) {
+fn build_workload(name: &str, seed: u64) -> Result<(Trace, Profile, Vec<FileId>), Error> {
     let profiler = Profiler::standard();
     let single = |w: &dyn Workload| {
         let trace = w.build(seed);
         let profile = profiler.profile(&w.build(seed + 1));
-        (trace, profile, Vec::new())
+        Ok((trace, profile, Vec::new()))
+    };
+    let grep_make = |s: u64| {
+        Grep::default()
+            .build(s)
+            .concat(&Make::default().build(s), Dur::from_secs(2))
     };
     match name {
         "grep" => single(&Grep::default()),
@@ -149,22 +169,15 @@ fn build_workload(name: &str, seed: u64) -> (Trace, Profile, Vec<FileId>) {
             // The paper's §3.3.5 setup: stale small-file profile.
             let trace = Acroread::large_search().build(seed);
             let profile = profiler.profile(&Acroread::small_profile().build(seed + 1));
-            (trace, profile, Vec::new())
+            Ok((trace, profile, Vec::new()))
         }
-        "grep+make" => {
-            let build = |s: u64| {
-                Grep::default()
-                    .build(s)
-                    .concat(&Make::default().build(s), Dur::from_secs(2))
-                    .expect("disjoint inodes")
-            };
-            (build(seed), profiler.profile(&build(seed + 1)), Vec::new())
-        }
+        "grep+make" => Ok((
+            grep_make(seed)?,
+            profiler.profile(&grep_make(seed + 1)?),
+            Vec::new(),
+        )),
         "grep+make+xmms" => {
-            let gm = Grep::default()
-                .build(seed)
-                .concat(&Make::default().build(seed), Dur::from_secs(2))
-                .expect("disjoint inodes");
+            let gm = grep_make(seed)?;
             let span = gm.stats().span + Dur::from_secs(30);
             let xmms = Xmms {
                 play_limit: Some(span),
@@ -172,11 +185,8 @@ fn build_workload(name: &str, seed: u64) -> (Trace, Profile, Vec<FileId>) {
             }
             .build(seed);
             let pinned = xmms.files.iter().map(|f| f.id).collect();
-            let prior = Grep::default()
-                .build(seed + 1)
-                .concat(&Make::default().build(seed + 1), Dur::from_secs(2))
-                .unwrap();
-            (gm.merge(&xmms).unwrap(), profiler.profile(&prior), pinned)
+            let prior = profiler.profile(&grep_make(seed + 1)?);
+            Ok((gm.merge(&xmms)?, prior, pinned))
         }
         other => {
             eprintln!("unknown workload {other}");
@@ -309,14 +319,18 @@ fn report_section(report: &ff_sim::SimReport) -> String {
 
 fn main() {
     let args = parse_args();
-    let (trace, profile, pinned) = build_workload(&args.workload, args.seed);
+    let (trace, profile, pinned) =
+        build_workload(&args.workload, args.seed).unwrap_or_else(|e| fail("workload", e));
 
     if let Some(path) = &args.save_trace {
-        std::fs::write(path, strace::to_string(&trace)).expect("write trace");
+        std::fs::write(path, strace::to_string(&trace))
+            .unwrap_or_else(|e| fail(&format!("write {path}"), e));
         println!("trace -> {path}");
     }
     if let Some(path) = &args.save_profile {
-        profile.save(path).expect("write profile");
+        profile
+            .save(path)
+            .unwrap_or_else(|e| fail(&format!("write {path}"), e));
         println!("profile -> {path}");
     }
 
@@ -328,8 +342,8 @@ fn main() {
     if args.sync_writes {
         cfg = cfg.with_sync_writes();
     }
-    if let Some(mb) = args.hoard_budget_mb {
-        let plan = HoardPlanner::new(Bytes(mb * 1_000_000)).plan(&profile, &trace.files);
+    if let Some(budget) = args.hoard_budget {
+        let plan = HoardPlanner::new(budget).plan(&profile, &trace.files);
         println!(
             "hoard: {} files / {} local, {} server-only",
             plan.hoarded.len(),
@@ -359,13 +373,10 @@ fn main() {
         args.workload, args.seed, args.bandwidth_mbps, args.latency_ms, args.stage_secs, args.loss_rate
     );
     for kind in policies(&args.policy, &profile, args.loss_rate) {
-        let report = match Simulation::new(cfg.clone(), &trace).policy(kind).run() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                exit(1)
-            }
-        };
+        let report = Simulation::new(cfg.clone(), &trace)
+            .policy(kind)
+            .run()
+            .unwrap_or_else(|e| fail("simulation failed", e));
         println!("{}", report.summary());
         if args.report.is_some() {
             md.push_str(&report_section(&report));
@@ -392,7 +403,7 @@ fn main() {
         }
     }
     if let Some(path) = &args.report {
-        std::fs::write(path, md).expect("write report");
+        std::fs::write(path, md).unwrap_or_else(|e| fail(&format!("write {path}"), e));
         println!("\nreport -> {path}");
     }
 }

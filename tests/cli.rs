@@ -120,3 +120,73 @@ fn hoard_budget_prints_the_plan() {
     assert!(text.contains("hoard:"), "{text}");
     assert!(text.contains("server-only"));
 }
+
+#[test]
+fn overflowing_hoard_budget_is_a_usage_error() {
+    let out = flexsim()
+        .args([
+            "--workload",
+            "xmms",
+            "--policy",
+            "disk",
+            "--hoard-budget-mb",
+            "18446744073710",
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("overflows"));
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("hoard:"));
+}
+
+#[test]
+fn loss_rate_outside_unit_interval_is_a_usage_error() {
+    for rate in ["NaN", "-3", "inf", "1.5"] {
+        let out = flexsim()
+            .args([
+                "--workload",
+                "xmms",
+                "--policy",
+                "disk",
+                "--loss-rate",
+                rate,
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--loss-rate {rate}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--loss-rate"));
+    }
+}
+
+#[test]
+fn unwritable_output_paths_fail_without_panicking() {
+    let dir = std::env::temp_dir().join("flexsim-cli-missing-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("out");
+    let path = path.to_str().unwrap();
+    for flag in ["--save-trace", "--save-profile", "--report"] {
+        let out = flexsim()
+            .args(["--workload", "xmms", "--policy", "disk", flag, path])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("write"), "{flag}: {err}");
+        assert!(!err.contains("panicked"), "{flag}: {err}");
+    }
+}
+
+#[test]
+fn merged_recipe_builds_and_runs() {
+    let out = flexsim()
+        .args(["--workload", "grep+make+xmms", "--policy", "disk"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("Disk-only"), "{text}");
+}
