@@ -5,7 +5,7 @@
 //! write-back traffic) ever reach a storage device — the prerequisite for
 //! FlexFetch's cache-effect handling (§2.3.2).
 
-use crate::page::{pages_covering, PageKey};
+use crate::page::{pages_covering, push_run, PageKey};
 use crate::readahead::Readahead;
 use crate::twoq::TwoQ;
 use crate::writeback::{Writeback, WritebackConfig};
@@ -105,11 +105,7 @@ pub struct BufferCache {
     twoq: TwoQ,
     readahead: Readahead,
     writeback: Writeback,
-    hits: u64,
-    misses: u64,
-    readahead_pages: u64,
-    flushes: u64,
-    flushed_pages: u64,
+    stats: CacheStats,
 }
 
 impl BufferCache {
@@ -119,11 +115,7 @@ impl BufferCache {
             twoq: TwoQ::new(config.capacity_pages),
             readahead: Readahead::new(config.readahead_max_pages),
             writeback: Writeback::new(config.writeback),
-            hits: 0,
-            misses: 0,
-            readahead_pages: 0,
-            flushes: 0,
-            flushed_pages: 0,
+            stats: CacheStats::default(),
         }
     }
 
@@ -148,55 +140,29 @@ impl BufferCache {
         let (first, last) = (*pages.start(), *pages.end());
 
         // Demand pages: classify hits vs misses, merging misses into runs.
-        let mut run: Option<(u64, u64)> = None;
         for p in pages {
             let key = PageKey { file, index: p };
-            let access = self.twoq.touch(key, &mut evicted);
-            if access.is_hit() {
-                self.hits += 1;
+            if self.twoq.touch(key, &mut evicted).is_hit() {
+                self.stats.hits += 1;
                 out.hit_pages += 1;
-                if let Some(r) = run.take() {
-                    out.demand.push(r);
-                }
             } else {
-                self.misses += 1;
-                match &mut run {
-                    Some((_, n)) => *n += 1,
-                    None => run = Some((p, 1)),
-                }
+                self.stats.misses += 1;
+                push_run(&mut out.demand, p);
             }
-        }
-        if let Some(r) = run.take() {
-            out.demand.push(r);
         }
 
         // Readahead: ask the engine, clamp to the file, and make the
         // prefetched pages resident (they ride the same device I/O).
         if let Some((start, n)) = self.readahead.on_access(file, first, last) {
-            let file_pages = file_size.pages();
-            let mut pstart = None;
-            let mut plen = 0;
-            for p in start..start + n {
-                if p >= file_pages {
-                    break;
-                }
+            for p in start..(start + n).min(file_size.pages()) {
                 let key = PageKey { file, index: p };
                 if !self.twoq.contains(key) {
                     self.twoq.touch(key, &mut evicted);
-                    if pstart.is_none() {
-                        pstart = Some(p);
-                    }
-                    plen += 1;
-                } else if let Some(s) = pstart.take() {
-                    out.prefetch.push((s, plen));
-                    plen = 0;
+                    self.stats.readahead_pages += 1;
+                    push_run(&mut out.prefetch, p);
                 }
             }
-            if let Some(s) = pstart {
-                out.prefetch.push((s, plen));
-            }
         }
-        self.readahead_pages += out.prefetch.iter().map(|&(_, n)| n).sum::<u64>();
         out.evicted_dirty = evicted
             .into_iter()
             .filter(|k| self.writeback.on_evict(*k))
@@ -228,8 +194,8 @@ impl BufferCache {
     pub fn flush_due(&mut self, now: SimTime, disk_ready: bool) -> Vec<PageKey> {
         let due = self.writeback.collect_due(now, disk_ready);
         if !due.is_empty() {
-            self.flushes += 1;
-            self.flushed_pages += due.len() as u64;
+            self.stats.flushes += 1;
+            self.stats.flushed_pages += due.len() as u64;
         }
         due
     }
@@ -238,8 +204,8 @@ impl BufferCache {
     pub fn flush_all(&mut self) -> Vec<PageKey> {
         let drained = self.writeback.drain_all();
         if !drained.is_empty() {
-            self.flushes += 1;
-            self.flushed_pages += drained.len() as u64;
+            self.stats.flushes += 1;
+            self.stats.flushed_pages += drained.len() as u64;
         }
         drained
     }
@@ -256,25 +222,9 @@ impl BufferCache {
         resident as f64 / (last - first + 1) as f64
     }
 
-    /// Lifetime hit/miss counters (demand pages only).
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Full lifetime activity counters (see [`CacheStats`]).
+    /// Lifetime activity counters (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            readahead_pages: self.readahead_pages,
-            flushes: self.flushes,
-            flushed_pages: self.flushed_pages,
-        }
-    }
-
-    /// Resident page count.
-    pub fn resident(&self) -> usize {
-        self.twoq.resident()
+        self.stats
     }
 
     /// Dirty page count.
@@ -395,12 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_stats_accumulate() {
+    fn demand_stats_accumulate() {
         let mut c = cache(64);
         c.read(SimTime::ZERO, F, 0, Bytes(4096), SZ);
         c.read(SimTime::ZERO, F, 0, Bytes(4096), SZ);
-        let (h, m) = c.hit_stats();
-        assert_eq!((h, m), (1, 1));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -462,7 +412,9 @@ mod tests {
             demand <= 130,
             "interleaved streams broke readahead: {demand} pages"
         );
-        let (h, m) = c.hit_stats();
+        let CacheStats {
+            hits: h, misses: m, ..
+        } = c.stats();
         assert!(h > m, "most demand pages should hit ({h} vs {m})");
     }
 
@@ -471,7 +423,7 @@ mod tests {
         let mut c = cache(256);
         c.read(SimTime::ZERO, F, 0, Bytes(4096), SZ);
         let s = c.stats();
-        assert_eq!((s.hits, s.misses), c.hit_stats());
+        assert_eq!((s.hits, s.misses), (0, 1));
         assert!(s.readahead_pages > 0, "sequential start should prefetch");
         assert_eq!((s.flushes, s.flushed_pages), (0, 0));
 

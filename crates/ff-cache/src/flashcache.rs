@@ -12,21 +12,16 @@
 //! This type tracks *membership only* (like [`crate::twoq::TwoQ`]); the
 //! simulator owns the flash device model and pays the transfer costs.
 
-use crate::page::PageKey;
-use std::collections::BTreeMap;
+use crate::page::{PageKey, PageQueue};
+use std::collections::BTreeSet;
 
 /// Page-granular LRU flash cache with a destage queue.
 #[derive(Debug, Clone)]
 pub struct FlashCache {
     capacity_pages: usize,
-    /// LRU: seq → page; reverse index page → seq.
-    lru: BTreeMap<u64, PageKey>,
-    index: BTreeMap<PageKey, u64>,
+    lru: PageQueue,
     /// Pages buffered for destage to the disk (still resident in LRU).
-    dirty: BTreeMap<PageKey, ()>,
-    seq: u64,
-    hits: u64,
-    misses: u64,
+    dirty: BTreeSet<PageKey>,
 }
 
 impl FlashCache {
@@ -35,12 +30,8 @@ impl FlashCache {
         assert!(capacity_pages > 0, "flash capacity must be positive");
         FlashCache {
             capacity_pages,
-            lru: BTreeMap::new(),
-            index: BTreeMap::new(),
-            dirty: BTreeMap::new(),
-            seq: 0,
-            hits: 0,
-            misses: 0,
+            lru: PageQueue::default(),
+            dirty: BTreeSet::new(),
         }
     }
 
@@ -49,34 +40,14 @@ impl FlashCache {
         self.lru.len()
     }
 
-    /// Configured capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity_pages
-    }
-
-    /// Lifetime (hits, misses) of [`FlashCache::lookup`].
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Dirty (buffered-write) page count.
     pub fn dirty_count(&self) -> usize {
         self.dirty.len()
     }
 
-    /// Is `page` resident? Refreshes LRU position and counts the probe.
+    /// Is `page` resident? Refreshes its LRU position.
     pub fn lookup(&mut self, page: PageKey) -> bool {
-        if let Some(seq) = self.index.get(&page).copied() {
-            self.lru.remove(&seq);
-            self.seq += 1;
-            self.lru.insert(self.seq, page);
-            self.index.insert(page, self.seq);
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
+        self.lru.refresh(page)
     }
 
     /// Insert a clean page fetched from a device; returns evicted pages
@@ -92,23 +63,16 @@ impl FlashCache {
     }
 
     fn insert(&mut self, page: PageKey, dirty: bool) -> Vec<PageKey> {
-        if let Some(seq) = self.index.get(&page).copied() {
-            self.lru.remove(&seq);
-        }
-        self.seq += 1;
-        self.lru.insert(self.seq, page);
-        self.index.insert(page, self.seq);
+        self.lru.push_back(page);
         if dirty {
-            self.dirty.insert(page, ());
+            self.dirty.insert(page);
         }
         let mut spilled = Vec::new();
         while self.lru.len() > self.capacity_pages {
-            let Some((&seq, &victim)) = self.lru.iter().next() else {
+            let Some(victim) = self.lru.pop_front() else {
                 break;
             };
-            self.lru.remove(&seq);
-            self.index.remove(&victim);
-            if self.dirty.remove(&victim).is_some() {
+            if self.dirty.remove(&victim) {
                 spilled.push(victim);
             }
         }
@@ -118,9 +82,7 @@ impl FlashCache {
     /// Drain the destage queue (the disk is awake): the pages remain
     /// cached but are clean afterwards.
     pub fn take_destage(&mut self) -> Vec<PageKey> {
-        let pages: Vec<PageKey> = self.dirty.keys().copied().collect();
-        self.dirty.clear();
-        pages
+        std::mem::take(&mut self.dirty).into_iter().collect()
     }
 }
 
@@ -142,7 +104,6 @@ mod tests {
         assert!(!f.lookup(page(1)));
         f.insert_clean(page(1));
         assert!(f.lookup(page(1)));
-        assert_eq!(f.hit_stats(), (1, 1));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!
 //! Modules:
 //!
+//! * [`page`] — page keys, `(first_page, n_pages)` runs, and the one
+//!   ordered page list ([`PageQueue`]) every queue below is built on.
 //! * [`twoq`] — the 2Q-like replacement algorithm (A1in FIFO, A1out
 //!   ghost queue, Am LRU).
 //! * [`readahead`] — Linux 2.6 two-window readahead, window doubling up
@@ -48,7 +50,7 @@ pub mod writeback;
 pub use cache::{BufferCache, CacheConfig, CacheStats, ReadOutcome, WriteOutcome};
 pub use cscan::CScanQueue;
 pub use flashcache::FlashCache;
-pub use page::PageKey;
+pub use page::{PageKey, PageQueue};
 pub use readahead::Readahead;
 pub use twoq::{Access, TwoQ};
 pub use writeback::{Writeback, WritebackConfig};

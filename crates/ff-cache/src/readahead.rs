@@ -10,7 +10,6 @@
 //! not per call. A non-sequential access shrinks the state back to
 //! nothing.
 
-use crate::page::PageKey;
 use ff_trace::FileId;
 use std::collections::BTreeMap;
 
@@ -50,11 +49,6 @@ impl Readahead {
             initial_pages: 4.min(max_pages),
             streams: BTreeMap::new(),
         }
-    }
-
-    /// Maximum window size in pages.
-    pub fn max_pages(&self) -> u64 {
-        self.max_pages
     }
 
     /// Record an application access to pages `[first, last]` of `file`
@@ -103,30 +97,6 @@ impl Readahead {
             }
         }
     }
-
-    /// Forget the stream for `file` (close / random access detected).
-    pub fn reset(&mut self, file: FileId) {
-        self.streams.remove(&file);
-    }
-
-    /// Number of tracked streams.
-    pub fn streams(&self) -> usize {
-        self.streams.len()
-    }
-}
-
-/// Helper: clamp a prefetch range to the file's page count; returns the
-/// concrete [`PageKey`]s to load.
-pub fn clamp_prefetch(
-    file: FileId,
-    start_page: u64,
-    len_pages: u64,
-    file_pages: u64,
-) -> Vec<PageKey> {
-    (start_page..start_page.saturating_add(len_pages))
-        .take_while(|&p| p < file_pages)
-        .map(|p| PageKey { file, index: p })
-        .collect()
 }
 
 #[cfg(test)]
@@ -177,10 +147,10 @@ mod tests {
     fn streams_are_per_file() {
         let mut ra = Readahead::default();
         ra.on_access(FileId(1), 0, 0);
-        ra.on_access(FileId(2), 0, 0);
-        assert_eq!(ra.streams(), 2);
-        ra.reset(FileId(1));
-        assert_eq!(ra.streams(), 1);
+        ra.on_access(FileId(2), 40, 40);
+        // File 2's access did not break file 1's stream.
+        assert_eq!(ra.on_access(FileId(1), 1, 1), Some((5, 8)));
+        assert_eq!(ra.on_access(FileId(2), 41, 41), Some((45, 8)));
     }
 
     #[test]
@@ -213,14 +183,5 @@ mod tests {
         let mut ra = Readahead::new(0);
         assert_eq!(ra.on_access(F, 0, 0), None);
         assert_eq!(ra.on_access(F, 1, 1), None);
-        assert_eq!(ra.streams(), 0);
-    }
-
-    #[test]
-    fn clamp_respects_file_end() {
-        let keys = clamp_prefetch(F, 6, 8, 10);
-        assert_eq!(keys.len(), 4);
-        assert_eq!(keys.last().unwrap().index, 9);
-        assert!(clamp_prefetch(F, 12, 4, 10).is_empty());
     }
 }

@@ -13,9 +13,8 @@
 //! touch in Am refreshes its LRU position. Eviction prefers A1in overflow
 //! (to the ghost queue), then the LRU tail of Am.
 
-use crate::page::PageKey;
+use crate::page::{PageKey, PageQueue};
 use ff_trace::FileId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Result of touching a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,33 +41,27 @@ pub struct TwoQ {
     capacity: usize,
     kin: usize,
     kout: usize,
-    a1in: VecDeque<PageKey>,
-    a1in_set: BTreeSet<PageKey>,
-    a1out: VecDeque<PageKey>,
-    a1out_set: BTreeSet<PageKey>,
-    /// LRU: sequence number → key, plus reverse index.
-    am: BTreeMap<u64, PageKey>,
-    am_index: BTreeMap<PageKey, u64>,
-    seq: u64,
+    a1in: PageQueue,
+    a1out: PageQueue,
+    am: PageQueue,
 }
 
 impl TwoQ {
+    /// The smallest capacity [`TwoQ::new`] accepts.
+    pub const MIN_CAPACITY: usize = 4;
+
     /// New cache holding at most `capacity` resident pages.
     ///
     /// Uses the canonical tuning: `Kin` = 25 % of capacity, `Kout` = 50 %.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 4, "2Q needs at least 4 pages");
+        assert!(capacity >= Self::MIN_CAPACITY, "2Q needs at least 4 pages");
         TwoQ {
             capacity,
             kin: (capacity / 4).max(1),
             kout: (capacity / 2).max(1),
-            a1in: VecDeque::new(),
-            a1in_set: BTreeSet::new(),
-            a1out: VecDeque::new(),
-            a1out_set: BTreeSet::new(),
-            am: BTreeMap::new(),
-            am_index: BTreeMap::new(),
-            seq: 0,
+            a1in: PageQueue::default(),
+            a1out: PageQueue::default(),
+            am: PageQueue::default(),
         }
     }
 
@@ -77,120 +70,53 @@ impl TwoQ {
         self.a1in.len() + self.am.len()
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Is the page resident (no state change)?
     pub fn contains(&self, key: PageKey) -> bool {
-        self.a1in_set.contains(&key) || self.am_index.contains_key(&key)
+        self.a1in.contains(key) || self.am.contains(key)
     }
 
     /// Resident pages of `file` with index in `first..=last` (no state
-    /// change). A1in and Am never share a key, so the two range counts
-    /// add up; `PageKey` orders by file first, so the range never
-    /// reaches a neighbouring file's pages.
+    /// change). A1in and Am never share a key, so the two counts add up.
     pub fn resident_in(&self, file: FileId, first: u64, last: u64) -> usize {
-        let lo = PageKey { file, index: first };
-        let hi = PageKey { file, index: last };
-        self.a1in_set.range(lo..=hi).count() + self.am_index.range(lo..=hi).count()
+        self.a1in.count_in(file, first, last) + self.am.count_in(file, first, last)
     }
 
     /// Touch `key`; returns the access class and appends any evicted
     /// (previously resident) pages to `evicted`.
     pub fn touch(&mut self, key: PageKey, evicted: &mut Vec<PageKey>) -> Access {
-        if self.am_index.contains_key(&key) {
-            self.refresh_am(key);
+        // 2Q leaves A1in order alone on repeat touches.
+        if self.am.refresh(key) || self.a1in.contains(key) {
             return Access::Hit;
         }
-        if self.a1in_set.contains(&key) {
-            // 2Q leaves A1in order alone on repeat touches.
-            return Access::Hit;
-        }
-        if self.a1out_set.contains(&key) {
-            self.remove_ghost(key);
-            self.make_room(evicted);
-            self.insert_am(key);
-            return Access::GhostMiss;
-        }
+        let ghost = self.a1out.remove(key);
         self.make_room(evicted);
-        self.a1in.push_back(key);
-        self.a1in_set.insert(key);
-        Access::Miss
-    }
-
-    /// Drop a page outright (e.g. file truncation); no ghost entry.
-    pub fn discard(&mut self, key: PageKey) {
-        if self.a1in_set.remove(&key) {
-            self.a1in.retain(|k| *k != key);
-        }
-        if let Some(seq) = self.am_index.remove(&key) {
-            self.am.remove(&seq);
-        }
-        self.remove_ghost(key);
-    }
-
-    /// Iterate resident pages (A1in then Am, oldest first) — used by the
-    /// FlexFetch cache filter to ask "is this profiled data resident?".
-    pub fn resident_pages(&self) -> impl Iterator<Item = PageKey> + '_ {
-        self.a1in.iter().copied().chain(self.am.values().copied())
-    }
-
-    fn refresh_am(&mut self, key: PageKey) {
-        let old = self.am_index[&key];
-        self.am.remove(&old);
-        self.seq += 1;
-        self.am.insert(self.seq, key);
-        self.am_index.insert(key, self.seq);
-    }
-
-    fn insert_am(&mut self, key: PageKey) {
-        self.seq += 1;
-        self.am.insert(self.seq, key);
-        self.am_index.insert(key, self.seq);
-    }
-
-    fn remove_ghost(&mut self, key: PageKey) {
-        if self.a1out_set.remove(&key) {
-            self.a1out.retain(|k| *k != key);
+        if ghost {
+            self.am.push_back(key);
+            Access::GhostMiss
+        } else {
+            self.a1in.push_back(key);
+            Access::Miss
         }
     }
 
-    /// Ensure there is room for one more resident page.
+    /// Ensure there is room for one more resident page: evict the Am LRU
+    /// page unless A1in is over `Kin` (or Am is empty), in which case
+    /// A1in's oldest page moves to the ghost queue. Am pages leave no
+    /// ghost, as in classic 2Q.
     fn make_room(&mut self, evicted: &mut Vec<PageKey>) {
         if self.resident() < self.capacity {
             return;
         }
-        // Prefer evicting from an over-full A1in into the ghost queue.
-        if self.a1in.len() > self.kin {
-            if let Some(victim) = self.a1in.pop_front() {
-                self.a1in_set.remove(&victim);
-                self.a1out.push_back(victim);
-                self.a1out_set.insert(victim);
-                if self.a1out.len() > self.kout {
-                    if let Some(g) = self.a1out.pop_front() {
-                        self.a1out_set.remove(&g);
-                    }
-                }
+        if self.a1in.len() <= self.kin {
+            if let Some(victim) = self.am.pop_front() {
                 evicted.push(victim);
                 return;
             }
         }
-        // Otherwise evict the Am LRU tail (no ghost for Am in classic 2Q).
-        if let Some((&seq, &victim)) = self.am.iter().next() {
-            self.am.remove(&seq);
-            self.am_index.remove(&victim);
-            evicted.push(victim);
-        } else if let Some(victim) = self.a1in.pop_front() {
-            // Degenerate: everything lives in A1in.
-            self.a1in_set.remove(&victim);
+        if let Some(victim) = self.a1in.pop_front() {
             self.a1out.push_back(victim);
-            self.a1out_set.insert(victim);
             if self.a1out.len() > self.kout {
-                if let Some(g) = self.a1out.pop_front() {
-                    self.a1out_set.remove(&g);
-                }
+                self.a1out.pop_front();
             }
             evicted.push(victim);
         }
@@ -304,29 +230,6 @@ mod tests {
         if !q.contains(key(1)) {
             assert!(q.contains(key(0)) || !q.contains(key(1)));
         }
-    }
-
-    #[test]
-    fn discard_removes_everywhere() {
-        let mut q = TwoQ::new(8);
-        touch(&mut q, 1);
-        q.discard(key(1));
-        assert!(!q.contains(key(1)));
-        assert_eq!(
-            touch(&mut q, 1),
-            Access::Miss,
-            "discard must not leave a ghost"
-        );
-    }
-
-    #[test]
-    fn resident_pages_iterates_all() {
-        let mut q = TwoQ::new(8);
-        for i in 0..5 {
-            touch(&mut q, i);
-        }
-        let pages: Vec<_> = q.resident_pages().collect();
-        assert_eq!(pages.len(), q.resident());
     }
 
     #[test]

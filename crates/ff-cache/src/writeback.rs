@@ -62,11 +62,6 @@ impl Writeback {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &WritebackConfig {
-        &self.config
-    }
-
     /// Mark a page dirty at `now`.
     pub fn mark_dirty(&mut self, key: PageKey, now: SimTime) {
         self.dirty.entry(key).or_insert(now);
@@ -76,11 +71,6 @@ impl Writeback {
     /// returns true if it was dirty.
     pub fn on_evict(&mut self, key: PageKey) -> bool {
         self.dirty.remove(&key).is_some()
-    }
-
-    /// Is the page dirty?
-    pub fn is_dirty(&self, key: PageKey) -> bool {
-        self.dirty.contains_key(&key)
     }
 
     /// Number of dirty pages.
@@ -161,7 +151,7 @@ mod tests {
         w.mark_dirty(key(2), SimTime::from_secs(25));
         let due = w.collect_due(SimTime::from_secs(31), true);
         assert_eq!(due, vec![key(1)]);
-        assert!(w.is_dirty(key(2)));
+        assert_eq!(w.drain_all(), vec![key(2)]);
     }
 
     #[test]

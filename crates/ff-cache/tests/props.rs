@@ -223,3 +223,244 @@ proptest! {
         prop_assert!(hit);
     }
 }
+
+/// The list code `TwoQ` and `FlashCache` ran on before `PageQueue`:
+/// A1in and A1out as a `VecDeque` plus a `BTreeSet`, Am and the flash
+/// LRU as a seq↔key `BTreeMap` pair. Kept as references the
+/// `PageQueue`-based types must match touch for touch.
+mod reference {
+    use ff_cache::{Access, PageKey};
+    use ff_trace::FileId;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+    pub struct TwoQ {
+        capacity: usize,
+        kin: usize,
+        kout: usize,
+        a1in: VecDeque<PageKey>,
+        fifo_set: BTreeSet<PageKey>,
+        a1out: VecDeque<PageKey>,
+        ghost_set: BTreeSet<PageKey>,
+        am: BTreeMap<u64, PageKey>,
+        lru_index: BTreeMap<PageKey, u64>,
+        seq: u64,
+    }
+
+    impl TwoQ {
+        pub fn new(capacity: usize) -> Self {
+            TwoQ {
+                capacity,
+                kin: (capacity / 4).max(1),
+                kout: (capacity / 2).max(1),
+                a1in: VecDeque::new(),
+                fifo_set: BTreeSet::new(),
+                a1out: VecDeque::new(),
+                ghost_set: BTreeSet::new(),
+                am: BTreeMap::new(),
+                lru_index: BTreeMap::new(),
+                seq: 0,
+            }
+        }
+
+        fn resident(&self) -> usize {
+            self.a1in.len() + self.am.len()
+        }
+
+        pub fn contains(&self, key: PageKey) -> bool {
+            self.fifo_set.contains(&key) || self.lru_index.contains_key(&key)
+        }
+
+        pub fn resident_in(&self, file: FileId, first: u64, last: u64) -> usize {
+            let lo = PageKey { file, index: first };
+            let hi = PageKey { file, index: last };
+            self.fifo_set.range(lo..=hi).count() + self.lru_index.range(lo..=hi).count()
+        }
+
+        pub fn touch(&mut self, key: PageKey, evicted: &mut Vec<PageKey>) -> Access {
+            if let Some(old) = self.lru_index.get(&key).copied() {
+                self.am.remove(&old);
+                self.push_lru(key);
+                return Access::Hit;
+            }
+            if self.fifo_set.contains(&key) {
+                return Access::Hit;
+            }
+            if self.ghost_set.remove(&key) {
+                self.a1out.retain(|k| *k != key);
+                self.make_room(evicted);
+                self.push_lru(key);
+                return Access::GhostMiss;
+            }
+            self.make_room(evicted);
+            self.a1in.push_back(key);
+            self.fifo_set.insert(key);
+            Access::Miss
+        }
+
+        fn push_lru(&mut self, key: PageKey) {
+            self.seq += 1;
+            self.am.insert(self.seq, key);
+            self.lru_index.insert(key, self.seq);
+        }
+
+        fn demote(&mut self, evicted: &mut Vec<PageKey>) {
+            if let Some(victim) = self.a1in.pop_front() {
+                self.fifo_set.remove(&victim);
+                self.a1out.push_back(victim);
+                self.ghost_set.insert(victim);
+                if self.a1out.len() > self.kout {
+                    if let Some(g) = self.a1out.pop_front() {
+                        self.ghost_set.remove(&g);
+                    }
+                }
+                evicted.push(victim);
+            }
+        }
+
+        fn make_room(&mut self, evicted: &mut Vec<PageKey>) {
+            if self.resident() < self.capacity {
+                return;
+            }
+            if self.a1in.len() > self.kin {
+                self.demote(evicted);
+                return;
+            }
+            if let Some((&seq, &victim)) = self.am.iter().next() {
+                self.am.remove(&seq);
+                self.lru_index.remove(&victim);
+                evicted.push(victim);
+            } else {
+                self.demote(evicted);
+            }
+        }
+    }
+
+    pub struct FlashCache {
+        capacity_pages: usize,
+        lru: BTreeMap<u64, PageKey>,
+        index: BTreeMap<PageKey, u64>,
+        dirty: BTreeMap<PageKey, ()>,
+        seq: u64,
+    }
+
+    impl FlashCache {
+        pub fn new(capacity_pages: usize) -> Self {
+            FlashCache {
+                capacity_pages,
+                lru: BTreeMap::new(),
+                index: BTreeMap::new(),
+                dirty: BTreeMap::new(),
+                seq: 0,
+            }
+        }
+
+        pub fn lookup(&mut self, page: PageKey) -> bool {
+            let Some(seq) = self.index.get(&page).copied() else {
+                return false;
+            };
+            self.lru.remove(&seq);
+            self.seq += 1;
+            self.lru.insert(self.seq, page);
+            self.index.insert(page, self.seq);
+            true
+        }
+
+        pub fn insert(&mut self, page: PageKey, dirty: bool) -> Vec<PageKey> {
+            if let Some(seq) = self.index.get(&page).copied() {
+                self.lru.remove(&seq);
+            }
+            self.seq += 1;
+            self.lru.insert(self.seq, page);
+            self.index.insert(page, self.seq);
+            if dirty {
+                self.dirty.insert(page, ());
+            }
+            let mut spilled = Vec::new();
+            while self.lru.len() > self.capacity_pages {
+                let Some((&seq, &victim)) = self.lru.iter().next() else {
+                    break;
+                };
+                self.lru.remove(&seq);
+                self.index.remove(&victim);
+                if self.dirty.remove(&victim).is_some() {
+                    spilled.push(victim);
+                }
+            }
+            spilled
+        }
+
+        pub fn take_destage(&mut self) -> Vec<PageKey> {
+            let pages = self.dirty.keys().copied().collect();
+            self.dirty.clear();
+            pages
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `TwoQ` on `PageQueue` matches the reference list code touch for
+    /// touch: same access class, same evictions in the same order, and
+    /// the same residency answers. Indices span 2–4× the capacity over
+    /// 2–3 files, so ghost hits, Am evictions and queue compactions all
+    /// occur.
+    #[test]
+    fn twoq_matches_reference_lists(
+        cap in 4usize..64,
+        files in 2u64..4,
+        span in 2u64..5,
+        touches in proptest::collection::vec((0u64..3, 0u64..256, any::<bool>(), 0u64..256, 0u64..256), 1..800),
+    ) {
+        let pages = span * cap as u64;
+        // A hot set of a quarter of the capacity, touched about half the
+        // time, keeps refreshing Am pages so its queue must compact.
+        let hot = (cap as u64 / 4).max(1);
+        let mut q = TwoQ::new(cap);
+        let mut r = reference::TwoQ::new(cap);
+        for (i, &(file, index, is_hot, lo, len)) in touches.iter().enumerate() {
+            let file = FileId(file % files);
+            let index = if is_hot { index % hot } else { index % pages };
+            let key = PageKey { file, index };
+            let (mut ev, mut rev) = (Vec::new(), Vec::new());
+            prop_assert_eq!(q.touch(key, &mut ev), r.touch(key, &mut rev), "touch {}", i);
+            prop_assert_eq!(&ev, &rev, "evictions at touch {}", i);
+            let probe = PageKey { file, index: lo % pages };
+            prop_assert_eq!(q.contains(probe), r.contains(probe));
+            let (first, last) = (lo % pages, lo % pages + len % pages);
+            prop_assert_eq!(q.resident_in(file, first, last), r.resident_in(file, first, last));
+        }
+        for file in 0..files {
+            for index in 0..pages {
+                let key = PageKey { file: FileId(file), index };
+                prop_assert_eq!(q.contains(key), r.contains(key), "{:?}", key);
+            }
+        }
+    }
+
+    /// `FlashCache` on `PageQueue` matches the reference LRU: same hit
+    /// flags, same spilled dirty pages, same destage lists.
+    #[test]
+    fn flashcache_matches_reference_lru(
+        cap in 1usize..32,
+        span in 2u64..5,
+        ops in proptest::collection::vec((0u64..4, 0u64..256, any::<bool>()), 1..600),
+    ) {
+        let pages = span * cap as u64;
+        // Hits on a hot half of the capacity leave stale LRU entries
+        // behind faster than evictions pop them, so the queue compacts.
+        let hot = (cap as u64 / 2).max(1);
+        let mut f = FlashCache::new(cap);
+        let mut r = reference::FlashCache::new(cap);
+        for (i, &(op, index, is_hot)) in ops.iter().enumerate() {
+            let index = if is_hot { index % hot } else { index % pages };
+            let page = PageKey { file: FileId(1), index };
+            match op {
+                0 => prop_assert_eq!(f.lookup(page), r.lookup(page), "lookup {}", i),
+                1 => prop_assert_eq!(f.insert_clean(page), r.insert(page, false), "insert {}", i),
+                2 => prop_assert_eq!(f.buffer_write(page), r.insert(page, true), "write {}", i),
+                _ => prop_assert_eq!(f.take_destage(), r.take_destage(), "destage {}", i),
+            }
+        }
+    }
+}

@@ -172,11 +172,6 @@ impl DiskModel {
         self.state
     }
 
-    /// Forget sequentiality (e.g. after another program used the disk).
-    pub fn clear_sequential_hint(&mut self) {
-        self.next_seq_block = None;
-    }
-
     /// Reset energy accounting but keep power state and clock.
     pub fn reset_meter(&mut self) {
         self.meter.reset();

@@ -2,7 +2,7 @@
 
 use crate::faults::{FaultPlan, RetryPolicy};
 use ff_base::{Dur, Error, Result};
-use ff_cache::CacheConfig;
+use ff_cache::{CacheConfig, TwoQ};
 use ff_device::{DiskParams, FlashParams, WnicParams};
 use ff_trace::FileId;
 use std::collections::BTreeSet;
@@ -75,8 +75,9 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Reject a configuration the engine cannot replay: an invalid fault
     /// plan or retry ladder, a zero stage length or flusher interval (the
-    /// run would never advance past t = 0), or a link rate
-    /// (`wnic.bandwidth`) that is not positive and finite.
+    /// run would never advance past t = 0), a buffer cache below 2Q's
+    /// 4 pages or an empty flash tier, or a link rate (`wnic.bandwidth`)
+    /// that is not positive and finite.
     pub(crate) fn validate(&self) -> Result<()> {
         self.faults.validate()?;
         self.retry.validate()?;
@@ -85,6 +86,16 @@ impl SimConfig {
         }
         if self.cache.writeback.wakeup_interval.is_zero() {
             return Err(Error::Config("zero write-back wake-up interval".into()));
+        }
+        if self.cache.capacity_pages < TwoQ::MIN_CAPACITY {
+            return Err(Error::Config(format!(
+                "buffer cache of {} pages; 2Q needs at least {}",
+                self.cache.capacity_pages,
+                TwoQ::MIN_CAPACITY
+            )));
+        }
+        if matches!(self.flash, Some((_, 0))) {
+            return Err(Error::Config("flash tier of 0 pages".into()));
         }
         let rate = self.wnic.bandwidth.get();
         if !rate.is_finite() || rate <= 0.0 {

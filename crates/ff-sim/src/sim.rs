@@ -6,6 +6,7 @@ use crate::record::{Device, Event as ObsEvent, NullRecorder, Recorder};
 use crate::report::SimReport;
 use ff_base::{size::PAGE_SIZE, Bytes, BytesPerSec, Dur, Error, Joules, Result, SimTime};
 use ff_cache::cscan::{BlockRequest, CScanQueue};
+use ff_cache::page::push_run;
 use ff_cache::{BufferCache, FlashCache, PageKey};
 use ff_device::{DeviceRequest, DiskModel, FlashModel, PowerModel, ServiceOutcome, WnicModel};
 use ff_policy::{AppRequest, FaultNotice, Policy, PolicyCtx, PolicyKind, Source};
@@ -1037,11 +1038,7 @@ impl<'t, 'r> Runner<'t, 'r> {
         for &(page, n) in runs {
             for pg in page..page + n {
                 let hit = fc.lookup(PageKey { file, index: pg });
-                let bucket = if hit { &mut hits } else { &mut misses };
-                match bucket.last_mut() {
-                    Some((s, len)) if *s + *len == pg => *len += 1,
-                    _ => bucket.push((pg, 1)),
-                }
+                push_run(if hit { &mut hits } else { &mut misses }, pg);
             }
         }
         (hits, misses)
@@ -1399,7 +1396,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             });
         }
 
-        let (hits, misses) = self.cache.hit_stats();
+        let cache_stats = self.cache.stats();
         Ok(SimReport {
             policy: self.policy.name().to_string(),
             workload: self.trace.name.clone(),
@@ -1417,9 +1414,9 @@ impl<'t, 'r> Runner<'t, 'r> {
             flash_meter: self.flash.as_ref().map(|(f, _)| f.meter().clone()),
             flash_requests: self.flash_requests,
             flash_bytes: self.flash_bytes,
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_stats: self.cache.stats(),
+            cache_hits: cache_stats.hits,
+            cache_misses: cache_stats.misses,
+            cache_stats,
             stages: self.stage_index,
             faults_injected: self.faults_injected,
             retries: self.fault_retries,
@@ -2138,6 +2135,14 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.cache.writeback.wakeup_interval = Dur::ZERO;
         assert!(config_error(cfg));
+    }
+
+    #[test]
+    fn cache_below_2q_minimum_or_empty_flash_tier_is_rejected_up_front() {
+        let mut cfg = SimConfig::default();
+        cfg.cache.capacity_pages = 2;
+        assert!(config_error(cfg));
+        assert!(config_error(SimConfig::default().with_flash_mb(0)));
     }
 
     #[test]
