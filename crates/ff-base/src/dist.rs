@@ -3,7 +3,7 @@
 //! The workload generators mostly use uniform jitter, but exploring the
 //! policy space (see `ff-trace::workloads::synthetic`) needs the classic
 //! heavy-tailed shapes from the storage literature: log-normal file
-//! sizes, exponential think times, Pareto burst sizes. Implemented here
+//! sizes and exponential think times. Implemented here
 //! over any `rand::Rng` so everything stays reproducible from one seed
 //! (no extra dependency on `rand_distr`).
 
@@ -79,24 +79,6 @@ impl Sample for LogNormal {
     }
 }
 
-/// Pareto (Type I) with scale `xm` (minimum) and shape `alpha`:
-/// heavy-tailed request/burst sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    /// Minimum (scale) value.
-    pub xm: f64,
-    /// Tail index; smaller = heavier tail (α ≤ 1 has infinite mean).
-    pub alpha: f64,
-}
-
-impl Sample for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        debug_assert!(self.xm > 0.0 && self.alpha > 0.0);
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        self.xm / u.powf(1.0 / self.alpha)
-    }
-}
-
 /// Type-erased sampler so configs can carry "some distribution".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Dist {
@@ -106,8 +88,6 @@ pub enum Dist {
     Exponential(Exponential),
     /// Log-normal.
     LogNormal(LogNormal),
-    /// Pareto.
-    Pareto(Pareto),
     /// Always the same value.
     Constant(f64),
 }
@@ -127,11 +107,6 @@ impl Dist {
     pub fn log_normal(median: f64, sigma: f64) -> Self {
         Dist::LogNormal(LogNormal::with_median(median, sigma))
     }
-
-    /// Pareto with scale `xm` and shape `alpha`.
-    pub fn pareto(xm: f64, alpha: f64) -> Self {
-        Dist::Pareto(Pareto { xm, alpha })
-    }
 }
 
 impl Sample for Dist {
@@ -140,7 +115,6 @@ impl Sample for Dist {
             Dist::Uniform(d) => d.sample(rng),
             Dist::Exponential(d) => d.sample(rng),
             Dist::LogNormal(d) => d.sample(rng),
-            Dist::Pareto(d) => d.sample(rng),
             Dist::Constant(v) => *v,
         }
     }
@@ -187,22 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_minimum_and_tail() {
-        let d = Pareto {
-            xm: 10.0,
-            alpha: 2.0,
-        };
-        let mut rng = seeded_rng(4);
-        let xs: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
-        assert!(xs.iter().all(|&x| x >= 10.0));
-        // E[X] = α·xm/(α−1) = 20 for α = 2.
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!((mean - 20.0).abs() < 1.0, "mean {mean}");
-        // Heavy tail: some samples far above the mean.
-        assert!(xs.iter().any(|&x| x > 100.0));
-    }
-
-    #[test]
     fn dist_enum_dispatches() {
         let mut rng = seeded_rng(5);
         assert_eq!(Dist::Constant(7.5).sample(&mut rng), 7.5);
@@ -210,7 +168,6 @@ mod tests {
         assert!((0.0..1.0).contains(&v));
         assert!(Dist::exponential(1.0).sample(&mut rng) >= 0.0);
         assert!(Dist::log_normal(50.0, 1.0).sample(&mut rng) > 0.0);
-        assert!(Dist::pareto(1.0, 1.5).sample(&mut rng) >= 1.0);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl BytesPerSec {
         let us = (n.get() as f64) / self.0 * 1e6;
         Dur::from_micros(us.ceil() as u64)
     }
-
-    /// Bytes transferable in `d` at this rate (floor).
-    #[inline]
-    pub fn bytes_in(self, d: Dur) -> Bytes {
-        Bytes((self.0 * d.as_secs_f64()).floor() as u64)
-    }
 }
 
 impl fmt::Display for BytesPerSec {
@@ -101,13 +95,11 @@ mod tests {
     }
 
     #[test]
-    fn bytes_in_inverts_transfer_time() {
+    fn transfer_time_rounds_up_to_a_whole_microsecond() {
         let bw = BytesPerSec::from_mbit_per_sec(2.0);
         let n = Bytes::kib(64);
-        let t = bw.transfer_time(n);
-        let back = bw.bytes_in(t);
-        // Rounding up the time can only over-estimate the bytes.
-        assert!(back >= n, "{back:?} < {n:?}");
-        assert!(back.get() - n.get() < 8);
+        let exact_us = n.get() as f64 / bw.get() * 1e6;
+        let t = bw.transfer_time(n).as_micros() as f64;
+        assert!(t >= exact_us && t < exact_us + 1.0, "{t} vs {exact_us}");
     }
 }

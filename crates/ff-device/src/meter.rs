@@ -153,25 +153,9 @@ impl StateMeter {
             .unwrap_or(Dur::ZERO)
     }
 
-    /// Energy spent dwelling in `state` so far.
-    pub fn energy_in(&self, state: &str) -> Joules {
-        self.residency
-            .get(state)
-            .map(|&(_, e)| e)
-            .unwrap_or(Joules::ZERO)
-    }
-
     /// Number of `name` transitions so far.
     pub fn transition_count(&self, name: &str) -> u64 {
         self.transitions.get(name).map(|&(n, _)| n).unwrap_or(0)
-    }
-
-    /// Energy spent on `name` transitions so far.
-    pub fn transition_energy(&self, name: &str) -> Joules {
-        self.transitions
-            .get(name)
-            .map(|&(_, e)| e)
-            .unwrap_or(Joules::ZERO)
     }
 
     /// Iterate state residencies in name order.
@@ -207,7 +191,9 @@ mod tests {
         m.dwell("idle", Watts(1.6), Dur::from_secs(10));
         m.dwell("idle", Watts(1.6), Dur::from_secs(5));
         assert_eq!(m.time_in("idle"), Dur::from_secs(15));
-        assert!((m.energy_in("idle").get() - 24.0).abs() < 1e-9);
+        let residencies: Vec<_> = m.residencies().collect();
+        assert_eq!(residencies.len(), 1);
+        assert!((residencies[0].2.get() - 24.0).abs() < 1e-9);
         assert!((m.total().get() - 24.0).abs() < 1e-9);
     }
 
@@ -226,7 +212,8 @@ mod tests {
         m.transition("spin_up", Joules(5.0));
         m.transition("spin_down", Joules(2.94));
         assert_eq!(m.transition_count("spin_up"), 2);
-        assert!((m.transition_energy("spin_up").get() - 10.0).abs() < 1e-12);
+        let spin_up = m.transitions().find(|&(name, ..)| name == "spin_up");
+        assert!(spin_up.is_some_and(|(_, n, e)| n == 2 && (e.get() - 10.0).abs() < 1e-12));
         assert!((m.total().get() - 12.94).abs() < 1e-12);
     }
 
@@ -284,7 +271,6 @@ mod tests {
     fn unknown_keys_read_as_zero() {
         let m = StateMeter::new();
         assert_eq!(m.time_in("nope"), Dur::ZERO);
-        assert_eq!(m.energy_in("nope"), Joules::ZERO);
         assert_eq!(m.transition_count("nope"), 0);
     }
 }

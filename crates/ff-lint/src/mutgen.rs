@@ -261,7 +261,7 @@ pub fn probes() -> Vec<Probe> {
         Probe {
             id: "server-path-recovery-drop",
             kind: MutKind::TransitionDrop,
-            file: "crates/ff-sim/src/sim.rs",
+            file: "crates/ff-sim/src/faults.rs",
             needle: "self.state = ServerPathState::Healthy;",
             replacement: "self.state = ServerPathState::MarkedDead(until, dead);",
             occurrence: Occurrence::Fixed(2),
@@ -270,7 +270,7 @@ pub fn probes() -> Vec<Probe> {
         Probe {
             id: "server-path-down-recovery-drop",
             kind: MutKind::TransitionDrop,
-            file: "crates/ff-sim/src/sim.rs",
+            file: "crates/ff-sim/src/faults.rs",
             needle: "self.state = ServerPathState::Healthy;",
             replacement: "self.state = ServerPathState::MarkedDead(until, until);",
             occurrence: Occurrence::Fixed(1),
@@ -297,7 +297,7 @@ pub fn probes() -> Vec<Probe> {
         Probe {
             id: "unchecked-counter-sum",
             kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/sim.rs",
+            file: "crates/ff-sim/src/sim/stage.rs",
             needle: "self.disk_bytes.saturating_add(self.wnic_bytes)",
             replacement: "self.disk_bytes + self.wnic_bytes",
             occurrence: Occurrence::Fixed(1),
@@ -306,7 +306,7 @@ pub fn probes() -> Vec<Probe> {
         Probe {
             id: "energy-accumulator-flip",
             kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/sim.rs",
+            file: "crates/ff-sim/src/sim/io.rs",
             needle: "energy += out.energy;",
             replacement: "energy -= out.energy;",
             occurrence: Occurrence::Auto,
@@ -342,7 +342,7 @@ pub fn probes() -> Vec<Probe> {
         Probe {
             id: "ladder-clamp-drop",
             kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/sim.rs",
+            file: "crates/ff-sim/src/faults.rs",
             needle: "(1u64 << (attempt - 1).min(16))",
             replacement: "(1u64 << (attempt - 1))",
             occurrence: Occurrence::Fixed(1),

@@ -50,6 +50,10 @@ fn every_probe_is_killed() {
     );
 }
 
+/// The ratchet gate of the mutation engine: every probe mutant must be
+/// detected at a per-family rate no lower than the recorded floor in
+/// `ff_lint::mutgen::FLOORS` (1.0 for every family). A detector
+/// regression fails tier-1.
 #[test]
 fn every_family_has_a_probe_and_meets_its_floor() {
     let matrix = matrix();
@@ -68,12 +72,18 @@ fn every_family_has_a_probe_and_meets_its_floor() {
             fam.floor
         );
     }
-    assert!(matrix.floor_violations().is_empty());
+    let violations = matrix.floor_violations();
+    assert!(
+        violations.is_empty(),
+        "kill-rate floors violated:\n{}",
+        violations.join("\n")
+    );
 }
 
 /// Every family must be the only one firing on at least one mutant.
 /// A family whose every kill is shared with another family adds no
-/// detection power, so it must earn a sole kill or be removed.
+/// detection power, so it must earn a sole kill or be removed (the
+/// other half of the ratchet gate).
 #[test]
 fn every_family_has_a_sole_kill() {
     let matrix = matrix();

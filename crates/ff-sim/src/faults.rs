@@ -31,7 +31,10 @@
 //! replays to a byte-identical event log. [`FaultPlan::seeded`] derives a
 //! random-but-reproducible plan from a seed for chaos testing.
 
-use ff_base::{seeded_rng, split_seed, Bytes, Dur, Error, Result, SimTime};
+use crate::record::{emit, Event as ObsEvent, Tracer};
+use ff_base::{seeded_rng, split_seed, Bytes, BytesPerSec, Dur, Error, Result, SimTime};
+use ff_device::{PowerModel, WnicModel};
+use ff_policy::{FaultNotice, Source};
 use ff_profile::{IoBurst, MergedRequest, Profile, ProfiledBurst};
 use ff_trace::{IoOp, Trace};
 use rand::Rng;
@@ -189,17 +192,9 @@ impl Fault {
         }
         // The last action (a window's end, a storm's last touch) must
         // land inside simulated time.
-        let span = match *self {
-            Fault::BandwidthFade { dur, .. }
-            | Fault::LinkOutage { dur, .. }
-            | Fault::ServerOutage { dur, .. } => Some(dur.as_micros()),
-            Fault::DiskStorm { touches, gap, .. } => gap
-                .as_micros()
-                .checked_mul(u64::from(touches.saturating_sub(1))),
-            Fault::BandwidthStep { .. } | Fault::ProfileFault { .. } => Some(0),
-        };
-        if span
-            .and_then(|s| self.at().as_micros().checked_add(s))
+        let last = self.offsets().and_then(|o| o.last().copied());
+        if last
+            .and_then(|(off, _)| self.at().as_micros().checked_add(off.as_micros()))
             .is_none()
         {
             return Err(Error::Fault(format!(
@@ -209,6 +204,21 @@ impl Fault {
             )));
         }
         Ok(())
+    }
+
+    /// When the fault acts, relative to its onset, as `(offset, clear)`:
+    /// a window's onset and clear, each storm touch, or an instant
+    /// fault's onset. `None` when an offset overflows `Dur`.
+    fn offsets(&self) -> Option<Vec<(Dur, bool)>> {
+        Some(match *self {
+            Fault::BandwidthFade { dur, .. }
+            | Fault::LinkOutage { dur, .. }
+            | Fault::ServerOutage { dur, .. } => vec![(Dur::ZERO, false), (dur, true)],
+            Fault::DiskStorm { touches, gap, .. } => (0..u64::from(touches))
+                .map(|k| Some((Dur(gap.as_micros().checked_mul(k)?), false)))
+                .collect::<Option<_>>()?,
+            Fault::BandwidthStep { .. } | Fault::ProfileFault { .. } => vec![(Dur::ZERO, false)],
+        })
     }
 }
 
@@ -239,8 +249,8 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Reject nonsensical ladders (zero timeout, zero attempts, or a
-    /// retry count whose doubling backoff overflows).
+    /// Reject nonsensical ladders (zero timeout, zero or more than 16
+    /// attempts, or a worst-case ladder that overflows simulated time).
     pub fn validate(&self) -> Result<()> {
         if self.timeout.is_zero() {
             return Err(Error::Fault("retry policy with zero timeout".into()));
@@ -251,18 +261,32 @@ impl RetryPolicy {
                 self.max_retries
             )));
         }
+        if self.checked_ladder().is_none() {
+            return Err(Error::Fault(format!(
+                "retry ladder of {} attempts ({} timeout, {} backoff) overflows simulated time",
+                self.max_retries, self.timeout, self.backoff
+            )));
+        }
         Ok(())
     }
 
     /// Worst-case wall-clock cost of one exhausted ladder: every timeout
-    /// plus every backoff interval.
+    /// plus every backoff interval. Saturates at `Dur(u64::MAX)` for a
+    /// ladder [`RetryPolicy::validate`] rejects.
     pub fn max_ladder(&self) -> Dur {
-        let mut total = Dur::ZERO;
+        self.checked_ladder().unwrap_or(Dur(u64::MAX))
+    }
+
+    /// [`RetryPolicy::max_ladder`], or `None` when it overflows `Dur`.
+    fn checked_ladder(&self) -> Option<Dur> {
+        let mut total = 0u64;
         for attempt in 0..self.max_retries {
-            total += self.timeout;
-            total += self.backoff * (1u64 << attempt.min(16));
+            let wait = u64::checked_mul(self.backoff.as_micros(), 1u64 << attempt.min(16))?;
+            total = total
+                .checked_add(self.timeout.as_micros())?
+                .checked_add(wait)?;
         }
-        total
+        Some(Dur(total))
     }
 }
 
@@ -463,6 +487,400 @@ pub fn injected_profile(mode: ProfileFaultMode, trace: &Trace) -> Profile {
                 app: trace.name.clone(),
                 bursts,
             }
+        }
+    }
+}
+
+/// The simulator's view of the remote content server: the explicit
+/// state behind the retry / backoff / failover machinery.
+///
+/// `Healthy` means WNIC requests flow normally. An injected
+/// [`Fault::ServerOutage`] moves the machine to `Down` (link up, server
+/// silent) until the merged end of all overlapping outage windows. The
+/// first hoarded request to exhaust the retry ladder moves it to
+/// `MarkedDead`: the client remembers the server is dead, so later
+/// hoarded requests fail over to the disk immediately instead of
+/// re-walking the ladder. A `ServerUp` clear at or after the outage end
+/// returns the machine to `Healthy` from either degraded state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ServerPathState {
+    /// The server answers; requests ride the WNIC unimpeded.
+    Healthy,
+    /// An outage is active until the carried instant.
+    Down(SimTime),
+    /// The ladder was exhausted: carries the outage end and the instant
+    /// until which hoarded requests skip the ladder. The second is
+    /// never later than the first — an outage extension after marking
+    /// stretches the outage, not the memory of the exhausted ladder.
+    MarkedDead(SimTime, SimTime),
+}
+
+/// Inputs to the [`ServerPathState`] machine. Every state change goes
+/// through the single transition site [`ServerPath::apply`].
+#[derive(Debug, Clone, Copy)]
+enum ServerPathEvent {
+    /// A server outage starts (or extends) — active until the instant.
+    OutageStart(SimTime),
+    /// A `ServerUp` restore arrived (moot if the outage was extended).
+    OutageEnd,
+    /// A hoarded request walked the full retry ladder unanswered.
+    LadderExhausted,
+}
+
+/// How the server-path machine took one event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// A stale event the machine ignores (e.g. a `ServerUp` overtaken
+    /// by an outage extension).
+    Stale,
+    /// Accepted without changing the state's variant.
+    Stayed,
+    /// Accepted, entering the state with this label: the payload of the
+    /// `server_path` event, the trace export hook that makes the failover
+    /// state visible to the observability layer (and to the static↔
+    /// dynamic conformance check downstream).
+    Entered(&'static str),
+}
+
+/// The server-path machine.
+struct ServerPath {
+    state: ServerPathState,
+}
+
+impl ServerPath {
+    /// The single transition site: feed one event through the machine.
+    fn apply(&mut self, at: SimTime, ev: ServerPathEvent) -> Step {
+        match self.state {
+            ServerPathState::Healthy => match ev {
+                ServerPathEvent::OutageStart(until) => {
+                    self.state = ServerPathState::Down(until);
+                    Step::Entered("down")
+                }
+                _ => Step::Stale,
+            },
+            ServerPathState::Down(until) => match ev {
+                ServerPathEvent::OutageStart(more) => {
+                    self.state = ServerPathState::Down(until.max(more));
+                    Step::Stayed
+                }
+                ServerPathEvent::OutageEnd if at >= until => {
+                    self.state = ServerPathState::Healthy;
+                    Step::Entered("healthy")
+                }
+                ServerPathEvent::OutageEnd => Step::Stale,
+                ServerPathEvent::LadderExhausted => {
+                    self.state = ServerPathState::MarkedDead(until, until);
+                    Step::Entered("dead")
+                }
+            },
+            ServerPathState::MarkedDead(until, dead) => match ev {
+                ServerPathEvent::OutageStart(more) => {
+                    self.state = ServerPathState::MarkedDead(until.max(more), dead);
+                    Step::Stayed
+                }
+                ServerPathEvent::OutageEnd if at >= until => {
+                    self.state = ServerPathState::Healthy;
+                    Step::Entered("healthy")
+                }
+                ServerPathEvent::OutageEnd => Step::Stale,
+                ServerPathEvent::LadderExhausted => {
+                    self.state = ServerPathState::MarkedDead(until, until);
+                    Step::Stayed
+                }
+            },
+        }
+    }
+
+    /// End of the outage window active at `now`, if any.
+    fn outage_until(&self, now: SimTime) -> Option<SimTime> {
+        match self.state {
+            ServerPathState::Down(until) | ServerPathState::MarkedDead(until, _) if now < until => {
+                Some(until)
+            }
+            _ => None,
+        }
+    }
+
+    /// Is the server remembered dead at `now` (ladder already walked),
+    /// so hoarded requests fail over without re-walking it?
+    fn dead_for(&self, now: SimTime) -> bool {
+        matches!(self.state, ServerPathState::MarkedDead(_, dead) if now < dead)
+    }
+}
+
+/// What a fault action leaves to the parts of the run the timeline does
+/// not own: the policy and the disk.
+pub(crate) enum Effect {
+    /// Nothing: the action was moot, silent, or only reshaped the link.
+    Done,
+    /// Tell the policy the environment changed.
+    Notice(FaultNotice),
+    /// A background program reads this much from the disk.
+    DiskTouch(Bytes),
+    /// Hand the policy a wrong profile (see [`injected_profile`]).
+    Profile(ProfileFaultMode),
+}
+
+/// One run's fault timeline: the plan's actions, the link and server
+/// state they leave, the retry ladder walked against it, and the fault
+/// counters. The runner schedules each action, applies it here and
+/// carries out the returned [`Effect`].
+pub(crate) struct FaultTimeline {
+    faults: Vec<Fault>,
+    retry: RetryPolicy,
+    /// End of the current link outage, while one is active, kept
+    /// apart per delivery (`[notified, silent]`) so one kind's window
+    /// never masks the other's restore.
+    link_down_until: [Option<SimTime>; 2],
+    /// The silent outage state as the loop first ran an action past the
+    /// last completion: the final write-back routes as of that instant.
+    silent_at_end: Option<Option<SimTime>>,
+    server_path: ServerPath,
+    /// Pre-fade bandwidths, pushed on fade start and popped on fade end
+    /// (a stack so nested fades restore in order).
+    fade_restore: Vec<BytesPerSec>,
+    pub(crate) injected: u64,
+    pub(crate) retries: u64,
+    pub(crate) failovers: u64,
+}
+
+impl FaultTimeline {
+    pub(crate) fn new(plan: &FaultPlan, retry: RetryPolicy) -> Self {
+        FaultTimeline {
+            faults: plan.faults.clone(),
+            retry,
+            link_down_until: [None; 2],
+            silent_at_end: None,
+            server_path: ServerPath {
+                state: ServerPathState::Healthy,
+            },
+            fade_restore: Vec::new(),
+            injected: 0,
+            retries: 0,
+            failovers: 0,
+        }
+    }
+
+    /// Every action as `(instant, fault index, clear)`, sorted by
+    /// instant; ties keep plan order, deterministic by construction.
+    pub(crate) fn schedule(&self) -> Vec<(Dur, usize, bool)> {
+        let mut actions = Vec::new();
+        for (i, f) in self.faults.iter().enumerate() {
+            for (offset, clear) in f.offsets().unwrap_or_default() {
+                actions.push((f.at() + offset, i, clear));
+            }
+        }
+        actions.sort_by_key(|&(at, ..)| at);
+        actions
+    }
+
+    /// Latest end of the link outages active at `now` — when a stalled
+    /// network-only request can resume — or `None` while the wireless
+    /// link is up.
+    pub(crate) fn wnic_resume(&self, now: SimTime) -> Option<SimTime> {
+        let [notified, silent] = self.link_down_until;
+        notified.max(silent).filter(|&u| now < u)
+    }
+
+    /// Route the final write-back by the silent outage state as of the
+    /// last completion, not as later actions left it.
+    pub(crate) fn rewind_to_end(&mut self) {
+        if let Some(silent) = self.silent_at_end {
+            self.link_down_until[1] = silent;
+        }
+    }
+
+    /// Apply fault `i`'s onset (or its `clear`) at `t`; `drained` is the
+    /// last completion once every application call has run.
+    ///
+    /// State restores (link/server back up, fade ending) always take
+    /// effect so the run can never end wedged in a fault.
+    pub(crate) fn apply(
+        &mut self,
+        t: SimTime,
+        (i, clear): (usize, bool),
+        drained: Option<SimTime>,
+        wnic: &mut WnicModel,
+        rec: &mut Tracer<'_>,
+    ) -> Effect {
+        if drained.is_some_and(|end| t > end) {
+            self.silent_at_end.get_or_insert(self.link_down_until[1]);
+        }
+        let live = drained.is_none();
+        let fault = self.faults[i];
+        // Silent outages and bandwidth steps only shape the link. Every
+        // other onset is counted, and skipped once the workload has
+        // drained: it could no longer affect anything and would only
+        // stretch device idle time.
+        let shapes_link = matches!(
+            fault,
+            Fault::LinkOutage { silent: true, .. } | Fault::BandwidthStep { .. }
+        );
+        if !clear && !shapes_link {
+            if !live {
+                return Effect::Done;
+            }
+            self.injected += 1;
+        }
+        match (fault, clear) {
+            (Fault::LinkOutage { at, dur, silent }, false) => {
+                // Overlapping outages merge to the furthest end.
+                let until = SimTime::ZERO + at + dur;
+                let slot = &mut self.link_down_until[usize::from(silent)];
+                *slot = Some(slot.map_or(until, |u| u.max(until)));
+                if silent {
+                    return Effect::Done;
+                }
+                wnic.advance_to(t);
+                emit(rec, || ObsEvent::LinkDown { at: t, until });
+                Effect::Notice(FaultNotice::LinkDown)
+            }
+            (Fault::LinkOutage { silent, .. }, true) => {
+                // Only the clear matching the merged window end lifts the
+                // outage (earlier clears of overlapped outages are moot).
+                let slot = &mut self.link_down_until[usize::from(silent)];
+                if slot.is_none_or(|u| t < u) {
+                    return Effect::Done;
+                }
+                *slot = None;
+                if !live || silent {
+                    return Effect::Done;
+                }
+                wnic.advance_to(t);
+                emit(rec, || ObsEvent::LinkUp { at: t });
+                Effect::Notice(FaultNotice::LinkUp)
+            }
+            (Fault::ServerOutage { at, dur }, false) => {
+                // Overlapping outages merge to the furthest end.
+                let until = SimTime::ZERO + at + dur;
+                let step = self
+                    .server_path
+                    .apply(t, ServerPathEvent::OutageStart(until));
+                emit(rec, || ObsEvent::ServerDown { at: t, until });
+                if let Step::Entered(state) = step {
+                    emit(rec, || ObsEvent::ServerPathChange { at: t, state });
+                }
+                Effect::Notice(FaultNotice::ServerDown)
+            }
+            (Fault::ServerOutage { .. }, true) => {
+                // Only the clear matching the merged window end restores
+                // the server; the machine rejects stale clears itself.
+                let step = self.server_path.apply(t, ServerPathEvent::OutageEnd);
+                if step == Step::Stale {
+                    return Effect::Done;
+                }
+                if let Step::Entered(state) = step {
+                    emit(rec, || ObsEvent::ServerPathChange { at: t, state });
+                }
+                if !live {
+                    return Effect::Done;
+                }
+                emit(rec, || ObsEvent::ServerUp { at: t });
+                Effect::Notice(FaultNotice::ServerUp)
+            }
+            (Fault::BandwidthFade { mbps, .. }, false) => {
+                wnic.advance_to(t);
+                self.fade_restore.push(wnic.params().bandwidth);
+                wnic.set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
+                emit(rec, || ObsEvent::BandwidthChange { at: t, mbps });
+                Effect::Notice(FaultNotice::BandwidthChanged { mbps })
+            }
+            (Fault::BandwidthFade { .. }, true) => {
+                let Some(restored) = self.fade_restore.pop() else {
+                    return Effect::Done;
+                };
+                wnic.advance_to(t);
+                wnic.set_bandwidth(restored);
+                if !live {
+                    return Effect::Done;
+                }
+                let mbps = restored.get() * 8.0 / 1e6;
+                emit(rec, || ObsEvent::BandwidthChange { at: t, mbps });
+                Effect::Notice(FaultNotice::BandwidthChanged { mbps })
+            }
+            (Fault::BandwidthStep { mbps, .. }, _) => {
+                wnic.advance_to(t);
+                wnic.set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
+                // Recorded for observability, but the policy is NOT
+                // notified: drift (the user walking around) is
+                // discovered by the §2.3.1 stage-end audit.
+                emit(rec, || ObsEvent::BandwidthChange { at: t, mbps });
+                Effect::Done
+            }
+            (Fault::DiskStorm { bytes, .. }, _) => Effect::DiskTouch(Bytes(bytes)),
+            (Fault::ProfileFault { mode, .. }, _) => Effect::Profile(mode),
+        }
+    }
+
+    /// Gate a WNIC-bound request at `t` through an active server outage:
+    /// walk the retry ladder (timeout → exponential backoff), and either
+    /// catch the server coming back, fail over to the disk (`hoarded`
+    /// data), or stall until the outage ends (network-only data).
+    /// Returns the time the request can actually be serviced and the
+    /// source that will serve it.
+    pub(crate) fn gate(
+        &mut self,
+        t: SimTime,
+        hoarded: bool,
+        wnic: &mut WnicModel,
+        rec: &mut Tracer<'_>,
+    ) -> (SimTime, Source) {
+        let Some(down_until) = self.server_path.outage_until(t) else {
+            return (t, Source::Wnic);
+        };
+        // An earlier request already exhausted the ladder: hoarded data
+        // fails over immediately (the client remembers the server is
+        // dead until it answers again).
+        if hoarded && self.server_path.dead_for(t) {
+            self.failovers += 1;
+            return (t, Source::Disk);
+        }
+        let mut cur = t;
+        for attempt in 1..=self.retry.max_retries {
+            // The request sits on the wire until it times out.
+            cur += self.retry.timeout;
+            wnic.advance_to(cur);
+            self.retries += 1;
+            let wait = self.retry.backoff * (1u64 << (attempt - 1).min(16));
+            emit(rec, || ObsEvent::RequestRetry {
+                at: cur,
+                attempt,
+                wait,
+            });
+            if cur >= down_until {
+                return (cur, Source::Wnic);
+            }
+            cur += wait;
+            wnic.advance_to(cur);
+            if cur >= down_until {
+                return (cur, Source::Wnic);
+            }
+        }
+        self.failovers += 1;
+        if hoarded {
+            let step = self
+                .server_path
+                .apply(cur, ServerPathEvent::LadderExhausted);
+            emit(rec, || ObsEvent::Failover {
+                at: cur,
+                source: Source::Disk,
+                reason: "server-timeout",
+            });
+            if let Step::Entered(state) = step {
+                emit(rec, || ObsEvent::ServerPathChange { at: cur, state });
+            }
+            (cur, Source::Disk)
+        } else {
+            // No local copy exists: the request can only wait the
+            // outage out.
+            let resume = down_until.max(cur);
+            wnic.advance_to(resume);
+            emit(rec, || ObsEvent::Failover {
+                at: cur,
+                source: Source::Wnic,
+                reason: "server-stall",
+            });
+            (resume, Source::Wnic)
         }
     }
 }
@@ -678,6 +1096,79 @@ mod tests {
             RetryPolicy::default().max_ladder(),
             Dur::from_millis(15_500)
         );
+    }
+
+    #[test]
+    fn overflowing_retry_ladder_is_rejected() {
+        // 4 × 1 s timeouts + 15 backoffs of u64::MAX / 4 µs each.
+        let huge = RetryPolicy {
+            timeout: Dur::from_secs(1),
+            backoff: Dur::from_micros(u64::MAX / 4),
+            max_retries: 4,
+        };
+        assert!(
+            matches!(&huge.validate(), Err(Error::Fault(m)) if m.contains("overflows")),
+            "{:?}",
+            huge.validate()
+        );
+        assert_eq!(huge.max_ladder(), Dur(u64::MAX), "saturates, never panics");
+        // The largest backoff whose ladder still fits is accepted, and
+        // one microsecond more is not.
+        let widest = (u64::MAX - 4_000_000) / 15;
+        let fits = RetryPolicy {
+            backoff: Dur(widest),
+            ..huge
+        };
+        assert!(fits.validate().is_ok());
+        assert_eq!(fits.max_ladder(), Dur(4_000_000 + 15 * widest));
+        let over = RetryPolicy {
+            backoff: Dur(widest + 1),
+            ..huge
+        };
+        assert!(matches!(over.validate(), Err(Error::Fault(_))));
+    }
+
+    /// Every (state, event) pair of the server-path machine: whether it
+    /// is accepted, the state it leaves, and the label it records.
+    #[test]
+    fn server_path_machine_table() {
+        use ServerPathEvent::{LadderExhausted, OutageEnd, OutageStart};
+        use ServerPathState::{Down, Healthy, MarkedDead};
+        let s = SimTime::from_secs;
+        let (until, dead, later) = (s(100), s(50), s(200));
+        let early = s(99);
+        #[rustfmt::skip]
+        let table = [
+            // (state, at, event, accepted, next, label)
+            (Healthy, early, OutageStart(later), true, Down(later), Some("down")),
+            (Healthy, early, OutageEnd, false, Healthy, None),
+            (Healthy, until, OutageEnd, false, Healthy, None),
+            (Healthy, early, LadderExhausted, false, Healthy, None),
+            (Down(until), early, OutageStart(later), true, Down(later), None),
+            (Down(until), early, OutageEnd, false, Down(until), None),
+            (Down(until), until, OutageEnd, true, Healthy, Some("healthy")),
+            (Down(until), early, LadderExhausted, true, MarkedDead(until, until), Some("dead")),
+            (MarkedDead(until, dead), early, OutageStart(later), true, MarkedDead(later, dead), None),
+            (MarkedDead(until, dead), early, OutageEnd, false, MarkedDead(until, dead), None),
+            (MarkedDead(until, dead), until, OutageEnd, true, Healthy, Some("healthy")),
+            (MarkedDead(until, dead), early, LadderExhausted, true, MarkedDead(until, until), None),
+        ];
+        for (state, at, ev, accepted, next, label) in table {
+            let mut path = ServerPath { state };
+            let step = path.apply(at, ev);
+            let case = format!("{state:?} + {ev:?} at {at}");
+            assert_eq!(step != Step::Stale, accepted, "{case}: accepted");
+            assert_eq!(path.state, next, "{case}: next state");
+            let entered = match step {
+                Step::Entered(l) => Some(l),
+                Step::Stale | Step::Stayed => None,
+            };
+            assert_eq!(entered, label, "{case}: label");
+        }
+        // An earlier extension never shortens the window.
+        let mut path = ServerPath { state: Down(until) };
+        assert_eq!(path.apply(early, OutageStart(dead)), Step::Stayed);
+        assert_eq!(path.state, Down(until));
     }
 
     #[test]

@@ -497,6 +497,18 @@ pub trait Recorder {
     }
 }
 
+/// The engine's view of a recorder: `None` when the attached one is
+/// disabled.
+pub(crate) type Tracer<'r> = Option<&'r mut dyn Recorder>;
+
+/// Record the event `ev` builds, only when a recorder is attached — an
+/// untraced run builds no event.
+pub(crate) fn emit(rec: &mut Tracer<'_>, ev: impl FnOnce() -> Event) {
+    if let Some(r) = rec {
+        r.record(&ev());
+    }
+}
+
 /// Discards everything; the simulator skips event construction.
 ///
 /// A run with a `NullRecorder` produces a [`crate::SimReport`] equal in

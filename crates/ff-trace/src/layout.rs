@@ -11,7 +11,7 @@
 //! sequential with the previous one (no seek) or random (seek + rotation).
 
 use crate::model::{FileId, FileSet};
-use ff_base::{split_seed, Bytes};
+use ff_base::split_seed;
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -38,7 +38,6 @@ impl Extent {
 #[derive(Debug, Clone, Default)]
 pub struct DiskLayout {
     extents: BTreeMap<FileId, Extent>,
-    total_blocks: u64,
 }
 
 impl DiskLayout {
@@ -63,10 +62,7 @@ impl DiskLayout {
             );
             cursor += blocks + rng.gen_range(1..=Self::MAX_GAP_BLOCKS);
         }
-        DiskLayout {
-            extents,
-            total_blocks: cursor,
-        }
+        DiskLayout { extents }
     }
 
     /// Extent of a file, if laid out.
@@ -80,26 +76,6 @@ impl DiskLayout {
         let e = self.extents.get(&file)?;
         let rel = offset / BLOCK_SIZE;
         (rel < e.blocks).then_some(e.start + rel)
-    }
-
-    /// Global block range `[first, last]` touched by `len` bytes at
-    /// `offset` in `file`; clamps to the file's extent.
-    pub fn block_range(&self, file: FileId, offset: u64, len: Bytes) -> Option<(u64, u64)> {
-        if len.is_zero() {
-            return None;
-        }
-        let e = self.extents.get(&file)?;
-        let first_rel = offset / BLOCK_SIZE;
-        let last_rel = ((offset + len.get() - 1) / BLOCK_SIZE).min(e.blocks.saturating_sub(1));
-        if first_rel >= e.blocks {
-            return None;
-        }
-        Some((e.start + first_rel, e.start + last_rel))
-    }
-
-    /// Total blocks spanned including gaps (disk capacity consumed).
-    pub fn total_blocks(&self) -> u64 {
-        self.total_blocks
     }
 
     /// Number of laid-out files.
@@ -117,6 +93,7 @@ impl DiskLayout {
 mod tests {
     use super::*;
     use crate::model::FileMeta;
+    use ff_base::Bytes;
 
     fn files(sizes: &[u64]) -> FileSet {
         let mut fs = FileSet::new();
@@ -166,23 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn block_range_spans_request() {
-        let fs = files(&[BLOCK_SIZE * 10]);
-        let l = DiskLayout::build(&fs, 1);
-        let e = l.extent(FileId(1)).unwrap();
-        // 1 byte in the middle of block 3.
-        let (a, b) = l
-            .block_range(FileId(1), BLOCK_SIZE * 3 + 5, Bytes(1))
-            .unwrap();
-        assert_eq!((a, b), (e.start + 3, e.start + 3));
-        // Crossing a block boundary.
-        let (a, b) = l.block_range(FileId(1), BLOCK_SIZE - 1, Bytes(2)).unwrap();
-        assert_eq!((a, b), (e.start, e.start + 1));
-        // Zero length has no range.
-        assert!(l.block_range(FileId(1), 0, Bytes(0)).is_none());
-    }
-
-    #[test]
     fn unknown_file_and_past_extent() {
         let fs = files(&[100]);
         let l = DiskLayout::build(&fs, 1);
@@ -201,9 +161,14 @@ mod tests {
     fn gaps_are_small() {
         let fs = files(&[4096; 100]);
         let l = DiskLayout::build(&fs, 3);
-        // 100 one-block files plus gaps of at most 64 blocks each.
-        assert!(l.total_blocks() <= 100 + 100 * DiskLayout::MAX_GAP_BLOCKS);
-        assert!(l.total_blocks() > 100);
+        // One-block files, each followed by a gap of 1..=64 blocks.
+        for i in 1..100u64 {
+            let (a, b) = (
+                l.extent(FileId(i)).unwrap(),
+                l.extent(FileId(i + 1)).unwrap(),
+            );
+            assert!((1..=DiskLayout::MAX_GAP_BLOCKS).contains(&(b.start - a.end())));
+        }
         assert_eq!(l.len(), 100);
     }
 }

@@ -48,13 +48,6 @@ impl TraceBuilder {
         }
     }
 
-    /// Set the process group id stamped on subsequent records (defaults
-    /// to the first pid seen when left at zero).
-    pub fn with_pgid(mut self, pgid: u32) -> Self {
-        self.pgid = pgid;
-        self
-    }
-
     /// Current virtual clock.
     pub fn now(&self) -> SimTime {
         self.now

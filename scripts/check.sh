@@ -106,9 +106,13 @@ run_step "cargo fmt --all --check" cargo fmt --all --check
 run_step "ff-lint (ratchet vs crates/ff-lint/baseline.json)" lint_step
 run_step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" doc_step
 run_step "cargo build --release" cargo build --release
-# The workspace tests include the chaos suite, trace conformance, the
-# absint soundness properties and the doctests.
-run_step "cargo test -q --workspace" cargo test -q --workspace
+# The default members' tests (the root package and every crate) include
+# the chaos suite, trace conformance, the absint soundness properties,
+# the mutation matrix and the doctests; the vendored shims are not
+# default members, so their tests run as a step of their own.
+run_step "cargo test -q" cargo test -q
+run_step "vendored shims (cargo test -p rand -p proptest -p crossbeam)" \
+    cargo test -q -p rand -p proptest -p crossbeam
 # bench/hot is a package of its own (empty [workspace]), so the step
 # above never builds it: a library change that breaks the benchmark's
 # build or its seed-42 fingerprints (expected_json_is_current) fails here.
