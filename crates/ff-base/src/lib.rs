@@ -45,7 +45,7 @@ pub mod time;
 pub use dist::{Dist, Sample};
 pub use energy::{Joules, Watts};
 pub use rate::BytesPerSec;
-pub use rng::{derive_seed, seeded_rng, split_seed, task_rng, SimRng};
+pub use rng::{derive_seed, prior_run_seed, seeded_rng, split_seed, task_rng, SimRng};
 pub use size::Bytes;
 pub use time::{Dur, SimTime};
 

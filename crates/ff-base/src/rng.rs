@@ -29,6 +29,20 @@ pub fn split_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seed of the *prior run* whose profile drives a history-aware
+/// policy (§3.3: the same program, a different execution): the next
+/// seed, wrapping at `u64::MAX` so every seed has one.
+///
+/// ```
+/// use ff_base::rng::prior_run_seed;
+/// assert_eq!(prior_run_seed(42), 43);
+/// assert_eq!(prior_run_seed(u64::MAX), 0);
+/// ```
+#[inline]
+pub fn prior_run_seed(seed: u64) -> u64 {
+    seed.wrapping_add(1)
+}
+
 /// Derive a per-task seed from a base seed and a canonical task key
 /// (the parallel sweep engine uses `"workload/policy/seed"` keys):
 /// FNV-1a over the key bytes, folded through [`split_seed`].

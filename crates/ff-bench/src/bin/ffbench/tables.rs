@@ -143,7 +143,7 @@ pub fn spindown(_: &Args, o: &mut Sink) -> Result {
             fixed(Dur::from_secs(20)),
             fixed(be),
         );
-        let adaptive = ShareSpindown::for_disk(params.clone()).run(&idles).get();
+        let adaptive = ShareSpindown::for_disk(params).run(&idles).get();
         let oracle = oracle_energy(&params, &idles).get();
         let (periods, ratio) = (idles.len(), tbe / oracle.max(1e-9));
         writeln!(
@@ -192,7 +192,7 @@ fn state_watts(state: &str, disk: &DiskParams, wnic: &WnicParams) -> Option<Watt
 /// are dropped, and the last dwell ends at the final `EnergySample`.
 fn power_trace(kind: PolicyKind, s: &Scenario) -> Result<(SimReport, Vec<PowerRow>)> {
     let cfg = s.configure(SimConfig::default());
-    let (disk, wnic) = (cfg.disk.clone(), cfg.wnic.clone());
+    let (disk, wnic) = (cfg.disk, cfg.wnic);
     let mut log = EventLog::new();
     let report = Simulation::new(cfg, &s.trace)
         .policy(kind)

@@ -6,7 +6,7 @@
 //! byte-identically, which the golden-trace tests rely on.
 
 use ff_base::json::Value;
-use ff_base::{Error, Result};
+use ff_base::{prior_run_seed, Error, Result};
 use ff_policy::PolicyKind;
 use ff_profile::Profiler;
 use ff_sim::{EventLog, Recorder, SimConfig, SimReport, Simulation};
@@ -42,7 +42,7 @@ pub fn build_workload(name: &str, seed: u64) -> Result<Trace> {
 
 /// Build a policy recipe by name. The FlexFetch variants need a
 /// recorded prior-run profile, which this derives from a *different*
-/// execution of the same workload (`seed + 1`), exactly as the §3.3
+/// execution of the same workload ([`prior_run_seed`]), exactly as the §3.3
 /// scenarios do.
 ///
 /// ```
@@ -56,7 +56,8 @@ pub fn build_policy(name: &str, workload: &str, seed: u64) -> Result<PolicyKind>
         "wnic" => Ok(PolicyKind::WnicOnly),
         "bluefs" => Ok(PolicyKind::BlueFs),
         "flexfetch" | "flexfetch-static" => {
-            let profile = Profiler::standard().profile(&build_workload(workload, seed + 1)?);
+            let profile =
+                Profiler::standard().profile(&build_workload(workload, prior_run_seed(seed))?);
             Ok(if name == "flexfetch" {
                 PolicyKind::flexfetch(profile)
             } else {

@@ -5,7 +5,7 @@
 //! different execution of the same program, as §2.2 assumes), and any
 //! disk-pinned files.
 
-use ff_base::{Dur, Result};
+use ff_base::{prior_run_seed, Dur, Result};
 use ff_profile::{Profile, Profiler};
 use ff_sim::SimConfig;
 use ff_trace::{Acroread, FileId, Grep, Make, Mplayer, Thunderbird, Trace, Workload, Xmms};
@@ -40,7 +40,7 @@ impl Scenario {
         let trace = build(seed)?;
         // The profile comes from a previous execution: same program,
         // different run (seed), same shape.
-        let profile = Profiler::standard().profile(&build(seed + 1)?);
+        let profile = Profiler::standard().profile(&build(prior_run_seed(seed))?);
         Ok(Scenario {
             name: "grep+make",
             trace,
@@ -52,7 +52,7 @@ impl Scenario {
     /// §3.3.2 — the media-streaming scenario.
     pub fn mplayer(seed: u64) -> Result<Scenario> {
         let trace = Mplayer::default().build(seed);
-        let profile = Profiler::standard().profile(&Mplayer::default().build(seed + 1));
+        let profile = Profiler::standard().profile(&Mplayer::default().build(prior_run_seed(seed)));
         Ok(Scenario {
             name: "mplayer",
             trace,
@@ -64,7 +64,8 @@ impl Scenario {
     /// §3.3.3 — the email search scenario.
     pub fn thunderbird(seed: u64) -> Result<Scenario> {
         let trace = Thunderbird::default().build(seed);
-        let profile = Profiler::standard().profile(&Thunderbird::default().build(seed + 1));
+        let profile =
+            Profiler::standard().profile(&Thunderbird::default().build(prior_run_seed(seed)));
         Ok(Scenario {
             name: "thunderbird",
             trace,
@@ -98,7 +99,8 @@ impl Scenario {
     /// out-of-date profile recorded over 2 MB PDFs read every 25 s.
     pub fn acroread_invalid(seed: u64) -> Result<Scenario> {
         let trace = Acroread::large_search().build(seed);
-        let profile = Profiler::standard().profile(&Acroread::small_profile().build(seed + 1));
+        let profile =
+            Profiler::standard().profile(&Acroread::small_profile().build(prior_run_seed(seed)));
         Ok(Scenario {
             name: "acroread",
             trace,

@@ -23,13 +23,13 @@
 //! (DESIGN.md §9 and §10).
 
 use crate::consts;
-use crate::meter::StateMeter;
+use crate::meter::Meter;
 use crate::model::{DeviceRequest, PowerModel, ServiceOutcome};
 use ff_base::{BytesPerSec, Dur, Joules, SimTime, Watts};
 
 /// Disk power/performance constants. Defaults are Table 1 plus the
 /// DK23DA mechanics quoted in §3.1.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Power while reading/writing (Table 1: 2.0 W).
     pub active_power: Watts,
@@ -125,19 +125,18 @@ pub enum DiskState {
     SpinningUp(SimTime),
 }
 
-/// The live disk model.
-#[derive(Debug, Clone)]
+/// The disk's power-state machine.
+#[derive(Debug, Clone, Copy)]
 pub struct DiskModel {
     params: DiskParams,
     state: DiskState,
-    /// Last instant accounted by the meter.
+    /// Last instant accounted.
     clock: SimTime,
     /// Start of the current idle stretch (valid when `state == Idle`).
     idle_since: SimTime,
     /// Block address one past the previous request's last block, for
     /// sequential-access detection.
     next_seq_block: Option<u64>,
-    meter: StateMeter,
 }
 
 impl DiskModel {
@@ -150,11 +149,11 @@ impl DiskModel {
             clock: SimTime::ZERO,
             idle_since: SimTime::ZERO,
             next_seq_block: None,
-            meter: StateMeter::new(),
         }
     }
 
-    /// New disk already in standby (for estimator what-if runs).
+    /// New disk already in standby — the parked disk the simulator's
+    /// runs start from (§3.3.1).
     pub fn new_standby(params: DiskParams) -> Self {
         DiskModel {
             state: DiskState::Standby,
@@ -170,24 +169,6 @@ impl DiskModel {
     /// Current state (after the last `advance_to`/`service`).
     pub fn state(&self) -> DiskState {
         self.state
-    }
-
-    /// Reset energy accounting but keep power state and clock.
-    pub fn reset_meter(&mut self) {
-        self.meter.reset();
-    }
-
-    /// Record timestamped state changes for the observability recorder
-    /// (see [`StateMeter::enable_state_log`]). Off by default; the
-    /// simulator enables it only when a recorder is attached.
-    pub fn enable_state_log(&mut self) {
-        self.meter.enable_state_log(self.clock);
-    }
-
-    /// Drain state changes recorded since the last drain (see
-    /// [`StateMeter::take_state_changes`]).
-    pub fn take_state_changes(&mut self) -> Vec<crate::meter::StateChange> {
-        self.meter.take_state_changes()
     }
 
     /// Head-positioning cost class for `req` given the previous position.
@@ -208,47 +189,42 @@ impl DiskModel {
 }
 
 impl PowerModel for DiskModel {
-    fn advance_to(&mut self, now: SimTime) {
+    fn advance_to(&mut self, now: SimTime, meter: &mut impl Meter) {
         while self.clock < now {
+            let at = self.clock;
             match self.state {
                 DiskState::Idle => {
                     let deadline = self.idle_since + self.params.timeout;
                     if now < deadline {
-                        self.meter
-                            .dwell("idle", self.params.idle_power, now - self.clock);
+                        meter.dwell(at, "idle", self.params.idle_power, now - at);
                         self.clock = now;
                     } else {
                         // Dwell idle up to the timeout, then start the
                         // spin-down. Transition energy is booked up front;
                         // the transient dwells at 0 W to record residency.
-                        if self.clock < deadline {
-                            self.meter
-                                .dwell("idle", self.params.idle_power, deadline - self.clock);
+                        if at < deadline {
+                            meter.dwell(at, "idle", self.params.idle_power, deadline - at);
                             self.clock = deadline;
                         }
-                        self.meter
-                            .transition("spin_down", self.params.spindown_energy);
+                        meter.transition(self.clock, "spin_down", self.params.spindown_energy);
                         self.state = DiskState::SpinningDown(deadline + self.params.spindown_time);
                     }
                 }
                 DiskState::SpinningDown(until) => {
                     let end = until.min(now);
-                    self.meter
-                        .dwell("spinning_down", Watts::ZERO, end - self.clock);
+                    meter.dwell(at, "spinning_down", Watts::ZERO, end - at);
                     self.clock = end;
                     if end == until {
                         self.state = DiskState::Standby;
                     }
                 }
                 DiskState::Standby => {
-                    self.meter
-                        .dwell("standby", self.params.standby_power, now - self.clock);
+                    meter.dwell(at, "standby", self.params.standby_power, now - at);
                     self.clock = now;
                 }
                 DiskState::SpinningUp(until) => {
                     let end = until.min(now);
-                    self.meter
-                        .dwell("spinning_up", Watts::ZERO, end - self.clock);
+                    meter.dwell(at, "spinning_up", Watts::ZERO, end - at);
                     self.clock = end;
                     if end == until {
                         self.state = DiskState::Idle;
@@ -259,34 +235,39 @@ impl PowerModel for DiskModel {
         }
     }
 
-    fn service(&mut self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome {
+    fn service(
+        &mut self,
+        now: SimTime,
+        req: &DeviceRequest,
+        meter: &mut impl Meter,
+    ) -> ServiceOutcome {
         // A request arriving while the device clock is ahead (still busy
         // from the caller's perspective) starts when the device is free.
         let arrival = now.max(self.clock);
-        self.advance_to(arrival);
+        self.advance_to(arrival, meter);
 
         let mut request_energy = Joules::ZERO;
 
         // Ride out an in-flight spin-down: the disk cannot abort it.
         if let DiskState::SpinningDown(until) = self.state {
-            self.advance_to(until);
+            self.advance_to(until, meter);
         }
         // Wait for someone else's spin-up to finish.
         if let DiskState::SpinningUp(until) = self.state {
-            self.advance_to(until);
+            self.advance_to(until, meter);
         }
         // Wake from standby.
         if self.state == DiskState::Standby {
-            self.meter.transition("spin_up", self.params.spinup_energy);
+            meter.transition(self.clock, "spin_up", self.params.spinup_energy);
             request_energy += self.params.spinup_energy;
             let until = self.clock + self.params.spinup_time;
             self.state = DiskState::SpinningUp(until);
-            self.advance_to(until);
+            self.advance_to(until, meter);
         }
         debug_assert_eq!(self.state, DiskState::Idle);
 
         let svc = self.positioning(req) + self.params.bandwidth.transfer_time(req.bytes);
-        self.meter.dwell("active", self.params.active_power, svc);
+        meter.dwell(self.clock, "active", self.params.active_power, svc);
         request_energy += self.params.active_power * svc;
         self.clock += svc;
         self.state = DiskState::Idle;
@@ -298,10 +279,6 @@ impl PowerModel for DiskModel {
             service_time: self.clock.saturating_since(now),
             energy: request_energy,
         }
-    }
-
-    fn meter(&self) -> &StateMeter {
-        &self.meter
     }
 
     fn clock(&self) -> SimTime {
@@ -316,11 +293,11 @@ impl PowerModel for DiskModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Dir;
+    use crate::model::{Dir, Live};
     use ff_base::Bytes;
 
-    fn disk() -> DiskModel {
-        DiskModel::new(DiskParams::hitachi_dk23da())
+    fn disk() -> Live<DiskModel> {
+        Live::new(DiskModel::new(DiskParams::hitachi_dk23da()))
     }
 
     const EPS: f64 = 1e-6;
@@ -352,8 +329,8 @@ mod tests {
     fn idle_energy_integrates() {
         let mut d = disk();
         d.advance_to(SimTime::from_secs(10));
-        assert!((d.energy().get() - 16.0).abs() < EPS); // 1.6 W × 10 s
-        assert_eq!(d.state(), DiskState::Idle);
+        assert!((d.meter.total().get() - 16.0).abs() < EPS); // 1.6 W × 10 s
+        assert_eq!(d.model.state(), DiskState::Idle);
     }
 
     #[test]
@@ -361,11 +338,15 @@ mod tests {
         let mut d = disk();
         d.advance_to(SimTime::from_secs(60));
         // 20 s idle (32 J) + spin-down (2.94 J) + 37.7 s standby (5.655 J).
-        assert_eq!(d.state(), DiskState::Standby);
+        assert_eq!(d.model.state(), DiskState::Standby);
         let expect = 32.0 + 2.94 + (60.0 - 20.0 - 2.3) * 0.15;
-        assert!((d.energy().get() - expect).abs() < EPS, "{}", d.energy());
-        assert_eq!(d.meter().transition_count("spin_down"), 1);
-        assert_eq!(d.meter().time_in("spinning_down"), Dur::from_millis(2_300));
+        assert!(
+            (d.meter.total().get() - expect).abs() < EPS,
+            "{}",
+            d.meter.total()
+        );
+        assert_eq!(d.meter.transition_count("spin_down"), 1);
+        assert_eq!(d.meter.time_in("spinning_down"), Dur::from_millis(2_300));
     }
 
     #[test]
@@ -376,8 +357,8 @@ mod tests {
         for s in 1..=600 {
             b.advance_to(SimTime::from_millis(s * 100));
         }
-        assert!((a.energy().get() - b.energy().get()).abs() < EPS);
-        assert_eq!(a.state(), b.state());
+        assert!((a.meter.total().get() - b.meter.total().get()).abs() < EPS);
+        assert_eq!(a.model.state(), b.model.state());
     }
 
     #[test]
@@ -390,7 +371,7 @@ mod tests {
         // 20 ms positioning + 1 s transfer at 35 MB/s.
         assert!((out.service_time.as_secs_f64() - 1.020).abs() < 1e-4);
         assert!((out.energy.get() - 2.0 * 1.020).abs() < 1e-3);
-        assert_eq!(d.state(), DiskState::Idle);
+        assert_eq!(d.model.state(), DiskState::Idle);
     }
 
     #[test]
@@ -438,8 +419,8 @@ mod tests {
         assert!(out.service_time >= Dur::from_millis(1_620));
         assert!(out.service_time < Dur::from_millis(1_630));
         assert!(out.energy.get() > 5.0, "must include the 5 J spin-up");
-        assert_eq!(d.meter().transition_count("spin_up"), 1);
-        assert_eq!(d.state(), DiskState::Idle);
+        assert_eq!(d.meter.transition_count("spin_up"), 1);
+        assert_eq!(d.model.state(), DiskState::Idle);
     }
 
     #[test]
@@ -447,15 +428,15 @@ mod tests {
         let mut d = disk();
         // Timeout at 20 s; spin-down runs 20 s → 22.3 s. Arrive at 21 s.
         d.advance_to(SimTime::from_secs(21));
-        assert!(matches!(d.state(), DiskState::SpinningDown(_)));
+        assert!(matches!(d.model.state(), DiskState::SpinningDown(_)));
         let out = d.service(
             SimTime::from_secs(21),
             &DeviceRequest::read(Bytes::kib(4), None),
         );
         // Wait 1.3 s for spin-down, then 1.6 s spin-up, then service.
         assert!(out.service_time >= Dur::from_millis(2_900));
-        assert_eq!(d.meter().transition_count("spin_down"), 1);
-        assert_eq!(d.meter().transition_count("spin_up"), 1);
+        assert_eq!(d.meter.transition_count("spin_down"), 1);
+        assert_eq!(d.meter.transition_count("spin_up"), 1);
     }
 
     #[test]
@@ -466,7 +447,7 @@ mod tests {
             let out = d.service(t, &DeviceRequest::read(Bytes::kib(64), Some(i * 1000)));
             t = out.complete + Dur::from_secs(5); // within the 20 s timeout
         }
-        assert_eq!(d.meter().transition_count("spin_down"), 0);
+        assert_eq!(d.meter.transition_count("spin_down"), 0);
     }
 
     #[test]
@@ -492,20 +473,20 @@ mod tests {
             d.advance_to(SimTime::from_secs(60));
             d
         };
-        let before_energy = d.energy();
-        let est = d.estimate(
+        let before_energy = d.meter.total();
+        let est = d.model.estimate(
             SimTime::from_secs(60),
             &DeviceRequest::read(Bytes::kib(4), None),
         );
         assert!(est.energy.get() > 5.0);
-        assert_eq!(d.energy(), before_energy);
-        assert_eq!(d.state(), DiskState::Standby);
+        assert_eq!(d.meter.total(), before_energy);
+        assert_eq!(d.model.state(), DiskState::Standby);
     }
 
     #[test]
     fn writes_cost_like_reads_at_device_level() {
         let mut d = disk();
-        let r = d.estimate(
+        let r = d.model.estimate(
             SimTime::ZERO,
             &DeviceRequest {
                 dir: Dir::Read,
@@ -513,7 +494,7 @@ mod tests {
                 block: Some(5),
             },
         );
-        let w = d.estimate(
+        let w = d.model.estimate(
             SimTime::ZERO,
             &DeviceRequest {
                 dir: Dir::Write,
@@ -527,28 +508,35 @@ mod tests {
     }
 
     #[test]
-    fn meter_reset_keeps_state() {
+    fn copy_walks_on_from_the_live_state() {
         let mut d = disk();
+        d.advance_to(SimTime::from_secs(15));
+        let before = d.meter.total();
+        // A what-if copy keeps the live state and clock and books into
+        // its own sum; the live meter is untouched.
+        let mut copy = d.model;
+        let mut sum = Joules::ZERO;
+        copy.advance_to(SimTime::from_secs(30), &mut sum);
+        assert_eq!(d.meter.total(), before);
+        assert_eq!(d.model.clock(), SimTime::from_secs(15));
         d.advance_to(SimTime::from_secs(30));
-        let state = d.state();
-        d.reset_meter();
-        assert_eq!(d.energy(), Joules::ZERO);
-        assert_eq!(d.state(), state);
-        assert_eq!(d.clock(), SimTime::from_secs(30));
+        assert_eq!(copy.state(), d.model.state());
+        assert_eq!(copy.state(), DiskState::Standby);
+        assert!((sum.get() - (d.meter.total().get() - before.get())).abs() < EPS);
     }
 
     #[test]
     fn is_ready_tracks_spinning() {
         let mut d = disk();
-        assert!(d.is_ready());
+        assert!(d.model.is_ready());
         d.advance_to(SimTime::from_secs(60));
-        assert!(!d.is_ready());
+        assert!(!d.model.is_ready());
     }
 
     #[test]
     fn standby_start_constructor() {
-        let mut d = DiskModel::new_standby(DiskParams::hitachi_dk23da());
-        assert!(!d.is_ready());
+        let mut d = Live::new(DiskModel::new_standby(DiskParams::hitachi_dk23da()));
+        assert!(!d.model.is_ready());
         let out = d.service(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(4), None));
         assert!(out.energy.get() > 5.0);
     }

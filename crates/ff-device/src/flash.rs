@@ -9,13 +9,13 @@
 //! Flash implements the same [`PowerModel`] contract as the disk and the
 //! WNIC, so the simulator meters it identically.
 
-use crate::meter::StateMeter;
+use crate::meter::Meter;
 use crate::model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
 use ff_base::{BytesPerSec, Dur, SimTime, Watts};
 
 /// Flash device constants. Defaults model a 2007 CompactFlash card
 /// (the SmartSaver substrate).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashParams {
     /// Power while reading.
     pub read_power: Watts,
@@ -52,12 +52,11 @@ impl Default for FlashParams {
     }
 }
 
-/// The live flash model: a single always-ready state.
-#[derive(Debug, Clone)]
+/// The flash power-state machine: a single always-ready state.
+#[derive(Debug, Clone, Copy)]
 pub struct FlashModel {
     params: FlashParams,
     clock: SimTime,
-    meter: StateMeter,
 }
 
 impl FlashModel {
@@ -66,7 +65,6 @@ impl FlashModel {
         FlashModel {
             params,
             clock: SimTime::ZERO,
-            meter: StateMeter::new(),
         }
     }
 
@@ -74,48 +72,37 @@ impl FlashModel {
     pub fn params(&self) -> &FlashParams {
         &self.params
     }
-
-    /// Record timestamped state changes for the observability recorder
-    /// (see [`StateMeter::enable_state_log`]).
-    pub fn enable_state_log(&mut self) {
-        self.meter.enable_state_log(self.clock);
-    }
-
-    /// Drain state changes recorded since the last drain (see
-    /// [`StateMeter::take_state_changes`]).
-    pub fn take_state_changes(&mut self) -> Vec<crate::meter::StateChange> {
-        self.meter.take_state_changes()
-    }
 }
 
 impl PowerModel for FlashModel {
-    fn advance_to(&mut self, now: SimTime) {
-        if now > self.clock {
-            self.meter
-                .dwell("flash_idle", self.params.idle_power, now - self.clock);
+    fn advance_to(&mut self, now: SimTime, meter: &mut impl Meter) {
+        let at = self.clock;
+        if now > at {
+            meter.dwell(at, "flash_idle", self.params.idle_power, now - at);
             self.clock = now;
         }
     }
 
-    fn service(&mut self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome {
+    fn service(
+        &mut self,
+        now: SimTime,
+        req: &DeviceRequest,
+        meter: &mut impl Meter,
+    ) -> ServiceOutcome {
         let arrival = now.max(self.clock);
-        self.advance_to(arrival);
+        self.advance_to(arrival, meter);
         let (bw, power, state) = match req.dir {
             Dir::Read => (self.params.read_bw, self.params.read_power, "flash_read"),
             Dir::Write => (self.params.write_bw, self.params.write_power, "flash_write"),
         };
         let svc = self.params.access + bw.transfer_time(req.bytes);
-        self.meter.dwell(state, power, svc);
+        meter.dwell(self.clock, state, power, svc);
         self.clock += svc;
         ServiceOutcome {
             complete: self.clock,
             service_time: self.clock.saturating_since(now),
             energy: power * svc,
         }
-    }
-
-    fn meter(&self) -> &StateMeter {
-        &self.meter
     }
 
     fn clock(&self) -> SimTime {
@@ -130,16 +117,21 @@ impl PowerModel for FlashModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Live;
     use ff_base::Bytes;
+
+    fn flash() -> Live<FlashModel> {
+        Live::new(FlashModel::new(FlashParams::compact_flash_2007()))
+    }
 
     #[test]
     fn read_is_orders_cheaper_than_disk() {
-        let mut f = FlashModel::new(FlashParams::compact_flash_2007());
+        let mut f = flash();
         let out = f.service(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
         // 0.1 ms + 64 KiB / 20 MB/s ≈ 3.4 ms at 0.17 W ≈ 0.6 mJ.
         assert!(out.service_time < Dur::from_millis(4));
         assert!(out.energy.get() < 0.001, "{}", out.energy);
-        assert!(f.is_ready());
+        assert!(f.model.is_ready());
     }
 
     #[test]
@@ -153,14 +145,14 @@ mod tests {
 
     #[test]
     fn idle_draw_is_tiny() {
-        let mut f = FlashModel::new(FlashParams::compact_flash_2007());
+        let mut f = flash();
         f.advance_to(SimTime::from_secs(1000));
-        assert!((f.energy().get() - 10.0).abs() < 1e-9); // 0.01 W × 1000 s
+        assert!((f.meter.total().get() - 10.0).abs() < 1e-9); // 0.01 W × 1000 s
     }
 
     #[test]
     fn queues_like_other_devices() {
-        let mut f = FlashModel::new(FlashParams::compact_flash_2007());
+        let mut f = flash();
         let a = f.service(SimTime::ZERO, &DeviceRequest::read(Bytes::mib(1), None));
         let b = f.service(SimTime::ZERO, &DeviceRequest::read(Bytes(4096), None));
         assert!(b.complete > a.complete);
@@ -168,15 +160,15 @@ mod tests {
 
     #[test]
     fn time_and_energy_fully_attributed() {
-        let mut f = FlashModel::new(FlashParams::compact_flash_2007());
+        let mut f = flash();
         f.service(
             SimTime::from_secs(1),
             &DeviceRequest::write(Bytes::kib(128), None),
         );
         f.advance_to(SimTime::from_secs(10));
-        let m = f.meter();
+        let m = &f.meter;
         let metered: u64 = m.residencies().map(|(_, d, _)| d.as_micros()).sum();
-        assert_eq!(metered, f.clock().as_micros());
+        assert_eq!(metered, f.model.clock().as_micros());
         let parts: f64 = m.residencies().map(|(_, _, e)| e.get()).sum();
         assert!((parts - m.total().get()).abs() < 1e-9);
     }

@@ -15,26 +15,38 @@
 //!   PSM beacon wake-up), and configurable latency/bandwidth for the
 //!   §3.3 sweeps.
 //!
-//! Both devices implement [`PowerModel`]; models are plain `Clone` data,
-//! so the FlexFetch estimator can run them as the paper's cheap "on-line
-//! simulators" (§2.2), and BlueFS can ask *what would this request cost*
-//! without disturbing the live device.
+//! Both devices (and the [`FlashModel`] extension) implement
+//! [`PowerModel`]: a small `Copy` power-state machine that books its
+//! dwells and transitions into a [`Meter`] the caller passes. The live
+//! run wraps each machine in a [`Live`] device, whose [`StateMeter`]
+//! keeps the per-state ledger; a what-if run copies the machine and
+//! books into a bare [`Joules`](ff_base::Joules) sum. So the FlexFetch
+//! estimator runs the models as the paper's cheap "on-line simulators"
+//! (§2.2), and BlueFS asks *what would this request cost*, without
+//! cloning any accounting or disturbing the live device.
 
 //! ```
-//! use ff_base::{Bytes, SimTime};
-//! use ff_device::{DeviceRequest, DiskModel, DiskParams, PowerModel};
+//! use ff_base::{Bytes, Joules, SimTime};
+//! use ff_device::{DeviceRequest, DiskModel, DiskParams, Live, PowerModel};
 //!
 //! // Service one 64 KiB read on an idle DK23DA and meter it.
-//! let mut disk = DiskModel::new(DiskParams::hitachi_dk23da());
+//! let mut disk = Live::new(DiskModel::new(DiskParams::hitachi_dk23da()));
 //! let out = disk.service(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), Some(0)));
 //! // 20 ms positioning + ~1.9 ms transfer at 2 W.
 //! assert!(out.service_time.as_secs_f64() < 0.025);
 //! assert!(out.energy.get() < 0.05);
 //!
-//! // Left alone past the 20 s timeout, it spins down to standby.
+//! // What if it were left alone for a minute? Walk a copy into a sum.
+//! let mut what_if = disk.model;
+//! let mut idle = Joules::ZERO;
+//! what_if.advance_to(SimTime::from_secs(60), &mut idle);
+//! assert!(!what_if.is_ready() && disk.model.is_ready());
+//!
+//! // The live disk, left alone past the 20 s timeout, spins down too.
 //! disk.advance_to(SimTime::from_secs(60));
-//! assert!(!disk.is_ready());
-//! assert_eq!(disk.meter().transition_count("spin_down"), 1);
+//! assert!(!disk.model.is_ready());
+//! assert_eq!(disk.meter.transition_count("spin_down"), 1);
+//! assert!((disk.meter.total() - out.energy - idle).get().abs() < 1e-9);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +61,7 @@ pub mod wnic;
 
 pub use disk::{DiskModel, DiskParams, DiskState};
 pub use flash::{FlashModel, FlashParams};
-pub use meter::{StateChange, StateMeter};
-pub use model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
+pub use meter::{Meter, StateChange, StateMeter};
+pub use model::{DeviceRequest, Dir, Live, PowerModel, ServiceOutcome};
 pub use spindown::ShareSpindown;
 pub use wnic::{WnicModel, WnicParams, WnicState};

@@ -1,7 +1,36 @@
-//! Per-state time and energy accounting.
+//! Per-state time and energy accounting: the [`Meter`] a device model
+//! books its dwells and transitions into, the live run's [`StateMeter`],
+//! and the bare [`Joules`] sum what-if runs use.
 
 use ff_base::{Dur, Joules, SimTime, Watts};
 use std::collections::BTreeMap;
+
+/// Where a device model books what it does. The model passes its own
+/// clock as `at`, so the meter needs none of its own.
+pub trait Meter {
+    /// Book `d` spent in `state` drawing `power`, starting at `at`.
+    fn dwell(&mut self, at: SimTime, state: &'static str, power: Watts, d: Dur);
+
+    /// Book the one-shot transition `name` (a spin-up, a mode switch)
+    /// fired at `at`, costing `energy`.
+    fn transition(&mut self, at: SimTime, name: &'static str, energy: Joules);
+}
+
+/// The what-if meter: a bare energy sum. It adds exactly the terms
+/// [`StateMeter::total`] adds, in the same order (zero dwells skipped),
+/// so a copy of a model walked into a `Joules` totals bit for bit what
+/// the live meter would.
+impl Meter for Joules {
+    fn dwell(&mut self, _at: SimTime, _state: &'static str, power: Watts, d: Dur) {
+        if !d.is_zero() {
+            *self += power * d;
+        }
+    }
+
+    fn transition(&mut self, _at: SimTime, _name: &'static str, energy: Joules) {
+        *self += energy;
+    }
+}
 
 /// One timestamped entry of the optional state-change log — the input
 /// to the simulator's observability recorder (`ff-sim`'s `Recorder`).
@@ -13,13 +42,13 @@ use std::collections::BTreeMap;
 ///
 /// ```
 /// use ff_base::{Dur, Joules, SimTime, Watts};
-/// use ff_device::StateMeter;
+/// use ff_device::{Meter, StateMeter};
 ///
 /// let mut m = StateMeter::new();
-/// m.enable_state_log(SimTime::ZERO);
-/// m.dwell("idle", Watts(1.6), Dur::from_secs(20));
-/// m.transition("spin_down", Joules(2.94));
-/// m.dwell("standby", Watts(0.15), Dur::from_secs(5));
+/// m.enable_state_log();
+/// m.dwell(SimTime::ZERO, "idle", Watts(1.6), Dur::from_secs(20));
+/// m.transition(SimTime::from_secs(20), "spin_down", Joules(2.94));
+/// m.dwell(SimTime::from_secs(20), "standby", Watts(0.15), Dur::from_secs(5));
 /// let changes = m.take_state_changes();
 /// assert_eq!(changes.len(), 3);
 /// assert_eq!(changes[1].state, "spin_down");
@@ -43,11 +72,6 @@ pub struct StateChange {
 /// Internal bookkeeping for the state-change log.
 #[derive(Debug, Clone, Default)]
 struct StateLog {
-    /// Simulated time covered by dwells so far (the log's clock).
-    cursor: Dur,
-    /// Simulated instant recording started (dwell time is relative
-    /// to it).
-    base: SimTime,
     /// Last dwell state seen, to log only the *changes*.
     last: Option<&'static str>,
     /// Entries not yet drained by `take_state_changes`.
@@ -55,10 +79,11 @@ struct StateLog {
 }
 
 /// Accumulates residency time and energy per named device state, plus
-/// counted one-shot transition energies (spin-ups, mode switches).
+/// counted one-shot transition energies (spin-ups, mode switches): the
+/// live run's [`Meter`].
 ///
 /// Keys are `&'static str` state names so the meter is shared between
-/// the two device types and prints uniformly in reports.
+/// the device types and prints uniformly in reports.
 #[derive(Debug, Clone, Default)]
 pub struct StateMeter {
     residency: BTreeMap<&'static str, (Dur, Joules)>,
@@ -75,16 +100,10 @@ impl StateMeter {
         Self::default()
     }
 
-    /// Start recording timestamped [`StateChange`] entries. `base` must
-    /// be the device's current simulated clock: subsequent dwell time is
-    /// accumulated on top of it to stamp each change. Idempotent.
-    pub fn enable_state_log(&mut self, base: SimTime) {
-        if self.state_log.is_none() {
-            self.state_log = Some(StateLog {
-                base,
-                ..StateLog::default()
-            });
-        }
+    /// Start recording timestamped [`StateChange`] entries, each stamped
+    /// with the `at` of its booking. Idempotent.
+    pub fn enable_state_log(&mut self) {
+        self.state_log.get_or_insert_with(StateLog::default);
     }
 
     /// Drain the state changes recorded since the last drain (empty when
@@ -95,49 +114,6 @@ impl StateMeter {
             Some(log) => std::mem::take(&mut log.pending),
             None => Vec::new(),
         }
-    }
-
-    /// Account `d` spent in `state` drawing `power`.
-    pub fn dwell(&mut self, state: &'static str, power: Watts, d: Dur) {
-        if d.is_zero() {
-            return;
-        }
-        if let Some(slog) = &mut self.state_log {
-            if slog.last != Some(state) {
-                slog.pending.push(StateChange {
-                    at: slog.base + slog.cursor,
-                    state,
-                    transition: false,
-                    energy: Joules::ZERO,
-                });
-                slog.last = Some(state);
-            }
-            slog.cursor += d;
-        }
-        let e = power * d;
-        let entry = self
-            .residency
-            .entry(state)
-            .or_insert((Dur::ZERO, Joules::ZERO));
-        entry.0 += d;
-        entry.1 += e;
-        self.total += e;
-    }
-
-    /// Account a one-shot transition (e.g. a spin-up) costing `energy`.
-    pub fn transition(&mut self, name: &'static str, energy: Joules) {
-        if let Some(slog) = &mut self.state_log {
-            slog.pending.push(StateChange {
-                at: slog.base + slog.cursor,
-                state: name,
-                transition: true,
-                energy,
-            });
-        }
-        let entry = self.transitions.entry(name).or_insert((0, Joules::ZERO));
-        entry.0 += 1;
-        entry.1 += energy;
-        self.total += energy;
     }
 
     /// Total energy accounted.
@@ -167,17 +143,47 @@ impl StateMeter {
     pub fn transitions(&self) -> impl Iterator<Item = (&'static str, u64, Joules)> + '_ {
         self.transitions.iter().map(|(&k, &(n, e))| (k, n, e))
     }
+}
 
-    /// Zero everything (reuse the device across stages/experiments).
-    /// The state-change log keeps its clock (simulated time continues)
-    /// but drops undrained entries.
-    pub fn reset(&mut self) {
-        self.residency.clear();
-        self.transitions.clear();
-        self.total = Joules::ZERO;
-        if let Some(slog) = &mut self.state_log {
-            slog.pending.clear();
+impl Meter for StateMeter {
+    fn dwell(&mut self, at: SimTime, state: &'static str, power: Watts, d: Dur) {
+        if d.is_zero() {
+            return;
         }
+        if let Some(slog) = &mut self.state_log {
+            if slog.last != Some(state) {
+                slog.pending.push(StateChange {
+                    at,
+                    state,
+                    transition: false,
+                    energy: Joules::ZERO,
+                });
+                slog.last = Some(state);
+            }
+        }
+        let e = power * d;
+        let entry = self
+            .residency
+            .entry(state)
+            .or_insert((Dur::ZERO, Joules::ZERO));
+        entry.0 += d;
+        entry.1 += e;
+        self.total += e;
+    }
+
+    fn transition(&mut self, at: SimTime, name: &'static str, energy: Joules) {
+        if let Some(slog) = &mut self.state_log {
+            slog.pending.push(StateChange {
+                at,
+                state: name,
+                transition: true,
+                energy,
+            });
+        }
+        let entry = self.transitions.entry(name).or_insert((0, Joules::ZERO));
+        entry.0 += 1;
+        entry.1 += energy;
+        self.total += energy;
     }
 }
 
@@ -185,11 +191,18 @@ impl StateMeter {
 mod tests {
     use super::*;
 
+    const T0: SimTime = SimTime::ZERO;
+
     #[test]
     fn dwell_accumulates_time_and_energy() {
         let mut m = StateMeter::new();
-        m.dwell("idle", Watts(1.6), Dur::from_secs(10));
-        m.dwell("idle", Watts(1.6), Dur::from_secs(5));
+        m.dwell(T0, "idle", Watts(1.6), Dur::from_secs(10));
+        m.dwell(
+            SimTime::from_secs(10),
+            "idle",
+            Watts(1.6),
+            Dur::from_secs(5),
+        );
         assert_eq!(m.time_in("idle"), Dur::from_secs(15));
         let residencies: Vec<_> = m.residencies().collect();
         assert_eq!(residencies.len(), 1);
@@ -200,17 +213,20 @@ mod tests {
     #[test]
     fn zero_dwell_is_free() {
         let mut m = StateMeter::new();
-        m.dwell("idle", Watts(1.6), Dur::ZERO);
+        m.dwell(T0, "idle", Watts(1.6), Dur::ZERO);
         assert_eq!(m.total(), Joules::ZERO);
         assert_eq!(m.residencies().count(), 0);
+        let mut sum = Joules::ZERO;
+        sum.dwell(T0, "idle", Watts(f64::INFINITY), Dur::ZERO);
+        assert_eq!(sum, Joules::ZERO);
     }
 
     #[test]
     fn transitions_count_and_cost() {
         let mut m = StateMeter::new();
-        m.transition("spin_up", Joules(5.0));
-        m.transition("spin_up", Joules(5.0));
-        m.transition("spin_down", Joules(2.94));
+        m.transition(T0, "spin_up", Joules(5.0));
+        m.transition(T0, "spin_up", Joules(5.0));
+        m.transition(T0, "spin_down", Joules(2.94));
         assert_eq!(m.transition_count("spin_up"), 2);
         let spin_up = m.transitions().find(|&(name, ..)| name == "spin_up");
         assert!(spin_up.is_some_and(|(_, n, e)| n == 2 && (e.get() - 10.0).abs() < 1e-12));
@@ -218,52 +234,59 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
+    fn joules_sums_what_the_state_meter_totals() {
         let mut m = StateMeter::new();
-        m.dwell("active", Watts(2.0), Dur::from_secs(1));
-        m.transition("spin_up", Joules(5.0));
-        m.reset();
-        assert_eq!(m.total(), Joules::ZERO);
-        assert_eq!(m.time_in("active"), Dur::ZERO);
-        assert_eq!(m.transition_count("spin_up"), 0);
+        let mut sum = Joules::ZERO;
+        let s = SimTime::from_millis;
+        for meter in [&mut m as &mut dyn Meter, &mut sum] {
+            meter.dwell(s(0), "idle", Watts(1.6), Dur::from_millis(333));
+            meter.transition(s(333), "spin_down", Joules(2.94));
+            meter.dwell(
+                s(333),
+                "spinning_down",
+                Watts::ZERO,
+                Dur::from_millis(2_300),
+            );
+            meter.dwell(s(2_633), "standby", Watts(0.15), Dur::from_millis(7));
+        }
+        assert_eq!(sum.get().to_bits(), m.total().get().to_bits());
     }
 
     #[test]
     fn state_log_stamps_changes_and_drains_incrementally() {
         let mut m = StateMeter::new();
-        m.enable_state_log(SimTime::from_secs(10));
-        m.dwell("idle", Watts(1.6), Dur::from_secs(20));
-        m.dwell("idle", Watts(1.6), Dur::from_secs(5)); // same state: no entry
-        m.transition("spin_down", Joules(2.94));
-        m.dwell("spinning_down", Watts::ZERO, Dur::from_millis(2_300));
+        m.enable_state_log();
+        let s = SimTime::from_secs;
+        m.dwell(s(10), "idle", Watts(1.6), Dur::from_secs(20));
+        m.dwell(s(30), "idle", Watts(1.6), Dur::from_secs(5)); // same state: no entry
+        m.transition(s(35), "spin_down", Joules(2.94));
+        m.dwell(s(35), "spinning_down", Watts::ZERO, Dur::from_millis(2_300));
         let first = m.take_state_changes();
         assert_eq!(first.len(), 3);
         assert_eq!(
             (first[0].at, first[0].state, first[0].transition),
-            (SimTime::from_secs(10), "idle", false)
+            (s(10), "idle", false)
         );
         assert_eq!(
             (first[1].at, first[1].state, first[1].transition),
-            (SimTime::from_secs(35), "spin_down", true)
+            (s(35), "spin_down", true)
         );
         assert_eq!(first[1].energy, Joules(2.94));
         assert_eq!(first[2].state, "spinning_down");
         // Incremental drain: later activity shows up in the next take.
-        m.dwell("standby", Watts(0.15), Dur::from_secs(1));
+        let standby_at = s(35) + Dur::from_millis(2_300);
+        m.dwell(standby_at, "standby", Watts(0.15), Dur::from_secs(1));
         let second = m.take_state_changes();
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].state, "standby");
-        assert_eq!(
-            second[0].at,
-            SimTime::from_secs(35) + Dur::from_millis(2_300)
-        );
+        assert_eq!(second[0].at, standby_at);
     }
 
     #[test]
     fn state_log_disabled_is_free_and_empty() {
         let mut m = StateMeter::new();
-        m.dwell("idle", Watts(1.6), Dur::from_secs(1));
-        m.transition("spin_up", Joules(5.0));
+        m.dwell(T0, "idle", Watts(1.6), Dur::from_secs(1));
+        m.transition(SimTime::from_secs(1), "spin_up", Joules(5.0));
         assert!(m.take_state_changes().is_empty());
     }
 

@@ -258,7 +258,7 @@ mod tests {
         let mut idles = vec![Dur::from_secs(120); 80];
         idles.extend(vec![Dur::from_secs(2); 300]);
 
-        let mut share = ShareSpindown::for_disk(params.clone());
+        let mut share = ShareSpindown::for_disk(params);
         let adaptive = share.run(&idles);
 
         // Compare against the best FIXED timeout in hindsight.

@@ -28,14 +28,14 @@
 //! (DESIGN.md §9 and §10).
 
 use crate::consts;
-use crate::meter::StateMeter;
+use crate::meter::Meter;
 use crate::model::{DeviceRequest, Dir, PowerModel, ServiceOutcome};
 use ff_base::{BytesPerSec, Dur, Joules, SimTime, Watts};
 
 /// WNIC power/performance constants. Defaults are Table 2 plus the §3.1
 /// prose (800 ms PSM timeout, 11 Mbps) and a 1 ms base latency (the
 /// fixed-latency point of the bandwidth sweep).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WnicParams {
     /// PSM idle power (Table 2: 0.39 W).
     pub psm_idle: Watts,
@@ -94,18 +94,6 @@ impl WnicParams {
             beacon_interval: Dur::from_millis(consts::WNIC_BEACON_INTERVAL_MS),
         }
     }
-
-    /// Same card with a different link bandwidth (the Fig. x(b) sweeps).
-    pub fn with_bandwidth_mbps(mut self, mbps: f64) -> Self {
-        self.bandwidth = BytesPerSec::from_mbit_per_sec(mbps);
-        self
-    }
-
-    /// Same card with a different server latency (the Fig. x(a) sweeps).
-    pub fn with_latency(mut self, latency: Dur) -> Self {
-        self.latency = latency;
-        self
-    }
 }
 
 impl Default for WnicParams {
@@ -127,15 +115,14 @@ pub enum WnicState {
     ToCam(SimTime),
 }
 
-/// The live WNIC model.
-#[derive(Debug, Clone)]
+/// The WNIC's power-state machine.
+#[derive(Debug, Clone, Copy)]
 pub struct WnicModel {
     params: WnicParams,
     state: WnicState,
     clock: SimTime,
     /// Start of the current CAM idle stretch (valid in `Cam`).
     idle_since: SimTime,
-    meter: StateMeter,
 }
 
 impl WnicModel {
@@ -147,7 +134,6 @@ impl WnicModel {
             state: WnicState::Psm,
             clock: SimTime::ZERO,
             idle_since: SimTime::ZERO,
-            meter: StateMeter::new(),
         }
     }
 
@@ -169,23 +155,6 @@ impl WnicModel {
         self.state
     }
 
-    /// Reset energy accounting but keep mode and clock.
-    pub fn reset_meter(&mut self) {
-        self.meter.reset();
-    }
-
-    /// Record timestamped state changes for the observability recorder
-    /// (see [`StateMeter::enable_state_log`]).
-    pub fn enable_state_log(&mut self) {
-        self.meter.enable_state_log(self.clock);
-    }
-
-    /// Drain state changes recorded since the last drain (see
-    /// [`StateMeter::take_state_changes`]).
-    pub fn take_state_changes(&mut self) -> Vec<crate::meter::StateChange> {
-        self.meter.take_state_changes()
-    }
-
     /// Change the link bandwidth mid-run (reception quality shifted —
     /// §2.3's "wireless network bandwidth changes due to factors such as
     /// change of device location"). Affects subsequent transfers only.
@@ -204,45 +173,39 @@ impl WnicModel {
 }
 
 impl PowerModel for WnicModel {
-    fn advance_to(&mut self, now: SimTime) {
+    fn advance_to(&mut self, now: SimTime, meter: &mut impl Meter) {
         while self.clock < now {
+            let at = self.clock;
             match self.state {
                 WnicState::Cam => {
                     let deadline = self.idle_since + self.params.psm_timeout;
                     if now < deadline {
-                        self.meter
-                            .dwell("cam_idle", self.params.cam_idle, now - self.clock);
+                        meter.dwell(at, "cam_idle", self.params.cam_idle, now - at);
                         self.clock = now;
                     } else {
-                        if self.clock < deadline {
-                            self.meter.dwell(
-                                "cam_idle",
-                                self.params.cam_idle,
-                                deadline - self.clock,
-                            );
+                        if at < deadline {
+                            meter.dwell(at, "cam_idle", self.params.cam_idle, deadline - at);
                             self.clock = deadline;
                         }
-                        self.meter
-                            .transition("cam_to_psm", self.params.to_psm_energy);
+                        meter.transition(self.clock, "cam_to_psm", self.params.to_psm_energy);
                         self.state = WnicState::ToPsm(deadline + self.params.to_psm_time);
                     }
                 }
                 WnicState::ToPsm(until) => {
                     let end = until.min(now);
-                    self.meter.dwell("switching", Watts::ZERO, end - self.clock);
+                    meter.dwell(at, "switching", Watts::ZERO, end - at);
                     self.clock = end;
                     if end == until {
                         self.state = WnicState::Psm;
                     }
                 }
                 WnicState::Psm => {
-                    self.meter
-                        .dwell("psm_idle", self.params.psm_idle, now - self.clock);
+                    meter.dwell(at, "psm_idle", self.params.psm_idle, now - at);
                     self.clock = now;
                 }
                 WnicState::ToCam(until) => {
                     let end = until.min(now);
-                    self.meter.dwell("switching", Watts::ZERO, end - self.clock);
+                    meter.dwell(at, "switching", Watts::ZERO, end - at);
                     self.clock = end;
                     if end == until {
                         self.state = WnicState::Cam;
@@ -253,18 +216,23 @@ impl PowerModel for WnicModel {
         }
     }
 
-    fn service(&mut self, now: SimTime, req: &DeviceRequest) -> ServiceOutcome {
+    fn service(
+        &mut self,
+        now: SimTime,
+        req: &DeviceRequest,
+        meter: &mut impl Meter,
+    ) -> ServiceOutcome {
         let arrival = now.max(self.clock);
-        self.advance_to(arrival);
+        self.advance_to(arrival, meter);
 
         let mut request_energy = Joules::ZERO;
 
         // Ride out an in-flight switch either way.
         if let WnicState::ToPsm(until) = self.state {
-            self.advance_to(until);
+            self.advance_to(until, meter);
         }
         if let WnicState::ToCam(until) = self.state {
-            self.advance_to(until);
+            self.advance_to(until, meter);
         }
 
         let psm_servable =
@@ -275,41 +243,40 @@ impl PowerModel for WnicModel {
             // interval of PSM-idle wait on average, then latency and
             // transfer at PSM transfer power.
             let wait = self.params.beacon_interval / 2;
-            self.meter.dwell("psm_idle", self.params.psm_idle, wait);
+            meter.dwell(self.clock, "psm_idle", self.params.psm_idle, wait);
             request_energy += self.params.psm_idle * wait;
             self.clock += wait;
 
-            self.meter
-                .dwell("psm_idle", self.params.psm_idle, self.params.latency);
-            request_energy += self.params.psm_idle * self.params.latency;
-            self.clock += self.params.latency;
+            let latency = self.params.latency;
+            meter.dwell(self.clock, "psm_idle", self.params.psm_idle, latency);
+            request_energy += self.params.psm_idle * latency;
+            self.clock += latency;
 
             let transfer = self.params.bandwidth.transfer_time(req.bytes);
             let p = self.transfer_power(req.dir, false);
-            self.meter.dwell("psm_transfer", p, transfer);
+            meter.dwell(self.clock, "psm_transfer", p, transfer);
             request_energy += p * transfer;
             self.clock += transfer;
             // Remains in PSM.
         } else {
             if self.state == WnicState::Psm {
-                self.meter
-                    .transition("psm_to_cam", self.params.to_cam_energy);
+                meter.transition(self.clock, "psm_to_cam", self.params.to_cam_energy);
                 request_energy += self.params.to_cam_energy;
                 let until = self.clock + self.params.to_cam_time;
                 self.state = WnicState::ToCam(until);
-                self.advance_to(until);
+                self.advance_to(until, meter);
             }
             debug_assert_eq!(self.state, WnicState::Cam);
 
             // Round-trip to the server at CAM idle power.
-            self.meter
-                .dwell("cam_idle", self.params.cam_idle, self.params.latency);
-            request_energy += self.params.cam_idle * self.params.latency;
-            self.clock += self.params.latency;
+            let latency = self.params.latency;
+            meter.dwell(self.clock, "cam_idle", self.params.cam_idle, latency);
+            request_energy += self.params.cam_idle * latency;
+            self.clock += latency;
 
             let transfer = self.params.bandwidth.transfer_time(req.bytes);
             let p = self.transfer_power(req.dir, true);
-            self.meter.dwell("cam_transfer", p, transfer);
+            meter.dwell(self.clock, "cam_transfer", p, transfer);
             request_energy += p * transfer;
             self.clock += transfer;
             self.idle_since = self.clock;
@@ -320,10 +287,6 @@ impl PowerModel for WnicModel {
             service_time: self.clock.saturating_since(now),
             energy: request_energy,
         }
-    }
-
-    fn meter(&self) -> &StateMeter {
-        &self.meter
     }
 
     fn clock(&self) -> SimTime {
@@ -338,10 +301,15 @@ impl PowerModel for WnicModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Live;
     use ff_base::Bytes;
 
-    fn wnic() -> WnicModel {
-        WnicModel::new(WnicParams::cisco_aironet350())
+    fn wnic() -> Live<WnicModel> {
+        Live::new(WnicModel::new(WnicParams::cisco_aironet350()))
+    }
+
+    fn wnic_cam(params: WnicParams) -> Live<WnicModel> {
+        Live::new(WnicModel::new_cam(params))
     }
 
     const EPS: f64 = 1e-6;
@@ -366,19 +334,23 @@ mod tests {
     fn psm_idle_energy_integrates() {
         let mut w = wnic();
         w.advance_to(SimTime::from_secs(100));
-        assert!((w.energy().get() - 39.0).abs() < EPS); // 0.39 W × 100 s
-        assert_eq!(w.state(), WnicState::Psm);
+        assert!((w.meter.total().get() - 39.0).abs() < EPS); // 0.39 W × 100 s
+        assert_eq!(w.model.state(), WnicState::Psm);
     }
 
     #[test]
     fn cam_times_out_to_psm() {
-        let mut w = WnicModel::new_cam(WnicParams::cisco_aironet350());
+        let mut w = wnic_cam(WnicParams::cisco_aironet350());
         w.advance_to(SimTime::from_secs(10));
-        assert_eq!(w.state(), WnicState::Psm);
+        assert_eq!(w.model.state(), WnicState::Psm);
         // 0.8 s CAM idle + switch 0.53 J + (10 − 0.8 − 0.41) s PSM.
         let expect = 1.41 * 0.8 + 0.53 + 0.39 * (10.0 - 0.8 - 0.41);
-        assert!((w.energy().get() - expect).abs() < EPS, "{}", w.energy());
-        assert_eq!(w.meter().transition_count("cam_to_psm"), 1);
+        assert!(
+            (w.meter.total().get() - expect).abs() < EPS,
+            "{}",
+            w.meter.total()
+        );
+        assert_eq!(w.meter.transition_count("cam_to_psm"), 1);
     }
 
     #[test]
@@ -393,16 +365,20 @@ mod tests {
             out.service_time
         );
         assert!(out.energy.get() > 0.51);
-        assert_eq!(w.state(), WnicState::Cam);
-        assert_eq!(w.meter().transition_count("psm_to_cam"), 1);
+        assert_eq!(w.model.state(), WnicState::Cam);
+        assert_eq!(w.meter.transition_count("psm_to_cam"), 1);
     }
 
     #[test]
     fn single_packet_served_in_psm() {
         let mut w = wnic();
         let out = w.service(SimTime::ZERO, &DeviceRequest::read(Bytes(1200), None));
-        assert_eq!(w.state(), WnicState::Psm, "stays in PSM for one packet");
-        assert_eq!(w.meter().transition_count("psm_to_cam"), 0);
+        assert_eq!(
+            w.model.state(),
+            WnicState::Psm,
+            "stays in PSM for one packet"
+        );
+        assert_eq!(w.meter.transition_count("psm_to_cam"), 0);
         // Waits up to half a beacon (50 ms) + latency + ~0.9 ms transfer.
         assert!(out.service_time >= Dur::from_millis(50));
         assert!(out.service_time < Dur::from_millis(60));
@@ -417,7 +393,7 @@ mod tests {
             &DeviceRequest::read(Bytes::kib(64), None),
         );
         assert_eq!(
-            w.meter().transition_count("psm_to_cam"),
+            w.meter.transition_count("psm_to_cam"),
             1,
             "only the first pays"
         );
@@ -433,15 +409,19 @@ mod tests {
             t = out.complete + Dur::from_secs(3); // far beyond the 800 ms timeout
         }
         w.advance_to(t); // let the final CAM stretch time out too
-        assert_eq!(w.meter().transition_count("psm_to_cam"), 5);
-        assert_eq!(w.meter().transition_count("cam_to_psm"), 5);
+        assert_eq!(w.meter.transition_count("psm_to_cam"), 5);
+        assert_eq!(w.meter.transition_count("cam_to_psm"), 5);
     }
 
     #[test]
     fn write_draws_send_power() {
         let w = wnic();
-        let r = w.estimate(SimTime::ZERO, &DeviceRequest::read(Bytes::mib(1), None));
-        let wr = w.estimate(SimTime::ZERO, &DeviceRequest::write(Bytes::mib(1), None));
+        let r = w
+            .model
+            .estimate(SimTime::ZERO, &DeviceRequest::read(Bytes::mib(1), None));
+        let wr = w
+            .model
+            .estimate(SimTime::ZERO, &DeviceRequest::write(Bytes::mib(1), None));
         assert!(
             wr.energy > r.energy,
             "send (3.69 W) must beat recv (2.61 W)"
@@ -452,8 +432,11 @@ mod tests {
     #[test]
     fn bandwidth_sweep_changes_transfer_time() {
         for (mbps, secs) in [(1.0, 8.0), (2.0, 4.0), (5.5, 1.4545), (11.0, 0.7273)] {
-            let p = WnicParams::cisco_aironet350().with_bandwidth_mbps(mbps);
-            let mut w = WnicModel::new_cam(p);
+            let p = WnicParams {
+                bandwidth: BytesPerSec::from_mbit_per_sec(mbps),
+                ..WnicParams::cisco_aironet350()
+            };
+            let mut w = wnic_cam(p);
             let out = w.service(SimTime::ZERO, &DeviceRequest::read(Bytes::mib(1), None));
             let expect = 1024.0 * 1024.0 * 8.0 / (mbps * 1e6) + 0.001;
             assert!(
@@ -466,8 +449,11 @@ mod tests {
 
     #[test]
     fn latency_sweep_dwells_at_idle_power() {
-        let p = WnicParams::cisco_aironet350().with_latency(Dur::from_millis(30));
-        let mut w = WnicModel::new_cam(p);
+        let p = WnicParams {
+            latency: Dur::from_millis(30),
+            ..WnicParams::cisco_aironet350()
+        };
+        let mut w = wnic_cam(p);
         let out = w.service(SimTime::ZERO, &DeviceRequest::read(Bytes(2000), None));
         assert!(out.service_time >= Dur::from_millis(30));
         // Latency energy = 1.41 W × 30 ms = 42.3 mJ, present in the total.
@@ -476,10 +462,10 @@ mod tests {
 
     #[test]
     fn request_during_switch_waits() {
-        let mut w = WnicModel::new_cam(WnicParams::cisco_aironet350());
+        let mut w = wnic_cam(WnicParams::cisco_aironet350());
         // Idle past the timeout so a CAM→PSM switch is in flight at 1 s.
         w.advance_to(SimTime::from_millis(1_000));
-        assert!(matches!(w.state(), WnicState::ToPsm(_)));
+        assert!(matches!(w.model.state(), WnicState::ToPsm(_)));
         let out = w.service(
             SimTime::from_millis(1_000),
             &DeviceRequest::read(Bytes::kib(64), None),
@@ -491,17 +477,21 @@ mod tests {
     #[test]
     fn estimate_does_not_mutate() {
         let w = wnic();
-        let e1 = w.estimate(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
-        let e2 = w.estimate(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
+        let e1 = w
+            .model
+            .estimate(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
+        let e2 = w
+            .model
+            .estimate(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
         assert_eq!(e1, e2);
-        assert_eq!(w.energy(), Joules::ZERO);
+        assert_eq!(w.meter.total(), Joules::ZERO);
     }
 
     #[test]
     fn is_ready_means_cam() {
         let mut w = wnic();
-        assert!(!w.is_ready());
+        assert!(!w.model.is_ready());
         w.service(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
-        assert!(w.is_ready());
+        assert!(w.model.is_ready());
     }
 }

@@ -253,7 +253,7 @@ pub fn probes() -> Vec<Probe> {
             id: "spindown-meter-drop",
             kind: MutKind::TransitionDrop,
             file: "crates/ff-device/src/disk.rs",
-            needle: ".transition(\"spin_down\", self.params.spindown_energy);",
+            needle: ".transition(self.clock, \"spin_down\", self.params.spindown_energy);",
             replacement: ".dwell_only();",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::Fsm],
@@ -298,8 +298,8 @@ pub fn probes() -> Vec<Probe> {
             id: "unchecked-counter-sum",
             kind: MutKind::OperatorFlip,
             file: "crates/ff-sim/src/sim/stage.rs",
-            needle: "self.disk_bytes.saturating_add(self.wnic_bytes)",
-            replacement: "self.disk_bytes + self.wnic_bytes",
+            needle: "disk_bytes.saturating_add(wnic_bytes)",
+            replacement: "disk_bytes + wnic_bytes",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::ArithSafety],
         },

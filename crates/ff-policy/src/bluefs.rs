@@ -61,11 +61,6 @@ impl BlueFs {
         self.timeout_override = Some(timeout);
         self
     }
-
-    /// Current accumulated hint (test/inspection hook).
-    pub fn ghost_hint(&self) -> Joules {
-        self.ghost_hint
-    }
 }
 
 impl Default for BlueFs {
@@ -125,9 +120,9 @@ impl Policy for BlueFs {
                 // actually charged (wake-ups included) beyond what an
                 // already-spinning disk would have charged.
                 let block = ctx.layout.block_of(req.file, req.offset);
-                let mut active_disk = DiskModel::new(ctx.disk.params().clone());
+                let active_disk = DiskModel::new(*ctx.disk.params());
                 let active_cost = active_disk
-                    .service(
+                    .estimate(
                         ff_base::SimTime::ZERO,
                         &device_request(req.op, req.len, block),
                     )
@@ -274,14 +269,14 @@ mod tests {
         for _ in 0..2 {
             round(&mut p, &w, 1_000_000);
         }
-        assert!(p.ghost_hint().get() > 0.0);
+        assert!(p.ghost_hint.get() > 0.0);
         let out = ff_device::ServiceOutcome {
             complete: SimTime::ZERO,
             service_time: ff_base::Dur::ZERO,
             energy: Joules::ZERO,
         };
         p.observe(&ctx(&w, &nores), &req(1), Some(Source::Disk), &out);
-        assert_eq!(p.ghost_hint(), Joules::ZERO);
+        assert_eq!(p.ghost_hint, Joules::ZERO);
     }
 
     #[test]
@@ -292,7 +287,7 @@ mod tests {
         for _ in 0..2 {
             round(&mut p, &w, 1_000_000);
         }
-        let before = p.ghost_hint();
+        let before = p.ghost_hint;
         assert!(before.get() > 0.0);
         let out = ff_device::ServiceOutcome {
             complete: SimTime::ZERO,
@@ -301,7 +296,7 @@ mod tests {
         };
         // A fully cache-hit syscall carries no device evidence.
         p.observe(&ctx(&w, &nores), &req(1), None, &out);
-        assert_eq!(p.ghost_hint(), before, "cache hit must not reset hints");
+        assert_eq!(p.ghost_hint, before, "cache hit must not reset hints");
     }
 
     #[test]
@@ -312,12 +307,12 @@ mod tests {
         for _ in 0..2 {
             round(&mut p, &w, 1_000_000);
         }
-        assert!(p.ghost_hint().get() > 0.0);
+        assert!(p.ghost_hint.get() > 0.0);
         p.on_fault(&ctx(&w, &nores), FaultNotice::LinkDown);
         // Even a request the WNIC would normally win goes to the disk,
         // and the stale hints are discarded.
         assert_eq!(p.select(&ctx(&w, &nores), &req(65_536)), Source::Disk);
-        assert_eq!(p.ghost_hint(), Joules::ZERO);
+        assert_eq!(p.ghost_hint, Joules::ZERO);
         p.on_fault(&ctx(&w, &nores), FaultNotice::LinkUp);
         assert_eq!(
             p.select(&ctx(&w, &nores), &req(65_536)),

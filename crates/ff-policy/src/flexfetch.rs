@@ -195,8 +195,8 @@ impl FlexFetch {
         // includes the disk idling at 1.6 W between bursts; E_network
         // includes the card's PSM dwell at 0.39 W — the asymmetry that
         // sends sparse workloads to the network.
-        let disk = est.disk_cost(bursts, ctx.disk.clone());
-        let wnic = est.wnic_cost(bursts, ctx.wnic.clone());
+        let disk = est.disk_cost(bursts, *ctx.disk);
+        let wnic = est.wnic_cost(bursts, *ctx.wnic);
         decide(disk, wnic, self.config.loss_rate)
     }
 
@@ -325,8 +325,8 @@ impl Policy for FlexFetch {
         // profile"; the profile resumes steering only once its advice
         // agrees with measured reality again.
         let est = Estimator::new(ctx.layout);
-        let disk_est = est.disk_cost(&report.observed, ctx.disk.clone());
-        let wnic_est = est.wnic_cost(&report.observed, ctx.wnic.clone());
+        let disk_est = est.disk_cost(&report.observed, *ctx.disk);
+        let wnic_est = est.wnic_cost(&report.observed, *ctx.wnic);
         let winner = decide(disk_est, wnic_est, self.config.loss_rate);
 
         // Hysteresis: flipping costs a device transition, so require the

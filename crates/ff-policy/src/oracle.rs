@@ -19,7 +19,7 @@
 
 use crate::rules::decide;
 use crate::source::{AppRequest, Policy, PolicyCtx, Source, StageReport};
-use ff_base::Dur;
+use ff_base::{Dur, Joules};
 use ff_device::{DiskModel, DiskParams, DiskState, PowerModel, WnicModel, WnicParams};
 use ff_profile::{Estimator, Profile};
 use ff_trace::DiskLayout;
@@ -71,9 +71,9 @@ pub fn plan_oracle(
         for (s, start_up) in [(0usize, false), (1usize, true)] {
             let mk_disk = || {
                 if start_up {
-                    DiskModel::new(disk_params.clone())
+                    DiskModel::new(*disk_params)
                 } else {
-                    DiskModel::new_standby(disk_params.clone())
+                    DiskModel::new_standby(*disk_params)
                 }
             };
             // Disk option: disk serves. The estimator's parking run leaves
@@ -81,8 +81,8 @@ pub fn plan_oracle(
             // with the disk up depends on its trailing gap; re-walk
             // without parking to read the end state.
             let d = est.disk_cost(&stage.bursts, mk_disk());
-            let mut probe = mk_disk();
-            Estimator::walk(&stage.bursts, &mut probe, Some(layout));
+            let (mut probe, mut spent) = (mk_disk(), Joules::ZERO);
+            Estimator::walk(&stage.bursts, &mut probe, &mut spent, Some(layout));
             let up_after = matches!(probe.state(), DiskState::Idle | DiskState::SpinningUp(_));
             disk_opt[i][s] = Opt {
                 energy: d.energy.get(),
@@ -93,15 +93,14 @@ pub fn plan_oracle(
 
             // Network option: WNIC serves; an initially-up disk drains to
             // standby on its own (cost included), a down disk stays down.
-            let w = est.wnic_cost(&stage.bursts, WnicModel::new(wnic_params.clone()));
+            let w = est.wnic_cost(&stage.bursts, WnicModel::new(*wnic_params));
             let mut idle_disk = mk_disk();
-            idle_disk.reset_meter();
-            let end = idle_disk.clock() + w.time;
-            idle_disk.advance_to(end);
+            let mut idle = Joules::ZERO;
+            idle_disk.advance_to(idle_disk.clock() + w.time, &mut idle);
             wnic_opt[i][s] = Opt {
                 energy: w.energy.get(),
                 time: w.time.as_secs_f64(),
-                extra: idle_disk.energy().get(),
+                extra: idle.get(),
                 disk_up_after: start_up && w.time.as_secs_f64() < disk_params.timeout.as_secs_f64(),
             };
         }

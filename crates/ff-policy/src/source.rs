@@ -54,9 +54,11 @@ pub struct PolicyCtx<'a> {
     /// (and so [`Policy::on_stage_end`] audits) fall every `stage_len`,
     /// and a history-aware policy plans over windows of this length.
     pub stage_len: Dur,
-    /// The live disk (read-only — use [`ff_device::PowerModel::estimate`]).
+    /// The live disk's power-state machine, read-only: probe it with
+    /// [`ff_device::PowerModel::estimate`], or walk a copy (`*ctx.disk`)
+    /// into a local meter. Its accounting stays with the engine.
     pub disk: &'a DiskModel,
-    /// The live WNIC.
+    /// The live WNIC's power-state machine, likewise.
     pub wnic: &'a WnicModel,
     /// File → block layout (for disk cost estimates).
     pub layout: &'a DiskLayout,

@@ -6,16 +6,16 @@
 //! we maintain an on-line simulator for each device to emulate their
 //! power saving policies."*
 //!
-//! The estimator walks a burst sequence over a **cloned** device model:
-//! requests inside a burst go back to back (the paper's
-//! peak-bandwidth-within-burst assumption — merging already folded the
-//! intra-burst think times away), and inter-burst think times advance
-//! the device clock so its timeout policy (spin-down / CAM→PSM) fires
-//! exactly as it would live.
+//! The estimator walks a burst sequence over a **copy** of a device's
+//! power-state machine, booking into a local [`Joules`] sum: requests
+//! inside a burst go back to back (the paper's peak-bandwidth-within-
+//! burst assumption — merging already folded the intra-burst think times
+//! away), and inter-burst think times advance the device clock so its
+//! timeout policy (spin-down / CAM→PSM) fires exactly as it would live.
 
 use crate::burst::ProfiledBurst;
 use ff_base::{Bytes, Dur, Joules, SimTime};
-use ff_device::{DeviceRequest, Dir, DiskModel, PowerModel, WnicModel};
+use ff_device::{DeviceRequest, Dir, DiskModel, Meter, PowerModel, WnicModel};
 use ff_trace::{DiskLayout, FileId, IoOp};
 
 /// The `(T, E)` pair the decision rules consume.
@@ -40,36 +40,36 @@ impl<'a> Estimator<'a> {
     }
 
     /// `(T_disk, E_disk)` for servicing `bursts` on `disk`, starting from
-    /// the model's current power state. The passed model is consumed (pass
-    /// a clone of the live disk to start from reality).
+    /// the model's current power state. The model is a copy (pass
+    /// `*ctx.disk` to start from the live disk).
     ///
     /// The energy includes the **parking cost**: after the last burst the
     /// model runs until the device reaches its low-power resting state
     /// (idle timeout + spin-down). Without this, a decision to wake the
     /// disk for one small burst would look ~35 J cheaper than it really
     /// is — the idle tail is a direct consequence of the decision.
-    pub fn disk_cost(&self, bursts: &[ProfiledBurst], mut disk: DiskModel) -> Estimate {
-        disk.reset_meter();
+    pub fn disk_cost(&self, bursts: &[ProfiledBurst], disk: DiskModel) -> Estimate {
         let park = disk.params().timeout + disk.params().spindown_time + Dur::from_millis(1);
         cost(bursts, disk, Some(self.layout), park)
     }
 
     /// `(T_network, E_network)` for servicing `bursts` on `wnic`.
     /// Includes the parking cost (CAM idle-out plus the CAM→PSM switch).
-    pub fn wnic_cost(&self, bursts: &[ProfiledBurst], mut wnic: WnicModel) -> Estimate {
-        wnic.reset_meter();
+    pub fn wnic_cost(&self, bursts: &[ProfiledBurst], wnic: WnicModel) -> Estimate {
         let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
         cost(bursts, wnic, None, park)
     }
 
-    /// Walk `bursts` over `model` from its clock, without parking, and
-    /// return the instant the last burst's trailing gap ends. Requests
-    /// inside a burst go back to back; each gap advances the model so
-    /// its timeout policy fires. `layout` resolves request blocks (the
-    /// disk's); `None` sends blockless requests (the WNIC's).
+    /// Walk `bursts` over `model` from its clock, booking into `meter`,
+    /// without parking, and return the instant the last burst's trailing
+    /// gap ends. Requests inside a burst go back to back; each gap
+    /// advances the model so its timeout policy fires. `layout` resolves
+    /// request blocks (the disk's); `None` sends blockless requests (the
+    /// WNIC's).
     pub fn walk<M: PowerModel>(
         bursts: &[ProfiledBurst],
         model: &mut M,
+        meter: &mut impl Meter,
         layout: Option<&DiskLayout>,
     ) -> SimTime {
         let mut t = model.clock();
@@ -77,36 +77,37 @@ impl<'a> Estimator<'a> {
             for req in &pb.burst.requests {
                 let block = layout.and_then(|l| l.block_of(req.file, req.offset));
                 t = model
-                    .service(t, &device_request(req.op, req.len, block))
+                    .service(t, &device_request(req.op, req.len, block), meter)
                     .complete;
             }
             t += pb.gap_after;
-            model.advance_to(t);
+            model.advance_to(t, meter);
         }
         t
     }
 }
 
 /// Walk `bursts` over `model`, then park it for `park` past the end; the
-/// energy is the model's meter total.
+/// energy is everything the walk and the parking booked.
 fn cost<M: PowerModel>(
     bursts: &[ProfiledBurst],
     mut model: M,
     layout: Option<&DiskLayout>,
     park: Dur,
 ) -> Estimate {
+    let mut energy = Joules::ZERO;
     if bursts.is_empty() {
         return Estimate {
             time: Dur::ZERO,
-            energy: Joules::ZERO,
+            energy,
         };
     }
     let start = model.clock();
-    let end = Estimator::walk(bursts, &mut model, layout);
-    model.advance_to(end + park);
+    let end = Estimator::walk(bursts, &mut model, &mut energy, layout);
+    model.advance_to(end + park, &mut energy);
     Estimate {
         time: end.saturating_since(start),
-        energy: model.energy(),
+        energy,
     }
 }
 

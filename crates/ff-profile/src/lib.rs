@@ -13,7 +13,7 @@
 //!   §2.3.1 *splice* operation (replace the first N bursts with the
 //!   currently observed partial profile) and the §2.3.3 concurrent-merge.
 //! * [`estimate`] — the on-line simulator (§2.2): walks a burst sequence
-//!   over cloned device models to produce `(T_disk, E_disk)` and
+//!   over copied device models to produce `(T_disk, E_disk)` and
 //!   `(T_network, E_network)` for a stage.
 //! * [`hoard`] — extension: pick which files to hoard locally from the
 //!   recorded history under a disk-space budget (the paper delegates

@@ -1,7 +1,7 @@
 //! Property tests for the profiling layer.
 
 use ff_base::{Bytes, Dur, Joules, SimTime};
-use ff_device::{DeviceRequest, DiskModel, DiskParams, PowerModel, WnicModel, WnicParams};
+use ff_device::{DeviceRequest, DiskModel, DiskParams, Live, PowerModel, WnicModel, WnicParams};
 use ff_profile::{
     device_request, first_stage, stages_of, Estimate, Estimator, IoBurst, MergedRequest, Profile,
     ProfiledBurst,
@@ -72,20 +72,17 @@ fn one_file_layout() -> (FileSet, DiskLayout) {
 }
 
 /// The disk walk as `Estimator::disk_cost` wrote it before the walk had
-/// one home: the reference the shared walk must match bit for bit.
-fn reference_disk_cost(
-    layout: &DiskLayout,
-    bursts: &[ProfiledBurst],
-    mut disk: DiskModel,
-) -> Estimate {
+/// one home, stepping a metered [`Live`] disk: the reference the shared
+/// walk into a bare sum must match bit for bit.
+fn reference_disk_cost(layout: &DiskLayout, bursts: &[ProfiledBurst], disk: DiskModel) -> Estimate {
     if bursts.is_empty() {
         return Estimate {
             time: Dur::ZERO,
             energy: Joules::ZERO,
         };
     }
-    disk.reset_meter();
-    let start = disk.clock();
+    let mut disk = Live::new(disk);
+    let start = disk.model.clock();
     let mut t = start;
     for pb in bursts {
         for req in &pb.burst.requests {
@@ -98,24 +95,25 @@ fn reference_disk_cost(
         disk.advance_to(t);
     }
     let time = t.saturating_since(start);
-    let park = disk.params().timeout + disk.params().spindown_time + Dur::from_millis(1);
+    let params = disk.model.params();
+    let park = params.timeout + params.spindown_time + Dur::from_millis(1);
     disk.advance_to(t + park);
     Estimate {
         time,
-        energy: disk.energy(),
+        energy: disk.meter.total(),
     }
 }
 
 /// The WNIC walk as `Estimator::wnic_cost` wrote it: reference.
-fn reference_wnic_cost(bursts: &[ProfiledBurst], mut wnic: WnicModel) -> Estimate {
+fn reference_wnic_cost(bursts: &[ProfiledBurst], wnic: WnicModel) -> Estimate {
     if bursts.is_empty() {
         return Estimate {
             time: Dur::ZERO,
             energy: Joules::ZERO,
         };
     }
-    wnic.reset_meter();
-    let start = wnic.clock();
+    let mut wnic = Live::new(wnic);
+    let start = wnic.model.clock();
     let mut t = start;
     for pb in bursts {
         for req in &pb.burst.requests {
@@ -127,11 +125,12 @@ fn reference_wnic_cost(bursts: &[ProfiledBurst], mut wnic: WnicModel) -> Estimat
         wnic.advance_to(t);
     }
     let time = t.saturating_since(start);
-    let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
+    let params = wnic.model.params();
+    let park = params.psm_timeout + params.to_psm_time + Dur::from_millis(1);
     wnic.advance_to(t + park);
     Estimate {
         time,
-        energy: wnic.energy(),
+        energy: wnic.meter.total(),
     }
 }
 
@@ -223,18 +222,18 @@ fn disk_start(kind: u8, at_ms: u64) -> DiskModel {
         0 => DiskModel::new(params),
         1 => DiskModel::new_standby(params),
         2 => {
-            let mut d = DiskModel::new(params);
-            let into_spindown = Dur(at_ms * 1_000 % d.params().spindown_time.as_micros());
-            d.advance_to(SimTime::ZERO + d.params().timeout + into_spindown);
-            d
+            let mut d = Live::new(DiskModel::new(params));
+            let into_spindown = Dur(at_ms * 1_000 % params.spindown_time.as_micros());
+            d.advance_to(SimTime::ZERO + params.timeout + into_spindown);
+            d.model
         }
         _ => {
-            let mut d = DiskModel::new(params);
+            let mut d = Live::new(DiskModel::new(params));
             d.service(
                 SimTime::from_millis(at_ms),
                 &DeviceRequest::read(Bytes::kib(64), Some(0)),
             );
-            d
+            d.model
         }
     }
 }
@@ -246,10 +245,10 @@ fn wnic_start(kind: u8, at_ms: u64) -> WnicModel {
         0 => WnicModel::new(params),
         1 => WnicModel::new_cam(params),
         _ => {
-            let mut w = WnicModel::new_cam(params);
-            let into_switch = Dur(at_ms * 1_000 % w.params().to_psm_time.as_micros());
-            w.advance_to(SimTime::ZERO + w.params().psm_timeout + into_switch);
-            w
+            let mut w = Live::new(WnicModel::new_cam(params));
+            let into_switch = Dur(at_ms * 1_000 % params.to_psm_time.as_micros());
+            w.advance_to(SimTime::ZERO + params.psm_timeout + into_switch);
+            w.model
         }
     }
 }
@@ -402,13 +401,13 @@ proptest! {
         let layout = two_file_layout();
         let est = Estimator::new(&layout);
         let disk = disk_start(disk_kind, at_ms);
-        let got = est.disk_cost(&bursts, disk.clone());
+        let got = est.disk_cost(&bursts, disk);
         let want = reference_disk_cost(&layout, &bursts, disk);
         prop_assert_eq!(got.time, want.time);
         prop_assert_eq!(got.energy.get().to_bits(), want.energy.get().to_bits());
 
         let wnic = wnic_start(wnic_kind, at_ms);
-        let got = est.wnic_cost(&bursts, wnic.clone());
+        let got = est.wnic_cost(&bursts, wnic);
         let want = reference_wnic_cost(&bursts, wnic);
         prop_assert_eq!(got.time, want.time);
         prop_assert_eq!(got.energy.get().to_bits(), want.energy.get().to_bits());

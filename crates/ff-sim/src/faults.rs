@@ -33,7 +33,7 @@
 
 use crate::record::{emit, Event as ObsEvent, Tracer};
 use ff_base::{seeded_rng, split_seed, Bytes, BytesPerSec, Dur, Error, Result, SimTime};
-use ff_device::{PowerModel, WnicModel};
+use ff_device::{Live, WnicModel};
 use ff_policy::{FaultNotice, Source};
 use ff_profile::{IoBurst, MergedRequest, Profile, ProfiledBurst};
 use ff_trace::{IoOp, Trace};
@@ -700,7 +700,7 @@ impl FaultTimeline {
         t: SimTime,
         (i, clear): (usize, bool),
         drained: Option<SimTime>,
-        wnic: &mut WnicModel,
+        wnic: &mut Live<WnicModel>,
         rec: &mut Tracer<'_>,
     ) -> Effect {
         if drained.is_some_and(|end| t > end) {
@@ -780,8 +780,9 @@ impl FaultTimeline {
             }
             (Fault::BandwidthFade { mbps, .. }, false) => {
                 wnic.advance_to(t);
-                self.fade_restore.push(wnic.params().bandwidth);
-                wnic.set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
+                self.fade_restore.push(wnic.model.params().bandwidth);
+                wnic.model
+                    .set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
                 emit(rec, || ObsEvent::BandwidthChange { at: t, mbps });
                 Effect::Notice(FaultNotice::BandwidthChanged { mbps })
             }
@@ -790,7 +791,7 @@ impl FaultTimeline {
                     return Effect::Done;
                 };
                 wnic.advance_to(t);
-                wnic.set_bandwidth(restored);
+                wnic.model.set_bandwidth(restored);
                 if !live {
                     return Effect::Done;
                 }
@@ -800,7 +801,8 @@ impl FaultTimeline {
             }
             (Fault::BandwidthStep { mbps, .. }, _) => {
                 wnic.advance_to(t);
-                wnic.set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
+                wnic.model
+                    .set_bandwidth(BytesPerSec::from_mbit_per_sec(mbps));
                 // Recorded for observability, but the policy is NOT
                 // notified: drift (the user walking around) is
                 // discovered by the §2.3.1 stage-end audit.
@@ -822,7 +824,7 @@ impl FaultTimeline {
         &mut self,
         t: SimTime,
         hoarded: bool,
-        wnic: &mut WnicModel,
+        wnic: &mut Live<WnicModel>,
         rec: &mut Tracer<'_>,
     ) -> (SimTime, Source) {
         let Some(down_until) = self.server_path.outage_until(t) else {

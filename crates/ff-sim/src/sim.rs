@@ -11,7 +11,9 @@ use crate::record::{emit, Device, Event as ObsEvent, NullRecorder, Recorder, Tra
 use crate::report::SimReport;
 use ff_base::{size::PAGE_SIZE, Bytes, Dur, Error, Joules, Result, SimTime};
 use ff_cache::{BufferCache, FlashCache};
-use ff_device::{DeviceRequest, DiskModel, FlashModel, PowerModel, ServiceOutcome, WnicModel};
+use ff_device::{
+    DeviceRequest, DiskModel, FlashModel, Live, PowerModel, ServiceOutcome, WnicModel,
+};
 use ff_policy::{AppRequest, Policy, PolicyCtx, PolicyKind, Source};
 use ff_trace::{DiskLayout, FileId, IoOp, Trace, TraceRecord};
 use io::FlashTier;
@@ -113,8 +115,8 @@ struct Runner<'t, 'r> {
     /// Observability sink, `None` for a disabled recorder so untraced
     /// runs never construct events.
     recorder: Tracer<'r>,
-    disk: DiskModel,
-    wnic: WnicModel,
+    disk: Live<DiskModel>,
+    wnic: Live<WnicModel>,
     flash: Option<FlashTier>,
     cache: BufferCache,
     layout: DiskLayout,
@@ -128,10 +130,6 @@ struct Runner<'t, 'r> {
     stages: Stages,
     last_completion: SimTime,
     app_requests: u64,
-    disk_requests: u64,
-    wnic_requests: u64,
-    disk_bytes: Bytes,
-    wnic_bytes: Bytes,
     /// Policy decisions drained incrementally (so the recorder sees
     /// them as they happen); becomes `SimReport::decisions`.
     decisions: Vec<(SimTime, Source, &'static str)>,
@@ -146,24 +144,22 @@ impl<'t, 'r> Runner<'t, 'r> {
     ) -> Self {
         let recorder = recorder.enabled().then_some(recorder);
         let layout = DiskLayout::build(&trace.files, cfg.layout_seed);
-        let mut disk_params = cfg.disk.clone();
+        let mut disk_params = cfg.disk;
         if let Some(timeout) = policy.disk_timeout_override() {
             disk_params.timeout = timeout;
         }
         // §3.3.1: the runs begin with a parked disk.
-        let mut disk = DiskModel::new_standby(disk_params);
-        let mut wnic = WnicModel::new(cfg.wnic.clone());
-        let mut flash = cfg.flash.as_ref().map(|(p, pages)| FlashTier {
-            model: FlashModel::new(p.clone()),
-            pages: FlashCache::new(*pages),
-            requests: 0,
-            bytes: Bytes::ZERO,
+        let mut disk = Live::new(DiskModel::new_standby(disk_params));
+        let mut wnic = Live::new(WnicModel::new(cfg.wnic));
+        let mut flash = cfg.flash.as_ref().map(|&(p, pages)| FlashTier {
+            model: Live::new(FlashModel::new(p)),
+            pages: FlashCache::new(pages),
         });
         if recorder.is_some() {
-            disk.enable_state_log();
-            wnic.enable_state_log();
+            disk.meter.enable_state_log();
+            wnic.meter.enable_state_log();
             if let Some(f) = &mut flash {
-                f.model.enable_state_log();
+                f.model.meter.enable_state_log();
             }
         }
         let cache = BufferCache::new(cfg.cache.clone());
@@ -222,10 +218,6 @@ impl<'t, 'r> Runner<'t, 'r> {
             stages: Stages::new(),
             last_completion: SimTime::ZERO,
             app_requests: 0,
-            disk_requests: 0,
-            wnic_requests: 0,
-            disk_bytes: Bytes::ZERO,
-            wnic_bytes: Bytes::ZERO,
             decisions: Vec::new(),
         };
         emit(&mut runner.recorder, || ObsEvent::StageStart {
@@ -250,10 +242,13 @@ impl<'t, 'r> Runner<'t, 'r> {
         let Some(rec) = self.recorder.as_deref_mut() else {
             return;
         };
-        let flash = self.flash.as_mut().map(|f| f.model.take_state_changes());
+        let flash = self
+            .flash
+            .as_mut()
+            .map(|f| f.model.meter.take_state_changes());
         for (device, changes) in [
-            (Device::Disk, self.disk.take_state_changes()),
-            (Device::Wnic, self.wnic.take_state_changes()),
+            (Device::Disk, self.disk.meter.take_state_changes()),
+            (Device::Wnic, self.wnic.meter.take_state_changes()),
             (Device::Flash, flash.unwrap_or_default()),
         ] {
             for c in changes {
@@ -313,8 +308,8 @@ impl<'t, 'r> Runner<'t, 'r> {
         let ctx = PolicyCtx {
             now,
             stage_len: cfg.stage_len,
-            disk,
-            wnic,
+            disk: &disk.model,
+            wnic: &wnic.model,
             layout,
             resident: &resident,
         };
@@ -498,7 +493,7 @@ impl<'t, 'r> Runner<'t, 'r> {
     /// destage flash-buffered writes while the disk is awake.
     fn flush(&mut self, now: SimTime) {
         self.disk.advance_to(now);
-        let ready = self.disk.is_ready();
+        let ready = self.disk.model.is_ready();
         if ready {
             self.destage_flash(now);
         }
@@ -553,9 +548,11 @@ impl<'t, 'r> Runner<'t, 'r> {
         let dirty = self.cache.flush_all();
         self.write_back(end, &dirty);
         self.destage_flash(end);
-        let mut final_t = end.max(self.disk.clock()).max(self.wnic.clock());
+        let mut final_t = end
+            .max(self.disk.model.clock())
+            .max(self.wnic.model.clock());
         if let Some(f) = &self.flash {
-            final_t = final_t.max(f.model.clock());
+            final_t = final_t.max(f.model.model.clock());
         }
         self.disk.advance_to(final_t);
         self.wnic.advance_to(final_t);
@@ -568,24 +565,26 @@ impl<'t, 'r> Runner<'t, 'r> {
 
         let cache_stats = self.cache.stats();
         let stage_summaries = std::mem::take(&mut self.stages.summaries);
-        let (flash_meter, flash_requests, flash_bytes) = match &self.flash {
-            Some(f) => (Some(f.model.meter().clone()), f.requests, f.bytes),
+        let flash_energy = self.flash_energy();
+        let (flash_meter, flash_requests, flash_bytes) = match self.flash {
+            Some(f) => (Some(f.model.meter), f.model.requests, f.model.bytes),
             None => (None, 0, Bytes::ZERO),
         };
+        let (disk, wnic) = (self.disk, self.wnic);
         Ok(SimReport {
             policy: self.policy.name().to_string(),
             workload: self.trace.name.clone(),
             exec_time: self.last_completion.saturating_since(SimTime::ZERO),
-            disk_energy: self.disk.energy(),
-            wnic_energy: self.wnic.energy(),
-            disk_meter: self.disk.meter().clone(),
-            wnic_meter: self.wnic.meter().clone(),
+            disk_energy: disk.meter.total(),
+            wnic_energy: wnic.meter.total(),
+            disk_meter: disk.meter,
+            wnic_meter: wnic.meter,
             app_requests: self.app_requests,
-            disk_requests: self.disk_requests,
-            wnic_requests: self.wnic_requests,
-            disk_bytes: self.disk_bytes,
-            wnic_bytes: self.wnic_bytes,
-            flash_energy: self.flash_energy(),
+            disk_requests: disk.requests,
+            wnic_requests: wnic.requests,
+            disk_bytes: disk.bytes,
+            wnic_bytes: wnic.bytes,
+            flash_energy,
             flash_meter,
             flash_requests,
             flash_bytes,

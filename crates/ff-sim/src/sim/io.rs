@@ -7,30 +7,20 @@ use ff_base::{size::PAGE_SIZE, Bytes, Joules, SimTime};
 use ff_cache::cscan::{BlockRequest, CScanQueue};
 use ff_cache::page::push_run;
 use ff_cache::{FlashCache, PageKey};
-use ff_device::{DeviceRequest, FlashModel, PowerModel, ServiceOutcome};
+use ff_device::{DeviceRequest, FlashModel, Live, PowerModel, ServiceOutcome};
 use ff_policy::{AppRequest, Source};
 use ff_trace::{FileId, IoOp};
 
 /// A list of contiguous page runs `(first_page, n_pages)`.
 type PageRuns = Vec<(u64, u64)>;
 
-/// The flash tier (DESIGN §7): its device model, its page membership,
-/// and the traffic it served.
+/// The flash tier (DESIGN §7): its live device and its page membership.
 pub(super) struct FlashTier {
-    pub(super) model: FlashModel,
+    pub(super) model: Live<FlashModel>,
     pub(super) pages: FlashCache,
-    pub(super) requests: u64,
-    pub(super) bytes: Bytes,
 }
 
 impl FlashTier {
-    /// Service one flash request, tallying it.
-    fn service(&mut self, at: SimTime, req: DeviceRequest) -> ServiceOutcome {
-        self.requests += 1;
-        self.bytes = self.bytes.saturating_add(req.bytes);
-        self.model.service(at, &req)
-    }
-
     /// Split page runs of `file` by flash residency (runs stay
     /// contiguous). Flash LRU positions refresh on lookups.
     fn partition(&mut self, file: FileId, runs: &[(u64, u64)]) -> (PageRuns, PageRuns) {
@@ -69,11 +59,10 @@ impl Runner<'_, '_> {
     pub(super) fn flash_energy(&self) -> Joules {
         self.flash
             .as_ref()
-            .map_or(Joules::ZERO, |f| f.model.energy())
+            .map_or(Joules::ZERO, |f| f.model.meter.total())
     }
 
-    /// Service one request on the disk or the WNIC, tallying that
-    /// device's requests and bytes.
+    /// Service one request on the disk or the WNIC.
     pub(super) fn service(
         &mut self,
         at: SimTime,
@@ -81,16 +70,8 @@ impl Runner<'_, '_> {
         req: DeviceRequest,
     ) -> ServiceOutcome {
         match source {
-            Source::Disk => {
-                self.disk_requests += 1;
-                self.disk_bytes = self.disk_bytes.saturating_add(req.bytes);
-                self.disk.service(at, &req)
-            }
-            Source::Wnic => {
-                self.wnic_requests += 1;
-                self.wnic_bytes = self.wnic_bytes.saturating_add(req.bytes);
-                self.wnic.service(at, &req)
-            }
+            Source::Disk => self.disk.service(at, &req),
+            Source::Wnic => self.wnic.service(at, &req),
         }
     }
 
@@ -123,7 +104,8 @@ impl Runner<'_, '_> {
             // Serve flash hits (blocking for the application).
             let mut cur = t;
             for &(_, n) in &hit_d {
-                let out = flash.service(cur, DeviceRequest::read(Bytes(n * PAGE_SIZE), None));
+                let req = DeviceRequest::read(Bytes(n * PAGE_SIZE), None);
+                let out = flash.model.service(cur, &req);
                 cur = out.complete;
                 energy += out.energy;
             }
@@ -252,9 +234,9 @@ impl Runner<'_, '_> {
             let bytes = Bytes(n * PAGE_SIZE);
             // Flash write buffering: a write aimed at a sleeping disk
             // parks in flash instead of forcing a spin-up.
-            let parked = src == Source::Disk && !self.disk.is_ready();
+            let parked = src == Source::Disk && !self.disk.model.is_ready();
             if let Some(flash) = self.flash.as_mut().filter(|_| parked) {
-                let out = flash.service(cur, DeviceRequest::write(bytes, None));
+                let out = flash.model.service(cur, &DeviceRequest::write(bytes, None));
                 cur = out.complete;
                 energy += out.energy;
                 let spilled = flash.fill(file, &[(index, n)], true);

@@ -6,7 +6,6 @@ use super::Runner;
 use crate::record::{emit, Event as ObsEvent};
 use crate::report::StageSummary;
 use ff_base::{Bytes, Joules, SimTime};
-use ff_device::PowerModel;
 use ff_policy::StageReport;
 use ff_profile::{burst::OnlineBurstBuilder, BurstExtractor};
 
@@ -79,8 +78,9 @@ impl Runner<'_, '_> {
     pub(super) fn end_stage(&mut self, now: SimTime) {
         self.disk.advance_to(now);
         self.wnic.advance_to(now);
-        let fetched_now = self.disk_bytes.saturating_add(self.wnic_bytes);
-        let (disk_now, wnic_now) = (self.disk.energy(), self.wnic.energy());
+        let (disk_bytes, wnic_bytes) = (self.disk.bytes, self.wnic.bytes);
+        let fetched_now = disk_bytes.saturating_add(wnic_bytes);
+        let (disk_now, wnic_now) = (self.disk.meter.total(), self.wnic.meter.total());
         let (report, summary) = self.stages.close(now, disk_now, wnic_now, fetched_now);
         self.with_policy(now, |p, ctx| p.on_stage_end(ctx, &report));
         self.drain_decisions();
@@ -103,8 +103,8 @@ impl Runner<'_, '_> {
         let flash_energy = self.flash_energy();
         emit(&mut self.recorder, || ObsEvent::EnergySample {
             at,
-            disk_energy: self.disk.energy(),
-            wnic_energy: self.wnic.energy(),
+            disk_energy: self.disk.meter.total(),
+            wnic_energy: self.wnic.meter.total(),
             flash_energy,
         });
     }

@@ -12,7 +12,7 @@
 //! policies:  flexfetch | flexfetch-static | bluefs | disk | wnic | all
 //! ```
 
-use flexfetch::base::{Bytes, Dur, Error};
+use flexfetch::base::{prior_run_seed, Bytes, Dur, Error};
 use flexfetch::policy::FlexFetchConfig;
 use flexfetch::prelude::*;
 use flexfetch::profile::HoardPlanner;
@@ -24,9 +24,11 @@ struct Args {
     policy: String,
     seed: u64,
     latency_ms: u64,
+    latency: Dur,
     bandwidth_mbps: f64,
     loss_rate: f64,
     stage_secs: u64,
+    stage_len: Dur,
     sync_writes: bool,
     hoard_budget: Option<Bytes>,
     decisions: bool,
@@ -79,9 +81,11 @@ fn parse_args() -> Args {
         policy: "all".into(),
         seed: 42,
         latency_ms: 1,
+        latency: Dur::from_millis(1),
         bandwidth_mbps: 11.0,
         loss_rate: 0.25,
         stage_secs: 40,
+        stage_len: Dur::from_secs(40),
         sync_writes: false,
         hoard_budget: None,
         decisions: false,
@@ -103,7 +107,8 @@ fn parse_args() -> Args {
             "--policy" => args.policy = val("--policy"),
             "--seed" => args.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
             "--latency-ms" => {
-                args.latency_ms = val("--latency-ms").parse().unwrap_or_else(|_| usage())
+                args.latency_ms = val("--latency-ms").parse().unwrap_or_else(|_| usage());
+                args.latency = micros("--latency-ms", args.latency_ms, 1_000);
             }
             "--bandwidth-mbps" => {
                 args.bandwidth_mbps = val("--bandwidth-mbps").parse().unwrap_or_else(|_| usage())
@@ -117,7 +122,8 @@ fn parse_args() -> Args {
                 args.loss_rate = rate;
             }
             "--stage-secs" => {
-                args.stage_secs = val("--stage-secs").parse().unwrap_or_else(|_| usage())
+                args.stage_secs = val("--stage-secs").parse().unwrap_or_else(|_| usage());
+                args.stage_len = micros("--stage-secs", args.stage_secs, 1_000_000);
             }
             "--hoard-budget-mb" => {
                 let mb: u64 = val("--hoard-budget-mb").parse().unwrap_or_else(|_| usage());
@@ -146,12 +152,24 @@ fn parse_args() -> Args {
     args
 }
 
+/// `n` units of `micros_per` µs each as a [`Dur`]; a span that
+/// overflows the microsecond clock is a usage error (exit 2).
+fn micros(flag: &str, n: u64, micros_per: u64) -> Dur {
+    n.checked_mul(micros_per)
+        .map(Dur::from_micros)
+        .unwrap_or_else(|| {
+            eprintln!("{flag} {n} overflows the microsecond clock");
+            usage()
+        })
+}
+
 /// Build `(replayed trace, prior-run profile, disk-pinned files)`.
 fn build_workload(name: &str, seed: u64) -> Result<(Trace, Profile, Vec<FileId>), Error> {
     let profiler = Profiler::standard();
+    let prior = prior_run_seed(seed);
     let single = |w: &dyn Workload| {
         let trace = w.build(seed);
-        let profile = profiler.profile(&w.build(seed + 1));
+        let profile = profiler.profile(&w.build(prior));
         Ok((trace, profile, Vec::new()))
     };
     let grep_make = |s: u64| {
@@ -168,12 +186,12 @@ fn build_workload(name: &str, seed: u64) -> Result<(Trace, Profile, Vec<FileId>)
         "acroread" => {
             // The paper's §3.3.5 setup: stale small-file profile.
             let trace = Acroread::large_search().build(seed);
-            let profile = profiler.profile(&Acroread::small_profile().build(seed + 1));
+            let profile = profiler.profile(&Acroread::small_profile().build(prior));
             Ok((trace, profile, Vec::new()))
         }
         "grep+make" => Ok((
             grep_make(seed)?,
-            profiler.profile(&grep_make(seed + 1)?),
+            profiler.profile(&grep_make(prior)?),
             Vec::new(),
         )),
         "grep+make+xmms" => {
@@ -185,8 +203,8 @@ fn build_workload(name: &str, seed: u64) -> Result<(Trace, Profile, Vec<FileId>)
             }
             .build(seed);
             let pinned = xmms.files.iter().map(|f| f.id).collect();
-            let prior = profiler.profile(&grep_make(seed + 1)?);
-            Ok((gm.merge(&xmms)?, prior, pinned))
+            let profile = profiler.profile(&grep_make(prior)?);
+            Ok((gm.merge(&xmms)?, profile, pinned))
         }
         other => {
             eprintln!("unknown workload {other}");
@@ -335,10 +353,10 @@ fn main() {
     }
 
     let mut cfg = SimConfig::default()
-        .with_wnic_latency(Dur::from_millis(args.latency_ms))
+        .with_wnic_latency(args.latency)
         .with_wnic_bandwidth_mbps(args.bandwidth_mbps)
         .with_disk_only_files(pinned);
-    cfg.stage_len = Dur::from_secs(args.stage_secs);
+    cfg.stage_len = args.stage_len;
     if args.sync_writes {
         cfg = cfg.with_sync_writes();
     }

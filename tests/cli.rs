@@ -140,6 +140,60 @@ fn overflowing_hoard_budget_is_a_usage_error() {
 }
 
 #[test]
+fn overflowing_stage_length_is_a_usage_error() {
+    // One second past the microsecond clock's range, and u64::MAX.
+    for secs in ["18446744073710", "18446744073709551615"] {
+        let out = flexsim()
+            .args(["--workload", "grep", "--policy", "flexfetch"])
+            .args(["--stage-secs", secs])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--stage-secs {secs}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--stage-secs") && err.contains("overflows"),
+            "{err}"
+        );
+        assert!(out.stdout.is_empty(), "no run on a wrapped stage length");
+    }
+}
+
+#[test]
+fn overflowing_latency_is_a_usage_error() {
+    for ms in ["18446744073709552", "18446744073709551615"] {
+        let out = flexsim()
+            .args(["--workload", "xmms", "--policy", "wnic"])
+            .args(["--latency-ms", ms])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--latency-ms {ms}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--latency-ms") && err.contains("overflows"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn largest_seed_has_a_prior_run() {
+    // The prior-run profile comes from the next seed, which wraps to 0.
+    let out = flexsim()
+        .args(["--workload", "grep", "--policy", "flexfetch"])
+        .args(["--seed", "18446744073709551615"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("seed 18446744073709551615"), "{text}");
+    assert!(text.contains("FlexFetch"), "{text}");
+}
+
+#[test]
 fn loss_rate_outside_unit_interval_is_a_usage_error() {
     for rate in ["NaN", "-3", "inf", "1.5"] {
         let out = flexsim()
