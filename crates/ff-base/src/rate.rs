@@ -13,6 +13,12 @@ use std::fmt;
 pub struct BytesPerSec(pub f64);
 
 impl BytesPerSec {
+    /// The slowest link rate a run accepts, in Mbit/s (1 kbit/s). Below
+    /// it one request's [`transfer_time`](Self::transfer_time) can
+    /// saturate the microsecond clock; committed scenarios use at least
+    /// 1 Mbit/s.
+    pub const MIN_LINK_MBIT: f64 = 0.001;
+
     /// Rate from megabytes per second (10^6 bytes, disk data-sheet units).
     #[inline]
     pub fn from_mb_per_sec(mb: f64) -> Self {

@@ -156,8 +156,7 @@ impl BufferCache {
         if let Some((start, n)) = self.readahead.on_access(file, first, last) {
             for p in start..(start + n).min(file_size.pages()) {
                 let key = PageKey { file, index: p };
-                if !self.twoq.contains(key) {
-                    self.twoq.touch(key, &mut evicted);
+                if self.twoq.prefetch(key, &mut evicted) {
                     self.stats.readahead_pages += 1;
                     push_run(&mut out.prefetch, p);
                 }

@@ -12,14 +12,16 @@
 //! This type tracks *membership only* (like [`crate::twoq::TwoQ`]); the
 //! simulator owns the flash device model and pays the transfer costs.
 
-use crate::page::{PageKey, PageQueue};
+use crate::page::{PageKey, PageList, PageTable};
 use std::collections::BTreeSet;
 
-/// Page-granular LRU flash cache with a destage queue.
+/// Page-granular LRU flash cache with a destage queue: one page table
+/// holding one LRU list.
 #[derive(Debug, Clone)]
 pub struct FlashCache {
     capacity_pages: usize,
-    lru: PageQueue,
+    table: PageTable,
+    lru: PageList,
     /// Pages buffered for destage to the disk (still resident in LRU).
     dirty: BTreeSet<PageKey>,
 }
@@ -30,7 +32,8 @@ impl FlashCache {
         assert!(capacity_pages > 0, "flash capacity must be positive");
         FlashCache {
             capacity_pages,
-            lru: PageQueue::default(),
+            table: PageTable::default(),
+            lru: PageList::new(0),
             dirty: BTreeSet::new(),
         }
     }
@@ -47,7 +50,12 @@ impl FlashCache {
 
     /// Is `page` resident? Refreshes its LRU position.
     pub fn lookup(&mut self, page: PageKey) -> bool {
-        self.lru.refresh(page)
+        let Some((slot, _)) = self.table.find(page) else {
+            return false;
+        };
+        self.table.unlink(&mut self.lru, slot);
+        self.table.push_back(&mut self.lru, slot);
+        true
     }
 
     /// Insert a clean page fetched from a device; returns evicted pages
@@ -63,13 +71,15 @@ impl FlashCache {
     }
 
     fn insert(&mut self, page: PageKey, dirty: bool) -> Vec<PageKey> {
-        self.lru.push_back(page);
+        if !self.lookup(page) {
+            self.table.insert(&mut self.lru, page);
+        }
         if dirty {
             self.dirty.insert(page);
         }
         let mut spilled = Vec::new();
         while self.lru.len() > self.capacity_pages {
-            let Some(victim) = self.lru.pop_front() else {
+            let Some(victim) = self.table.pop_front(&mut self.lru) else {
                 break;
             };
             if self.dirty.remove(&victim) {

@@ -12,7 +12,9 @@
 //! Modules:
 //!
 //! * [`page`] — page keys, `(first_page, n_pages)` runs, and the one
-//!   ordered page list ([`PageQueue`]) every queue below is built on.
+//!   page table ([`page::PageTable`]) every queue below is built on: a
+//!   slab of nodes on intrusive lists, found through an ordered
+//!   directory of 64-page chunks.
 //! * [`twoq`] — the 2Q-like replacement algorithm (A1in FIFO, A1out
 //!   ghost queue, Am LRU).
 //! * [`readahead`] — Linux 2.6 two-window readahead, window doubling up
@@ -50,7 +52,7 @@ pub mod writeback;
 pub use cache::{BufferCache, CacheConfig, CacheStats, ReadOutcome, WriteOutcome};
 pub use cscan::CScanQueue;
 pub use flashcache::FlashCache;
-pub use page::{PageKey, PageQueue};
+pub use page::PageKey;
 pub use readahead::Readahead;
 pub use twoq::{Access, TwoQ};
 pub use writeback::{Writeback, WritebackConfig};

@@ -1,10 +1,9 @@
-//! Page identity, page runs, and the one ordered page list every
-//! replacement queue is built from.
+//! Page identity, page runs, and the one page table every replacement
+//! queue is built on.
 
 use ff_base::size::PAGE_SIZE;
 use ff_trace::FileId;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// One 4 KiB page of one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -15,11 +14,12 @@ pub struct PageKey {
     pub index: u64,
 }
 
-/// Iterate the page indices covering `len` bytes at `offset`.
+/// Iterate the page indices covering `len` bytes at `offset`. The range
+/// may end at the last byte `u64` addresses.
 pub fn pages_covering(offset: u64, len: u64) -> std::ops::RangeInclusive<u64> {
     debug_assert!(len > 0);
     let first = offset / PAGE_SIZE;
-    let last = (offset + len - 1) / PAGE_SIZE;
+    let last = (offset + (len - 1)) / PAGE_SIZE;
     first..=last
 }
 
@@ -32,95 +32,312 @@ pub fn push_run(runs: &mut Vec<(u64, u64)>, page: u64) {
     }
 }
 
-/// Stale entries `order` may carry beyond twice the live count before
-/// [`PageQueue`] compacts it.
-const STALE_SLACK: usize = 32;
+/// Pages per directory chunk: consecutive pages of one file share a
+/// chunk, so a request's run of pages pays one directory descent per
+/// chunk it spans.
+const CHUNK: u64 = 64;
 
-/// An insertion-ordered set of pages: a FIFO when pages are only pushed
-/// and popped, an LRU when hits [`refresh`](PageQueue::refresh) them.
-///
-/// `order` holds `(stamp, page)` oldest first and `pos` maps each queued
-/// page to its current stamp. An `order` entry is live iff `pos` maps
-/// its page to its stamp. `remove` drops only the `pos` entry, and a
-/// re-push or `refresh` appends the page under a new stamp; either way
-/// the old entry goes stale. `pop_front` skips stale entries, and
-/// `compact` drops them once `order` outgrows `2 * len + STALE_SLACK`.
-#[derive(Debug, Clone, Default)]
-pub struct PageQueue {
-    order: VecDeque<(u64, PageKey)>,
-    pos: BTreeMap<PageKey, u64>,
-    stamp: u64,
+/// The null link.
+const NIL: u32 = u32::MAX;
+
+/// A page in the table: its key, its links on its list, the list's tag
+/// and the chunk holding its slot.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: PageKey,
+    prev: u32,
+    next: u32,
+    chunk: u32,
+    tag: u8,
 }
 
-impl PageQueue {
-    /// Number of queued pages.
+/// `CHUNK` consecutive pages of one file: the node of each (or `NIL`),
+/// how many are present, and the directory key the chunk sits under.
+#[derive(Debug, Clone)]
+struct Chunk {
+    slots: [u32; CHUNK as usize],
+    live: u32,
+    at: (FileId, u64),
+}
+
+/// A handle on a page's node, valid until the page is removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
+/// One intrusive doubly linked list threaded through a [`PageTable`]'s
+/// nodes, oldest first. `tag` marks the nodes on it, so a lookup says
+/// which list a page is on; the list's owner gives the tags meaning.
+#[derive(Debug, Clone, Copy)]
+pub struct PageList {
+    head: u32,
+    tail: u32,
+    len: usize,
+    tag: u8,
+}
+
+impl PageList {
+    /// An empty list whose nodes carry `tag`.
+    pub const fn new(tag: u8) -> Self {
+        PageList {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            tag,
+        }
+    }
+
+    /// Number of pages on the list.
     pub fn len(&self) -> usize {
-        self.pos.len()
+        self.len
     }
 
-    /// Whether no page is queued.
+    /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.pos.is_empty()
+        self.len == 0
+    }
+}
+
+/// Pages on any number of [`PageList`]s: a FIFO when pages are only
+/// pushed and popped, an LRU when hits move them to the back.
+///
+/// Nodes live in a slab with a free list; list operations are O(1).
+/// A page is found through an ordered directory from `(file, index /
+/// CHUNK)` to a chunk of slots. `finger` caches the chunk the last
+/// mutable lookup reached, so a run of pages in one chunk pays one
+/// directory descent; freeing that chunk clears it. Removing a page
+/// reaches its slot through `Node::chunk`, with no descent, and a chunk
+/// leaves the directory when its last page does.
+#[derive(Debug, Clone)]
+pub struct PageTable {
+    nodes: Vec<Node>,
+    free_node: u32,
+    chunks: Vec<Chunk>,
+    free_chunks: Vec<u32>,
+    dir: BTreeMap<(FileId, u64), u32>,
+    finger: Option<((FileId, u64), u32)>,
+}
+
+impl Default for PageTable {
+    fn default() -> Self {
+        PageTable {
+            nodes: Vec::new(),
+            free_node: NIL,
+            chunks: Vec::new(),
+            free_chunks: Vec::new(),
+            dir: BTreeMap::new(),
+            finger: None,
+        }
+    }
+}
+
+/// The directory key of `key`'s chunk and its slot within the chunk.
+fn split(key: PageKey) -> ((FileId, u64), usize) {
+    ((key.file, key.index / CHUNK), (key.index % CHUNK) as usize)
+}
+
+impl PageTable {
+    /// The page's slot and its list's tag, moving the finger to its
+    /// chunk.
+    pub fn find(&mut self, key: PageKey) -> Option<(Slot, u8)> {
+        let (at, i) = split(key);
+        let c = self.chunk_at(at)?;
+        self.finger = Some((at, c));
+        self.node_at(c, i)
     }
 
-    /// Is `key` queued?
-    pub fn contains(&self, key: PageKey) -> bool {
-        self.pos.contains_key(&key)
+    /// The tag of the list holding `key`, if any (no state change).
+    pub fn tag_of(&self, key: PageKey) -> Option<u8> {
+        let (at, i) = split(key);
+        self.node_at(self.chunk_at(at)?, i).map(|(_, tag)| tag)
     }
 
-    /// Queue `key` at the back, moving it there if already queued.
-    pub fn push_back(&mut self, key: PageKey) {
-        self.stamp += 1;
-        self.pos.insert(key, self.stamp);
-        self.order.push_back((self.stamp, key));
-        self.compact();
+    /// The chunk under directory key `at`: the finger's, or one descent.
+    fn chunk_at(&self, at: (FileId, u64)) -> Option<u32> {
+        match self.finger {
+            Some((f, c)) if f == at => Some(c),
+            _ => self.dir.get(&at).copied(),
+        }
     }
 
-    /// Move `key` to the back if it is queued; returns whether it was.
-    pub fn refresh(&mut self, key: PageKey) -> bool {
-        let Some(stamp) = self.pos.get_mut(&key) else {
-            return false;
+    fn node_at(&self, chunk: u32, i: usize) -> Option<(Slot, u8)> {
+        let s = *self.chunks.get(chunk as usize)?.slots.get(i)?;
+        let node = self.nodes.get(s as usize)?;
+        Some((Slot(s), node.tag))
+    }
+
+    /// Add `key`, which must not be in the table, at the back of `list`.
+    pub fn insert(&mut self, list: &mut PageList, key: PageKey) -> Slot {
+        debug_assert!(
+            self.tag_of(key).is_none(),
+            "{key:?} is already in the table"
+        );
+        let (at, i) = split(key);
+        let c = match self.chunk_at(at) {
+            Some(c) => c,
+            None => self.new_chunk(at),
         };
-        self.stamp += 1;
-        *stamp = self.stamp;
-        self.order.push_back((self.stamp, key));
-        self.compact();
-        true
-    }
-
-    /// Dequeue the oldest page.
-    pub fn pop_front(&mut self) -> Option<PageKey> {
-        while let Some((stamp, key)) = self.order.pop_front() {
-            if let Entry::Occupied(live) = self.pos.entry(key) {
-                if *live.get() == stamp {
-                    live.remove();
-                    return Some(key);
-                }
+        self.finger = Some((at, c));
+        let node = Node {
+            key,
+            prev: NIL,
+            next: NIL,
+            chunk: c,
+            tag: list.tag,
+        };
+        let s = match self.nodes.get_mut(self.free_node as usize) {
+            Some(free) => {
+                let s = self.free_node;
+                self.free_node = free.next;
+                *free = node;
+                s
+            }
+            None => {
+                // Links are `u32`: a cache holds far fewer than 2^32 - 1
+                // pages and ghosts.
+                debug_assert!(self.nodes.len() < NIL as usize);
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        if let Some(chunk) = self.chunks.get_mut(c as usize) {
+            if let Some(slot) = chunk.slots.get_mut(i) {
+                *slot = s;
+                chunk.live += 1;
             }
         }
-        None
+        self.push_back(list, Slot(s));
+        Slot(s)
     }
 
-    /// Dequeue `key` wherever it is; returns whether it was queued.
-    pub fn remove(&mut self, key: PageKey) -> bool {
-        self.pos.remove(&key).is_some()
+    fn new_chunk(&mut self, at: (FileId, u64)) -> u32 {
+        let c = match self.free_chunks.pop() {
+            Some(c) => {
+                if let Some(chunk) = self.chunks.get_mut(c as usize) {
+                    chunk.at = at;
+                }
+                c
+            }
+            None => {
+                self.chunks.push(Chunk {
+                    slots: [NIL; CHUNK as usize],
+                    live: 0,
+                    at,
+                });
+                (self.chunks.len() - 1) as u32
+            }
+        };
+        self.dir.insert(at, c);
+        c
     }
 
-    /// Queued pages of `file` with index in `first..=last`. `PageKey`
-    /// orders by file first, so the range never reaches a neighbouring
-    /// file's pages.
-    pub fn count_in(&self, file: FileId, first: u64, last: u64) -> usize {
-        let lo = PageKey { file, index: first };
-        let hi = PageKey { file, index: last };
-        self.pos.range(lo..=hi).count()
-    }
-
-    fn compact(&mut self) {
-        if self.order.len() > 2 * self.pos.len() + STALE_SLACK {
-            let pos = &self.pos;
-            self.order
-                .retain(|(stamp, key)| pos.get(key) == Some(stamp));
+    /// Link the unlinked `slot` at the back of `list`.
+    pub fn push_back(&mut self, list: &mut PageList, slot: Slot) {
+        let Slot(s) = slot;
+        let tail = list.tail;
+        let Some(node) = self.nodes.get_mut(s as usize) else {
+            return;
+        };
+        node.prev = tail;
+        node.next = NIL;
+        node.tag = list.tag;
+        match self.nodes.get_mut(tail as usize) {
+            Some(prev) => prev.next = s,
+            None => list.head = s,
         }
+        list.tail = s;
+        list.len += 1;
+    }
+
+    /// Unlink `slot` from `list`, which must hold it. The page stays in
+    /// the table until it is pushed onto a list again or removed.
+    pub fn unlink(&mut self, list: &mut PageList, slot: Slot) {
+        let Slot(s) = slot;
+        let Some(&Node {
+            prev, next, tag, ..
+        }) = self.nodes.get(s as usize)
+        else {
+            return;
+        };
+        debug_assert_eq!(tag, list.tag, "slot {s} is not on this list");
+        match self.nodes.get_mut(prev as usize) {
+            Some(p) => p.next = next,
+            None => list.head = next,
+        }
+        match self.nodes.get_mut(next as usize) {
+            Some(n) => n.prev = prev,
+            None => list.tail = prev,
+        }
+        list.len -= 1;
+    }
+
+    /// Unlink the oldest page of `list`, keeping it in the table.
+    pub fn take_front(&mut self, list: &mut PageList) -> Option<(Slot, PageKey)> {
+        let key = self.nodes.get(list.head as usize)?.key;
+        let slot = Slot(list.head);
+        self.unlink(list, slot);
+        Some((slot, key))
+    }
+
+    /// Remove the oldest page of `list` from the table.
+    pub fn pop_front(&mut self, list: &mut PageList) -> Option<PageKey> {
+        let (slot, key) = self.take_front(list)?;
+        self.free(slot);
+        Some(key)
+    }
+
+    /// Release the unlinked `slot`: clear its chunk slot, and free the
+    /// chunk (and the finger, if it points there) once it is empty.
+    fn free(&mut self, slot: Slot) {
+        let Slot(s) = slot;
+        let Some(node) = self.nodes.get_mut(s as usize) else {
+            return;
+        };
+        let (c, i) = (node.chunk, split(node.key).1);
+        node.next = self.free_node;
+        self.free_node = s;
+        let Some(chunk) = self.chunks.get_mut(c as usize) else {
+            return;
+        };
+        if let Some(slot) = chunk.slots.get_mut(i) {
+            *slot = NIL;
+            chunk.live -= 1;
+        }
+        if chunk.live == 0 {
+            self.dir.remove(&chunk.at);
+            self.free_chunks.push(c);
+            if matches!(self.finger, Some((_, f)) if f == c) {
+                self.finger = None;
+            }
+        }
+    }
+
+    /// Pages of `file` with index in `first..=last` whose list tag
+    /// passes `keep`. The directory orders chunks by file first, so the
+    /// range never reaches a neighbouring file's pages.
+    pub fn count_in(
+        &self,
+        file: FileId,
+        first: u64,
+        last: u64,
+        keep: impl Fn(u8) -> bool,
+    ) -> usize {
+        let chunks = self.dir.range((file, first / CHUNK)..=(file, last / CHUNK));
+        let mut n = 0;
+        for (&(_, ci), &c) in chunks {
+            let Some(chunk) = self.chunks.get(c as usize) else {
+                continue;
+            };
+            let base = ci * CHUNK;
+            let lo = (first.max(base) - base) as usize;
+            let hi = (last.min(base + (CHUNK - 1)) - base) as usize;
+            let slots = chunk.slots.get(lo..=hi).unwrap_or_default();
+            n += slots
+                .iter()
+                .filter_map(|&s| self.nodes.get(s as usize))
+                .filter(|node| keep(node.tag))
+                .count();
+        }
+        n
     }
 }
 
@@ -135,8 +352,8 @@ mod tests {
         }
     }
 
-    fn drain(q: &mut PageQueue) -> Vec<u64> {
-        std::iter::from_fn(|| q.pop_front())
+    fn drain(t: &mut PageTable, list: &mut PageList) -> Vec<u64> {
+        std::iter::from_fn(|| t.pop_front(list))
             .map(|k| k.index)
             .collect()
     }
@@ -148,6 +365,8 @@ mod tests {
         assert_eq!(pages_covering(0, 4097).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(pages_covering(4095, 2).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(pages_covering(8192, 8192).collect::<Vec<_>>(), vec![2, 3]);
+        let last = u64::MAX / 4096;
+        assert_eq!(pages_covering(u64::MAX - 4096, 4097), (last - 1)..=last);
     }
 
     #[test]
@@ -160,62 +379,109 @@ mod tests {
     }
 
     #[test]
-    fn refresh_remove_and_repush_reorder() {
-        let mut q = PageQueue::default();
-        for i in 0..5 {
-            q.push_back(key(1, i));
+    fn unlink_and_repush_reorder() {
+        let mut t = PageTable::default();
+        let (mut a, mut b) = (PageList::new(0), PageList::new(1));
+        let slots: Vec<Slot> = (0..5).map(|i| t.insert(&mut a, key(1, i))).collect();
+        // Move 1 to the back of the same list, 3 onto the other list,
+        // and 0 off and back on.
+        t.unlink(&mut a, slots[1]);
+        t.push_back(&mut a, slots[1]);
+        t.unlink(&mut a, slots[3]);
+        t.push_back(&mut b, slots[3]);
+        t.unlink(&mut a, slots[0]);
+        t.push_back(&mut a, slots[0]);
+        assert_eq!((a.len(), b.len()), (4, 1));
+        assert_eq!(t.find(key(1, 3)), Some((slots[3], 1)));
+        assert_eq!(t.tag_of(key(1, 1)), Some(0));
+        assert_eq!(drain(&mut t, &mut a), vec![2, 4, 1, 0]);
+        assert!(a.is_empty());
+        assert_eq!(t.tag_of(key(1, 2)), None, "a popped page leaves the table");
+        assert_eq!(drain(&mut t, &mut b), vec![3]);
+        // Freed nodes are reused, and order still holds.
+        for i in [9, 7, 8] {
+            t.insert(&mut a, key(2, i));
         }
-        assert!(q.refresh(key(1, 1)));
-        assert!(!q.refresh(key(1, 9)), "refresh must not queue a new page");
-        assert!(q.remove(key(1, 3)));
-        assert!(!q.remove(key(1, 3)), "a removed page is gone");
-        q.push_back(key(1, 0)); // re-push moves to the back
-        assert_eq!(q.len(), 4);
-        assert!(!q.contains(key(1, 3)));
-        assert_eq!(drain(&mut q), vec![2, 4, 1, 0]);
-        assert!(q.is_empty());
+        assert_eq!(t.nodes.len(), 5);
+        assert_eq!(drain(&mut t, &mut a), vec![9, 7, 8]);
     }
 
     #[test]
-    fn pop_front_skips_stale_entries() {
-        let mut q = PageQueue::default();
-        for i in 0..4 {
-            q.push_back(key(1, i));
-        }
-        q.remove(key(1, 0));
-        q.refresh(key(1, 1));
-        assert_eq!(q.pop_front(), Some(key(1, 2)));
-        assert_eq!(q.pop_front(), Some(key(1, 3)));
-        assert_eq!(q.pop_front(), Some(key(1, 1)));
-        assert_eq!(q.pop_front(), None);
+    fn take_front_keeps_the_page_in_the_table() {
+        let mut t = PageTable::default();
+        let (mut a, mut b) = (PageList::new(0), PageList::new(1));
+        t.insert(&mut a, key(1, 0));
+        t.insert(&mut a, key(1, 1));
+        let (slot, k) = t.take_front(&mut a).unwrap();
+        assert_eq!(k, key(1, 0));
+        assert_eq!(t.tag_of(k), Some(0), "still in the table, off every list");
+        t.push_back(&mut b, slot);
+        assert_eq!(t.tag_of(k), Some(1));
+        assert_eq!((a.len(), b.len()), (1, 1));
     }
 
     #[test]
-    fn compaction_keeps_order_and_bounds_the_deque() {
-        let mut q = PageQueue::default();
-        for i in 0..8 {
-            q.push_back(key(1, i));
+    fn empty_chunk_is_freed_and_clears_the_finger() {
+        let mut t = PageTable::default();
+        let mut a = PageList::new(0);
+        // Pages 0 and 63 share chunk 0; 64 is in chunk 1.
+        for i in [0, 63, 64] {
+            t.insert(&mut a, key(1, i));
         }
-        // Thousands of refreshes would leave thousands of stale entries
-        // without compaction.
-        for round in 0..1000u64 {
-            q.refresh(key(1, round % 4));
-            assert!(q.order.len() <= 2 * q.len() + STALE_SLACK);
-        }
-        // 0..4 were refreshed in rotation, ending with page 3.
-        assert_eq!(drain(&mut q), vec![4, 5, 6, 7, 0, 1, 2, 3]);
+        assert_eq!(t.dir.len(), 2);
+        assert!(t.find(key(1, 0)).is_some());
+        assert_eq!(t.finger.map(|(at, _)| at), Some((FileId(1), 0)));
+        t.pop_front(&mut a); // page 0: chunk 0 keeps page 63
+        assert_eq!(t.dir.len(), 2);
+        assert!(t.finger.is_some());
+        t.pop_front(&mut a); // page 63: chunk 0 is empty
+        assert_eq!(t.dir.len(), 1);
+        assert_eq!(
+            t.finger, None,
+            "a freed chunk must not stay under the finger"
+        );
+        assert_eq!(t.free_chunks.len(), 1);
+        // The freed chunk is reused for another file's pages, and the
+        // old pages are not found through it.
+        t.insert(&mut a, key(2, 5));
+        assert_eq!(t.chunks.len(), 2);
+        assert_eq!(t.find(key(1, 5)), None);
+        assert_eq!(t.tag_of(key(1, 63)), None);
+        assert_eq!(t.tag_of(key(2, 5)), Some(0));
     }
 
     #[test]
     fn count_in_stays_inside_one_file() {
-        let mut q = PageQueue::default();
-        for (file, index) in [(1, 0), (1, u64::MAX), (2, 0), (2, 5), (2, 9), (3, 0)] {
-            q.push_back(key(file, index));
+        let mut t = PageTable::default();
+        let (mut a, mut ghost) = (PageList::new(0), PageList::new(1));
+        for (file, index) in [
+            (1, 0),
+            (1, u64::MAX),
+            (2, 0),
+            (2, 63),
+            (2, 64),
+            (2, 9),
+            (3, 0),
+        ] {
+            t.insert(&mut a, key(file, index));
         }
-        assert_eq!(q.count_in(FileId(2), 0, u64::MAX), 3);
-        assert_eq!(q.count_in(FileId(2), 1, 9), 2);
-        assert_eq!(q.count_in(FileId(1), 1, u64::MAX), 1);
-        q.remove(key(2, 5));
-        assert_eq!(q.count_in(FileId(2), 0, u64::MAX), 2);
+        t.insert(&mut ghost, key(2, 5));
+        t.insert(&mut ghost, key(1, u64::MAX - 1));
+        let all = |_| true;
+        let live = |tag| tag == 0;
+        assert_eq!(t.count_in(FileId(2), 0, u64::MAX, all), 5);
+        assert_eq!(t.count_in(FileId(2), 0, u64::MAX, live), 4);
+        assert_eq!(t.count_in(FileId(2), 1, 63, live), 2);
+        assert_eq!(t.count_in(FileId(2), 63, 64, live), 2);
+        assert_eq!(t.count_in(FileId(2), 64, 64, live), 1);
+        assert_eq!(t.count_in(FileId(2), 65, u64::MAX, live), 0);
+        assert_eq!(t.count_in(FileId(1), 1, u64::MAX, live), 1);
+        assert_eq!(t.count_in(FileId(1), u64::MAX - 1, u64::MAX, all), 2);
+        assert_eq!(t.count_in(FileId(1), u64::MAX, u64::MAX, live), 1);
+        assert_eq!(t.count_in(FileId(4), 0, u64::MAX, all), 0);
+        let (slot, _) = t.find(key(2, 63)).unwrap();
+        t.unlink(&mut a, slot);
+        t.free(slot);
+        assert_eq!(t.count_in(FileId(2), 0, u64::MAX, live), 3);
     }
 }

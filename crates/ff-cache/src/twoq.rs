@@ -13,7 +13,7 @@
 //! touch in Am refreshes its LRU position. Eviction prefers A1in overflow
 //! (to the ghost queue), then the LRU tail of Am.
 
-use crate::page::{PageKey, PageQueue};
+use crate::page::{PageKey, PageList, PageTable, Slot};
 use ff_trace::FileId;
 
 /// Result of touching a page.
@@ -35,15 +35,22 @@ impl Access {
     }
 }
 
-/// 2Q replacement state over page keys (data-less — residency only).
+/// List tags in the page table.
+const A1IN: u8 = 0;
+const A1OUT: u8 = 1;
+const AM: u8 = 2;
+
+/// 2Q replacement state over page keys (data-less — residency only):
+/// one page table holding the A1in, A1out and Am lists.
 #[derive(Debug, Clone)]
 pub struct TwoQ {
     capacity: usize,
     kin: usize,
     kout: usize,
-    a1in: PageQueue,
-    a1out: PageQueue,
-    am: PageQueue,
+    table: PageTable,
+    a1in: PageList,
+    a1out: PageList,
+    am: PageList,
 }
 
 impl TwoQ {
@@ -59,9 +66,10 @@ impl TwoQ {
             capacity,
             kin: (capacity / 4).max(1),
             kout: (capacity / 2).max(1),
-            a1in: PageQueue::default(),
-            a1out: PageQueue::default(),
-            am: PageQueue::default(),
+            table: PageTable::default(),
+            a1in: PageList::new(A1IN),
+            a1out: PageList::new(A1OUT),
+            am: PageList::new(AM),
         }
     }
 
@@ -72,30 +80,59 @@ impl TwoQ {
 
     /// Is the page resident (no state change)?
     pub fn contains(&self, key: PageKey) -> bool {
-        self.a1in.contains(key) || self.am.contains(key)
+        matches!(self.table.tag_of(key), Some(A1IN | AM))
     }
 
     /// Resident pages of `file` with index in `first..=last` (no state
-    /// change). A1in and Am never share a key, so the two counts add up.
+    /// change): the table's pages there, less A1out's ghosts.
     pub fn resident_in(&self, file: FileId, first: u64, last: u64) -> usize {
-        self.a1in.count_in(file, first, last) + self.am.count_in(file, first, last)
+        self.table.count_in(file, first, last, |tag| tag != A1OUT)
     }
 
     /// Touch `key`; returns the access class and appends any evicted
     /// (previously resident) pages to `evicted`.
     pub fn touch(&mut self, key: PageKey, evicted: &mut Vec<PageKey>) -> Access {
-        // 2Q leaves A1in order alone on repeat touches.
-        if self.am.refresh(key) || self.a1in.contains(key) {
-            return Access::Hit;
+        match self.table.find(key) {
+            Some((slot, AM)) => {
+                self.table.unlink(&mut self.am, slot);
+                self.table.push_back(&mut self.am, slot);
+                Access::Hit
+            }
+            // 2Q leaves A1in order alone on repeat touches.
+            Some((_, A1IN)) => Access::Hit,
+            ghost => self.fetch(key, ghost.map(|(slot, _)| slot), evicted),
         }
-        let ghost = self.a1out.remove(key);
-        self.make_room(evicted);
-        if ghost {
-            self.am.push_back(key);
-            Access::GhostMiss
-        } else {
-            self.a1in.push_back(key);
-            Access::Miss
+    }
+
+    /// Make `key` resident if it is not, exactly as [`TwoQ::touch`]
+    /// would; a resident page is left where it is. Returns whether the
+    /// page was fetched. Readahead's one lookup per page.
+    pub fn prefetch(&mut self, key: PageKey, evicted: &mut Vec<PageKey>) -> bool {
+        match self.table.find(key) {
+            Some((_, A1IN | AM)) => false,
+            ghost => {
+                self.fetch(key, ghost.map(|(slot, _)| slot), evicted);
+                true
+            }
+        }
+    }
+
+    /// Fetch a non-resident page: a ghost (`ghost` is its A1out slot)
+    /// leaves A1out and enters Am, anything else enters A1in, after
+    /// `make_room` in both cases.
+    fn fetch(&mut self, key: PageKey, ghost: Option<Slot>, evicted: &mut Vec<PageKey>) -> Access {
+        match ghost {
+            Some(slot) => {
+                self.table.unlink(&mut self.a1out, slot);
+                self.make_room(evicted);
+                self.table.push_back(&mut self.am, slot);
+                Access::GhostMiss
+            }
+            None => {
+                self.make_room(evicted);
+                self.table.insert(&mut self.a1in, key);
+                Access::Miss
+            }
         }
     }
 
@@ -108,15 +145,15 @@ impl TwoQ {
             return;
         }
         if self.a1in.len() <= self.kin {
-            if let Some(victim) = self.am.pop_front() {
+            if let Some(victim) = self.table.pop_front(&mut self.am) {
                 evicted.push(victim);
                 return;
             }
         }
-        if let Some(victim) = self.a1in.pop_front() {
-            self.a1out.push_back(victim);
+        if let Some((slot, victim)) = self.table.take_front(&mut self.a1in) {
+            self.table.push_back(&mut self.a1out, slot);
             if self.a1out.len() > self.kout {
-                self.a1out.pop_front();
+                self.table.pop_front(&mut self.a1out);
             }
             evicted.push(victim);
         }

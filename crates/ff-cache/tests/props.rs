@@ -224,14 +224,135 @@ proptest! {
     }
 }
 
-/// The list code `TwoQ` and `FlashCache` ran on before `PageQueue`:
+/// The list code `TwoQ` and `FlashCache` ran on before the page table:
 /// A1in and A1out as a `VecDeque` plus a `BTreeSet`, Am and the flash
-/// LRU as a seq↔key `BTreeMap` pair. Kept as references the
-/// `PageQueue`-based types must match touch for touch.
+/// LRU as a seq↔key `BTreeMap` pair. `BufferCache` keeps the front
+/// end's read and write loops on that 2Q, with readahead probing
+/// `contains` before each `touch`. Kept as references the page-table
+/// types must match touch for touch.
 mod reference {
-    use ff_cache::{Access, PageKey};
+    use ff_base::{Bytes, SimTime};
+    use ff_cache::page::{pages_covering, push_run};
+    use ff_cache::{
+        Access, CacheConfig, CacheStats, PageKey, ReadOutcome, Readahead, WriteOutcome, Writeback,
+    };
     use ff_trace::FileId;
     use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+    pub struct BufferCache {
+        twoq: TwoQ,
+        readahead: Readahead,
+        writeback: Writeback,
+        stats: CacheStats,
+    }
+
+    impl BufferCache {
+        pub fn new(config: CacheConfig) -> Self {
+            BufferCache {
+                twoq: TwoQ::new(config.capacity_pages),
+                readahead: Readahead::new(config.readahead_max_pages),
+                writeback: Writeback::new(config.writeback),
+                stats: CacheStats::default(),
+            }
+        }
+
+        pub fn read(
+            &mut self,
+            file: FileId,
+            offset: u64,
+            len: Bytes,
+            file_size: Bytes,
+        ) -> ReadOutcome {
+            let mut out = ReadOutcome::default();
+            if len.is_zero() {
+                return out;
+            }
+            let mut evicted = Vec::new();
+            let pages = pages_covering(offset, len.get());
+            let (first, last) = (*pages.start(), *pages.end());
+            for p in pages {
+                let key = PageKey { file, index: p };
+                if self.twoq.touch(key, &mut evicted).is_hit() {
+                    self.stats.hits += 1;
+                    out.hit_pages += 1;
+                } else {
+                    self.stats.misses += 1;
+                    push_run(&mut out.demand, p);
+                }
+            }
+            if let Some((start, n)) = self.readahead.on_access(file, first, last) {
+                for p in start..(start + n).min(file_size.pages()) {
+                    let key = PageKey { file, index: p };
+                    if !self.twoq.contains(key) {
+                        self.twoq.touch(key, &mut evicted);
+                        self.stats.readahead_pages += 1;
+                        push_run(&mut out.prefetch, p);
+                    }
+                }
+            }
+            out.evicted_dirty = evicted
+                .into_iter()
+                .filter(|k| self.writeback.on_evict(*k))
+                .collect();
+            out
+        }
+
+        pub fn write(
+            &mut self,
+            now: SimTime,
+            file: FileId,
+            offset: u64,
+            len: Bytes,
+        ) -> WriteOutcome {
+            let mut out = WriteOutcome::default();
+            if len.is_zero() {
+                return out;
+            }
+            let mut evicted = Vec::new();
+            for p in pages_covering(offset, len.get()) {
+                let key = PageKey { file, index: p };
+                self.twoq.touch(key, &mut evicted);
+                self.writeback.mark_dirty(key, now);
+            }
+            out.evicted_dirty = evicted
+                .into_iter()
+                .filter(|k| self.writeback.on_evict(*k))
+                .collect();
+            out
+        }
+
+        pub fn flush_due(&mut self, now: SimTime, disk_ready: bool) -> Vec<PageKey> {
+            let due = self.writeback.collect_due(now, disk_ready);
+            if !due.is_empty() {
+                self.stats.flushes += 1;
+                self.stats.flushed_pages += due.len() as u64;
+            }
+            due
+        }
+
+        pub fn flush_all(&mut self) -> Vec<PageKey> {
+            let drained = self.writeback.drain_all();
+            if !drained.is_empty() {
+                self.stats.flushes += 1;
+                self.stats.flushed_pages += drained.len() as u64;
+            }
+            drained
+        }
+
+        pub fn resident_fraction(&self, file: FileId, offset: u64, len: Bytes) -> f64 {
+            if len.is_zero() {
+                return 1.0;
+            }
+            let pages = pages_covering(offset, len.get());
+            let (first, last) = (*pages.start(), *pages.end());
+            let resident = self.twoq.resident_in(file, first, last);
+            resident as f64 / (last - first + 1) as f64
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+    }
 
     pub struct TwoQ {
         capacity: usize,
@@ -400,10 +521,10 @@ mod reference {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `TwoQ` on `PageQueue` matches the reference list code touch for
-    /// touch: same access class, same evictions in the same order, and
-    /// the same residency answers. Indices span 2–4× the capacity over
-    /// 2–3 files, so ghost hits, Am evictions and queue compactions all
+    /// `TwoQ` on the page table matches the reference list code touch
+    /// for touch: same access class, same evictions in the same order,
+    /// and the same residency answers. Indices span 2–4× the capacity
+    /// over 2–3 files, so ghost hits, Am evictions and freed chunks all
     /// occur.
     #[test]
     fn twoq_matches_reference_lists(
@@ -414,7 +535,7 @@ proptest! {
     ) {
         let pages = span * cap as u64;
         // A hot set of a quarter of the capacity, touched about half the
-        // time, keeps refreshing Am pages so its queue must compact.
+        // time, keeps refreshing Am pages.
         let hot = (cap as u64 / 4).max(1);
         let mut q = TwoQ::new(cap);
         let mut r = reference::TwoQ::new(cap);
@@ -438,8 +559,8 @@ proptest! {
         }
     }
 
-    /// `FlashCache` on `PageQueue` matches the reference LRU: same hit
-    /// flags, same spilled dirty pages, same destage lists.
+    /// `FlashCache` on the page table matches the reference LRU: same
+    /// hit flags, same spilled dirty pages, same destage lists.
     #[test]
     fn flashcache_matches_reference_lru(
         cap in 1usize..32,
@@ -447,8 +568,8 @@ proptest! {
         ops in proptest::collection::vec((0u64..4, 0u64..256, any::<bool>()), 1..600),
     ) {
         let pages = span * cap as u64;
-        // Hits on a hot half of the capacity leave stale LRU entries
-        // behind faster than evictions pop them, so the queue compacts.
+        // Hits on a hot half of the capacity move pages within the LRU
+        // between evictions.
         let hot = (cap as u64 / 2).max(1);
         let mut f = FlashCache::new(cap);
         let mut r = reference::FlashCache::new(cap);
@@ -462,5 +583,88 @@ proptest! {
                 _ => prop_assert_eq!(f.take_destage(), r.take_destage(), "destage {}", i),
             }
         }
+    }
+
+    /// `BufferCache` matches the reference front end call for call:
+    /// every `ReadOutcome` and `WriteOutcome` field, every flush list,
+    /// `stats()` and `resident_fraction`. Capacities of 4–63 pages with
+    /// requests of up to 80 pages put evictions inside a request's own
+    /// range; short requests on a hot set of one to four quarters of the
+    /// capacity build up Am, which readahead windows then cover. Each file's pages sit in
+    /// one of four regions: at page 0, across the chunk boundaries
+    /// around page 192 or 64,000, or ending at the last page a `u64`
+    /// byte offset reaches.
+    #[test]
+    fn buffer_cache_matches_reference(
+        cap in 4usize..64,
+        span in 1u64..4,
+        hot_quarters in 1u64..5,
+        regions in proptest::collection::vec(0usize..4, 3),
+        ops in proptest::collection::vec(
+            (0u64..8, 0u64..3, 0u64..1024, 1u64..80, 0u64..4096, 0u64..8),
+            1..300,
+        ),
+    ) {
+        const LAST: u64 = u64::MAX / 4096;
+        let pages = span * cap as u64;
+        let hot = (cap as u64 * hot_quarters / 4).max(1);
+        let base = |file: u64| match regions[file as usize] {
+            0 => 0,
+            1 => 192 - pages / 2,
+            2 => 64_000 - pages / 2,
+            _ => LAST + 1 - pages,
+        };
+        // File sizes end mid-region, so readahead is sometimes clamped.
+        let size = |file: u64| match regions[file as usize] {
+            3 => Bytes(u64::MAX),
+            _ => Bytes((base(file) + pages * 3 / 4) * 4096),
+        };
+        let config = CacheConfig {
+            capacity_pages: cap,
+            ..CacheConfig::default()
+        };
+        let mut cache = BufferCache::new(config.clone());
+        let mut r = reference::BufferCache::new(config);
+        for (i, &(op, file, page, n, skew, shape)) in ops.iter().enumerate() {
+            let (is_hot, is_long, ready) = (shape & 1 == 1, shape & 2 == 2, shape & 4 == 4);
+            let now = SimTime::from_millis(i as u64 * 700);
+            let first = base(file) + if is_hot { page % hot } else { page % pages };
+            let n = if is_long { n } else { n % 4 + 1 }.min(LAST + 1 - first);
+            // A byte range over pages first..first + n, starting `skew`
+            // bytes into the first page.
+            let (offset, len) = (first * 4096 + skew, Bytes(n * 4096 - skew));
+            let fid = FileId(file);
+            match op {
+                0..=4 => {
+                    let got = cache.read(now, fid, offset, len, size(file));
+                    let want = r.read(fid, offset, len, size(file));
+                    prop_assert_eq!(got.hit_pages, want.hit_pages, "hits at op {}", i);
+                    prop_assert_eq!(&got.demand, &want.demand, "demand at op {}", i);
+                    prop_assert_eq!(&got.prefetch, &want.prefetch, "prefetch at op {}", i);
+                    prop_assert_eq!(&got.evicted_dirty, &want.evicted_dirty, "evicted at op {}", i);
+                }
+                5 | 6 => {
+                    let got = cache.write(now, fid, offset, len);
+                    let want = r.write(now, fid, offset, len);
+                    prop_assert_eq!(&got.evicted_dirty, &want.evicted_dirty, "write at op {}", i);
+                }
+                _ if ready && page % 4 == 0 => {
+                    prop_assert_eq!(cache.flush_all(), r.flush_all(), "flush_all at op {}", i);
+                }
+                _ => {
+                    prop_assert_eq!(cache.flush_due(now, ready), r.flush_due(now, ready), "flush at op {}", i);
+                }
+            }
+            prop_assert_eq!(cache.stats(), r.stats(), "stats at op {}", i);
+            for probe in [fid, FileId((file + 1) % 3)] {
+                let (got, want) = (
+                    cache.resident_fraction(probe, offset, len),
+                    r.resident_fraction(probe, offset, len),
+                );
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "fraction at op {}", i);
+            }
+        }
+        prop_assert_eq!(cache.flush_all(), r.flush_all());
+        prop_assert_eq!(cache.stats(), r.stats());
     }
 }

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::faults::{FaultPlan, RetryPolicy};
-use ff_base::{Dur, Error, Result};
+use ff_base::{BytesPerSec, Dur, Error, Result};
 use ff_cache::{CacheConfig, TwoQ};
 use ff_device::{DiskParams, FlashParams, WnicParams};
 use ff_trace::FileId;
@@ -77,7 +77,7 @@ impl SimConfig {
     /// plan or retry ladder, a zero stage length or flusher interval (the
     /// run would never advance past t = 0), a buffer cache below 2Q's
     /// 4 pages or an empty flash tier, or a link rate (`wnic.bandwidth`)
-    /// that is not positive and finite.
+    /// that is not finite or is below [`BytesPerSec::MIN_LINK_MBIT`].
     pub(crate) fn validate(&self) -> Result<()> {
         self.faults.validate()?;
         self.retry.validate()?;
@@ -98,10 +98,12 @@ impl SimConfig {
             return Err(Error::Config("flash tier of 0 pages".into()));
         }
         let rate = self.wnic.bandwidth.get();
-        if !rate.is_finite() || rate <= 0.0 {
+        let floor = BytesPerSec::from_mbit_per_sec(BytesPerSec::MIN_LINK_MBIT).get();
+        if !rate.is_finite() || rate < floor {
             return Err(Error::Config(format!(
-                "WNIC bandwidth {} is not a positive finite rate",
-                self.wnic.bandwidth
+                "WNIC bandwidth {:e} Mbit/s is not a finite rate of at least {} Mbit/s",
+                rate * 8.0 / 1e6,
+                BytesPerSec::MIN_LINK_MBIT
             )));
         }
         Ok(())

@@ -146,7 +146,7 @@ impl Fault {
     }
 
     fn validate(&self) -> Result<()> {
-        let bad_rate = |mbps: f64| !mbps.is_finite() || mbps <= 0.0;
+        let bad_rate = |mbps: f64| !mbps.is_finite() || mbps < BytesPerSec::MIN_LINK_MBIT;
         match *self {
             Fault::BandwidthFade { dur, mbps, .. } => {
                 if dur.is_zero() {
@@ -154,14 +154,16 @@ impl Fault {
                 }
                 if bad_rate(mbps) {
                     return Err(Error::Fault(format!(
-                        "bandwidth fade to a non-positive rate ({mbps} Mbit/s)"
+                        "bandwidth fade to {mbps} Mbit/s is not a finite rate of at least {} Mbit/s",
+                        BytesPerSec::MIN_LINK_MBIT
                     )));
                 }
             }
             Fault::BandwidthStep { at, mbps } => {
                 if bad_rate(mbps) {
                     return Err(Error::Fault(format!(
-                        "bandwidth step at {at} to {mbps} Mbit/s is not a positive finite rate"
+                        "bandwidth step at {at} to {mbps} Mbit/s is not a finite rate of at least {} Mbit/s",
+                        BytesPerSec::MIN_LINK_MBIT
                     )));
                 }
             }
@@ -1070,6 +1072,27 @@ mod tests {
                 "{mbps} Mbit/s"
             );
         }
+    }
+
+    /// A rate below the floor saturates `transfer_time` and wraps the
+    /// WNIC clock, so both scheduled-rate faults refuse it by name.
+    #[test]
+    fn scheduled_rates_below_the_link_floor_are_rejected() {
+        let floor = BytesPerSec::MIN_LINK_MBIT;
+        let step = |mbps| FaultPlan::none().with_bandwidth_step(Dur::ZERO, mbps);
+        let fade = |mbps| FaultPlan::none().with_bandwidth_fade(Dur::ZERO, Dur::from_secs(1), mbps);
+        for mbps in [1e-300, 1e-12, floor / 2.0] {
+            for (kind, plan) in [("step", step(mbps)), ("fade", fade(mbps))] {
+                match plan.validate() {
+                    Err(Error::Fault(msg)) => {
+                        assert!(msg.contains("at least 0.001 Mbit/s"), "{msg}")
+                    }
+                    other => panic!("{kind} to {mbps} Mbit/s: {other:?}"),
+                }
+            }
+        }
+        assert!(step(floor).validate().is_ok());
+        assert!(fade(floor).validate().is_ok());
     }
 
     #[test]

@@ -1303,6 +1303,17 @@ mod tests {
         }
     }
 
+    #[test]
+    fn link_rate_below_the_floor_is_rejected_up_front() {
+        for mbps in [1e-300, 1e-12, ff_base::BytesPerSec::MIN_LINK_MBIT / 2.0] {
+            let cfg = SimConfig::default().with_wnic_bandwidth_mbps(mbps);
+            assert!(config_error(cfg), "{mbps} Mbit/s");
+        }
+        let cfg =
+            SimConfig::default().with_wnic_bandwidth_mbps(ff_base::BytesPerSec::MIN_LINK_MBIT);
+        assert!(cfg.validate().is_ok());
+    }
+
     /// A retry ladder whose first backoff alone jumps ~146,000 years
     /// ahead overflows `Dur` over its four attempts: the run is refused
     /// up front instead of filling the gap with flusher and stage ticks.

@@ -213,6 +213,26 @@ fn loss_rate_outside_unit_interval_is_a_usage_error() {
 }
 
 #[test]
+fn link_rate_below_the_floor_is_a_config_error() {
+    for mbps in ["1e-300", "1e-12"] {
+        let out = flexsim()
+            .args([
+                "--workload",
+                "grep",
+                "--policy",
+                "wnic",
+                "--bandwidth-mbps",
+                mbps,
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "--bandwidth-mbps {mbps}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("at least 0.001 Mbit/s"), "{mbps}: {err}");
+    }
+}
+
+#[test]
 fn unwritable_output_paths_fail_without_panicking() {
     let dir = std::env::temp_dir().join("flexsim-cli-missing-dir");
     let _ = std::fs::remove_dir_all(&dir);
