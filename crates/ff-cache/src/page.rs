@@ -40,22 +40,24 @@ const CHUNK: u64 = 64;
 /// The null link.
 const NIL: u32 = u32::MAX;
 
-/// A page in the table: its key, its links on its list, the list's tag
-/// and the chunk holding its slot.
+/// A page in the table: its key, its links on its list and the chunk
+/// holding its slot and its list's tag.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     key: PageKey,
     prev: u32,
     next: u32,
     chunk: u32,
-    tag: u8,
 }
 
 /// `CHUNK` consecutive pages of one file: the node of each (or `NIL`),
-/// how many are present, and the directory key the chunk sits under.
+/// the tag of the list each present page is on, how many are present,
+/// and the directory key the chunk sits under. A tag is only meaningful
+/// where its slot is not `NIL`.
 #[derive(Debug, Clone)]
 struct Chunk {
     slots: [u32; CHUNK as usize],
+    tags: [u8; CHUNK as usize],
     live: u32,
     at: (FileId, u64),
 }
@@ -65,7 +67,7 @@ struct Chunk {
 pub struct Slot(u32);
 
 /// One intrusive doubly linked list threaded through a [`PageTable`]'s
-/// nodes, oldest first. `tag` marks the nodes on it, so a lookup says
+/// nodes, oldest first. `tag` marks the pages on it, so a lookup says
 /// which list a page is on; the list's owner gives the tags meaning.
 #[derive(Debug, Clone, Copy)]
 pub struct PageList {
@@ -104,9 +106,11 @@ impl PageList {
 /// A page is found through an ordered directory from `(file, index /
 /// CHUNK)` to a chunk of slots. `finger` caches the chunk the last
 /// mutable lookup reached, so a run of pages in one chunk pays one
-/// directory descent; freeing that chunk clears it. Removing a page
-/// reaches its slot through `Node::chunk`, with no descent, and a chunk
-/// leaves the directory when its last page does.
+/// directory descent; freeing that chunk clears it. Each page's list
+/// tag sits in its chunk beside its slot, so counting a range's pages
+/// by tag reads contiguous bytes and touches no node. Moving or
+/// removing a page reaches its slot and tag through `Node::chunk`, with
+/// no descent, and a chunk leaves the directory when its last page does.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     nodes: Vec<Node>,
@@ -160,9 +164,16 @@ impl PageTable {
     }
 
     fn node_at(&self, chunk: u32, i: usize) -> Option<(Slot, u8)> {
-        let s = *self.chunks.get(chunk as usize)?.slots.get(i)?;
-        let node = self.nodes.get(s as usize)?;
-        Some((Slot(s), node.tag))
+        let chunk = self.chunks.get(chunk as usize)?;
+        let s = *chunk.slots.get(i)?;
+        (s != NIL).then_some((Slot(s), *chunk.tags.get(i)?))
+    }
+
+    /// The list tag of the page in `slot`, read from its chunk.
+    fn tag_at(&self, slot: Slot) -> Option<u8> {
+        let node = self.nodes.get(slot.0 as usize)?;
+        let chunk = self.chunks.get(node.chunk as usize)?;
+        chunk.tags.get(split(node.key).1).copied()
     }
 
     /// Add `key`, which must not be in the table, at the back of `list`.
@@ -182,7 +193,6 @@ impl PageTable {
             prev: NIL,
             next: NIL,
             chunk: c,
-            tag: list.tag,
         };
         let s = match self.nodes.get_mut(self.free_node as usize) {
             Some(free) => {
@@ -220,6 +230,7 @@ impl PageTable {
             None => {
                 self.chunks.push(Chunk {
                     slots: [NIL; CHUNK as usize],
+                    tags: [0; CHUNK as usize],
                     live: 0,
                     at,
                 });
@@ -239,7 +250,14 @@ impl PageTable {
         };
         node.prev = tail;
         node.next = NIL;
-        node.tag = list.tag;
+        let (c, i) = (node.chunk, split(node.key).1);
+        if let Some(tag) = self
+            .chunks
+            .get_mut(c as usize)
+            .and_then(|c| c.tags.get_mut(i))
+        {
+            *tag = list.tag;
+        }
         match self.nodes.get_mut(tail as usize) {
             Some(prev) => prev.next = s,
             None => list.head = s,
@@ -252,13 +270,14 @@ impl PageTable {
     /// the table until it is pushed onto a list again or removed.
     pub fn unlink(&mut self, list: &mut PageList, slot: Slot) {
         let Slot(s) = slot;
-        let Some(&Node {
-            prev, next, tag, ..
-        }) = self.nodes.get(s as usize)
-        else {
+        let Some(&Node { prev, next, .. }) = self.nodes.get(s as usize) else {
             return;
         };
-        debug_assert_eq!(tag, list.tag, "slot {s} is not on this list");
+        debug_assert_eq!(
+            self.tag_at(slot),
+            Some(list.tag),
+            "slot {s} is not on this list"
+        );
         match self.nodes.get_mut(prev as usize) {
             Some(p) => p.next = next,
             None => list.head = next,
@@ -312,8 +331,10 @@ impl PageTable {
     }
 
     /// Pages of `file` with index in `first..=last` whose list tag
-    /// passes `keep`. The directory orders chunks by file first, so the
-    /// range never reaches a neighbouring file's pages.
+    /// passes `keep`. A range inside one chunk takes the finger or one
+    /// directory lookup; a longer one walks a directory range, which
+    /// orders chunks by file first and so never reaches a neighbouring
+    /// file's pages.
     pub fn count_in(
         &self,
         file: FileId,
@@ -321,23 +342,41 @@ impl PageTable {
         last: u64,
         keep: impl Fn(u8) -> bool,
     ) -> usize {
-        let chunks = self.dir.range((file, first / CHUNK)..=(file, last / CHUNK));
-        let mut n = 0;
-        for (&(_, ci), &c) in chunks {
-            let Some(chunk) = self.chunks.get(c as usize) else {
-                continue;
-            };
-            let base = ci * CHUNK;
-            let lo = (first.max(base) - base) as usize;
-            let hi = (last.min(base + (CHUNK - 1)) - base) as usize;
-            let slots = chunk.slots.get(lo..=hi).unwrap_or_default();
-            n += slots
-                .iter()
-                .filter_map(|&s| self.nodes.get(s as usize))
-                .filter(|node| keep(node.tag))
-                .count();
+        let (lo, hi) = (first / CHUNK, last / CHUNK);
+        if lo == hi {
+            return self
+                .chunk_at((file, lo))
+                .map_or(0, |c| self.count_chunk(c, lo, first, last, &keep));
         }
-        n
+        self.dir
+            .range((file, lo)..=(file, hi))
+            .map(|(&(_, ci), &c)| self.count_chunk(c, ci, first, last, &keep))
+            .sum()
+    }
+
+    /// Pages of chunk `c` (directory index `ci`) with index in
+    /// `first..=last` whose tag passes `keep`.
+    fn count_chunk(
+        &self,
+        c: u32,
+        ci: u64,
+        first: u64,
+        last: u64,
+        keep: &impl Fn(u8) -> bool,
+    ) -> usize {
+        let Some(chunk) = self.chunks.get(c as usize) else {
+            return 0;
+        };
+        let base = ci * CHUNK;
+        let lo = (first.max(base) - base) as usize;
+        let hi = (last.min(base + (CHUNK - 1)) - base) as usize;
+        let slots = chunk.slots.get(lo..=hi).unwrap_or_default();
+        let tags = chunk.tags.get(lo..=hi).unwrap_or_default();
+        slots
+            .iter()
+            .zip(tags)
+            .filter(|&(&s, &tag)| s != NIL && keep(tag))
+            .count()
     }
 }
 
@@ -448,6 +487,92 @@ mod tests {
         assert_eq!(t.find(key(1, 5)), None);
         assert_eq!(t.tag_of(key(1, 63)), None);
         assert_eq!(t.tag_of(key(2, 5)), Some(0));
+    }
+
+    #[test]
+    fn count_in_reads_the_tags_every_list_operation_leaves() {
+        // A model of which list each page is on, kept beside the table
+        // through random inserts, moves, pops and chunk reuse.
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut t = PageTable::default();
+        let mut lists = [PageList::new(0), PageList::new(1), PageList::new(2)];
+        let mut model: BTreeMap<PageKey, u8> = BTreeMap::new();
+        let mut chunks_reused = 0;
+        for step in 0..4_000 {
+            let index = match next(3) {
+                0 => next(200),
+                1 => 120 + next(20),
+                _ => u64::MAX - next(130),
+            };
+            let k = key(1 + next(3), index);
+            let l = next(3) as usize;
+            match next(4) {
+                0 | 1 => match t.find(k) {
+                    // A hit moves the page to the back of list `l`.
+                    Some((slot, tag)) => {
+                        t.unlink(&mut lists[tag as usize], slot);
+                        t.push_back(&mut lists[l], slot);
+                        model.insert(k, l as u8);
+                    }
+                    None => {
+                        let free = t.free_chunks.len();
+                        t.insert(&mut lists[l], k);
+                        chunks_reused += usize::from(t.free_chunks.len() < free);
+                        model.insert(k, l as u8);
+                    }
+                },
+                2 => {
+                    // The oldest page of `l` moves onto the next list.
+                    let to = (l + 1) % lists.len();
+                    if let Some((slot, k)) = t.take_front(&mut lists[l]) {
+                        t.push_back(&mut lists[to], slot);
+                        model.insert(k, to as u8);
+                    }
+                }
+                _ => {
+                    if let Some(k) = t.pop_front(&mut lists[l]) {
+                        model.remove(&k);
+                    }
+                }
+            }
+            if step % 8 != 0 {
+                continue;
+            }
+            let file = FileId(1 + next(3));
+            let (a, b) = if next(2) == 0 {
+                (next(260), next(260))
+            } else {
+                (u64::MAX - next(200), u64::MAX - next(200))
+            };
+            let (first, last) = (a.min(b), a.max(b));
+            for want_tag in [None, Some(0), Some(1), Some(2)] {
+                let keep = |tag: u8| want_tag.is_none_or(|w| w == tag);
+                // The reference: page by page through the model.
+                let want = model
+                    .iter()
+                    .filter(|(k, &tag)| {
+                        k.file == file && (first..=last).contains(&k.index) && keep(tag)
+                    })
+                    .count();
+                assert_eq!(
+                    t.count_in(file, first, last, keep),
+                    want,
+                    "step {step}: {file:?} {first}..={last} tag {want_tag:?}"
+                );
+            }
+        }
+        // Every list still holds exactly the pages the model puts on it.
+        for (tag, list) in lists.iter().enumerate() {
+            let on_list = model.values().filter(|&&v| v == tag as u8).count();
+            assert_eq!(list.len(), on_list);
+        }
+        assert!(chunks_reused > 10, "{chunks_reused} chunk reuses");
     }
 
     #[test]

@@ -96,23 +96,22 @@ impl Writeback {
             self.config.dirty_expire
         };
 
-        let selected: Vec<PageKey> = self
-            .dirty
-            .iter()
-            .filter(|&(_, &since)| take_all || now.saturating_since(since) >= age_limit)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in &selected {
-            self.dirty.remove(k);
-        }
-        selected
+        // One pass in key order: due pages leave the registry as they
+        // are pushed, so the list comes out ascending.
+        let mut due = Vec::new();
+        self.dirty.retain(|&k, &mut since| {
+            let keep = !take_all && now.saturating_since(since) < age_limit;
+            if !keep {
+                due.push(k);
+            }
+            keep
+        });
+        due
     }
 
-    /// Everything still dirty (final sync at simulation end).
+    /// Everything still dirty, ascending (final sync at simulation end).
     pub fn drain_all(&mut self) -> Vec<PageKey> {
-        let keys: Vec<PageKey> = self.dirty.keys().copied().collect();
-        self.dirty.clear();
-        keys
+        std::mem::take(&mut self.dirty).into_keys().collect()
     }
 }
 
@@ -206,6 +205,34 @@ mod tests {
         assert!(w.on_evict(key(1)));
         assert!(!w.on_evict(key(1)), "second evict sees it clean");
         assert!(!w.on_evict(key(2)));
+    }
+
+    #[test]
+    fn due_pages_come_out_ascending_under_both_rules() {
+        // Dirtied out of key order, at ages on both sides of the 30 s
+        // expiry and of the 600 s laptop age.
+        let dirty = [(9, 0), (2, 500), (7, 5), (4, 0), (1, 620), (5, 30)];
+        let fill = |laptop| {
+            let mut w = wb(laptop);
+            for (i, at) in dirty {
+                w.mark_dirty(key(i), SimTime::from_secs(at));
+            }
+            w
+        };
+        let keys = |ks: &[u64]| ks.iter().map(|&i| key(i)).collect::<Vec<_>>();
+        let now = SimTime::from_secs(640);
+        // Normal rules: everything at least 30 s old.
+        let mut w = fill(false);
+        assert_eq!(w.collect_due(now, false), keys(&[2, 4, 5, 7, 9]));
+        assert_eq!(w.drain_all(), keys(&[1]));
+        // Laptop mode, disk asleep: only past the laptop age.
+        let mut w = fill(true);
+        assert_eq!(w.collect_due(now, false), keys(&[4, 5, 7, 9]));
+        assert_eq!(w.drain_all(), keys(&[1, 2]));
+        // Laptop mode, disk spinning: everything, young pages included.
+        let mut w = fill(true);
+        assert_eq!(w.collect_due(now, true), keys(&[1, 2, 4, 5, 7, 9]));
+        assert_eq!(w.dirty_count(), 0);
     }
 
     #[test]

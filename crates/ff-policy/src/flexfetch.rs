@@ -28,8 +28,8 @@ use crate::source::{AppRequest, FaultNotice, Policy, PolicyCtx, Source, StageRep
 use ff_base::{Bytes, SimTime};
 use ff_device::ServiceOutcome;
 use ff_profile::{
-    burst::OnlineBurstBuilder, estimate::filter_resident, first_stage, BurstExtractor, BytePrefix,
-    Estimator, Profile, ProfiledBurst,
+    burst::OnlineBurstBuilder, first_stage, BurstExtractor, BytePrefix, Estimator, Profile,
+    ProfiledBurst,
 };
 
 /// FlexFetch tuning.
@@ -78,8 +78,10 @@ pub struct FlexFetch {
     decided: bool,
     /// Last re-evaluation's N (bursts of the old profile covered).
     last_n: usize,
-    /// Stage ordinal.
-    stage_index: usize,
+    /// Static variant: `(skip, counted)`, where burst `skip` of the
+    /// profile starts stage `counted`. Advanced one window per stage
+    /// end; `(0, 0)` whenever a profile is set.
+    static_skip: (usize, usize),
     /// Set when the stage-end audit overrides the profile for one stage.
     forced: Option<Source>,
     /// Timestamps of the last two external (non-profiled) disk uses.
@@ -112,7 +114,7 @@ impl FlexFetch {
             current: Source::Disk,
             decided: false,
             last_n: 0,
-            stage_index: 0,
+            static_skip: (0, 0),
             forced: None,
             last_external: None,
             prev_external: None,
@@ -182,21 +184,15 @@ impl FlexFetch {
             // Nothing known about the future: keep whatever we have.
             return self.current;
         }
-        let filtered;
-        let bursts = if self.config.adaptive {
-            filtered = filter_resident(bursts, |f, o, l| (ctx.resident)(f, o, l));
-            &filtered
-        } else {
-            bursts
-        };
-        let est = Estimator::new(ctx.layout);
+        // §2.3.2 cache filtering (adaptive only): the walk asks the
+        // residency probe once per request.
+        let resident = self.config.adaptive.then_some(ctx.resident);
         // The paper's literal (T_disk, E_disk) vs (T_network, E_network):
         // each device's own energy while it services the stage. E_disk
         // includes the disk idling at 1.6 W between bursts; E_network
         // includes the card's PSM dwell at 0.39 W — the asymmetry that
         // sends sparse workloads to the network.
-        let disk = est.disk_cost(bursts, *ctx.disk);
-        let wnic = est.wnic_cost(bursts, *ctx.wnic);
+        let (disk, wnic) = Estimator::new(ctx.layout).costs(bursts, *ctx.disk, *ctx.wnic, resident);
         decide(disk, wnic, self.config.loss_rate)
     }
 
@@ -286,14 +282,21 @@ impl Policy for FlexFetch {
     }
 
     fn on_stage_end(&mut self, ctx: &PolicyCtx<'_>, report: &StageReport) {
-        self.stage_index = report.index + 1;
         if !self.config.adaptive {
             // Static: re-decide for the next stage purely from the
-            // recorded profile position (by stage count).
-            let mut skip = 0;
-            for _ in 0..self.stage_index {
-                skip += self.upcoming_stage(ctx, skip).len();
+            // recorded profile position (by stage count), advancing the
+            // running position one window per stage counted.
+            let next = report.index + 1;
+            let (mut skip, mut counted) = self.static_skip;
+            if counted > next {
+                // A stage count that went back recounts from the start.
+                (skip, counted) = (0, 0);
             }
+            while counted < next {
+                skip += self.upcoming_stage(ctx, skip).len();
+                counted += 1;
+            }
+            self.static_skip = (skip, counted);
             let stage = self.upcoming_stage(ctx, skip);
             if !stage.is_empty() {
                 let d = self.decide_for(ctx, stage);
@@ -324,9 +327,8 @@ impl Policy for FlexFetch {
         // chose, the next stage uses the winner, "disregarding the
         // profile"; the profile resumes steering only once its advice
         // agrees with measured reality again.
-        let est = Estimator::new(ctx.layout);
-        let disk_est = est.disk_cost(&report.observed, *ctx.disk);
-        let wnic_est = est.wnic_cost(&report.observed, *ctx.wnic);
+        let (disk_est, wnic_est) =
+            Estimator::new(ctx.layout).costs(&report.observed, *ctx.disk, *ctx.wnic, None);
         let winner = decide(disk_est, wnic_est, self.config.loss_rate);
 
         // Hysteresis: flipping costs a device transition, so require the
@@ -412,6 +414,7 @@ impl Policy for FlexFetch {
         self.old_prefix = BytePrefix::of(&profile.bursts);
         self.old_profile = profile;
         self.last_n = 0;
+        self.static_skip = (0, 0);
         self.forced = None;
         if self.config.adaptive && self.degraded() {
             return; // stay pinned to the disk until the outage clears
@@ -824,6 +827,94 @@ mod tests {
             p.current_source(),
             Source::Disk,
             "stage 2 of the profile is the dense burst"
+        );
+    }
+
+    /// `stages` evaluation stages, each sparse (`reads` 64 KiB reads
+    /// spread over 42 s) or dense (one 80 MB burst), chosen by a small
+    /// LCG from `seed`; each stage is exactly one 40 s window.
+    fn staged_profile(app: &str, stages: usize, seed: u64, reads: u64) -> Profile {
+        let (mut x, mut t, mut bursts) = (seed, 0, Vec::new());
+        for _ in 0..stages {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            if x >> 62 == 0 {
+                bursts.push(pb(t, 41_000, 0, 80_000_000));
+                t += 41_000;
+            } else {
+                for _ in 0..reads {
+                    bursts.push(pb(t, 5, 42_000 / reads - 5, 65_536));
+                    t += 42_000 / reads;
+                }
+            }
+        }
+        Profile {
+            app: app.into(),
+            bursts,
+        }
+    }
+
+    #[test]
+    fn static_stage_walk_matches_a_from_scratch_recount() {
+        let w = world();
+        let (stages, inject_at) = (64, 29);
+        // Different sparse shapes, so a stage count carried over from
+        // the first profile lands mid-stage in the second.
+        let first = staged_profile("a", stages, 7, 7);
+        let second = staged_profile("b", stages + inject_at, 11, 4);
+        // The decision the static variant owes stage `index` of
+        // `profile`, skipping `index` windows from the start.
+        let from_scratch = |c: &PolicyCtx<'_>, profile: &Profile, index: usize| {
+            let mut skip = 0;
+            for _ in 0..index {
+                skip += first_stage(&profile.bursts[skip..], c.stage_len).len();
+            }
+            let stage = first_stage(&profile.bursts[skip..], c.stage_len);
+            (!stage.is_empty()).then(|| {
+                let (d, n) = Estimator::new(c.layout).costs(stage, *c.disk, *c.wnic, None);
+                decide(d, n, 0.25)
+            })
+        };
+        let mut want: Vec<(SimTime, Source, &'static str)> = Vec::new();
+        let mut log = |now, src: Option<Source>, why| {
+            if let Some(src) = src {
+                if want.last().map(|e| e.1) != Some(src) {
+                    want.push((now, src, why));
+                }
+            }
+        };
+        let mut p = FlexFetch::new_static(first.clone());
+        let c = ctx(&w, SimTime::ZERO, &nores);
+        p.select(&c, &any_req());
+        log(
+            SimTime::ZERO,
+            from_scratch(&c, &first, 0),
+            "initial:profile",
+        );
+        let mut profile = &first;
+        for index in 0..stages {
+            let now = SimTime::from_secs(41 * (index as u64 + 1));
+            let c = ctx(&w, now, &nores);
+            if index == inject_at {
+                p.inject_profile(&c, second.clone());
+                profile = &second;
+                log(now, from_scratch(&c, profile, 0), "fault:profile");
+            }
+            let report = StageReport {
+                index,
+                start: now - Dur::from_secs(41),
+                end: now,
+                observed: vec![],
+                disk_energy: Joules::ZERO,
+                wnic_energy: Joules::ZERO,
+            };
+            p.on_stage_end(&c, &report);
+            log(now, from_scratch(&c, profile, index + 1), "static:stage");
+        }
+        assert_eq!(p.decision_log(), want.as_slice());
+        let flips = |src| want.iter().filter(|e| e.1 == src).count();
+        assert!(
+            flips(Source::Disk) > 5 && flips(Source::Wnic) > 5,
+            "{want:?}"
         );
     }
 

@@ -76,14 +76,17 @@ pub fn plan_oracle(
                     DiskModel::new_standby(*disk_params)
                 }
             };
-            // Disk option: disk serves. The estimator's parking run leaves
-            // the model in standby, but whether the *stage itself* ends
-            // with the disk up depends on its trailing gap; re-walk
-            // without parking to read the end state.
-            let d = est.disk_cost(&stage.bursts, mk_disk());
-            let (mut probe, mut spent) = (mk_disk(), Joules::ZERO);
-            Estimator::walk(&stage.bursts, &mut probe, &mut spent, Some(layout));
-            let up_after = matches!(probe.state(), DiskState::Idle | DiskState::SpinningUp(_));
+            // One walk prices both options. The estimator's parking run
+            // leaves the disk in standby, but whether the *stage itself*
+            // ends with the disk up depends on its trailing gap: read
+            // the walked disk before parking.
+            let walked = est.walk(&stage.bursts, mk_disk(), WnicModel::new(*wnic_params), None);
+            let up_after = matches!(
+                walked.disk().state(),
+                DiskState::Idle | DiskState::SpinningUp(_)
+            );
+            let (d, w) = walked.park();
+            // Disk option: disk serves.
             disk_opt[i][s] = Opt {
                 energy: d.energy.get(),
                 time: d.time.as_secs_f64(),
@@ -93,7 +96,6 @@ pub fn plan_oracle(
 
             // Network option: WNIC serves; an initially-up disk drains to
             // standby on its own (cost included), a down disk stays down.
-            let w = est.wnic_cost(&stage.bursts, WnicModel::new(*wnic_params));
             let mut idle_disk = mk_disk();
             let mut idle = Joules::ZERO;
             idle_disk.advance_to(idle_disk.clock() + w.time, &mut idle);

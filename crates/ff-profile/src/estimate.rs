@@ -6,16 +6,21 @@
 //! we maintain an on-line simulator for each device to emulate their
 //! power saving policies."*
 //!
-//! The estimator walks a burst sequence over a **copy** of a device's
+//! The estimator walks a burst window over a **copy** of each device's
 //! power-state machine, booking into a local [`Joules`] sum: requests
 //! inside a burst go back to back (the paper's peak-bandwidth-within-
 //! burst assumption — merging already folded the intra-burst think times
 //! away), and inter-burst think times advance the device clock so its
 //! timeout policy (spin-down / CAM→PSM) fires exactly as it would live.
+//!
+//! A window is walked once, in place: [`Estimator::walk`] steps the disk
+//! and the WNIC in lockstep, and §2.3.2 cache filtering asks the
+//! residency probe once per request as the walk reaches it. No filtered
+//! copy of the window is built.
 
-use crate::burst::ProfiledBurst;
+use crate::burst::{MergedRequest, ProfiledBurst};
 use ff_base::{Bytes, Dur, Joules, SimTime};
-use ff_device::{DeviceRequest, Dir, DiskModel, Meter, PowerModel, WnicModel};
+use ff_device::{DeviceRequest, Dir, DiskModel, PowerModel, WnicModel};
 use ff_trace::{DiskLayout, FileId, IoOp};
 
 /// The `(T, E)` pair the decision rules consume.
@@ -27,7 +32,18 @@ pub struct Estimate {
     pub energy: Joules,
 }
 
-/// Walks burst sequences over device models.
+impl Estimate {
+    const ZERO: Estimate = Estimate {
+        time: Dur::ZERO,
+        energy: Joules::ZERO,
+    };
+}
+
+/// The §2.3.2 residency probe: the fraction of `(file, offset, len)`
+/// resident in the buffer cache, in `[0, 1]`.
+pub type Residency<'r> = &'r dyn Fn(FileId, u64, Bytes) -> f64;
+
+/// Walks burst windows over device models.
 #[derive(Debug, Clone)]
 pub struct Estimator<'a> {
     layout: &'a DiskLayout,
@@ -39,75 +55,150 @@ impl<'a> Estimator<'a> {
         Estimator { layout }
     }
 
-    /// `(T_disk, E_disk)` for servicing `bursts` on `disk`, starting from
-    /// the model's current power state. The model is a copy (pass
-    /// `*ctx.disk` to start from the live disk).
+    /// Walk `bursts` over copies of `disk` and `wnic` in lockstep,
+    /// starting from each model's current power state (pass `*ctx.disk`
+    /// to start from the live disk), without parking.
     ///
-    /// The energy includes the **parking cost**: after the last burst the
-    /// model runs until the device reaches its low-power resting state
-    /// (idle timeout + spin-down). Without this, a decision to wake the
-    /// disk for one small burst would look ~35 J cheaper than it really
-    /// is — the idle tail is a direct consequence of the decision.
-    pub fn disk_cost(&self, bursts: &[ProfiledBurst], disk: DiskModel) -> Estimate {
-        let park = disk.params().timeout + disk.params().spindown_time + Dur::from_millis(1);
-        cost(bursts, disk, Some(self.layout), park)
-    }
-
-    /// `(T_network, E_network)` for servicing `bursts` on `wnic`.
-    /// Includes the parking cost (CAM idle-out plus the CAM→PSM switch).
-    pub fn wnic_cost(&self, bursts: &[ProfiledBurst], wnic: WnicModel) -> Estimate {
-        let park = wnic.params().psm_timeout + wnic.params().to_psm_time + Dur::from_millis(1);
-        cost(bursts, wnic, None, park)
-    }
-
-    /// Walk `bursts` over `model` from its clock, booking into `meter`,
-    /// without parking, and return the instant the last burst's trailing
-    /// gap ends. Requests inside a burst go back to back; each gap
-    /// advances the model so its timeout policy fires. `layout` resolves
-    /// request blocks (the disk's); `None` sends blockless requests (the
-    /// WNIC's).
-    pub fn walk<M: PowerModel>(
+    /// With `resident`, each request asks the probe once: a fully
+    /// resident request never reaches a device, a partly resident one
+    /// shrinks to `max(1, ceil(len · (1 − frac)))` bytes, and a burst
+    /// left empty with a zero gap is dropped.
+    pub fn walk(
+        &self,
         bursts: &[ProfiledBurst],
-        model: &mut M,
-        meter: &mut impl Meter,
-        layout: Option<&DiskLayout>,
-    ) -> SimTime {
-        let mut t = model.clock();
+        disk: DiskModel,
+        wnic: WnicModel,
+        resident: Option<Residency<'_>>,
+    ) -> Walked<'a> {
+        let mut disk = Lane::new(disk, Some(self.layout));
+        let mut wnic = Lane::new(wnic, None);
+        let mut kept_any = false;
         for pb in bursts {
+            // Without a probe every burst is kept.
+            let mut kept = resident.is_none();
             for req in &pb.burst.requests {
-                let block = layout.and_then(|l| l.block_of(req.file, req.offset));
-                t = model
-                    .service(t, &device_request(req.op, req.len, block), meter)
-                    .complete;
+                let len = match resident {
+                    None => req.len,
+                    Some(resident) => {
+                        let frac = resident(req.file, req.offset, req.len).clamp(0.0, 1.0);
+                        if frac >= 1.0 {
+                            continue; // fully cached — never reaches a device
+                        }
+                        // Partial residency: shrink the device-visible request.
+                        let remaining = ((req.len.get() as f64) * (1.0 - frac)).ceil() as u64;
+                        kept = true;
+                        Bytes(remaining.max(1))
+                    }
+                };
+                disk.serve(req, len);
+                wnic.serve(req, len);
             }
-            t += pb.gap_after;
-            model.advance_to(t, meter);
+            if !kept && pb.gap_after.is_zero() {
+                continue; // nothing served and no think time passes
+            }
+            disk.think(pb.gap_after);
+            wnic.think(pb.gap_after);
+            kept_any = true;
         }
-        t
+        Walked {
+            disk,
+            wnic,
+            kept: kept_any,
+        }
+    }
+
+    /// `((T_disk, E_disk), (T_network, E_network))` for servicing
+    /// `bursts`: [`Estimator::walk`], then [`Walked::park`].
+    pub fn costs(
+        &self,
+        bursts: &[ProfiledBurst],
+        disk: DiskModel,
+        wnic: WnicModel,
+        resident: Option<Residency<'_>>,
+    ) -> (Estimate, Estimate) {
+        self.walk(bursts, disk, wnic, resident).park()
     }
 }
 
-/// Walk `bursts` over `model`, then park it for `park` past the end; the
-/// energy is everything the walk and the parking booked.
-fn cost<M: PowerModel>(
-    bursts: &[ProfiledBurst],
-    mut model: M,
-    layout: Option<&DiskLayout>,
-    park: Dur,
-) -> Estimate {
-    let mut energy = Joules::ZERO;
-    if bursts.is_empty() {
-        return Estimate {
-            time: Dur::ZERO,
-            energy,
-        };
+/// A window walked over both devices, not yet parked.
+#[derive(Debug, Clone, Copy)]
+pub struct Walked<'a> {
+    disk: Lane<'a, DiskModel>,
+    wnic: Lane<'a, WnicModel>,
+    kept: bool,
+}
+
+impl Walked<'_> {
+    /// The disk's power-state machine where the window's last gap ends.
+    pub fn disk(&self) -> &DiskModel {
+        &self.disk.model
     }
-    let start = model.clock();
-    let end = Estimator::walk(bursts, &mut model, &mut energy, layout);
-    model.advance_to(end + park, &mut energy);
-    Estimate {
-        time: end.saturating_since(start),
-        energy,
+
+    /// Both estimates. Each includes the device's **parking cost**: after
+    /// the last burst the model runs until the device reaches its
+    /// low-power resting state (disk: idle timeout + spin-down; WNIC: CAM
+    /// idle-out + the CAM→PSM switch). Without this, a decision to wake
+    /// the disk for one small burst would look ~35 J cheaper than it
+    /// really is — the idle tail is a direct consequence of the decision.
+    /// A window that filtering left empty costs nothing and is not parked.
+    pub fn park(self) -> (Estimate, Estimate) {
+        if !self.kept {
+            return (Estimate::ZERO, Estimate::ZERO);
+        }
+        let (d, w) = (self.disk.model.params(), self.wnic.model.params());
+        let disk_park = d.timeout + d.spindown_time + Dur::from_millis(1);
+        let wnic_park = w.psm_timeout + w.to_psm_time + Dur::from_millis(1);
+        (self.disk.park(disk_park), self.wnic.park(wnic_park))
+    }
+}
+
+/// One device walking a window: a copy of its power-state machine, the
+/// walk's start and clock, the energy booked so far, and the layout
+/// resolving its request blocks (`None` sends the WNIC's blockless
+/// requests).
+#[derive(Debug, Clone, Copy)]
+struct Lane<'a, M> {
+    model: M,
+    start: SimTime,
+    t: SimTime,
+    energy: Joules,
+    layout: Option<&'a DiskLayout>,
+}
+
+impl<'a, M: PowerModel> Lane<'a, M> {
+    fn new(model: M, layout: Option<&'a DiskLayout>) -> Self {
+        let start = model.clock();
+        Lane {
+            model,
+            start,
+            t: start,
+            energy: Joules::ZERO,
+            layout,
+        }
+    }
+
+    /// Service `len` bytes of `req` as soon as the device is free:
+    /// requests inside a burst go back to back.
+    fn serve(&mut self, req: &MergedRequest, len: Bytes) {
+        let block = self.layout.and_then(|l| l.block_of(req.file, req.offset));
+        let req = device_request(req.op, len, block);
+        self.t = self.model.service(self.t, &req, &mut self.energy).complete;
+    }
+
+    /// Let the think gap after a burst pass, so timeouts fire.
+    fn think(&mut self, gap: Dur) {
+        self.t += gap;
+        self.model.advance_to(self.t, &mut self.energy);
+    }
+
+    /// The walk's time, and its energy after running the model `park`
+    /// past the walk's end.
+    fn park(mut self, park: Dur) -> Estimate {
+        self.model.advance_to(self.t + park, &mut self.energy);
+        Estimate {
+            time: self.t.saturating_since(self.start),
+            energy: self.energy,
+        }
     }
 }
 
@@ -125,38 +216,10 @@ pub fn device_request(op: IoOp, len: Bytes, block: Option<u64>) -> DeviceRequest
     }
 }
 
-/// §2.3.2 cache filtering: shrink or drop profiled requests whose data is
-/// already resident in the buffer cache. `resident(file, offset, len)`
-/// returns the resident fraction of the range in `[0, 1]`.
-pub fn filter_resident<F>(bursts: &[ProfiledBurst], resident: F) -> Vec<ProfiledBurst>
-where
-    F: Fn(FileId, u64, Bytes) -> f64,
-{
-    bursts
-        .iter()
-        .map(|pb| {
-            let mut out = pb.clone();
-            out.burst.requests.retain_mut(|req| {
-                let frac = resident(req.file, req.offset, req.len).clamp(0.0, 1.0);
-                if frac >= 1.0 {
-                    return false; // fully cached — never reaches a device
-                }
-                // Partial residency: shrink the device-visible request.
-                let remaining = ((req.len.get() as f64) * (1.0 - frac)).ceil() as u64;
-                req.len = Bytes(remaining.max(1));
-                true
-            });
-            out
-        })
-        .filter(|pb| !pb.burst.requests.is_empty() || !pb.gap_after.is_zero())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::burst::{IoBurst, MergedRequest};
-    use ff_base::SimTime;
+    use crate::burst::IoBurst;
     use ff_device::{DiskParams, WnicParams};
     use ff_trace::{FileMeta, FileSet};
 
@@ -169,6 +232,12 @@ mod tests {
         });
         let l = DiskLayout::build(&fs, 1);
         (fs, l)
+    }
+
+    /// The disk's estimate alone, next to an idle card.
+    fn disk_cost(est: &Estimator<'_>, bursts: &[ProfiledBurst], disk: DiskModel) -> Estimate {
+        let wnic = WnicModel::new(WnicParams::cisco_aironet350());
+        est.costs(bursts, disk, wnic, None).0
     }
 
     fn burst(bytes_each: &[u64], gap: Dur) -> ProfiledBurst {
@@ -203,7 +272,7 @@ mod tests {
         // One burst: 1 MB sequential (one merged request), then 5 s think.
         let bursts = vec![burst(&[1_000_000], Dur::from_secs(5))];
         let disk = DiskModel::new(DiskParams::hitachi_dk23da());
-        let e = est.disk_cost(&bursts, disk);
+        let e = disk_cost(&est, &bursts, disk);
         // Time: 20 ms + 1/35 s + 5 s ≈ 5.0486 s (parking not counted in T).
         assert!((e.time.as_secs_f64() - 5.0486).abs() < 0.001, "{}", e.time);
         // Energy: 2 W × 48.6 ms + 1.6 W × 5 s ≈ 8.097 J, plus parking —
@@ -220,7 +289,7 @@ mod tests {
             burst(&[100_000], Dur::from_secs(30)), // > 20 s timeout
             burst(&[100_000], Dur::ZERO),
         ];
-        let e = est.disk_cost(&bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
+        let e = disk_cost(&est, &bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
         // Second burst must pay a spin-up: ~23 ms + 30 s + 1.6 s + 23 ms.
         assert!(e.time > Dur::from_millis(31_600), "{}", e.time);
         assert!(e.time < Dur::from_secs(32), "{}", e.time);
@@ -237,8 +306,12 @@ mod tests {
         let bursts: Vec<_> = (0..80)
             .map(|_| burst(&[65_536], Dur::from_millis(2_500)))
             .collect();
-        let disk = est.disk_cost(&bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
-        let wnic = est.wnic_cost(&bursts, WnicModel::new(WnicParams::cisco_aironet350()));
+        let (disk, wnic) = est.costs(
+            &bursts,
+            DiskModel::new(DiskParams::hitachi_dk23da()),
+            WnicModel::new(WnicParams::cisco_aironet350()),
+            None,
+        );
         assert!(
             wnic.energy < disk.energy,
             "intermittent small reads must favour the WNIC: {} vs {}",
@@ -254,8 +327,12 @@ mod tests {
         // grep/search shape: one dense 50 MB burst.
         let reqs: Vec<u64> = vec![131_072; 400];
         let bursts = vec![burst(&reqs, Dur::ZERO)];
-        let disk = est.disk_cost(&bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
-        let wnic = est.wnic_cost(&bursts, WnicModel::new(WnicParams::cisco_aironet350()));
+        let (disk, wnic) = est.costs(
+            &bursts,
+            DiskModel::new(DiskParams::hitachi_dk23da()),
+            WnicModel::new(WnicParams::cisco_aironet350()),
+            None,
+        );
         assert!(
             disk.energy < wnic.energy,
             "bulk sequential reads must favour the disk: {} vs {}",
@@ -270,8 +347,9 @@ mod tests {
         let (_, l) = layout_for(1, 10_000_000);
         let est = Estimator::new(&l);
         let bursts = vec![burst(&[4096], Dur::ZERO)];
-        let spun = est.disk_cost(&bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
-        let standby = est.disk_cost(
+        let spun = disk_cost(&est, &bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
+        let standby = disk_cost(
+            &est,
             &bursts,
             DiskModel::new_standby(DiskParams::hitachi_dk23da()),
         );
@@ -282,44 +360,123 @@ mod tests {
         assert!(standby.time > spun.time + Dur::from_millis(1_500));
     }
 
+    /// Both estimates of `bursts` filtered through `resident`, and of
+    /// `want` unfiltered, from an idle disk and a PSM card: the filtered
+    /// walk must cost exactly what walking the filtered window costs.
+    fn assert_filters_to(
+        bursts: &[ProfiledBurst],
+        resident: Residency<'_>,
+        want: &[ProfiledBurst],
+    ) -> (Estimate, Estimate) {
+        let (_, l) = layout_for(1, 10_000_000);
+        let est = Estimator::new(&l);
+        let disk = DiskModel::new(DiskParams::hitachi_dk23da());
+        let wnic = WnicModel::new(WnicParams::cisco_aironet350());
+        let got = est.costs(bursts, disk, wnic, Some(resident));
+        assert_eq!(got, est.costs(want, disk, wnic, None));
+        got
+    }
+
     #[test]
     fn filter_drops_fully_resident_requests() {
         let bursts = vec![burst(&[4096, 4096], Dur::from_secs(1))];
-        let filtered = filter_resident(&bursts, |_, offset, _| if offset == 0 { 1.0 } else { 0.0 });
-        assert_eq!(filtered[0].burst.requests.len(), 1);
-        assert_eq!(filtered[0].burst.requests[0].offset, 4096);
+        let mut want = bursts.clone();
+        want[0].burst.requests.remove(0);
+        assert_eq!(want[0].burst.requests[0].offset, 4096);
+        let (disk, _) = assert_filters_to(
+            &bursts,
+            &|_, offset, _| if offset == 0 { 1.0 } else { 0.0 },
+            &want,
+        );
+        assert!(disk.energy > Joules::ZERO);
     }
 
     #[test]
     fn filter_shrinks_partially_resident_requests() {
-        let bursts = vec![burst(&[10_000], Dur::ZERO)];
-        let filtered = filter_resident(&bursts, |_, _, _| 0.5);
-        assert_eq!(filtered[0].burst.requests[0].len, Bytes(5_000));
+        assert_filters_to(
+            &[burst(&[10_000], Dur::ZERO)],
+            &|_, _, _| 0.5,
+            &[burst(&[5_000], Dur::ZERO)],
+        );
+        // A sliver left over still costs at least one byte.
+        assert_filters_to(
+            &[burst(&[10_000], Dur::ZERO)],
+            &|_, _, _| 0.999_999_9,
+            &[burst(&[1], Dur::ZERO)],
+        );
     }
 
     #[test]
     fn filter_removes_empty_zero_gap_bursts() {
-        let bursts = vec![burst(&[4096], Dur::ZERO)];
-        let filtered = filter_resident(&bursts, |_, _, _| 1.0);
-        assert!(filtered.is_empty());
+        let got = assert_filters_to(&[burst(&[4096], Dur::ZERO)], &|_, _, _| 1.0, &[]);
+        // An all-filtered window costs nothing and is not parked.
+        assert_eq!(got.0, Estimate::ZERO);
+        assert_eq!(got.1, Estimate::ZERO);
     }
 
     #[test]
     fn filter_keeps_gap_of_emptied_burst() {
         // The think time still passes even if the data was cached.
-        let bursts = vec![burst(&[4096], Dur::from_secs(3))];
-        let filtered = filter_resident(&bursts, |_, _, _| 1.0);
-        assert_eq!(filtered.len(), 1);
-        assert!(filtered[0].burst.requests.is_empty());
-        assert_eq!(filtered[0].gap_after, Dur::from_secs(3));
+        let (disk, wnic) = assert_filters_to(
+            &[burst(&[4096], Dur::from_secs(3))],
+            &|_, _, _| 1.0,
+            &[burst(&[], Dur::from_secs(3))],
+        );
+        assert_eq!(disk.time, Dur::from_secs(3));
+        assert_eq!(wnic.time, Dur::from_secs(3));
+        assert!(disk.energy > Joules::ZERO, "the idle tail is parked");
+    }
+
+    #[test]
+    fn walk_asks_the_probe_once_per_request() {
+        let (_, l) = layout_for(1, 10_000_000);
+        let est = Estimator::new(&l);
+        let asked = std::cell::Cell::new(0);
+        let probe = |_, _, _| {
+            asked.set(asked.get() + 1);
+            0.25
+        };
+        let bursts = vec![
+            burst(&[4096, 8192, 100], Dur::from_secs(2)),
+            burst(&[65_536], Dur::ZERO),
+        ];
+        est.costs(
+            &bursts,
+            DiskModel::new(DiskParams::hitachi_dk23da()),
+            WnicModel::new(WnicParams::cisco_aironet350()),
+            Some(&probe),
+        );
+        assert_eq!(asked.get(), 4);
+    }
+
+    #[test]
+    fn walked_disk_is_read_before_parking() {
+        let (_, l) = layout_for(1, 10_000_000);
+        let est = Estimator::new(&l);
+        let bursts = vec![
+            burst(&[4096, 131_072], Dur::from_secs(25)),
+            burst(&[65_536], Dur::from_millis(900)),
+        ];
+        let disk = DiskModel::new_standby(DiskParams::hitachi_dk23da());
+        let wnic = WnicModel::new(WnicParams::cisco_aironet350());
+        let walked = est.walk(&bursts, disk, wnic, None);
+        // The 900 ms gap leaves the spun-up disk idle.
+        assert!(walked.disk().is_ready());
+        let (d, w) = walked.park();
+        assert_eq!((d, w), est.costs(&bursts, disk, wnic, None));
+        assert!(d.energy > Joules::ZERO && w.energy > Joules::ZERO);
     }
 
     #[test]
     fn empty_bursts_cost_only_idle() {
         let (_, l) = layout_for(1, 10_000);
         let est = Estimator::new(&l);
-        let e = est.disk_cost(&[], DiskModel::new(DiskParams::hitachi_dk23da()));
-        assert_eq!(e.time, Dur::ZERO);
-        assert_eq!(e.energy, Joules::ZERO);
+        let e = est.costs(
+            &[],
+            DiskModel::new(DiskParams::hitachi_dk23da()),
+            WnicModel::new(WnicParams::cisco_aironet350()),
+            None,
+        );
+        assert_eq!(e, (Estimate::ZERO, Estimate::ZERO));
     }
 }

@@ -12,8 +12,9 @@
 //!   sequence, serialisable to JSON so it persists across runs, plus the
 //!   §2.3.1 *splice* operation (replace the first N bursts with the
 //!   currently observed partial profile) and the §2.3.3 concurrent-merge.
-//! * [`estimate`] — the on-line simulator (§2.2): walks a burst sequence
-//!   over copied device models to produce `(T_disk, E_disk)` and
+//! * [`estimate`] — the on-line simulator (§2.2): walks a burst window
+//!   once over copies of both device models, filtering cached requests
+//!   on the way (§2.3.2), to produce `(T_disk, E_disk)` and
 //!   `(T_network, E_network)` for a stage.
 //! * [`hoard`] — extension: pick which files to hoard locally from the
 //!   recorded history under a disk-space budget (the paper delegates
@@ -42,7 +43,7 @@ pub mod profile;
 pub mod stage;
 
 pub use burst::{BurstExtractor, IoBurst, MergedRequest, ProfiledBurst};
-pub use estimate::{device_request, Estimate, Estimator};
+pub use estimate::{device_request, Estimate, Estimator, Residency, Walked};
 pub use hoard::{HoardPlan, HoardPlanner};
 pub use profile::{BytePrefix, Profile, Profiler};
 pub use stage::{first_stage, stages_of, Stage};

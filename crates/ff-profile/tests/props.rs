@@ -4,7 +4,7 @@ use ff_base::{Bytes, Dur, Joules, SimTime};
 use ff_device::{DeviceRequest, DiskModel, DiskParams, Live, PowerModel, WnicModel, WnicParams};
 use ff_profile::{
     device_request, first_stage, stages_of, Estimate, Estimator, IoBurst, MergedRequest, Profile,
-    ProfiledBurst,
+    ProfiledBurst, Residency,
 };
 use ff_trace::{DiskLayout, FileId, FileMeta, FileSet, IoOp};
 use proptest::prelude::*;
@@ -73,7 +73,7 @@ fn one_file_layout() -> (FileSet, DiskLayout) {
 
 /// The disk walk as `Estimator::disk_cost` wrote it before the walk had
 /// one home, stepping a metered [`Live`] disk: the reference the shared
-/// walk into a bare sum must match bit for bit.
+/// walk of both devices into bare sums must match bit for bit.
 fn reference_disk_cost(layout: &DiskLayout, bursts: &[ProfiledBurst], disk: DiskModel) -> Estimate {
     if bursts.is_empty() {
         return Estimate {
@@ -131,6 +131,63 @@ fn reference_wnic_cost(bursts: &[ProfiledBurst], wnic: WnicModel) -> Estimate {
     Estimate {
         time,
         energy: wnic.meter.total(),
+    }
+}
+
+/// §2.3.2 cache filtering as `filter_resident` wrote it before the
+/// estimator filtered in place: a filtered copy of the window, for the
+/// reference loops above to walk.
+fn reference_filter(
+    bursts: &[ProfiledBurst],
+    resident: impl Fn(FileId, u64, Bytes) -> f64,
+) -> Vec<ProfiledBurst> {
+    bursts
+        .iter()
+        .map(|pb| {
+            let mut out = pb.clone();
+            out.burst.requests.retain_mut(|req| {
+                let frac = resident(req.file, req.offset, req.len).clamp(0.0, 1.0);
+                if frac >= 1.0 {
+                    return false;
+                }
+                let remaining = ((req.len.get() as f64) * (1.0 - frac)).ceil() as u64;
+                req.len = Bytes(remaining.max(1));
+                true
+            });
+            out
+        })
+        .filter(|pb| !pb.burst.requests.is_empty() || !pb.gap_after.is_zero())
+        .collect()
+}
+
+/// The estimator's one walk of both devices against the reference: the
+/// window, filtered through `resident` when given, walked by the two
+/// reference loops. Time must be equal and energy bit-equal.
+fn assert_walk_matches_reference(
+    layout: &DiskLayout,
+    bursts: &[ProfiledBurst],
+    disk: DiskModel,
+    wnic: WnicModel,
+    resident: Option<Residency<'_>>,
+) {
+    let (got_disk, got_wnic) = Estimator::new(layout).costs(bursts, disk, wnic, resident);
+    let filtered = resident.map(|r| reference_filter(bursts, r));
+    let walked = filtered.as_deref().unwrap_or(bursts);
+    let want_disk = reference_disk_cost(layout, walked, disk);
+    let want_wnic = reference_wnic_cost(walked, wnic);
+    prop_assert_eq!(got_disk.time, want_disk.time);
+    prop_assert_eq!(
+        got_disk.energy.get().to_bits(),
+        want_disk.energy.get().to_bits()
+    );
+    prop_assert_eq!(got_wnic.time, want_wnic.time);
+    prop_assert_eq!(
+        got_wnic.energy.get().to_bits(),
+        want_wnic.energy.get().to_bits()
+    );
+    if walked.is_empty() {
+        prop_assert_eq!(got_disk.energy, Joules::ZERO);
+        prop_assert_eq!(got_wnic.energy, Joules::ZERO);
     }
 }
 
@@ -212,6 +269,48 @@ fn arb_walk_bursts() -> impl Strategy<Value = Vec<ProfiledBurst>> {
             })
             .collect()
     })
+}
+
+/// [`arb_walk_bursts`] with some gaps forced to zero, so a burst whose
+/// requests are all cached can vanish from the window.
+fn arb_filter_bursts() -> impl Strategy<Value = Vec<ProfiledBurst>> {
+    (arb_walk_bursts(), any::<u16>()).prop_map(|(mut bursts, zero)| {
+        for (i, pb) in bursts.iter_mut().enumerate() {
+            if zero >> i & 1 == 1 {
+                pb.gap_after = Dur::ZERO;
+            }
+        }
+        bursts
+    })
+}
+
+/// A residency probe: each `(file, offset, len)` hashes (with `salt`)
+/// to one of `fracs`; `all` makes every request fully resident.
+fn probe(fracs: &[f64], salt: u64, all: bool) -> impl Fn(FileId, u64, Bytes) -> f64 + '_ {
+    move |file, offset, len| {
+        if all {
+            return 1.0;
+        }
+        let h = (file.0 ^ salt)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(offset ^ len.get().rotate_left(17))
+            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        fracs[(h >> 32) as usize % fracs.len()]
+    }
+}
+
+/// Resident fractions: none, all, out-of-range values the probe's
+/// clamp must absorb, and partial fractions (one within a byte of all).
+fn arb_fracs() -> impl Strategy<Value = Vec<f64>> {
+    let frac = (0u8..6, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => 1.0,
+        2 => -0.5,
+        3 => 1.5,
+        4 => 1.0 - 1e-9,
+        _ => x,
+    });
+    proptest::collection::vec(frac, 1..6)
 }
 
 /// Disk start states: idle, standby, mid-spin-down, and idle after a
@@ -352,13 +451,17 @@ proptest! {
                 out
             })
             .collect();
-        let d_small = est.disk_cost(&bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
-        let d_big = est.disk_cost(&bigger, DiskModel::new(DiskParams::hitachi_dk23da()));
+        let costs = |bursts| {
+            est.costs(
+                bursts,
+                DiskModel::new(DiskParams::hitachi_dk23da()),
+                WnicModel::new(WnicParams::cisco_aironet350()),
+                None,
+            )
+        };
+        let ((d_small, w_small), (d_big, w_big)) = (costs(&bursts), costs(&bigger));
         prop_assert!(d_big.time >= d_small.time);
         prop_assert!(d_big.energy.get() >= d_small.energy.get() - 1e-9);
-        let w_small =
-            est.wnic_cost(&bursts, WnicModel::new(WnicParams::cisco_aironet350()));
-        let w_big = est.wnic_cost(&bigger, WnicModel::new(WnicParams::cisco_aironet350()));
         prop_assert!(w_big.time >= w_small.time);
         prop_assert!(w_big.energy.get() >= w_small.energy.get() - 1e-9);
     }
@@ -389,8 +492,8 @@ proptest! {
         }
     }
 
-    /// The one shared walk reproduces the two loops it replaced: equal
-    /// time and bit-equal energy from every start state.
+    /// The one shared walk of both devices reproduces the two loops it
+    /// replaced: equal time and bit-equal energy from every start state.
     #[test]
     fn walk_is_bit_identical_to_the_reference_loops(
         bursts in arb_walk_bursts(),
@@ -398,18 +501,28 @@ proptest! {
         wnic_kind in 0u8..3,
         at_ms in 0u64..10_000,
     ) {
-        let layout = two_file_layout();
-        let est = Estimator::new(&layout);
-        let disk = disk_start(disk_kind, at_ms);
-        let got = est.disk_cost(&bursts, disk);
-        let want = reference_disk_cost(&layout, &bursts, disk);
-        prop_assert_eq!(got.time, want.time);
-        prop_assert_eq!(got.energy.get().to_bits(), want.energy.get().to_bits());
+        let (disk, wnic) = (disk_start(disk_kind, at_ms), wnic_start(wnic_kind, at_ms));
+        assert_walk_matches_reference(&two_file_layout(), &bursts, disk, wnic, None);
+    }
+}
 
-        let wnic = wnic_start(wnic_kind, at_ms);
-        let got = est.wnic_cost(&bursts, wnic);
-        let want = reference_wnic_cost(&bursts, wnic);
-        prop_assert_eq!(got.time, want.time);
-        prop_assert_eq!(got.energy.get().to_bits(), want.energy.get().to_bits());
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Filtering in place while walking costs exactly what walking a
+    /// filtered copy on the reference loops costs, bit for bit, from
+    /// every start state; an all-filtered window costs nothing.
+    #[test]
+    fn pair_walk_matches_filter_then_reference_loops(
+        bursts in arb_filter_bursts(),
+        fracs in arb_fracs(),
+        salt in any::<u64>(),
+        all in 0u8..7,
+        disk_kind in 0u8..4,
+        wnic_kind in 0u8..3,
+        at_ms in 0u64..10_000,
+    ) {
+        let resident = probe(&fracs, salt, all == 0);
+        let (disk, wnic) = (disk_start(disk_kind, at_ms), wnic_start(wnic_kind, at_ms));
+        assert_walk_matches_reference(&two_file_layout(), &bursts, disk, wnic, Some(&resident));
     }
 }
