@@ -12,18 +12,18 @@
 //! This type tracks *membership only* (like [`crate::twoq::TwoQ`]); the
 //! simulator owns the flash device model and pays the transfer costs.
 
-use crate::page::{PageKey, PageList, PageTable};
-use std::collections::BTreeSet;
+use crate::page::{PageKey, PageList, PageTable, Slot};
 
 /// Page-granular LRU flash cache with a destage queue: one page table
-/// holding one LRU list.
+/// holding one LRU list, with a page's table mark set while it is
+/// buffered for destage.
 #[derive(Debug, Clone)]
 pub struct FlashCache {
     capacity_pages: usize,
     table: PageTable,
     lru: PageList,
-    /// Pages buffered for destage to the disk (still resident in LRU).
-    dirty: BTreeSet<PageKey>,
+    /// Marked pages: buffered for destage to the disk (still resident).
+    dirty: usize,
 }
 
 impl FlashCache {
@@ -34,7 +34,7 @@ impl FlashCache {
             capacity_pages,
             table: PageTable::default(),
             lru: PageList::new(0),
-            dirty: BTreeSet::new(),
+            dirty: 0,
         }
     }
 
@@ -45,17 +45,20 @@ impl FlashCache {
 
     /// Dirty (buffered-write) page count.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty
     }
 
     /// Is `page` resident? Refreshes its LRU position.
     pub fn lookup(&mut self, page: PageKey) -> bool {
-        let Some((slot, _)) = self.table.find(page) else {
-            return false;
-        };
+        self.refresh(page).is_some()
+    }
+
+    /// Move a resident `page` to the LRU's back and return its slot.
+    fn refresh(&mut self, page: PageKey) -> Option<Slot> {
+        let (slot, _) = self.table.find(page)?;
         self.table.unlink(&mut self.lru, slot);
         self.table.push_back(&mut self.lru, slot);
-        true
+        Some(slot)
     }
 
     /// Insert a clean page fetched from a device; returns evicted pages
@@ -71,28 +74,36 @@ impl FlashCache {
     }
 
     fn insert(&mut self, page: PageKey, dirty: bool) -> Vec<PageKey> {
-        if !self.lookup(page) {
-            self.table.insert(&mut self.lru, page);
-        }
-        if dirty {
-            self.dirty.insert(page);
+        let slot = match self.refresh(page) {
+            Some(slot) => slot,
+            None => self.table.insert(&mut self.lru, page),
+        };
+        if dirty && !self.table.marked(slot) {
+            self.table.set_mark(slot);
+            self.dirty += 1;
         }
         let mut spilled = Vec::new();
         while self.lru.len() > self.capacity_pages {
-            let Some(victim) = self.table.pop_front(&mut self.lru) else {
+            let Some((victim, marked)) = self.table.pop_front_marked(&mut self.lru) else {
                 break;
             };
-            if self.dirty.remove(&victim) {
+            if marked {
+                self.dirty -= 1;
                 spilled.push(victim);
             }
         }
         spilled
     }
 
-    /// Drain the destage queue (the disk is awake): the pages remain
-    /// cached but are clean afterwards.
+    /// Drain the destage queue (the disk is awake), ascending: the
+    /// pages remain cached but are clean afterwards.
     pub fn take_destage(&mut self) -> Vec<PageKey> {
-        std::mem::take(&mut self.dirty).into_iter().collect()
+        let mut pages = Vec::with_capacity(self.dirty);
+        if self.dirty > 0 {
+            self.table.take_marked(&mut pages);
+            self.dirty = 0;
+        }
+        pages
     }
 }
 

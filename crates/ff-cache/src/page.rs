@@ -3,6 +3,7 @@
 
 use ff_base::size::PAGE_SIZE;
 use ff_trace::FileId;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// One 4 KiB page of one file.
@@ -51,13 +52,15 @@ struct Node {
 }
 
 /// `CHUNK` consecutive pages of one file: the node of each (or `NIL`),
-/// the tag of the list each present page is on, how many are present,
-/// and the directory key the chunk sits under. A tag is only meaningful
-/// where its slot is not `NIL`.
+/// the tag of the list each present page is on, one mark bit per page,
+/// how many are present, and the directory key the chunk sits under. A
+/// tag is only meaningful where its slot is not `NIL`; a mark is set
+/// only where its slot is not `NIL`.
 #[derive(Debug, Clone)]
 struct Chunk {
     slots: [u32; CHUNK as usize],
     tags: [u8; CHUNK as usize],
+    marks: u64,
     live: u32,
     at: (FileId, u64),
 }
@@ -104,13 +107,17 @@ impl PageList {
 ///
 /// Nodes live in a slab with a free list; list operations are O(1).
 /// A page is found through an ordered directory from `(file, index /
-/// CHUNK)` to a chunk of slots. `finger` caches the chunk the last
-/// mutable lookup reached, so a run of pages in one chunk pays one
-/// directory descent; freeing that chunk clears it. Each page's list
-/// tag sits in its chunk beside its slot, so counting a range's pages
-/// by tag reads contiguous bytes and touches no node. Moving or
-/// removing a page reaches its slot and tag through `Node::chunk`, with
-/// no descent, and a chunk leaves the directory when its last page does.
+/// CHUNK)` to a chunk of slots. `finger` caches the answer of the last
+/// mutable lookup — the chunk it reached, or `NIL` when there was none
+/// — so a run of pages in one chunk pays one directory descent whether
+/// the chunk exists or not. A chunk enters the directory only in
+/// `insert`, which points the finger at it, and freeing the finger's
+/// chunk clears the finger, so a cached answer is always exact. Each
+/// page's list tag and mark bit sit in its chunk beside its slot, so
+/// counting a range's pages by tag reads contiguous bytes and touches
+/// no node. Moving or removing a page reaches its slot, tag and mark
+/// through `Node::chunk`, with no descent, and a chunk leaves the
+/// directory when its last page does.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     nodes: Vec<Node>,
@@ -139,14 +146,38 @@ fn split(key: PageKey) -> ((FileId, u64), usize) {
     ((key.file, key.index / CHUNK), (key.index % CHUNK) as usize)
 }
 
+/// A chunk for directory key `at`: a freed one (whose slots are all
+/// `NIL` and marks clear) or a new one. The caller enters it in the
+/// directory.
+fn alloc_chunk(chunks: &mut Vec<Chunk>, free_chunks: &mut Vec<u32>, at: (FileId, u64)) -> u32 {
+    match free_chunks.pop() {
+        Some(c) => {
+            if let Some(chunk) = chunks.get_mut(c as usize) {
+                chunk.at = at;
+            }
+            c
+        }
+        None => {
+            chunks.push(Chunk {
+                slots: [NIL; CHUNK as usize],
+                tags: [0; CHUNK as usize],
+                marks: 0,
+                live: 0,
+                at,
+            });
+            (chunks.len() - 1) as u32
+        }
+    }
+}
+
 impl PageTable {
     /// The page's slot and its list's tag, moving the finger to its
-    /// chunk.
+    /// chunk, or to the absence of one.
     pub fn find(&mut self, key: PageKey) -> Option<(Slot, u8)> {
         let (at, i) = split(key);
-        let c = self.chunk_at(at)?;
-        self.finger = Some((at, c));
-        self.node_at(c, i)
+        let c = self.chunk_at(at);
+        self.finger = Some((at, c.unwrap_or(NIL)));
+        self.node_at(c?, i)
     }
 
     /// The tag of the list holding `key`, if any (no state change).
@@ -155,10 +186,11 @@ impl PageTable {
         self.node_at(self.chunk_at(at)?, i).map(|(_, tag)| tag)
     }
 
-    /// The chunk under directory key `at`: the finger's, or one descent.
+    /// The chunk under directory key `at`: the finger's answer, or one
+    /// descent.
     fn chunk_at(&self, at: (FileId, u64)) -> Option<u32> {
         match self.finger {
-            Some((f, c)) if f == at => Some(c),
+            Some((f, c)) if f == at => (c != NIL).then_some(c),
             _ => self.dir.get(&at).copied(),
         }
     }
@@ -171,9 +203,8 @@ impl PageTable {
 
     /// The list tag of the page in `slot`, read from its chunk.
     fn tag_at(&self, slot: Slot) -> Option<u8> {
-        let node = self.nodes.get(slot.0 as usize)?;
-        let chunk = self.chunks.get(node.chunk as usize)?;
-        chunk.tags.get(split(node.key).1).copied()
+        let (c, i) = self.place(slot)?;
+        self.chunks.get(c)?.tags.get(i).copied()
     }
 
     /// Add `key`, which must not be in the table, at the back of `list`.
@@ -183,11 +214,7 @@ impl PageTable {
             "{key:?} is already in the table"
         );
         let (at, i) = split(key);
-        let c = match self.chunk_at(at) {
-            Some(c) => c,
-            None => self.new_chunk(at),
-        };
-        self.finger = Some((at, c));
+        let c = self.chunk_for(at);
         let node = Node {
             key,
             prev: NIL,
@@ -219,25 +246,25 @@ impl PageTable {
         Slot(s)
     }
 
-    fn new_chunk(&mut self, at: (FileId, u64)) -> u32 {
-        let c = match self.free_chunks.pop() {
-            Some(c) => {
-                if let Some(chunk) = self.chunks.get_mut(c as usize) {
-                    chunk.at = at;
-                }
+    /// The chunk under directory key `at`, created when there is none,
+    /// with the finger moved to it. The one place a chunk enters the
+    /// directory: one descent, or none when the finger already answers.
+    fn chunk_for(&mut self, at: (FileId, u64)) -> u32 {
+        let c = match self.finger {
+            Some((f, c)) if f == at && c != NIL => c,
+            Some((f, _)) if f == at => {
+                let c = alloc_chunk(&mut self.chunks, &mut self.free_chunks, at);
+                self.dir.insert(at, c);
                 c
             }
-            None => {
-                self.chunks.push(Chunk {
-                    slots: [NIL; CHUNK as usize],
-                    tags: [0; CHUNK as usize],
-                    live: 0,
-                    at,
-                });
-                (self.chunks.len() - 1) as u32
-            }
+            _ => match self.dir.entry(at) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    *e.insert(alloc_chunk(&mut self.chunks, &mut self.free_chunks, at))
+                }
+            },
         };
-        self.dir.insert(at, c);
+        self.finger = Some((at, c));
         c
     }
 
@@ -299,24 +326,77 @@ impl PageTable {
 
     /// Remove the oldest page of `list` from the table.
     pub fn pop_front(&mut self, list: &mut PageList) -> Option<PageKey> {
-        let (slot, key) = self.take_front(list)?;
-        self.free(slot);
-        Some(key)
+        self.pop_front_marked(list).map(|(key, _)| key)
     }
 
-    /// Release the unlinked `slot`: clear its chunk slot, and free the
-    /// chunk (and the finger, if it points there) once it is empty.
-    fn free(&mut self, slot: Slot) {
+    /// Remove the oldest page of `list` from the table, with its mark.
+    pub fn pop_front_marked(&mut self, list: &mut PageList) -> Option<(PageKey, bool)> {
+        let (slot, key) = self.take_front(list)?;
+        Some((key, self.free(slot)))
+    }
+
+    /// The chunk holding the page in `slot`, and the page's position
+    /// in it.
+    fn place(&self, slot: Slot) -> Option<(usize, usize)> {
+        let node = self.nodes.get(slot.0 as usize)?;
+        Some((node.chunk as usize, split(node.key).1))
+    }
+
+    /// Mark the page in `slot`. Marks are the owner's: the table only
+    /// keeps them with their pages, clears them when a page leaves, and
+    /// reads them out in key order.
+    pub fn set_mark(&mut self, slot: Slot) {
+        let Some((c, i)) = self.place(slot) else {
+            return;
+        };
+        if let Some(chunk) = self.chunks.get_mut(c) {
+            chunk.marks |= 1 << i;
+        }
+    }
+
+    /// Whether the page in `slot` is marked.
+    pub fn marked(&self, slot: Slot) -> bool {
+        self.place(slot)
+            .and_then(|(c, i)| self.chunks.get(c).map(|chunk| chunk.marks >> i & 1 == 1))
+            .unwrap_or(false)
+    }
+
+    /// Append every marked page to `out` in ascending key order (the
+    /// directory's order, then bit order within a chunk), clearing the
+    /// marks. The pages stay where they are.
+    pub fn take_marked(&mut self, out: &mut Vec<PageKey>) {
+        for (&(file, ci), &c) in &self.dir {
+            let Some(chunk) = self.chunks.get_mut(c as usize) else {
+                continue;
+            };
+            let mut marks = std::mem::take(&mut chunk.marks);
+            while marks != 0 {
+                let i = u64::from(marks.trailing_zeros());
+                out.push(PageKey {
+                    file,
+                    index: ci * CHUNK + i,
+                });
+                marks &= marks - 1;
+            }
+        }
+    }
+
+    /// Release the unlinked `slot`: clear its chunk slot and mark, and
+    /// free the chunk (and the finger, if it points there) once it is
+    /// empty. Returns whether the page was marked.
+    fn free(&mut self, slot: Slot) -> bool {
         let Slot(s) = slot;
         let Some(node) = self.nodes.get_mut(s as usize) else {
-            return;
+            return false;
         };
         let (c, i) = (node.chunk, split(node.key).1);
         node.next = self.free_node;
         self.free_node = s;
         let Some(chunk) = self.chunks.get_mut(c as usize) else {
-            return;
+            return false;
         };
+        let marked = chunk.marks >> i & 1 == 1;
+        chunk.marks &= !(1 << i);
         if let Some(slot) = chunk.slots.get_mut(i) {
             *slot = NIL;
             chunk.live -= 1;
@@ -328,6 +408,7 @@ impl PageTable {
                 self.finger = None;
             }
         }
+        marked
     }
 
     /// Pages of `file` with index in `first..=last` whose list tag
@@ -573,6 +654,117 @@ mod tests {
             assert_eq!(list.len(), on_list);
         }
         assert!(chunks_reused > 10, "{chunks_reused} chunk reuses");
+    }
+
+    #[test]
+    fn the_finger_answers_absence_exactly() {
+        // Random failed finds, inserts into absent and present chunks,
+        // pops that free chunks, and chunk reuse across files; after
+        // every step `find`, `tag_of` and `count_in` agree with a model.
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut t = PageTable::default();
+        let mut lists = [PageList::new(0), PageList::new(1)];
+        let mut model: BTreeMap<PageKey, u8> = BTreeMap::new();
+        let (mut absent_finds, mut absent_inserts, mut chunks_reused) = (0, 0, 0);
+        for step in 0..6_000 {
+            // Six chunks per file, the last one at the top of `u64`,
+            // five pages in each, at both of its edges.
+            let chunk = match next(6) {
+                5 => u64::MAX / CHUNK,
+                c => c,
+            };
+            let index = chunk * CHUNK + [0, 1, 31, 62, 63][next(5) as usize];
+            let k = key(1 + next(3), index);
+            let l = next(2) as usize;
+            match next(6) {
+                0 | 1 => {
+                    let found = t.find(k).map(|(_, tag)| tag);
+                    assert_eq!(found, model.get(&k).copied(), "step {step}: find {k:?}");
+                    absent_finds += usize::from(matches!(t.finger, Some((_, NIL))));
+                }
+                2 | 3 if !model.contains_key(&k) => {
+                    // Callers find before they insert; the other half of
+                    // the time the insert starts from wherever the last
+                    // probe left the finger.
+                    if next(2) == 0 {
+                        assert_eq!(t.find(k), None, "step {step}");
+                    }
+                    let (free, dirs) = (t.free_chunks.len(), t.dir.len());
+                    t.insert(&mut lists[l], k);
+                    absent_inserts += usize::from(t.dir.len() > dirs);
+                    chunks_reused += usize::from(t.free_chunks.len() < free);
+                    model.insert(k, l as u8);
+                }
+                _ => {
+                    if let Some(k) = t.pop_front(&mut lists[l]) {
+                        model.remove(&k);
+                    }
+                }
+            }
+            // Probe the chunk just touched, through the finger, then a
+            // neighbour: page by page, then by range.
+            for probe in [k, key(k.file.0 % 3 + 1, k.index ^ CHUNK)] {
+                let want = model.get(&probe).copied();
+                assert_eq!(t.tag_of(probe), want, "step {step}: tag_of {probe:?}");
+                let (first, last) = (probe.index & !(CHUNK - 1), probe.index | (CHUNK - 1));
+                let in_chunk = model
+                    .range(key(probe.file.0, first)..=key(probe.file.0, last))
+                    .count();
+                assert_eq!(
+                    t.count_in(probe.file, first, last, |_| true),
+                    in_chunk,
+                    "step {step}: count_in {probe:?}"
+                );
+                assert_eq!(t.find(probe).map(|(_, tag)| tag), want, "step {step}");
+            }
+        }
+        assert!(absent_finds > 500, "{absent_finds} cached absences");
+        assert!(
+            absent_inserts > 500,
+            "{absent_inserts} inserts into absent chunks"
+        );
+        assert!(chunks_reused > 500, "{chunks_reused} chunk reuses");
+    }
+
+    #[test]
+    fn marks_stay_with_their_pages_and_read_out_in_key_order() {
+        let mut t = PageTable::default();
+        let mut a = PageList::new(0);
+        let keys = [
+            key(2, 0),
+            key(1, u64::MAX),
+            key(1, 63),
+            key(1, 64),
+            key(2, 5),
+        ];
+        let slots: Vec<Slot> = keys.iter().map(|&k| t.insert(&mut a, k)).collect();
+        for &s in &slots {
+            t.set_mark(s);
+        }
+        t.set_mark(slots[0]); // marking twice is marking once
+        assert!(slots.iter().all(|&s| t.marked(s)));
+        // The oldest page leaves with its mark, and its slot is clean
+        // for the page that reuses it.
+        assert_eq!(t.pop_front_marked(&mut a), Some((key(2, 0), true)));
+        let reused = t.insert(&mut a, key(3, 1));
+        assert_eq!(reused, slots[0]);
+        assert!(!t.marked(reused), "a freed page's mark must not survive");
+        let mut out = Vec::new();
+        t.take_marked(&mut out);
+        assert_eq!(
+            out,
+            vec![key(1, 63), key(1, 64), key(1, u64::MAX), key(2, 5)]
+        );
+        assert!(slots[1..].iter().all(|&s| !t.marked(s)), "taking clears");
+        t.take_marked(&mut out);
+        assert_eq!(out.len(), 4, "nothing left to take");
+        assert_eq!(t.pop_front_marked(&mut a), Some((key(1, u64::MAX), false)));
     }
 
     #[test]

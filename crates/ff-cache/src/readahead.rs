@@ -11,6 +11,7 @@
 //! nothing.
 
 use ff_trace::FileId;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Per-file readahead state.
@@ -62,40 +63,40 @@ impl Readahead {
         if self.max_pages == 0 {
             return None;
         }
-        match self.streams.get_mut(&file) {
-            Some(s) if first <= s.next_expected && last >= first => {
-                // Sequential continuation (allow overlap with already-read
-                // pages — re-reads of the tail are common).
-                s.next_expected = s.next_expected.max(last + 1);
-                let ahead_start = s.cur_start + s.cur_len;
-                let ahead_end = ahead_start + s.ahead_len; // exclusive
-                if s.ahead_len > 0 && s.next_expected > ahead_start {
-                    // Crossed into the ahead window: rotate windows and
-                    // submit a new, doubled ahead window.
-                    let new_ahead_len = (s.ahead_len * 2).min(self.max_pages);
-                    s.cur_start = ahead_start;
-                    s.cur_len = s.ahead_len;
-                    s.ahead_len = new_ahead_len;
-                    return Some((ahead_end, new_ahead_len));
-                }
-                None
+        // New or broken stream: a fresh window pair.
+        let fresh = Stream {
+            cur_start: first,
+            cur_len: last - first + 1,
+            ahead_len: self.initial_pages.min(self.max_pages),
+            next_expected: last + 1,
+        };
+        let restart = Some((last + 1, fresh.ahead_len));
+        let s = match self.streams.entry(file) {
+            Entry::Vacant(e) => {
+                e.insert(fresh);
+                return restart;
             }
-            _ => {
-                // New or broken stream: start a fresh window pair.
-                let cur_len = last - first + 1;
-                let ahead_len = self.initial_pages.min(self.max_pages);
-                self.streams.insert(
-                    file,
-                    Stream {
-                        cur_start: first,
-                        cur_len,
-                        ahead_len,
-                        next_expected: last + 1,
-                    },
-                );
-                Some((last + 1, ahead_len))
-            }
+            Entry::Occupied(e) => e.into_mut(),
+        };
+        if first > s.next_expected {
+            *s = fresh;
+            return restart;
         }
+        // Sequential continuation (allow overlap with already-read
+        // pages — re-reads of the tail are common).
+        s.next_expected = s.next_expected.max(last + 1);
+        let ahead_start = s.cur_start + s.cur_len;
+        let ahead_end = ahead_start + s.ahead_len; // exclusive
+        if s.ahead_len > 0 && s.next_expected > ahead_start {
+            // Crossed into the ahead window: rotate windows and submit a
+            // new, doubled ahead window.
+            let new_ahead_len = (s.ahead_len * 2).min(self.max_pages);
+            s.cur_start = ahead_start;
+            s.cur_len = s.ahead_len;
+            s.ahead_len = new_ahead_len;
+            return Some((ahead_end, new_ahead_len));
+        }
+        None
     }
 }
 

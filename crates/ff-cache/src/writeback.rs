@@ -49,6 +49,10 @@ pub struct Writeback {
     /// Dirty pages → instant first dirtied (age anchor; re-dirtying does
     /// not reset the clock, matching the kernel).
     dirty: BTreeMap<PageKey, SimTime>,
+    /// No dirty page was first dirtied before this (`SimTime::MAX` when
+    /// none is dirty): lowered by `mark_dirty`, made exact by each scan.
+    /// Evictions leave it low, which only costs a scan.
+    oldest: SimTime,
     last_wakeup: SimTime,
 }
 
@@ -58,6 +62,7 @@ impl Writeback {
         Writeback {
             config,
             dirty: BTreeMap::new(),
+            oldest: SimTime::MAX,
             last_wakeup: SimTime::ZERO,
         }
     }
@@ -65,6 +70,7 @@ impl Writeback {
     /// Mark a page dirty at `now`.
     pub fn mark_dirty(&mut self, key: PageKey, now: SimTime) {
         self.dirty.entry(key).or_insert(now);
+        self.oldest = self.oldest.min(now);
     }
 
     /// A page left memory (evicted) — it must be written out regardless;
@@ -96,21 +102,31 @@ impl Writeback {
             self.config.dirty_expire
         };
 
+        // No page is older than the oldest: nothing can be due.
+        if !take_all && now.saturating_since(self.oldest) < age_limit {
+            return Vec::new();
+        }
+
         // One pass in key order: due pages leave the registry as they
         // are pushed, so the list comes out ascending.
         let mut due = Vec::new();
+        let mut oldest = SimTime::MAX;
         self.dirty.retain(|&k, &mut since| {
             let keep = !take_all && now.saturating_since(since) < age_limit;
-            if !keep {
+            if keep {
+                oldest = oldest.min(since);
+            } else {
                 due.push(k);
             }
             keep
         });
+        self.oldest = oldest;
         due
     }
 
     /// Everything still dirty, ascending (final sync at simulation end).
     pub fn drain_all(&mut self) -> Vec<PageKey> {
+        self.oldest = SimTime::MAX;
         std::mem::take(&mut self.dirty).into_keys().collect()
     }
 }
@@ -233,6 +249,79 @@ mod tests {
         let mut w = fill(true);
         assert_eq!(w.collect_due(now, true), keys(&[1, 2, 4, 5, 7, 9]));
         assert_eq!(w.dirty_count(), 0);
+    }
+
+    /// The due pages by a plain scan of the registry, with no bound.
+    fn scan(w: &Writeback, now: SimTime, disk_ready: bool) -> Vec<PageKey> {
+        let c = &w.config;
+        let limit = if c.laptop_mode && !disk_ready {
+            c.laptop_max_age
+        } else {
+            c.dirty_expire
+        };
+        w.dirty
+            .iter()
+            .filter(|&(_, &since)| {
+                (c.laptop_mode && disk_ready) || now.saturating_since(since) >= limit
+            })
+            .map(|(&k, _)| k)
+            .collect()
+    }
+
+    #[test]
+    fn sleeping_disk_with_young_pages_skips_the_scan() {
+        let mut w = wb(true);
+        for (i, at) in [(3, 40), (1, 10), (2, 599)] {
+            w.mark_dirty(key(i), SimTime::from_secs(at));
+        }
+        assert_eq!(w.oldest, SimTime::from_secs(10));
+        // Every wake-up before page 1 is 600 s old returns nothing.
+        for now in (15..610).step_by(5) {
+            assert_eq!(w.collect_due(SimTime::from_secs(now), false), vec![]);
+            assert_eq!(w.last_wakeup, SimTime::from_secs(now), "wake-up recorded");
+        }
+        assert_eq!(w.dirty_count(), 3);
+        assert_eq!(w.collect_due(SimTime::from_secs(610), false), vec![key(1)]);
+        assert_eq!(w.oldest, SimTime::from_secs(40), "rebuilt by the scan");
+    }
+
+    #[test]
+    fn evicting_the_oldest_page_leaves_the_due_set_exact() {
+        for laptop in [false, true] {
+            let mut w = wb(laptop);
+            for (i, at) in [(5, 0), (1, 300), (3, 500), (4, 510)] {
+                w.mark_dirty(key(i), SimTime::from_secs(at));
+            }
+            // The bound is left at 0 s, below every page still dirty.
+            assert!(w.on_evict(key(5)));
+            for now in (515..1200).step_by(5) {
+                let (now, ready) = (SimTime::from_secs(now), now % 3 == 0);
+                let want = scan(&w, now, ready);
+                assert_eq!(
+                    w.collect_due(now, ready),
+                    want,
+                    "laptop {laptop} at {now:?}"
+                );
+                if w.dirty_count() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(w.dirty_count(), 0);
+        }
+    }
+
+    #[test]
+    fn drain_all_leaves_a_fresh_bound() {
+        let mut w = wb(true);
+        w.mark_dirty(key(1), SimTime::from_secs(0));
+        assert_eq!(w.drain_all(), vec![key(1)]);
+        assert_eq!(w.oldest, SimTime::MAX);
+        w.mark_dirty(key(2), SimTime::from_secs(1000));
+        w.mark_dirty(key(3), SimTime::from_secs(1200));
+        assert_eq!(w.oldest, SimTime::from_secs(1000));
+        assert_eq!(w.collect_due(SimTime::from_secs(1599), false), vec![]);
+        assert_eq!(w.collect_due(SimTime::from_secs(1604), false), vec![key(2)]);
+        assert_eq!(w.oldest, SimTime::from_secs(1200));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for the buffer-cache substrate.
 
-use ff_base::{Bytes, SimTime};
+use ff_base::{Bytes, Dur, SimTime};
 use ff_cache::cscan::{BlockRequest, CScanQueue};
-use ff_cache::{BufferCache, CacheConfig, FlashCache, PageKey, TwoQ};
+use ff_cache::{BufferCache, CacheConfig, FlashCache, PageKey, TwoQ, WritebackConfig};
 use ff_trace::FileId;
 use proptest::prelude::*;
 
@@ -226,18 +226,129 @@ proptest! {
 
 /// The list code `TwoQ` and `FlashCache` ran on before the page table:
 /// A1in and A1out as a `VecDeque` plus a `BTreeSet`, Am and the flash
-/// LRU as a seq↔key `BTreeMap` pair. `BufferCache` keeps the front
-/// end's read and write loops on that 2Q, with readahead probing
-/// `contains` before each `touch`. Kept as references the page-table
-/// types must match touch for touch.
+/// LRU as a seq↔key `BTreeMap` pair, flash dirtiness as a key set.
+/// `BufferCache` keeps the front end's read and write loops on that 2Q,
+/// with readahead probing `contains` before each `touch`, and its own
+/// `Readahead` (a lookup, then an insert for a new stream) and
+/// `Writeback` (a full scan at every wake-up). Kept as references the
+/// crate's types must match call for call.
 mod reference {
-    use ff_base::{Bytes, SimTime};
+    use ff_base::{Bytes, Dur, SimTime};
     use ff_cache::page::{pages_covering, push_run};
     use ff_cache::{
-        Access, CacheConfig, CacheStats, PageKey, ReadOutcome, Readahead, WriteOutcome, Writeback,
+        Access, CacheConfig, CacheStats, PageKey, ReadOutcome, WriteOutcome, WritebackConfig,
     };
     use ff_trace::FileId;
     use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+    #[derive(Clone, Copy)]
+    struct Stream {
+        cur_start: u64,
+        cur_len: u64,
+        ahead_len: u64,
+        next_expected: u64,
+    }
+
+    pub struct Readahead {
+        max_pages: u64,
+        initial_pages: u64,
+        streams: BTreeMap<FileId, Stream>,
+    }
+
+    impl Readahead {
+        pub fn new(max_pages: u64) -> Self {
+            Readahead {
+                max_pages,
+                initial_pages: 4.min(max_pages),
+                streams: BTreeMap::new(),
+            }
+        }
+
+        pub fn on_access(&mut self, file: FileId, first: u64, last: u64) -> Option<(u64, u64)> {
+            if self.max_pages == 0 {
+                return None;
+            }
+            match self.streams.get_mut(&file) {
+                Some(s) if first <= s.next_expected && last >= first => {
+                    s.next_expected = s.next_expected.max(last + 1);
+                    let ahead_start = s.cur_start + s.cur_len;
+                    let ahead_end = ahead_start + s.ahead_len;
+                    if s.ahead_len > 0 && s.next_expected > ahead_start {
+                        let new_ahead_len = (s.ahead_len * 2).min(self.max_pages);
+                        s.cur_start = ahead_start;
+                        s.cur_len = s.ahead_len;
+                        s.ahead_len = new_ahead_len;
+                        return Some((ahead_end, new_ahead_len));
+                    }
+                    None
+                }
+                _ => {
+                    let ahead_len = self.initial_pages.min(self.max_pages);
+                    self.streams.insert(
+                        file,
+                        Stream {
+                            cur_start: first,
+                            cur_len: last - first + 1,
+                            ahead_len,
+                            next_expected: last + 1,
+                        },
+                    );
+                    Some((last + 1, ahead_len))
+                }
+            }
+        }
+    }
+
+    pub struct Writeback {
+        config: WritebackConfig,
+        dirty: BTreeMap<PageKey, SimTime>,
+        last_wakeup: SimTime,
+    }
+
+    impl Writeback {
+        pub fn new(config: WritebackConfig) -> Self {
+            Writeback {
+                config,
+                dirty: BTreeMap::new(),
+                last_wakeup: SimTime::ZERO,
+            }
+        }
+
+        pub fn mark_dirty(&mut self, key: PageKey, now: SimTime) {
+            self.dirty.entry(key).or_insert(now);
+        }
+
+        pub fn on_evict(&mut self, key: PageKey) -> bool {
+            self.dirty.remove(&key).is_some()
+        }
+
+        pub fn collect_due(&mut self, now: SimTime, disk_ready: bool) -> Vec<PageKey> {
+            if now.saturating_since(self.last_wakeup) < self.config.wakeup_interval {
+                return Vec::new();
+            }
+            self.last_wakeup = now;
+            let take_all = self.config.laptop_mode && disk_ready;
+            let age_limit: Dur = if self.config.laptop_mode && !disk_ready {
+                self.config.laptop_max_age
+            } else {
+                self.config.dirty_expire
+            };
+            let due: Vec<PageKey> = self
+                .dirty
+                .iter()
+                .filter(|&(_, &since)| take_all || now.saturating_since(since) >= age_limit)
+                .map(|(&k, _)| k)
+                .collect();
+            for k in &due {
+                self.dirty.remove(k);
+            }
+            due
+        }
+
+        pub fn drain_all(&mut self) -> Vec<PageKey> {
+            std::mem::take(&mut self.dirty).into_keys().collect()
+        }
+    }
 
     pub struct BufferCache {
         twoq: TwoQ,
@@ -515,6 +626,10 @@ mod reference {
             self.dirty.clear();
             pages
         }
+
+        pub fn dirty_count(&self) -> usize {
+            self.dirty.len()
+        }
     }
 }
 
@@ -560,29 +675,42 @@ proptest! {
     }
 
     /// `FlashCache` on the page table matches the reference LRU: same
-    /// hit flags, same spilled dirty pages, same destage lists.
+    /// hit flags, same spilled dirty pages, same destage lists, and the
+    /// same dirty count after every op. Three files sit at page 0,
+    /// across the chunk boundary at page 192, or ending at the last page
+    /// a `u64` byte offset reaches (slot 63 of its chunk), so marks move
+    /// between chunks and destage lists cross files.
     #[test]
     fn flashcache_matches_reference_lru(
         cap in 1usize..32,
         span in 2u64..5,
-        ops in proptest::collection::vec((0u64..4, 0u64..256, any::<bool>()), 1..600),
+        regions in proptest::collection::vec(0usize..3, 3),
+        ops in proptest::collection::vec((0u64..4, 0u64..3, 0u64..256, any::<bool>()), 1..600),
     ) {
+        const LAST: u64 = u64::MAX / 4096;
         let pages = span * cap as u64;
+        let base = |file: u64| match regions[file as usize] {
+            0 => 0,
+            1 => 192 - pages / 2,
+            _ => LAST + 1 - pages,
+        };
         // Hits on a hot half of the capacity move pages within the LRU
         // between evictions.
         let hot = (cap as u64 / 2).max(1);
         let mut f = FlashCache::new(cap);
         let mut r = reference::FlashCache::new(cap);
-        for (i, &(op, index, is_hot)) in ops.iter().enumerate() {
-            let index = if is_hot { index % hot } else { index % pages };
-            let page = PageKey { file: FileId(1), index };
+        for (i, &(op, file, index, is_hot)) in ops.iter().enumerate() {
+            let index = base(file) + if is_hot { index % hot } else { index % pages };
+            let page = PageKey { file: FileId(file), index };
             match op {
                 0 => prop_assert_eq!(f.lookup(page), r.lookup(page), "lookup {}", i),
                 1 => prop_assert_eq!(f.insert_clean(page), r.insert(page, false), "insert {}", i),
                 2 => prop_assert_eq!(f.buffer_write(page), r.insert(page, true), "write {}", i),
                 _ => prop_assert_eq!(f.take_destage(), r.take_destage(), "destage {}", i),
             }
+            prop_assert_eq!(f.dirty_count(), r.dirty_count(), "dirty count after op {}", i);
         }
+        prop_assert_eq!(f.take_destage(), r.take_destage());
     }
 
     /// `BufferCache` matches the reference front end call for call:
@@ -593,19 +721,28 @@ proptest! {
     /// capacity build up Am, which readahead windows then cover. Each file's pages sit in
     /// one of four regions: at page 0, across the chunk boundaries
     /// around page 192 or 64,000, or ending at the last page a `u64`
-    /// byte offset reaches.
+    /// byte offset reaches. Time mostly advances by less than the 5 s
+    /// wake-up interval but sometimes jumps past the 30 s expiry or the
+    /// 600 s laptop age, in laptop mode or not, so the flusher sleeps,
+    /// finds nothing due, and flushes under both rules.
     #[test]
     fn buffer_cache_matches_reference(
         cap in 4usize..64,
         span in 1u64..4,
         hot_quarters in 1u64..5,
+        laptop_mode in any::<bool>(),
         regions in proptest::collection::vec(0usize..4, 3),
         ops in proptest::collection::vec(
-            (0u64..8, 0u64..3, 0u64..1024, 1u64..80, 0u64..4096, 0u64..8),
+            (0u64..8, 0u64..3, 0u64..1024, 1u64..80, 0u64..4096, 0u64..8, 0usize..16),
             1..300,
         ),
     ) {
         const LAST: u64 = u64::MAX / 4096;
+        // Milliseconds from one op to the next.
+        const GAP_MS: [u64; 16] = [
+            700, 700, 700, 700, 700, 700, 700, 700, 700, 700, 5_000, 5_000, 31_000, 31_000, 150_000,
+            300_000,
+        ];
         let pages = span * cap as u64;
         let hot = (cap as u64 * hot_quarters / 4).max(1);
         let base = |file: u64| match regions[file as usize] {
@@ -621,13 +758,18 @@ proptest! {
         };
         let config = CacheConfig {
             capacity_pages: cap,
+            writeback: WritebackConfig {
+                laptop_mode,
+                ..WritebackConfig::default()
+            },
             ..CacheConfig::default()
         };
         let mut cache = BufferCache::new(config.clone());
         let mut r = reference::BufferCache::new(config);
-        for (i, &(op, file, page, n, skew, shape)) in ops.iter().enumerate() {
+        let mut now = SimTime::ZERO;
+        for (i, &(op, file, page, n, skew, shape, gap)) in ops.iter().enumerate() {
             let (is_hot, is_long, ready) = (shape & 1 == 1, shape & 2 == 2, shape & 4 == 4);
-            let now = SimTime::from_millis(i as u64 * 700);
+            now += Dur::from_millis(GAP_MS[gap]);
             let first = base(file) + if is_hot { page % hot } else { page % pages };
             let n = if is_long { n } else { n % 4 + 1 }.min(LAST + 1 - first);
             // A byte range over pages first..first + n, starting `skew`
