@@ -7,10 +7,11 @@
 
 use crate::page::{pages_covering, push_run, PageKey};
 use crate::readahead::Readahead;
-use crate::twoq::TwoQ;
+use crate::twoq::{TwoQ, Victim};
 use crate::writeback::{Writeback, WritebackConfig};
 use ff_base::{Bytes, SimTime};
 use ff_trace::FileId;
+use std::collections::BTreeSet;
 
 /// Buffer-cache tuning.
 #[derive(Debug, Clone)]
@@ -164,34 +165,47 @@ impl BufferCache {
         }
         out.evicted_dirty = evicted
             .into_iter()
-            .filter(|k| self.writeback.on_evict(*k))
+            .filter_map(|v| v.dirty.then_some(v.key))
             .collect();
         out
     }
 
     /// Application write (write-allocate, dirty in cache).
+    ///
+    /// Victims are judged as if every page of the request were dirtied
+    /// before any of them left: a page of the written range that is
+    /// evicted is reported once, at its first eviction, whether or not
+    /// it was dirty then, and ends the request clean even when it was
+    /// written again after that eviction.
     pub fn write(&mut self, now: SimTime, file: FileId, offset: u64, len: Bytes) -> WriteOutcome {
         let mut out = WriteOutcome::default();
         if len.is_zero() {
             return out;
         }
         let mut evicted = Vec::new();
-        for p in pages_covering(offset, len.get()) {
-            let key = PageKey { file, index: p };
-            self.twoq.touch(key, &mut evicted);
-            self.writeback.mark_dirty(key, now);
+        let pages = pages_covering(offset, len.get());
+        for p in pages.clone() {
+            self.twoq
+                .write(PageKey { file, index: p }, now, &mut evicted);
         }
-        out.evicted_dirty = evicted
-            .into_iter()
-            .filter(|k| self.writeback.on_evict(*k))
-            .collect();
+        let mut reported = BTreeSet::new();
+        for Victim { key, dirty } in evicted {
+            if key.file == file && pages.contains(&key.index) {
+                if reported.insert(key.index) {
+                    self.twoq.clean(key);
+                    out.evicted_dirty.push(key);
+                }
+            } else if dirty {
+                out.evicted_dirty.push(key);
+            }
+        }
         out
     }
 
     /// Run the flusher: dirty pages due for write-back at `now`, given
     /// the disk's spin state (laptop-mode rules).
     pub fn flush_due(&mut self, now: SimTime, disk_ready: bool) -> Vec<PageKey> {
-        let due = self.writeback.collect_due(now, disk_ready);
+        let due = self.writeback.collect_due(now, disk_ready, &mut self.twoq);
         if !due.is_empty() {
             self.stats.flushes += 1;
             self.stats.flushed_pages += due.len() as u64;
@@ -201,7 +215,7 @@ impl BufferCache {
 
     /// Remaining dirty pages (final sync).
     pub fn flush_all(&mut self) -> Vec<PageKey> {
-        let drained = self.writeback.drain_all();
+        let drained = self.twoq.take_dirty(|_| true);
         if !drained.is_empty() {
             self.stats.flushes += 1;
             self.stats.flushed_pages += drained.len() as u64;
@@ -228,7 +242,7 @@ impl BufferCache {
 
     /// Dirty page count.
     pub fn dirty(&self) -> usize {
-        self.writeback.dirty_count()
+        self.twoq.dirty_count()
     }
 }
 
@@ -437,6 +451,42 @@ mod tests {
         c.flush_all();
         let s = c.stats();
         assert_eq!((s.flushes, s.flushed_pages), (2, 3));
+    }
+
+    #[test]
+    fn a_write_longer_than_the_cache_reports_its_own_victims_once() {
+        let keys = |ks: &[u64]| {
+            ks.iter()
+                .map(|&i| PageKey { file: F, index: i })
+                .collect::<Vec<_>>()
+        };
+        for (pages, reported, still_dirty) in [
+            // Page 5 is pushed out clean by page 0's write, then written
+            // at its turn: reported, at its first eviction, and clean.
+            (8, keys(&[5, 101, 0, 1, 2, 3]), keys(&[4, 6, 7])),
+            // Page 5 is pushed out a second time, dirty, by page 9's
+            // write: still reported only once.
+            (10, keys(&[5, 101, 0, 1, 2, 3, 4]), keys(&[6, 7, 8, 9])),
+        ] {
+            // Capacity 4 (Kin 1, Kout 2), no readahead, so every page of
+            // the write pushes A1in's oldest page out. A1in holds pages
+            // 5, 100, 101 and 102; only 101 is dirty.
+            let mut c = BufferCache::new(CacheConfig {
+                capacity_pages: 4,
+                readahead_max_pages: 0,
+                ..Default::default()
+            });
+            for p in [5, 100, 101, 102] {
+                if p == 101 {
+                    c.write(SimTime::ZERO, F, p * 4096, Bytes(4096));
+                } else {
+                    c.read(SimTime::ZERO, F, p * 4096, Bytes(4096), SZ);
+                }
+            }
+            let out = c.write(SimTime::from_secs(1), F, 0, Bytes(pages * 4096));
+            assert_eq!(out.evicted_dirty, reported, "{pages}-page write");
+            assert_eq!(c.flush_all(), still_dirty, "{pages}-page write");
+        }
     }
 
     #[test]

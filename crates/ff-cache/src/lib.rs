@@ -16,12 +16,14 @@
 //!   slab of nodes on intrusive lists, found through an ordered
 //!   directory of 64-page chunks.
 //! * [`twoq`] — the 2Q-like replacement algorithm (A1in FIFO, A1out
-//!   ghost queue, Am LRU).
+//!   ghost queue, Am LRU), which also keeps the dirty pages on a list
+//!   by first-dirtied time in the same page table.
 //! * [`readahead`] — Linux 2.6 two-window readahead, window doubling up
 //!   to 32 pages (128 KiB).
 //! * [`cscan`] — the C-SCAN elevator with contiguous-request merging.
-//! * [`writeback`] — dirty-page aging plus the laptop-mode eager/deferred
-//!   flush rules.
+//! * [`writeback`] — the flusher: dirty-page aging plus the laptop-mode
+//!   eager/deferred flush rules, popping the due prefix of 2Q's dirty
+//!   list.
 //! * [`cache`] — the [`BufferCache`] front end the replayer calls;
 //!   returns page-granular miss ranges so hits never reach a device
 //!   (needed for FlexFetch's §2.3.2 cache filtering).
@@ -54,5 +56,5 @@ pub use cscan::CScanQueue;
 pub use flashcache::FlashCache;
 pub use page::PageKey;
 pub use readahead::Readahead;
-pub use twoq::{Access, TwoQ};
+pub use twoq::{Access, TwoQ, Victim};
 pub use writeback::{Writeback, WritebackConfig};

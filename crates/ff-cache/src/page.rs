@@ -2,6 +2,7 @@
 //! queue is built on.
 
 use ff_base::size::PAGE_SIZE;
+use ff_base::SimTime;
 use ff_trace::FileId;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -102,6 +103,58 @@ impl PageList {
     }
 }
 
+/// A page's links on a [`StampList`] and the time it was stamped.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    prev: u32,
+    next: u32,
+    at: SimTime,
+}
+
+const UNLINKED: Stamp = Stamp {
+    prev: NIL,
+    next: NIL,
+    at: SimTime::ZERO,
+};
+
+/// The marked pages of a [`PageTable`], oldest stamp first: a second
+/// intrusive list a page can be on beside its [`PageList`]. Its links
+/// and times sit in an array beside the node slab, so walks of the
+/// page lists never load them.
+#[derive(Debug, Clone, Copy)]
+pub struct StampList {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl StampList {
+    /// An empty list.
+    pub const fn new() -> Self {
+        StampList {
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        }
+    }
+
+    /// Number of pages on the list.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl Default for StampList {
+    fn default() -> Self {
+        StampList::new()
+    }
+}
+
 /// Pages on any number of [`PageList`]s: a FIFO when pages are only
 /// pushed and popped, an LRU when hits move them to the back.
 ///
@@ -118,9 +171,15 @@ impl PageList {
 /// no node. Moving or removing a page reaches its slot, tag and mark
 /// through `Node::chunk`, with no descent, and a chunk leaves the
 /// directory when its last page does.
+///
+/// An owner may also keep its marked pages on a [`StampList`] in the
+/// order of the times they were stamped; `stamps` holds those links,
+/// indexed like `nodes` and grown only when a page is first stamped.
+/// Such an owner unstamps a page before it removes it.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     nodes: Vec<Node>,
+    stamps: Vec<Stamp>,
     free_node: u32,
     chunks: Vec<Chunk>,
     free_chunks: Vec<u32>,
@@ -132,6 +191,7 @@ impl Default for PageTable {
     fn default() -> Self {
         PageTable {
             nodes: Vec::new(),
+            stamps: Vec::new(),
             free_node: NIL,
             chunks: Vec::new(),
             free_chunks: Vec::new(),
@@ -332,7 +392,7 @@ impl PageTable {
     /// Remove the oldest page of `list` from the table, with its mark.
     pub fn pop_front_marked(&mut self, list: &mut PageList) -> Option<(PageKey, bool)> {
         let (slot, key) = self.take_front(list)?;
-        Some((key, self.free(slot)))
+        Some((key, self.remove(slot)))
     }
 
     /// The chunk holding the page in `slot`, and the page's position
@@ -381,10 +441,99 @@ impl PageTable {
         }
     }
 
-    /// Release the unlinked `slot`: clear its chunk slot and mark, and
-    /// free the chunk (and the finger, if it points there) once it is
-    /// empty. Returns whether the page was marked.
-    fn free(&mut self, slot: Slot) -> bool {
+    /// Mark the page in `slot` and link it into `list` by `at`, after
+    /// every page stamped no later. A marked page keeps its place and
+    /// its time. The insert walks back from the tail, so it is O(1)
+    /// when times do not decrease and exact for any order.
+    pub fn stamp(&mut self, list: &mut StampList, slot: Slot, at: SimTime) {
+        let Slot(s) = slot;
+        let Some((c, i)) = self.place(slot) else {
+            return;
+        };
+        match self.chunks.get_mut(c) {
+            Some(chunk) if chunk.marks >> i & 1 == 0 => chunk.marks |= 1 << i,
+            _ => return,
+        }
+        if self.stamps.len() <= s as usize {
+            self.stamps.resize(self.nodes.len(), UNLINKED);
+        }
+        let mut prev = list.tail;
+        while let Some(p) = self.stamps.get(prev as usize).filter(|p| p.at > at) {
+            prev = p.prev;
+        }
+        let next = match self.stamps.get_mut(prev as usize) {
+            Some(p) => std::mem::replace(&mut p.next, s),
+            None => std::mem::replace(&mut list.head, s),
+        };
+        match self.stamps.get_mut(next as usize) {
+            Some(n) => n.prev = s,
+            None => list.tail = s,
+        }
+        if let Some(stamp) = self.stamps.get_mut(s as usize) {
+            *stamp = Stamp { prev, next, at };
+        }
+        list.len += 1;
+    }
+
+    /// Clear the mark of the page in `slot` and unlink it from `list`,
+    /// which holds every marked page of the table. Returns whether the
+    /// page was marked.
+    pub fn unstamp(&mut self, list: &mut StampList, slot: Slot) -> bool {
+        if !self.clear_mark(slot) {
+            return false;
+        }
+        let Some(&Stamp { prev, next, .. }) = self.stamps.get(slot.0 as usize) else {
+            return false;
+        };
+        match self.stamps.get_mut(prev as usize) {
+            Some(p) => p.next = next,
+            None => list.head = next,
+        }
+        match self.stamps.get_mut(next as usize) {
+            Some(n) => n.prev = prev,
+            None => list.tail = prev,
+        }
+        list.len -= 1;
+        true
+    }
+
+    /// Unstamp the pages at the front of `list` whose stamp `due`
+    /// accepts, up to the first it refuses, appending their keys to
+    /// `out` in stamp order. When `due` accepts every time at or before
+    /// some instant, those are all the pages it accepts.
+    pub fn take_stamped(
+        &mut self,
+        list: &mut StampList,
+        due: impl Fn(SimTime) -> bool,
+        out: &mut Vec<PageKey>,
+    ) {
+        while let Some(stamp) = self.stamps.get(list.head as usize) {
+            let slot = Slot(list.head);
+            let Some(node) = self.nodes.get(slot.0 as usize).filter(|_| due(stamp.at)) else {
+                break;
+            };
+            out.push(node.key);
+            self.unstamp(list, slot);
+        }
+    }
+
+    /// Clear the mark of the page in `slot`; returns whether it was set.
+    fn clear_mark(&mut self, slot: Slot) -> bool {
+        let Some((c, i)) = self.place(slot) else {
+            return false;
+        };
+        let Some(chunk) = self.chunks.get_mut(c) else {
+            return false;
+        };
+        let was = chunk.marks >> i & 1 == 1;
+        chunk.marks &= !(1 << i);
+        was
+    }
+
+    /// Remove the unlinked `slot` from the table: clear its chunk slot
+    /// and mark, and free the chunk (and the finger, if it points there)
+    /// once it is empty. Returns whether the page was marked.
+    pub fn remove(&mut self, slot: Slot) -> bool {
         let Slot(s) = slot;
         let Some(node) = self.nodes.get_mut(s as usize) else {
             return false;
@@ -798,7 +947,7 @@ mod tests {
         assert_eq!(t.count_in(FileId(4), 0, u64::MAX, all), 0);
         let (slot, _) = t.find(key(2, 63)).unwrap();
         t.unlink(&mut a, slot);
-        t.free(slot);
+        t.remove(slot);
         assert_eq!(t.count_in(FileId(2), 0, u64::MAX, live), 3);
     }
 }

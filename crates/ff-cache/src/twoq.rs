@@ -12,8 +12,14 @@
 //! A first touch enters A1in; a touch while ghosted promotes to Am; a
 //! touch in Am refreshes its LRU position. Eviction prefers A1in overflow
 //! (to the ghost queue), then the LRU tail of Am.
+//!
+//! The same page table keeps the dirty set: a written page is marked
+//! and put on a list ordered by the time it was first dirtied, and a
+//! page that leaves memory leaves that list in the same step, its
+//! dirtiness going out with it as a [`Victim`].
 
-use crate::page::{PageKey, PageList, PageTable, Slot};
+use crate::page::{PageKey, PageList, PageTable, Slot, StampList};
+use ff_base::SimTime;
 use ff_trace::FileId;
 
 /// Result of touching a page.
@@ -35,13 +41,24 @@ impl Access {
     }
 }
 
+/// A page 2Q pushed out of memory, and whether it was dirty then: a
+/// dirty victim must be written out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Victim {
+    /// The page.
+    pub key: PageKey,
+    /// Whether it was dirty when it left (its mark is cleared).
+    pub dirty: bool,
+}
+
 /// List tags in the page table.
 const A1IN: u8 = 0;
 const A1OUT: u8 = 1;
 const AM: u8 = 2;
 
-/// 2Q replacement state over page keys (data-less — residency only):
-/// one page table holding the A1in, A1out and Am lists.
+/// 2Q replacement state over page keys (data-less — residency and
+/// dirtiness only): one page table holding the A1in, A1out and Am
+/// lists, and the dirty pages on a list by first-dirtied time.
 #[derive(Debug, Clone)]
 pub struct TwoQ {
     capacity: usize,
@@ -51,6 +68,7 @@ pub struct TwoQ {
     a1in: PageList,
     a1out: PageList,
     am: PageList,
+    dirty: StampList,
 }
 
 impl TwoQ {
@@ -70,6 +88,7 @@ impl TwoQ {
             a1in: PageList::new(A1IN),
             a1out: PageList::new(A1OUT),
             am: PageList::new(AM),
+            dirty: StampList::new(),
         }
     }
 
@@ -89,17 +108,54 @@ impl TwoQ {
         self.table.count_in(file, first, last, |tag| tag != A1OUT)
     }
 
-    /// Touch `key`; returns the access class and appends any evicted
-    /// (previously resident) pages to `evicted`.
-    pub fn touch(&mut self, key: PageKey, evicted: &mut Vec<PageKey>) -> Access {
+    /// Dirty page count.
+    pub fn dirty_count(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// Touch `key`; returns the access class and appends any pages
+    /// pushed out of memory to `evicted`.
+    pub fn touch(&mut self, key: PageKey, evicted: &mut Vec<Victim>) -> Access {
+        self.access(key, evicted).1
+    }
+
+    /// Touch `key` as [`TwoQ::touch`] does and mark it dirty at `now`.
+    /// A page already dirty keeps its first-dirtied time.
+    pub fn write(&mut self, key: PageKey, now: SimTime, evicted: &mut Vec<Victim>) -> Access {
+        let (slot, access) = self.access(key, evicted);
+        self.table.stamp(&mut self.dirty, slot, now);
+        access
+    }
+
+    /// Mark `key` clean if it is dirty (no other state change).
+    pub fn clean(&mut self, key: PageKey) {
+        if let Some((slot, _)) = self.table.find(key) {
+            self.table.unstamp(&mut self.dirty, slot);
+        }
+    }
+
+    /// Take the dirty pages whose first-dirtied time `due` accepts and
+    /// mark them clean; they stay resident. `due` must accept every time
+    /// at or before some instant (an age limit), so those pages are a
+    /// prefix of the dirty list. Returned ascending by key.
+    pub fn take_dirty(&mut self, due: impl Fn(SimTime) -> bool) -> Vec<PageKey> {
+        let mut pages = Vec::new();
+        self.table.take_stamped(&mut self.dirty, due, &mut pages);
+        pages.sort_unstable();
+        pages
+    }
+
+    /// The touch behind [`TwoQ::touch`] and [`TwoQ::write`], with the
+    /// page's slot.
+    fn access(&mut self, key: PageKey, evicted: &mut Vec<Victim>) -> (Slot, Access) {
         match self.table.find(key) {
             Some((slot, AM)) => {
                 self.table.unlink(&mut self.am, slot);
                 self.table.push_back(&mut self.am, slot);
-                Access::Hit
+                (slot, Access::Hit)
             }
             // 2Q leaves A1in order alone on repeat touches.
-            Some((_, A1IN)) => Access::Hit,
+            Some((slot, A1IN)) => (slot, Access::Hit),
             ghost => self.fetch(key, ghost.map(|(slot, _)| slot), evicted),
         }
     }
@@ -107,7 +163,7 @@ impl TwoQ {
     /// Make `key` resident if it is not, exactly as [`TwoQ::touch`]
     /// would; a resident page is left where it is. Returns whether the
     /// page was fetched. Readahead's one lookup per page.
-    pub fn prefetch(&mut self, key: PageKey, evicted: &mut Vec<PageKey>) -> bool {
+    pub fn prefetch(&mut self, key: PageKey, evicted: &mut Vec<Victim>) -> bool {
         match self.table.find(key) {
             Some((_, A1IN | AM)) => false,
             ghost => {
@@ -120,18 +176,22 @@ impl TwoQ {
     /// Fetch a non-resident page: a ghost (`ghost` is its A1out slot)
     /// leaves A1out and enters Am, anything else enters A1in, after
     /// `make_room` in both cases.
-    fn fetch(&mut self, key: PageKey, ghost: Option<Slot>, evicted: &mut Vec<PageKey>) -> Access {
+    fn fetch(
+        &mut self,
+        key: PageKey,
+        ghost: Option<Slot>,
+        evicted: &mut Vec<Victim>,
+    ) -> (Slot, Access) {
         match ghost {
             Some(slot) => {
                 self.table.unlink(&mut self.a1out, slot);
                 self.make_room(evicted);
                 self.table.push_back(&mut self.am, slot);
-                Access::GhostMiss
+                (slot, Access::GhostMiss)
             }
             None => {
                 self.make_room(evicted);
-                self.table.insert(&mut self.a1in, key);
-                Access::Miss
+                (self.table.insert(&mut self.a1in, key), Access::Miss)
             }
         }
     }
@@ -139,31 +199,41 @@ impl TwoQ {
     /// Ensure there is room for one more resident page: evict the Am LRU
     /// page unless A1in is over `Kin` (or Am is empty), in which case
     /// A1in's oldest page moves to the ghost queue. Am pages leave no
-    /// ghost, as in classic 2Q.
-    fn make_room(&mut self, evicted: &mut Vec<PageKey>) {
+    /// ghost, as in classic 2Q. Either way the victim leaves the dirty
+    /// list and takes its dirtiness with it.
+    fn make_room(&mut self, evicted: &mut Vec<Victim>) {
         if self.resident() < self.capacity {
             return;
         }
         if self.a1in.len() <= self.kin {
-            if let Some(victim) = self.table.pop_front(&mut self.am) {
-                evicted.push(victim);
+            if let Some((slot, key)) = self.table.take_front(&mut self.am) {
+                let dirty = self.unstamp(slot);
+                self.table.remove(slot);
+                evicted.push(Victim { key, dirty });
                 return;
             }
         }
-        if let Some((slot, victim)) = self.table.take_front(&mut self.a1in) {
+        if let Some((slot, key)) = self.table.take_front(&mut self.a1in) {
+            let dirty = self.unstamp(slot);
             self.table.push_back(&mut self.a1out, slot);
             if self.a1out.len() > self.kout {
                 self.table.pop_front(&mut self.a1out);
             }
-            evicted.push(victim);
+            evicted.push(Victim { key, dirty });
         }
+    }
+
+    /// Clear the page's dirty mark; returns whether it was dirty. With
+    /// no dirty page at all — every read-only run — this reads nothing
+    /// of the page.
+    fn unstamp(&mut self, slot: Slot) -> bool {
+        !self.dirty.is_empty() && self.table.unstamp(&mut self.dirty, slot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_trace::FileId;
 
     fn key(i: u64) -> PageKey {
         PageKey {
@@ -267,6 +337,47 @@ mod tests {
         if !q.contains(key(1)) {
             assert!(q.contains(key(0)) || !q.contains(key(1)));
         }
+    }
+
+    #[test]
+    fn victims_carry_dirtiness_through_demotion_and_am_eviction() {
+        // Capacity 4: Kin 1, Kout 2.
+        let mut q = TwoQ::new(4);
+        let mut ev = Vec::new();
+        let v = |i, dirty| Victim { key: key(i), dirty };
+        let at = SimTime::from_secs;
+        q.write(key(0), at(1), &mut ev);
+        for i in 1..=4 {
+            q.touch(key(i), &mut ev);
+        }
+        assert_eq!(ev, [v(0, true)], "an A1in demotion takes the dirt along");
+        assert_eq!(q.dirty_count(), 0);
+        ev.clear();
+        // Page 0 comes back clean from its ghost into Am, and is dirtied
+        // there; page 3 is dirtied in A1in.
+        assert_eq!(q.touch(key(0), &mut ev), Access::GhostMiss);
+        q.write(key(0), at(2), &mut ev);
+        q.write(key(3), at(3), &mut ev);
+        assert_eq!(q.dirty_count(), 2);
+        // Pages 1 and 2 follow page 0 into Am; page 3 is demoted.
+        q.touch(key(1), &mut ev);
+        q.touch(key(2), &mut ev);
+        assert_eq!(ev, [v(1, false), v(2, false), v(3, true)]);
+        // A1in is down to Kin, so the next miss evicts Am's LRU page.
+        q.touch(key(5), &mut ev);
+        q.touch(key(6), &mut ev);
+        assert_eq!(
+            ev,
+            [
+                v(1, false),
+                v(2, false),
+                v(3, true),
+                v(0, true),
+                v(4, false)
+            ]
+        );
+        assert_eq!(q.dirty_count(), 0);
+        assert_eq!(q.take_dirty(|_| true), vec![]);
     }
 
     #[test]

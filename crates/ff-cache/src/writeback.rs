@@ -11,10 +11,18 @@
 //! * **deferred flush** — while the disk is in standby, let dirty pages
 //!   age up to `laptop_max_age` (minutes, not seconds) before forcing a
 //!   spin-up.
+//!
+//! The dirty pages themselves live in 2Q's page table ([`TwoQ`]), on a
+//! list ordered by the time each page was first dirtied. Every rule
+//! above flushes the pages at least some age old — laptop mode's eager
+//! flush is an age of zero — so the pages due at a wake-up are always a
+//! prefix of that list: the flusher pops them, with no scan, and sorts
+//! them by key. A page that leaves memory leaves the list in the same
+//! step, and 2Q hands its dirtiness back with it.
 
 use crate::page::PageKey;
+use crate::twoq::TwoQ;
 use ff_base::{Dur, SimTime};
-use std::collections::BTreeMap;
 
 /// Write-back tuning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,294 +50,365 @@ impl Default for WritebackConfig {
     }
 }
 
-/// Dirty-page registry.
+/// The flusher: its tuning and when it last woke.
 #[derive(Debug, Clone, Default)]
 pub struct Writeback {
     config: WritebackConfig,
-    /// Dirty pages → instant first dirtied (age anchor; re-dirtying does
-    /// not reset the clock, matching the kernel).
-    dirty: BTreeMap<PageKey, SimTime>,
-    /// No dirty page was first dirtied before this (`SimTime::MAX` when
-    /// none is dirty): lowered by `mark_dirty`, made exact by each scan.
-    /// Evictions leave it low, which only costs a scan.
-    oldest: SimTime,
     last_wakeup: SimTime,
 }
 
 impl Writeback {
-    /// New registry.
+    /// New flusher.
     pub fn new(config: WritebackConfig) -> Self {
         Writeback {
             config,
-            dirty: BTreeMap::new(),
-            oldest: SimTime::MAX,
             last_wakeup: SimTime::ZERO,
         }
     }
 
-    /// Mark a page dirty at `now`.
-    pub fn mark_dirty(&mut self, key: PageKey, now: SimTime) {
-        self.dirty.entry(key).or_insert(now);
-        self.oldest = self.oldest.min(now);
-    }
-
-    /// A page left memory (evicted) — it must be written out regardless;
-    /// returns true if it was dirty.
-    pub fn on_evict(&mut self, key: PageKey) -> bool {
-        self.dirty.remove(&key).is_some()
-    }
-
-    /// Number of dirty pages.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// The flusher's decision at `now`: which pages to write back, given
-    /// whether the disk is currently spinning (`disk_ready`).
+    /// The flusher's decision at `now`: which of `pages`' dirty pages to
+    /// write back, given whether the disk is currently spinning
+    /// (`disk_ready`).
     ///
-    /// Returns the pages to flush (removed from the registry — the caller
-    /// owns issuing the actual writes).
-    pub fn collect_due(&mut self, now: SimTime, disk_ready: bool) -> Vec<PageKey> {
+    /// Returns the pages to flush, ascending by key, marked clean and
+    /// still resident — the caller owns issuing the actual writes.
+    pub fn collect_due(
+        &mut self,
+        now: SimTime,
+        disk_ready: bool,
+        pages: &mut TwoQ,
+    ) -> Vec<PageKey> {
         if now.saturating_since(self.last_wakeup) < self.config.wakeup_interval {
             return Vec::new();
         }
         self.last_wakeup = now;
-
-        let take_all = self.config.laptop_mode && disk_ready && !self.dirty.is_empty();
-        let age_limit = if self.config.laptop_mode && !disk_ready {
-            self.config.laptop_max_age
-        } else {
-            self.config.dirty_expire
+        let age_limit = match (self.config.laptop_mode, disk_ready) {
+            // Laptop mode's eager flush while the disk spins: every page.
+            (true, true) => Dur::ZERO,
+            (true, false) => self.config.laptop_max_age,
+            (false, _) => self.config.dirty_expire,
         };
-
-        // No page is older than the oldest: nothing can be due.
-        if !take_all && now.saturating_since(self.oldest) < age_limit {
-            return Vec::new();
-        }
-
-        // One pass in key order: due pages leave the registry as they
-        // are pushed, so the list comes out ascending.
-        let mut due = Vec::new();
-        let mut oldest = SimTime::MAX;
-        self.dirty.retain(|&k, &mut since| {
-            let keep = !take_all && now.saturating_since(since) < age_limit;
-            if keep {
-                oldest = oldest.min(since);
-            } else {
-                due.push(k);
-            }
-            keep
-        });
-        self.oldest = oldest;
-        due
-    }
-
-    /// Everything still dirty, ascending (final sync at simulation end).
-    pub fn drain_all(&mut self) -> Vec<PageKey> {
-        self.oldest = SimTime::MAX;
-        std::mem::take(&mut self.dirty).into_keys().collect()
+        pages.take_dirty(|since| now.saturating_since(since) >= age_limit)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cache::{BufferCache, CacheConfig};
+    use crate::page::PageKey;
+    use crate::writeback::WritebackConfig;
+    use ff_base::{Bytes, SimTime};
     use ff_trace::FileId;
+    use std::collections::BTreeMap;
+
+    const F: FileId = FileId(1);
 
     fn key(i: u64) -> PageKey {
-        PageKey {
-            file: FileId(1),
-            index: i,
-        }
+        PageKey { file: F, index: i }
     }
 
-    fn wb(laptop: bool) -> Writeback {
-        Writeback::new(WritebackConfig {
-            laptop_mode: laptop,
-            ..Default::default()
+    /// A cache of `pages` pages without readahead, so reads evict in
+    /// 2Q's order and nothing else.
+    fn cache_of(pages: usize, laptop: bool) -> BufferCache {
+        BufferCache::new(CacheConfig {
+            capacity_pages: pages,
+            readahead_max_pages: 0,
+            writeback: WritebackConfig {
+                laptop_mode: laptop,
+                ..Default::default()
+            },
         })
+    }
+
+    fn cache(laptop: bool) -> BufferCache {
+        cache_of(64, laptop)
+    }
+
+    /// Dirty page `i` at `at` seconds; nothing may be evicted.
+    fn dirty(c: &mut BufferCache, i: u64, at: u64) {
+        let out = c.write(SimTime::from_secs(at), F, i * 4096, Bytes(4096));
+        assert!(out.evicted_dirty.is_empty());
+    }
+
+    /// Read page `i`, returning the dirty pages it evicted.
+    fn read(c: &mut BufferCache, i: u64) -> Vec<PageKey> {
+        let size = Bytes(u64::MAX);
+        c.read(SimTime::ZERO, F, i * 4096, Bytes(4096), size)
+            .evicted_dirty
+    }
+
+    fn at(s: u64) -> SimTime {
+        SimTime::from_secs(s)
     }
 
     #[test]
     fn young_pages_are_not_flushed() {
-        let mut w = wb(false);
-        w.mark_dirty(key(1), SimTime::from_secs(0));
-        let due = w.collect_due(SimTime::from_secs(10), true);
+        let mut c = cache(false);
+        dirty(&mut c, 1, 0);
+        let due = c.flush_due(at(10), true);
         assert!(due.is_empty(), "10 s < 30 s dirty_expire");
-        assert_eq!(w.dirty_count(), 1);
+        assert_eq!(c.dirty(), 1);
     }
 
     #[test]
     fn expired_pages_flush_under_normal_rules() {
-        let mut w = wb(false);
-        w.mark_dirty(key(1), SimTime::from_secs(0));
-        w.mark_dirty(key(2), SimTime::from_secs(25));
-        let due = w.collect_due(SimTime::from_secs(31), true);
-        assert_eq!(due, vec![key(1)]);
-        assert_eq!(w.drain_all(), vec![key(2)]);
+        let mut c = cache(false);
+        dirty(&mut c, 1, 0);
+        dirty(&mut c, 2, 25);
+        assert_eq!(c.flush_due(at(31), true), vec![key(1)]);
+        assert_eq!(c.flush_all(), vec![key(2)]);
     }
 
     #[test]
     fn laptop_mode_flushes_everything_on_active_disk() {
-        let mut w = wb(true);
-        w.mark_dirty(key(1), SimTime::from_secs(0));
-        w.mark_dirty(key(2), SimTime::from_secs(9));
-        let due = w.collect_due(SimTime::from_secs(10), true);
+        let mut c = cache(true);
+        dirty(&mut c, 1, 0);
+        dirty(&mut c, 2, 9);
+        let due = c.flush_due(at(10), true);
         assert_eq!(due.len(), 2, "eager flush while the disk spins");
     }
 
     #[test]
     fn laptop_mode_defers_on_standby_disk() {
-        let mut w = wb(true);
-        w.mark_dirty(key(1), SimTime::from_secs(0));
+        let mut c = cache(true);
+        dirty(&mut c, 1, 0);
         // 100 s old — far past dirty_expire, but the disk sleeps and the
         // laptop max age is 600 s.
-        let due = w.collect_due(SimTime::from_secs(100), false);
+        let due = c.flush_due(at(100), false);
         assert!(due.is_empty(), "laptop mode must not wake the disk early");
         // Past the laptop age it does flush.
-        let due = w.collect_due(SimTime::from_secs(601), false);
-        assert_eq!(due, vec![key(1)]);
+        assert_eq!(c.flush_due(at(601), false), vec![key(1)]);
     }
 
     #[test]
     fn wakeup_interval_gates_the_flusher() {
-        let mut w = wb(false);
-        w.mark_dirty(key(1), SimTime::from_secs(0));
-        let _ = w.collect_due(SimTime::from_secs(31), true);
-        w.mark_dirty(key(2), SimTime::from_secs(0));
+        let mut c = cache(false);
+        dirty(&mut c, 1, 0);
+        let _ = c.flush_due(at(31), true);
+        dirty(&mut c, 2, 0);
         // Only 1 s after the previous wake-up: flusher stays asleep even
-        // though key(2) is over-age.
-        let due = w.collect_due(SimTime::from_secs(32), true);
-        assert!(due.is_empty());
-        let due = w.collect_due(SimTime::from_secs(37), true);
-        assert_eq!(due, vec![key(2)]);
+        // though page 2 is over-age.
+        assert!(c.flush_due(at(32), true).is_empty());
+        assert_eq!(c.flush_due(at(37), true), vec![key(2)]);
     }
 
     #[test]
     fn redirty_does_not_reset_age() {
-        let mut w = wb(false);
-        w.mark_dirty(key(1), SimTime::from_secs(0));
-        w.mark_dirty(key(1), SimTime::from_secs(29)); // re-dirty
-        let due = w.collect_due(SimTime::from_secs(31), true);
+        let mut c = cache(false);
+        dirty(&mut c, 1, 0);
+        dirty(&mut c, 1, 29); // re-dirty
+        let due = c.flush_due(at(31), true);
         assert_eq!(due, vec![key(1)], "age anchored at first dirtying");
     }
 
     #[test]
     fn eviction_reports_dirtiness() {
-        let mut w = wb(true);
-        w.mark_dirty(key(1), SimTime::ZERO);
-        assert!(w.on_evict(key(1)));
-        assert!(!w.on_evict(key(1)), "second evict sees it clean");
-        assert!(!w.on_evict(key(2)));
+        // Capacity 4, Kin 1: page 1 is A1in's oldest, so the read that
+        // finds the cache full demotes it.
+        let mut c = cache_of(4, true);
+        dirty(&mut c, 1, 0);
+        let mut reported = Vec::new();
+        for i in 10..14 {
+            reported.extend(read(&mut c, i));
+        }
+        assert_eq!(reported, vec![key(1)]);
+        assert_eq!(c.dirty(), 0);
+        // Once its ghost is gone, read back (clean, into A1in) and pushed
+        // out again: it leaves clean, and no clean page is reported.
+        for i in 20..24 {
+            assert!(read(&mut c, i).is_empty());
+        }
+        assert!(read(&mut c, 1).is_empty());
+        for i in 30..40 {
+            assert!(read(&mut c, i).is_empty(), "second evict sees it clean");
+        }
+        assert_eq!(c.resident_fraction(F, 4096, Bytes(4096)), 0.0);
     }
 
     #[test]
     fn due_pages_come_out_ascending_under_both_rules() {
         // Dirtied out of key order, at ages on both sides of the 30 s
         // expiry and of the 600 s laptop age.
-        let dirty = [(9, 0), (2, 500), (7, 5), (4, 0), (1, 620), (5, 30)];
+        let pages = [(9, 0), (2, 500), (7, 5), (4, 0), (1, 620), (5, 30)];
         let fill = |laptop| {
-            let mut w = wb(laptop);
-            for (i, at) in dirty {
-                w.mark_dirty(key(i), SimTime::from_secs(at));
+            let mut c = cache(laptop);
+            for (i, t) in pages {
+                dirty(&mut c, i, t);
             }
-            w
+            c
         };
         let keys = |ks: &[u64]| ks.iter().map(|&i| key(i)).collect::<Vec<_>>();
-        let now = SimTime::from_secs(640);
+        let now = at(640);
         // Normal rules: everything at least 30 s old.
-        let mut w = fill(false);
-        assert_eq!(w.collect_due(now, false), keys(&[2, 4, 5, 7, 9]));
-        assert_eq!(w.drain_all(), keys(&[1]));
+        let mut c = fill(false);
+        assert_eq!(c.flush_due(now, false), keys(&[2, 4, 5, 7, 9]));
+        assert_eq!(c.flush_all(), keys(&[1]));
         // Laptop mode, disk asleep: only past the laptop age.
-        let mut w = fill(true);
-        assert_eq!(w.collect_due(now, false), keys(&[4, 5, 7, 9]));
-        assert_eq!(w.drain_all(), keys(&[1, 2]));
+        let mut c = fill(true);
+        assert_eq!(c.flush_due(now, false), keys(&[4, 5, 7, 9]));
+        assert_eq!(c.flush_all(), keys(&[1, 2]));
         // Laptop mode, disk spinning: everything, young pages included.
-        let mut w = fill(true);
-        assert_eq!(w.collect_due(now, true), keys(&[1, 2, 4, 5, 7, 9]));
-        assert_eq!(w.dirty_count(), 0);
+        let mut c = fill(true);
+        assert_eq!(c.flush_due(now, true), keys(&[1, 2, 4, 5, 7, 9]));
+        assert_eq!(c.dirty(), 0);
     }
 
-    /// The due pages by a plain scan of the registry, with no bound.
-    fn scan(w: &Writeback, now: SimTime, disk_ready: bool) -> Vec<PageKey> {
-        let c = &w.config;
-        let limit = if c.laptop_mode && !disk_ready {
-            c.laptop_max_age
+    /// The pages due at `now` by a plain scan of a model of the dirty
+    /// set (page → first-dirtied time), removed from the model.
+    fn scan(
+        model: &mut BTreeMap<PageKey, SimTime>,
+        config: &WritebackConfig,
+        now: SimTime,
+        disk_ready: bool,
+    ) -> Vec<PageKey> {
+        let limit = if config.laptop_mode && !disk_ready {
+            config.laptop_max_age
         } else {
-            c.dirty_expire
+            config.dirty_expire
         };
-        w.dirty
+        let due: Vec<PageKey> = model
             .iter()
             .filter(|&(_, &since)| {
-                (c.laptop_mode && disk_ready) || now.saturating_since(since) >= limit
+                (config.laptop_mode && disk_ready) || now.saturating_since(since) >= limit
             })
             .map(|(&k, _)| k)
-            .collect()
+            .collect();
+        for k in &due {
+            model.remove(k);
+        }
+        due
     }
 
     #[test]
     fn sleeping_disk_with_young_pages_skips_the_scan() {
-        let mut w = wb(true);
-        for (i, at) in [(3, 40), (1, 10), (2, 599)] {
-            w.mark_dirty(key(i), SimTime::from_secs(at));
+        let mut c = cache(true);
+        for (i, t) in [(3, 40), (1, 10), (2, 599)] {
+            dirty(&mut c, i, t);
         }
-        assert_eq!(w.oldest, SimTime::from_secs(10));
-        // Every wake-up before page 1 is 600 s old returns nothing.
+        // Every wake-up before page 1 is 600 s old takes nothing.
         for now in (15..610).step_by(5) {
-            assert_eq!(w.collect_due(SimTime::from_secs(now), false), vec![]);
-            assert_eq!(w.last_wakeup, SimTime::from_secs(now), "wake-up recorded");
+            assert_eq!(c.flush_due(at(now), false), vec![]);
         }
-        assert_eq!(w.dirty_count(), 3);
-        assert_eq!(w.collect_due(SimTime::from_secs(610), false), vec![key(1)]);
-        assert_eq!(w.oldest, SimTime::from_secs(40), "rebuilt by the scan");
+        assert_eq!(c.dirty(), 3);
+        // The last of those wake-ups was recorded: 4 s later even an
+        // eager flush waits.
+        assert_eq!(c.flush_due(at(609), true), vec![]);
+        assert_eq!(c.flush_due(at(610), false), vec![key(1)]);
+        assert_eq!(c.flush_due(at(635), false), vec![]);
+        assert_eq!(c.flush_due(at(640), false), vec![key(3)]);
+        assert_eq!(c.dirty(), 1);
     }
 
     #[test]
     fn evicting_the_oldest_page_leaves_the_due_set_exact() {
         for laptop in [false, true] {
-            let mut w = wb(laptop);
-            for (i, at) in [(5, 0), (1, 300), (3, 500), (4, 510)] {
-                w.mark_dirty(key(i), SimTime::from_secs(at));
+            // Capacity 8, Kin 2: page 5, written first, is the first
+            // page the reads push out.
+            let mut c = cache_of(8, laptop);
+            let config = WritebackConfig {
+                laptop_mode: laptop,
+                ..Default::default()
+            };
+            let mut model = BTreeMap::new();
+            for (i, t) in [(5, 0), (1, 300), (3, 500), (4, 510)] {
+                dirty(&mut c, i, t);
+                model.insert(key(i), at(t));
             }
-            // The bound is left at 0 s, below every page still dirty.
-            assert!(w.on_evict(key(5)));
+            let evicted: Vec<PageKey> = (100..105).flat_map(|i| read(&mut c, i)).collect();
+            assert_eq!(evicted, vec![key(5)]);
+            model.remove(&key(5));
             for now in (515..1200).step_by(5) {
-                let (now, ready) = (SimTime::from_secs(now), now % 3 == 0);
-                let want = scan(&w, now, ready);
-                assert_eq!(
-                    w.collect_due(now, ready),
-                    want,
-                    "laptop {laptop} at {now:?}"
-                );
-                if w.dirty_count() == 0 {
+                let (now, ready) = (at(now), now % 3 == 0);
+                let want = scan(&mut model, &config, now, ready);
+                assert_eq!(c.flush_due(now, ready), want, "laptop {laptop} at {now:?}");
+                if c.dirty() == 0 {
                     break;
                 }
             }
-            assert_eq!(w.dirty_count(), 0);
+            assert_eq!(c.dirty(), 0);
         }
     }
 
     #[test]
     fn drain_all_leaves_a_fresh_bound() {
-        let mut w = wb(true);
-        w.mark_dirty(key(1), SimTime::from_secs(0));
-        assert_eq!(w.drain_all(), vec![key(1)]);
-        assert_eq!(w.oldest, SimTime::MAX);
-        w.mark_dirty(key(2), SimTime::from_secs(1000));
-        w.mark_dirty(key(3), SimTime::from_secs(1200));
-        assert_eq!(w.oldest, SimTime::from_secs(1000));
-        assert_eq!(w.collect_due(SimTime::from_secs(1599), false), vec![]);
-        assert_eq!(w.collect_due(SimTime::from_secs(1604), false), vec![key(2)]);
-        assert_eq!(w.oldest, SimTime::from_secs(1200));
+        let mut c = cache(true);
+        dirty(&mut c, 1, 0);
+        assert_eq!(c.flush_all(), vec![key(1)]);
+        dirty(&mut c, 2, 1000);
+        dirty(&mut c, 3, 1200);
+        assert_eq!(c.flush_due(at(1599), false), vec![]);
+        assert_eq!(c.flush_due(at(1604), false), vec![key(2)]);
+        assert_eq!(c.dirty(), 1);
+        assert_eq!(c.flush_due(at(1799), false), vec![]);
+        assert_eq!(c.flush_due(at(1804), false), vec![key(3)]);
     }
 
     #[test]
     fn drain_all_empties() {
-        let mut w = wb(true);
-        w.mark_dirty(key(1), SimTime::ZERO);
-        w.mark_dirty(key(2), SimTime::ZERO);
-        assert_eq!(w.drain_all().len(), 2);
-        assert_eq!(w.dirty_count(), 0);
+        let mut c = cache(true);
+        dirty(&mut c, 1, 0);
+        dirty(&mut c, 2, 0);
+        assert_eq!(c.flush_all().len(), 2);
+        assert_eq!(c.dirty(), 0);
+        assert!(c.flush_all().is_empty());
+    }
+
+    #[test]
+    fn dirty_list_order_matches_a_model_under_non_monotone_times() {
+        // Writes at times that jump back and forth across the 30 s and
+        // 600 s ages, re-dirtying, reads that evict dirty pages from a
+        // small cache, and wake-ups under every rule; after each step
+        // the flushed lists and the dirty count agree with a model.
+        let mut rng = 0x853c_49e6_748f_ea9b_u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for laptop in [false, true] {
+            let config = WritebackConfig {
+                laptop_mode: laptop,
+                ..Default::default()
+            };
+            let mut c = cache_of(48, laptop);
+            let mut model: BTreeMap<PageKey, SimTime> = BTreeMap::new();
+            let (mut now, mut flushed, mut out_of_order) = (1_000u64, 0, 0);
+            let mut last_write = 0;
+            for step in 0..3_000 {
+                match next(8) {
+                    0..=3 => {
+                        // Up to 700 s back or 20 s ahead of the clock.
+                        let t = now - next(700) + next(20);
+                        out_of_order += usize::from(t < last_write);
+                        last_write = t;
+                        let k = key(next(64));
+                        let out = c.write(at(t), F, k.index * 4096, Bytes(4096));
+                        for v in out.evicted_dirty {
+                            assert!(model.remove(&v).is_some(), "step {step}: {v:?} was clean");
+                        }
+                        model.entry(k).or_insert(at(t));
+                    }
+                    4 | 5 => {
+                        for v in read(&mut c, 64 + next(64)) {
+                            assert!(model.remove(&v).is_some(), "step {step}: {v:?} was clean");
+                        }
+                    }
+                    _ => {
+                        // Wake-ups 5 s apart or more, so none is skipped.
+                        now += 5 + next(40);
+                        let ready = next(2) == 0;
+                        let want = scan(&mut model, &config, at(now), ready);
+                        flushed += want.len();
+                        assert_eq!(c.flush_due(at(now), ready), want, "step {step}");
+                    }
+                }
+                assert_eq!(c.dirty(), model.len(), "step {step}");
+            }
+            let rest: Vec<PageKey> = model.keys().copied().collect();
+            assert_eq!(c.flush_all(), rest);
+            assert!(flushed > 500, "{flushed} pages flushed");
+            assert!(out_of_order > 500, "{out_of_order} writes back in time");
+        }
     }
 }

@@ -40,8 +40,9 @@ proptest! {
             q.touch(key, &mut ev);
             live.insert(key);
             for victim in ev {
-                prop_assert!(live.remove(&victim), "evicted {victim:?} was not live");
-                prop_assert!(!q.contains(victim));
+                prop_assert!(!victim.dirty, "nothing was written");
+                prop_assert!(live.remove(&victim.key), "evicted {victim:?} was not live");
+                prop_assert!(!q.contains(victim.key));
             }
         }
         prop_assert_eq!(live.len(), q.resident());
@@ -660,6 +661,7 @@ proptest! {
             let key = PageKey { file, index };
             let (mut ev, mut rev) = (Vec::new(), Vec::new());
             prop_assert_eq!(q.touch(key, &mut ev), r.touch(key, &mut rev), "touch {}", i);
+            let ev: Vec<PageKey> = ev.iter().map(|v| v.key).collect();
             prop_assert_eq!(&ev, &rev, "evictions at touch {}", i);
             let probe = PageKey { file, index: lo % pages };
             prop_assert_eq!(q.contains(probe), r.contains(probe));
