@@ -11,6 +11,37 @@
 //!
 //! `SimTime ± Dur -> SimTime`, `SimTime - SimTime -> Dur`,
 //! `Dur ± Dur -> Dur`, `Dur × k -> Dur`.
+//!
+//! Units are checked by the compiler, not by naming convention. This
+//! compiles:
+//!
+//! ```
+//! use ff_base::{Dur, Joules, SimTime};
+//! let (span, cost, raw_us) = (Dur::from_millis(50), Joules(3.0), 50_000u64);
+//! let wake = SimTime::from_secs(1) + span;
+//! let gap = Dur::from_secs(1) + span;
+//! # let _ = (wake, gap, cost, raw_us);
+//! ```
+//!
+//! Adding joules to an instant does not:
+//!
+//! ```compile_fail
+//! use ff_base::{Dur, Joules, SimTime};
+//! let (span, cost, raw_us) = (Dur::from_millis(50), Joules(3.0), 50_000u64);
+//! let wake = SimTime::from_secs(1) + cost;
+//! let gap = Dur::from_secs(1) + span;
+//! # let _ = (wake, gap, cost, raw_us);
+//! ```
+//!
+//! Nor does adding a bare integer to a span: a raw count has no scale.
+//!
+//! ```compile_fail
+//! use ff_base::{Dur, Joules, SimTime};
+//! let (span, cost, raw_us) = (Dur::from_millis(50), Joules(3.0), 50_000u64);
+//! let wake = SimTime::from_secs(1) + span;
+//! let gap = Dur::from_secs(1) + raw_us;
+//! # let _ = (wake, gap, cost, raw_us);
+//! ```
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -78,6 +109,10 @@ impl SimTime {
 impl Dur {
     /// The empty span.
     pub const ZERO: Dur = Dur(0);
+    /// The longest span a run configuration may name: 2^53 µs, about
+    /// 285 years. Past it [`Dur::as_secs_f64`] stops being exact; the
+    /// `u64` clock wraps after 2,048 such spans.
+    pub const HORIZON: Dur = Dur(1 << 53);
 
     /// Span of `us` microseconds.
     #[inline]

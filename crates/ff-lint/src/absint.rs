@@ -1,10 +1,12 @@
 //! Numeric abstract interpretation over the item tree.
 //!
-//! This pass proves *value-range* and *dimension* properties, which is
-//! what FlexFetch's energy argument actually rests on: energy
-//! accumulators never go negative, divisors never reach zero, counters
-//! do not silently truncate, time units are never mixed, and the
-//! paper's timeout constants satisfy the §3 break-even ordering.
+//! This pass proves *value-range* properties, which is what
+//! FlexFetch's energy argument actually rests on: energy accumulators
+//! never go negative, divisors never reach zero, counters do not
+//! silently truncate, and the paper's timeout constants satisfy the §3
+//! break-even ordering. Units are not its business: `ff-base`'s
+//! newtypes (`SimTime`, `Dur`, `Joules`, `Watts`, `Bytes`) make mixing
+//! them a type error.
 //!
 //! The domain is a product of three components per expression:
 //!
@@ -12,9 +14,8 @@
 //!   extended reals,
 //! - the **sign** lattice ([`crate::interval::Sign`]), kept alongside
 //!   the interval so polarity survives widening,
-//! - the **dimension** ([`Dim`]: time-at-scale, joules, bytes), read
-//!   from the workspace's identifier-suffix convention (`deadline_us`,
-//!   `cost_j`, `disk_bytes`) and from `Dur` accessors.
+//! - **floatiness**, a syntactic "came from float arithmetic" taint
+//!   that the truncating-cast check reads.
 //!
 //! Abstract values are computed by a small expression evaluator over
 //! the preprocessed statement text: numeric literals and the Table 1/2
@@ -26,19 +27,13 @@
 //! descending fixpoint: round one evaluates every function's return
 //! expression with all calls mapped to `TOP`, round two re-evaluates
 //! with round one's summaries substituted. Both rounds are sound, so
-//! the tighter second round is kept. The summaries carry a return
-//! dimension too — the fn-name suffix, else the one dimension every
-//! return site agrees on — so a unit crosses call boundaries.
+//! the tighter second round is kept. Identifiers the evaluator knows
+//! nothing about are read by the workspace's suffix convention: a
+//! counter (`disk_bytes`, `deadline_us`), an energy (`cost_j`,
+//! `request_energy`) or a power is a non-negative quantity.
 //!
-//! Four rule families consume the facts, all pinned at zero:
+//! Three rule families consume the facts, all pinned at zero:
 //!
-//! - **unit-flow** — additive arithmetic or an ordering comparison
-//!   between two different dimensions (`us+s`), a suffixed `let` whose
-//!   initialiser carries another dimension (`let:NAME`), a call
-//!   argument contradicting the callee's parameter suffix
-//!   (`call:NAME`), and a `return` or tail expression contradicting
-//!   the fn-name suffix (`ret:NAME`). `*` and `/` clear the dimension:
-//!   rescaling is how units are *supposed* to change.
 //! - **arith-safety** — divisions whose divisor provably may be zero
 //!   (interval contains zero, or an explicit `.max(0)` floor), lossy
 //!   narrowing and float→int `as` casts that the interval cannot prove
@@ -58,7 +53,6 @@
 //!   `WNIC_PSM_TIMEOUT_MS < T_breakeven` and the requirement that
 //!   every backoff shift is `.min(..)`-clamped and overflow-free.
 
-use crate::callgraph::STD_COLLIDING_METHODS;
 use crate::consts;
 use crate::interval::{Interval, Sign};
 use crate::items::{self, Item, ItemTree};
@@ -66,61 +60,26 @@ use crate::rules::{call_args, parse_num, Finding, Rule};
 use crate::scan::{FileKind, SourceFile};
 use std::collections::BTreeMap;
 
-/// A time scale recovered from a suffix or a `Dur` accessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Unit {
-    Micros,
-    Millis,
-    Secs,
+/// Counter suffixes: byte counts and integer time at a fixed scale.
+const COUNTER_SUFFIXES: [&str; 7] = ["_bytes", "_us", "_micros", "_ms", "_millis", "_s", "_secs"];
+
+/// Does `name` end in one of `suffixes` after a non-empty stem?
+fn has_suffix(name: &str, suffixes: &[&str]) -> bool {
+    suffixes.iter().any(|suffix| {
+        name.strip_suffix(suffix)
+            .is_some_and(|stem| !stem.is_empty())
+    })
 }
 
-/// A physical dimension. Time keeps its scale; rescaling between
-/// dimensions is never implicit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Dim {
-    /// A time quantity at a specific scale.
-    Time(Unit),
-    /// Energy in joules (`_j` / `_joules`).
-    Joules,
-    /// A byte count (`_bytes`).
-    Bytes,
+/// A byte count or an integer time (`disk_bytes`, `deadline_us`).
+fn is_counter_name(name: &str) -> bool {
+    has_suffix(name, &COUNTER_SUFFIXES)
 }
 
-/// Identifier suffixes and the dimension each declares.
-const SUFFIXES: [(&str, Dim); 9] = [
-    ("_us", Dim::Time(Unit::Micros)),
-    ("_micros", Dim::Time(Unit::Micros)),
-    ("_ms", Dim::Time(Unit::Millis)),
-    ("_millis", Dim::Time(Unit::Millis)),
-    ("_s", Dim::Time(Unit::Secs)),
-    ("_secs", Dim::Time(Unit::Secs)),
-    ("_j", Dim::Joules),
-    ("_joules", Dim::Joules),
-    ("_bytes", Dim::Bytes),
-];
-
-impl Dim {
-    /// Short label used in finding tokens (`us+s`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Dim::Time(Unit::Micros) => "us",
-            Dim::Time(Unit::Millis) => "ms",
-            Dim::Time(Unit::Secs) => "s",
-            Dim::Joules => "j",
-            Dim::Bytes => "bytes",
-        }
-    }
-
-    /// Dimension implied by an identifier's suffix.
-    pub fn of_ident(name: &str) -> Option<Dim> {
-        SUFFIXES
-            .iter()
-            .find(|(suffix, _)| {
-                name.strip_suffix(suffix)
-                    .is_some_and(|stem| !stem.is_empty())
-            })
-            .map(|&(_, dim)| dim)
-    }
+/// An energy quantity: the `_j`/`_joules` suffix, or the energy-field
+/// naming convention (`energy`, `*_energy`) that suffix misses.
+fn is_energy_name(name: &str) -> bool {
+    has_suffix(name, &["_j", "_joules"]) || name == "energy" || name.ends_with("_energy")
 }
 
 /// Crates whose library code is held to `arith-safety`.
@@ -145,14 +104,13 @@ const INT_TARGETS: [&str; 10] = [
     "i16", "i32", "i64", "i8", "isize", "u16", "u32", "u64", "u8", "usize",
 ];
 
-/// One value in the product domain: interval × sign × dimension, plus
-/// a syntactic "came from float arithmetic" taint used by the
+/// One value in the product domain: interval × sign × floatiness, the
+/// last a syntactic "came from float arithmetic" taint used by the
 /// truncating-cast check.
 #[derive(Debug, Clone)]
 pub(crate) struct AbsVal {
     pub(crate) iv: Interval,
     pub(crate) sign: Sign,
-    pub(crate) dim: Option<Dim>,
     pub(crate) floaty: bool,
 }
 
@@ -161,7 +119,6 @@ impl AbsVal {
         AbsVal {
             iv: Interval::TOP,
             sign: Sign::Unknown,
-            dim: None,
             floaty: false,
         }
     }
@@ -170,7 +127,6 @@ impl AbsVal {
         AbsVal {
             iv,
             sign: iv.sign(),
-            dim: None,
             floaty: false,
         }
     }
@@ -181,13 +137,12 @@ impl AbsVal {
         a
     }
 
-    /// Unknown value carrying a dimension hint: physical quantities in
-    /// this codebase (counters, durations, joules) are non-negative.
-    fn counter(dim: Option<Dim>) -> AbsVal {
+    /// Unknown physical quantity: counters, durations and joules in
+    /// this codebase are non-negative.
+    fn counter() -> AbsVal {
         AbsVal {
             iv: Interval::NON_NEG,
             sign: Sign::NonNeg,
-            dim,
             floaty: false,
         }
     }
@@ -196,11 +151,6 @@ impl AbsVal {
         AbsVal {
             iv: self.iv.join(other.iv),
             sign: self.sign.join(other.sign),
-            dim: if self.dim == other.dim {
-                self.dim
-            } else {
-                None
-            },
             floaty: self.floaty || other.floaty,
         }
     }
@@ -217,92 +167,15 @@ fn refine(mut v: AbsVal) -> AbsVal {
 
 type Env = BTreeMap<String, AbsVal>;
 
-/// Per-name function summaries. Calls resolve by bare name, so every
-/// same-named fn folds into one entry; where their dimensions
-/// disagree the entry is `None` and nothing is judged.
-#[derive(Debug, Default)]
-struct Sums {
-    /// Joined return interval of the fns whose interval is not `TOP`.
-    ret: BTreeMap<String, Interval>,
-    /// Return dimension: the fn-name suffix, else the one dimension
-    /// every return site agrees on.
-    dim: BTreeMap<String, Option<Dim>>,
-    /// Parameter dimensions from the suffix convention (`self`
-    /// excluded).
-    params: BTreeMap<String, Option<Vec<Option<Dim>>>>,
-}
-
-impl Sums {
-    /// Return dimension of a call to `name`.
-    fn ret_dim(&self, name: &str) -> Option<Dim> {
-        if STD_COLLIDING_METHODS.contains(&name) {
-            return None;
-        }
-        self.dim.get(name).copied().flatten()
-    }
-}
-
-/// Fold one fn's fact into a per-name map: agreeing facts stay,
-/// disagreeing ones become `None`.
-fn fold<T: PartialEq>(map: &mut BTreeMap<String, Option<T>>, name: &str, fact: Option<T>) {
-    match map.get_mut(name) {
-        Some(slot) => {
-            if *slot != fact {
-                *slot = None;
-            }
-        }
-        None => {
-            map.insert(name.to_owned(), fact);
-        }
-    }
-}
-
-/// A `unit-flow` violation met while evaluating: (token, message).
-type UnitIssue = (String, String);
-
-/// The dimension of `lhs op rhs` for an additive or comparison
-/// operator, plus the issue when both sides carry different ones.
-fn combine_dims(
-    l: Option<Dim>,
-    r: Option<Dim>,
-    op: &str,
-    lhs: &str,
-    rhs: &str,
-) -> (Option<Dim>, Option<UnitIssue>) {
-    match (l, r) {
-        (Some(a), Some(b)) if a != b => (
-            None,
-            Some((
-                format!("{}{op}{}", a.label(), b.label()),
-                format!(
-                    "mixed dimensions: `{}` is {} but `{}` is {}; rescale explicitly \
-                     or move both into a newtype",
-                    lhs.trim(),
-                    a.label(),
-                    rhs.trim(),
-                    b.label()
-                ),
-            )),
-        ),
-        _ => (l.or(r), None),
-    }
-}
-
-/// Dimension of an identifier, extended with the energy-field naming
-/// convention (`energy`, `*_energy`) the `_j` suffix rule misses.
-fn dim_of_name(name: &str) -> Option<Dim> {
-    if let Some(d) = Dim::of_ident(name) {
-        return Some(d);
-    }
-    if name == "energy" || name.ends_with("_energy") {
-        return Some(Dim::Joules);
-    }
-    None
-}
+/// Per-name function summaries: the joined return interval of the fns
+/// of that name whose interval is not `TOP`. Calls resolve by bare
+/// name, so every same-named fn folds into one entry.
+type Sums = BTreeMap<String, Interval>;
 
 /// Names that abstract to "unknown but non-negative physical quantity".
 fn is_nonneg_name(name: &str) -> bool {
-    dim_of_name(name).is_some()
+    is_counter_name(name)
+        || is_energy_name(name)
         || name.ends_with("_power")
         || name.ends_with("_w")
         || name.ends_with("_wh")
@@ -326,8 +199,6 @@ enum TK {
     Slash,
     Percent,
     Shl,
-    /// `<`, `<=`, `>` or `>=`, keyed by its first byte.
-    Cmp(u8),
     As,
     Question,
     Other,
@@ -435,18 +306,6 @@ fn lex(s: &str) -> Vec<Tok> {
                     i += 1;
                     TK::Shl
                 }
-                // An ordering comparison, not generics or `->`/`=>`:
-                // rustfmt spaces it (`a < b`, `a >= b`).
-                b'<' | b'>'
-                    if start > 0
-                        && b[start - 1] == b' '
-                        && matches!(b.get(i), Some(b' ') | Some(b'=')) =>
-                {
-                    if b.get(i) == Some(&b'=') {
-                        i += 1;
-                    }
-                    TK::Cmp(c)
-                }
                 b'?' => TK::Question,
                 _ => TK::Other,
             }
@@ -470,8 +329,6 @@ struct Eval<'a> {
     i: usize,
     env: &'a Env,
     sums: &'a Sums,
-    /// Unit-flow violations met along the way.
-    issues: Vec<UnitIssue>,
 }
 
 impl<'a> Eval<'a> {
@@ -482,72 +339,6 @@ impl<'a> Eval<'a> {
             i: 0,
             env,
             sums,
-            issues: Vec::new(),
-        }
-    }
-
-    /// Byte offset where the next token starts (end of input if none).
-    fn here(&self) -> usize {
-        self.peek().map_or(self.src.len(), |t| t.start)
-    }
-
-    /// Byte offset where the last consumed token ends.
-    fn consumed_end(&self) -> usize {
-        self.i
-            .checked_sub(1)
-            .and_then(|j| self.toks.get(j))
-            .map_or(0, |t| t.end)
-    }
-
-    /// Dimension of `lhs op rhs`, where the operator token is `op_tok`
-    /// and the left operand starts at byte `start`; records a mismatch.
-    fn join_dims(
-        &mut self,
-        start: usize,
-        op_tok: Tok,
-        l: Option<Dim>,
-        r: Option<Dim>,
-    ) -> Option<Dim> {
-        let src = self.src;
-        let lhs = src.get(start..op_tok.start).unwrap_or("");
-        let rhs = src.get(op_tok.end..self.consumed_end()).unwrap_or("");
-        let op = match op_tok.kind {
-            TK::Cmp(c) => char::from(c).to_string(),
-            _ => src.get(op_tok.start..op_tok.end).unwrap_or("").to_owned(),
-        };
-        let (dim, issue) = combine_dims(l, r, &op, lhs, rhs);
-        self.issues.extend(issue);
-        dim
-    }
-
-    /// Flag call arguments whose dimension contradicts the callee's
-    /// parameter suffix. Callees resolve by bare name; std-colliding
-    /// method names and arity mismatches (multi-line calls, unmodelled
-    /// argument syntax) are not judged.
-    fn check_args(&mut self, name: &str, args: &[AbsVal]) {
-        let bare = name.rsplit("::").next().unwrap_or(name);
-        if STD_COLLIDING_METHODS.contains(&bare) {
-            return;
-        }
-        let Some(Some(params)) = self.sums.params.get(bare) else {
-            return;
-        };
-        if params.len() != args.len() {
-            return;
-        }
-        for (arg, want) in args.iter().zip(params) {
-            if let (Some(got), Some(want)) = (arg.dim, *want) {
-                if got != want {
-                    self.issues.push((
-                        format!("call:{bare}"),
-                        format!(
-                            "argument carries {} but `{bare}` expects {} here",
-                            got.label(),
-                            want.label()
-                        ),
-                    ));
-                }
-            }
         }
     }
 
@@ -579,7 +370,6 @@ impl<'a> Eval<'a> {
             v = refine(AbsVal {
                 iv: shl_interval(v.iv, rhs.iv),
                 sign: Sign::Unknown,
-                dim: None,
                 floaty: false,
             });
         }
@@ -587,7 +377,6 @@ impl<'a> Eval<'a> {
     }
 
     fn additive(&mut self) -> AbsVal {
-        let start = self.here();
         let mut v = self.term();
         while let Some(t) = self.peek() {
             let op = t.kind;
@@ -596,18 +385,15 @@ impl<'a> Eval<'a> {
             }
             self.bump();
             let rhs = self.term();
-            let dim = self.join_dims(start, t, v.dim, rhs.dim);
             v = match op {
                 TK::Plus => AbsVal {
                     iv: v.iv.add(rhs.iv),
                     sign: v.sign.add(rhs.sign),
-                    dim,
                     floaty: v.floaty || rhs.floaty,
                 },
                 _ => AbsVal {
                     iv: v.iv.sub(rhs.iv),
                     sign: v.sign.add(rhs.sign.neg()),
-                    dim,
                     floaty: v.floaty || rhs.floaty,
                 },
             };
@@ -629,13 +415,11 @@ impl<'a> Eval<'a> {
                 TK::Star => refine(AbsVal {
                     iv: v.iv.mul(rhs.iv),
                     sign: v.sign.mul(rhs.sign),
-                    dim: None,
                     floaty: v.floaty || rhs.floaty,
                 }),
                 TK::Slash => refine(AbsVal {
                     iv: v.iv.div(rhs.iv),
                     sign: Sign::Unknown,
-                    dim: None,
                     floaty: v.floaty || rhs.floaty,
                 }),
                 _ => {
@@ -657,7 +441,6 @@ impl<'a> Eval<'a> {
                     refine(AbsVal {
                         iv,
                         sign: Sign::Unknown,
-                        dim: v.dim,
                         floaty: v.floaty || rhs.floaty,
                     })
                 }
@@ -674,7 +457,6 @@ impl<'a> Eval<'a> {
                 return refine(AbsVal {
                     iv: v.iv.neg(),
                     sign: v.sign.neg(),
-                    dim: v.dim,
                     floaty: v.floaty,
                 });
             }
@@ -712,8 +494,7 @@ impl<'a> Eval<'a> {
                     if self.peek().map(|t| t.kind) == Some(TK::LParen) {
                         self.bump();
                         let args = self.args();
-                        self.check_args(name, &args);
-                        v = apply_method(v, name, &args, self.sums);
+                        v = apply_method(v, name, &args);
                     } else {
                         // Field access: abstract by the field's name.
                         v = field_val(name);
@@ -781,7 +562,6 @@ impl<'a> Eval<'a> {
                     if self.peek().map(|x| x.kind) == Some(TK::LParen) {
                         self.bump();
                         let args = self.args();
-                        self.check_args(name, &args);
                         call_val(name, &args, self.sums)
                     } else {
                         ident_val(name, self.env)
@@ -833,7 +613,6 @@ fn apply_cast(v: AbsVal, target: &str) -> AbsVal {
             return refine(AbsVal {
                 iv,
                 sign: Sign::Unknown,
-                dim: v.dim,
                 floaty: false,
             });
         }
@@ -853,43 +632,36 @@ fn apply_cast(v: AbsVal, target: &str) -> AbsVal {
 }
 
 /// Abstract a known method call; unknown methods conservatively
-/// return `TOP` carrying only the summarised return dimension (method
-/// intervals stay out of divisor reasoning so a misresolved name can
-/// never manufacture a finding).
-fn apply_method(v: AbsVal, name: &str, args: &[AbsVal], sums: &Sums) -> AbsVal {
+/// return `TOP` (method intervals stay out of divisor reasoning so a
+/// misresolved name can never manufacture a finding).
+fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
     let arg = |i: usize| -> AbsVal { args.get(i).cloned().unwrap_or_else(AbsVal::top) };
     match name {
         "max" => refine(AbsVal {
             iv: v.iv.max_op(arg(0).iv),
             sign: Sign::Unknown,
-            dim: v.dim,
             floaty: v.floaty || arg(0).floaty,
         }),
         "min" => refine(AbsVal {
             iv: v.iv.min_op(arg(0).iv),
             sign: Sign::Unknown,
-            dim: v.dim,
             floaty: v.floaty || arg(0).floaty,
         }),
         "clamp" => refine(AbsVal {
             iv: v.iv.clamp_op(arg(0).iv, arg(1).iv),
             sign: Sign::Unknown,
-            dim: v.dim,
             floaty: v.floaty,
         }),
         "abs" => refine(AbsVal {
             iv: v.iv.abs_op(),
             sign: Sign::Unknown,
-            dim: v.dim,
             floaty: v.floaty,
         }),
-        "sqrt" => AbsVal::counter(None),
-        "len" => AbsVal::counter(None),
+        "sqrt" | "len" | "as_micros" | "as_millis" | "as_secs" => AbsVal::counter(),
         "get" | "clone" | "copied" | "into" => v,
         "saturating_add" => refine(AbsVal {
             iv: v.iv.add(arg(0).iv),
             sign: v.sign.add(arg(0).sign),
-            dim: v.dim,
             floaty: v.floaty,
         }),
         "saturating_sub" => {
@@ -898,82 +670,43 @@ fn apply_method(v: AbsVal, name: &str, args: &[AbsVal], sums: &Sums) -> AbsVal {
             refine(AbsVal {
                 iv,
                 sign: Sign::NonNeg,
-                dim: v.dim,
                 floaty: v.floaty,
             })
         }
         "saturating_mul" => refine(AbsVal {
             iv: v.iv.mul(arg(0).iv),
             sign: v.sign.mul(arg(0).sign),
-            dim: v.dim,
             floaty: v.floaty,
         }),
-        "as_micros" => time_val(v, Unit::Micros),
-        "as_millis" => time_val(v, Unit::Millis),
-        "as_secs" => time_val(v, Unit::Secs),
-        "as_secs_f64" => {
-            let mut out = AbsVal::counter(Some(Dim::Time(Unit::Secs)));
-            out.floaty = true;
-            out
-        }
-        "as_mib_f64" => {
-            let mut out = AbsVal::counter(None);
-            out.floaty = true;
-            out
-        }
-        _ => AbsVal {
-            dim: sums.ret_dim(name),
-            ..AbsVal::top()
+        "as_secs_f64" | "as_mib_f64" => AbsVal {
+            floaty: true,
+            ..AbsVal::counter()
         },
+        _ => AbsVal::top(),
     }
-}
-
-fn time_val(_recv: AbsVal, unit: Unit) -> AbsVal {
-    AbsVal::counter(Some(Dim::Time(unit)))
 }
 
 /// Abstract a bare (single-segment) call via the function summaries;
 /// qualified paths model the `ff_base` constructors and stay `TOP`
 /// otherwise.
 fn call_val(name: &str, args: &[AbsVal], sums: &Sums) -> AbsVal {
-    let arg = |i: usize| -> AbsVal { args.get(i).cloned().unwrap_or_else(AbsVal::top) };
-    let last = name.rsplit("::").next().unwrap_or(name);
-    if name == "Bytes" {
-        let mut v = arg(0);
-        v.dim = Some(Dim::Bytes);
-        return v;
-    }
-    if name == "Joules" || name == "Watts" {
-        let mut v = arg(0);
-        if name == "Joules" {
-            v.dim = Some(Dim::Joules);
-        }
-        return v;
-    }
-    if name.starts_with("Dur::from_") || name.starts_with("SimTime::from_") {
-        // The newtype carries its own scale, so the result has no
-        // dimension: `Dur::from_millis(a) + Dur::from_secs(b)` is fine.
-        return AbsVal {
-            dim: None,
-            ..arg(0)
-        };
+    if matches!(name, "Bytes" | "Joules" | "Watts")
+        || name.starts_with("Dur::from_")
+        || name.starts_with("SimTime::from_")
+    {
+        // A unit newtype wraps its argument's value.
+        return args.first().cloned().unwrap_or_else(AbsVal::top);
     }
     if name == "u64::MAX" {
         return AbsVal::of_interval(Interval::point(u64::MAX as f64));
     }
-    // Intervals resolve only bare names; dimensions also resolve a
-    // path's last segment.
-    let mut v = sums
-        .ret
-        .get(name)
-        .map_or_else(AbsVal::top, |iv| AbsVal::of_interval(*iv));
-    v.dim = sums.ret_dim(last);
-    v
+    sums.get(name)
+        .map_or_else(AbsVal::top, |iv| AbsVal::of_interval(*iv))
 }
 
 /// Abstract a plain identifier: environment, constant registry (both
 /// already folded into `env`), `MAX`/`MIN` associated consts, then the
-/// dimension-suffix heuristic.
+/// unit-suffix heuristic.
 fn ident_val(name: &str, env: &Env) -> AbsVal {
     let last = name.rsplit("::").next().unwrap_or(name);
     if let Some(v) = env.get(name).or_else(|| env.get(last)) {
@@ -990,9 +723,8 @@ fn ident_val(name: &str, env: &Env) -> AbsVal {
 
 /// Abstract an identifier or field by its name alone.
 fn field_val(name: &str) -> AbsVal {
-    let dim = dim_of_name(name);
-    if dim.is_some() || is_nonneg_name(name) {
-        AbsVal::counter(dim)
+    if is_nonneg_name(name) {
+        AbsVal::counter()
     } else {
         AbsVal::top()
     }
@@ -1228,15 +960,16 @@ fn zero_floor_clamp(slice: &str) -> bool {
 }
 
 /// Environment for one function: Table 1/2 constants plus any
-/// dimension-suffixed parameters (non-negative physical quantities).
+/// counter- or energy-suffixed parameters (non-negative physical
+/// quantities).
 fn base_env(ctab: &BTreeMap<String, f64>, item: &Item) -> Env {
     let mut env: Env = ctab
         .iter()
         .map(|(k, v)| (k.clone(), AbsVal::point(*v, v.fract().abs() > 0.0)))
         .collect();
     for p in &item.params {
-        if let Some(dim) = dim_of_name(p) {
-            env.insert(p.clone(), AbsVal::counter(Some(dim)));
+        if is_counter_name(p) || is_energy_name(p) {
+            env.insert(p.clone(), AbsVal::counter());
         }
     }
     env
@@ -1289,10 +1022,7 @@ fn walk_fn<F: FnMut(usize, &str, &Env)>(
 /// to the environment.
 fn bind(code: &str, env: &mut Env, sums: &Sums) {
     if let Some((name, rhs)) = split_let(code) {
-        // The name's suffix is the binding's declared dimension.
-        let v = refine(eval_slice(rhs, env, sums));
-        let dim = dim_of_name(name).or(v.dim);
-        env.insert(name.to_owned(), AbsVal { dim, ..v });
+        env.insert(name.to_owned(), refine(eval_slice(rhs, env, sums)));
     } else if let Some((lhs, op, rhs)) = split_compound(code) {
         let name = last_segment(lhs);
         if let Some(old) = env.get(name).cloned() {
@@ -1310,7 +1040,6 @@ fn bind(code: &str, env: &mut Env, sums: &Sums) {
                 refine(AbsVal {
                     iv: widened,
                     sign: Sign::Unknown,
-                    dim: old.dim,
                     floaty: old.floaty,
                 }),
             );
@@ -1406,25 +1135,15 @@ fn summary_round(
             }
             let env = walk_fn(file, item, ctab, prev, &mut |_, _, _| {});
             let mut joined: Option<Interval> = None;
-            let mut dims: Vec<Dim> = Vec::new();
             for (_, expr) in return_exprs(file, item) {
-                let v = eval_slice(expr, &env, prev);
-                joined = Some(match joined {
-                    Some(j) => j.join(v.iv),
-                    None => v.iv,
-                });
-                dims.extend(v.dim);
+                let iv = eval_slice(expr, &env, prev).iv;
+                joined = Some(joined.map_or(iv, |j| j.join(iv)));
             }
-            let agreed = dims.first().filter(|d| dims.iter().all(|x| x == *d));
-            let dim = dim_of_name(&item.name).or(agreed.copied());
-            fold(&mut next.dim, &item.name, dim);
-            let params = item.params.iter().map(|p| dim_of_name(p)).collect();
-            fold(&mut next.params, &item.name, Some(params));
             let Some(iv) = joined else { continue };
             if iv.is_top() {
                 continue;
             }
-            let entry = next.ret.entry(item.name.clone()).or_insert(iv);
+            let entry = next.entry(item.name.clone()).or_insert(iv);
             *entry = entry.join(iv);
         }
     }
@@ -1434,8 +1153,7 @@ fn summary_round(
 /// Two-round descending fixpoint over function return intervals. Round
 /// one is computed with every call abstracted to `TOP` (sound); round
 /// two substitutes round one's summaries (still sound, tighter or
-/// equal), so the second round is the result. Return dimensions ride
-/// along, so a two-deep helper chain still carries its unit.
+/// equal), so the second round is the result.
 fn build_summaries(
     sources: &[SourceFile],
     trees: &[ItemTree],
@@ -1457,7 +1175,7 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
             continue;
         }
         for (_, item) in tree.fns() {
-            if let Some(iv) = bare.ret.get(&item.name) {
+            if let Some(iv) = bare.get(&item.name) {
                 out.insert(format!("{}::{}", file.crate_name, item.name), *iv);
             }
         }
@@ -1469,8 +1187,9 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
 // Rule families
 // ---------------------------------------------------------------------
 
-/// Run the four families over the workspace: unit-flow over every
-/// library crate, arith-safety and energy-bounds over their crates.
+/// Run the three families over the workspace: arith-safety and
+/// energy-bounds over their crates' library code, timeout-order over
+/// the constant registry and the retry ladder.
 pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding> {
     let ctab = consts::const_table(sources);
     let sums = build_summaries(sources, trees, &ctab);
@@ -1481,6 +1200,9 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
         }
         let arith = ARITH_CRATES.contains(&file.crate_name.as_str());
         let energy = ENERGY_CRATES.contains(&file.crate_name.as_str());
+        if !arith && !energy {
+            continue;
+        }
         for (_, item) in tree.fns() {
             if item.in_test {
                 continue;
@@ -1491,7 +1213,6 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
                 String::new()
             };
             let mut sink = |idx: usize, code: &str, env: &Env| {
-                check_units(file, idx, code, env, &sums, &mut out);
                 if arith {
                     check_divisions(file, idx, code, env, &sums, &fn_text, &mut out);
                     check_casts(file, idx, code, env, &sums, &mut out);
@@ -1501,8 +1222,7 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
                     check_energy_line(file, idx, code, env, &sums, &mut out);
                 }
             };
-            let env = walk_fn(file, item, &ctab, &sums, &mut sink);
-            check_returns(file, item, &env, &sums, &mut out);
+            walk_fn(file, item, &ctab, &sums, &mut sink);
             if energy {
                 check_drain_fn(file, item, &mut out);
             }
@@ -1510,79 +1230,6 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
     }
     out.extend(timeout_order(sources, &ctab));
     out
-}
-
-/// unit-flow: every expression in one statement (mixed additive
-/// operands, call arguments), top-level ordering comparisons, a
-/// compound `+=`/`-=`, and a suffixed `let` against its initialiser.
-fn check_units(
-    file: &SourceFile,
-    idx: usize,
-    code: &str,
-    env: &Env,
-    sums: &Sums,
-    out: &mut Vec<Finding>,
-) {
-    let mut ev = Eval::new(code, env, sums);
-    while ev.peek().is_some() {
-        let start = ev.here();
-        let lhs = ev.expr();
-        if let Some(op) = ev.peek().filter(|t| matches!(t.kind, TK::Cmp(_))) {
-            ev.bump();
-            let rhs = ev.expr();
-            ev.join_dims(start, op, lhs.dim, rhs.dim);
-        }
-    }
-    let mut issues = ev.issues;
-    if let Some((lhs, op @ (b'+' | b'-'), rhs)) = split_compound(code) {
-        let (l, r) = (eval_slice(lhs, env, sums), eval_slice(rhs, env, sums));
-        let op = char::from(op).to_string();
-        issues.extend(combine_dims(l.dim, r.dim, &op, lhs, rhs).1);
-    }
-    if let Some((name, rhs)) = split_let(code) {
-        if let (Some(want), Some(got)) = (dim_of_name(name), eval_slice(rhs, env, sums).dim) {
-            if want != got {
-                issues.push((
-                    format!("let:{name}"),
-                    format!(
-                        "`{name}` claims {} by its suffix but its initialiser carries {}",
-                        want.label(),
-                        got.label()
-                    ),
-                ));
-            }
-        }
-    }
-    for (token, message) in issues {
-        push(out, Rule::UnitFlow, file, idx, token, message);
-    }
-}
-
-/// unit-flow: `return` and tail expressions against the fn-name suffix.
-fn check_returns(file: &SourceFile, item: &Item, env: &Env, sums: &Sums, out: &mut Vec<Finding>) {
-    let Some(want) = dim_of_name(&item.name) else {
-        return;
-    };
-    for (idx, expr) in return_exprs(file, item) {
-        let Some(got) = eval_slice(expr, env, sums).dim else {
-            continue;
-        };
-        if got != want {
-            push(
-                out,
-                Rule::UnitFlow,
-                file,
-                idx,
-                format!("ret:{}", item.name),
-                format!(
-                    "`{}` promises {} by its suffix but returns a {} value",
-                    item.name,
-                    want.label(),
-                    got.label()
-                ),
-            );
-        }
-    }
 }
 
 fn fn_body_text(file: &SourceFile, item: &Item) -> String {
@@ -1745,8 +1392,7 @@ fn check_casts(
 fn check_counters(file: &SourceFile, idx: usize, code: &str, out: &mut Vec<Finding>) {
     if let Some((lhs, op, _rhs)) = split_compound(code) {
         let seg = last_segment(lhs);
-        let counter = matches!(Dim::of_ident(seg), Some(Dim::Bytes) | Some(Dim::Time(_)));
-        if counter && !code.contains("saturating") {
+        if is_counter_name(seg) && !code.contains("saturating") {
             push(
                 out,
                 Rule::ArithSafety,
@@ -1761,9 +1407,8 @@ fn check_counters(file: &SourceFile, idx: usize, code: &str, out: &mut Vec<Findi
             );
         }
     }
-    // Binary `a + b` / `a * b` with *both* operands dimension-suffixed
-    // counters of the same dimension (mixed dimensions are unit-flow's
-    // finding, not ours).
+    // Binary `a + b` / `a * b` with *both* operands counter-suffixed,
+    // whatever their scales: `a_us + b_ms` overflows like `a_us + b_us`.
     let b = code.as_bytes();
     for (i, &c) in b.iter().enumerate() {
         if c != b'+' && c != b'*' {
@@ -1774,14 +1419,7 @@ fn check_counters(file: &SourceFile, idx: usize, code: &str, out: &mut Vec<Findi
         }
         let left = path_before(code, i - 1);
         let right = path_after(code, i + 1);
-        let (Some(ld), Some(rd)) = (
-            Dim::of_ident(last_segment(left)),
-            Dim::of_ident(last_segment(right)),
-        ) else {
-            continue;
-        };
-        let countable = |d: Dim| matches!(d, Dim::Bytes | Dim::Time(_));
-        if ld == rd && countable(ld) {
+        if is_counter_name(last_segment(left)) && is_counter_name(last_segment(right)) {
             push(
                 out,
                 Rule::ArithSafety,
@@ -1837,7 +1475,7 @@ fn check_energy_line(
 ) {
     if let Some((lhs, op, rhs)) = split_compound(code) {
         let seg = last_segment(lhs);
-        if dim_of_name(seg) == Some(Dim::Joules) {
+        if is_energy_name(seg) {
             if op == b'-' {
                 push(
                     out,
@@ -2155,7 +1793,6 @@ mod tests {
         let sums = Sums::default();
         let v = eval_slice("total_bytes", &env, &sums);
         assert!(v.iv.is_nonneg() && !v.iv.is_top());
-        assert_eq!(v.dim, Some(Dim::Bytes));
         let v = eval_slice("-span_us", &env, &sums);
         assert!(v.iv.hi <= 0.0);
     }
@@ -2228,6 +1865,11 @@ mod tests {
         assert!(ok.is_empty(), "{ok:?}");
         let bin = run("pub fn f(a_bytes: u64, b_bytes: u64) -> u64 {\n    let t = a_bytes + b_bytes;\n    t\n}\n");
         assert!(bin.iter().any(|f| f.token.contains("a_bytes + b_bytes")));
+        // Operands at different scales are still two counters.
+        let mixed =
+            run("pub fn f(a_us: u64, b_ms: u64) -> u64 {\n    let t = a_us + b_ms;\n    t\n}\n");
+        let tokens: Vec<&str> = mixed.iter().map(|f| f.token.as_str()).collect();
+        assert_eq!(tokens, ["a_us + b_ms"], "{mixed:?}");
     }
 
     #[test]
@@ -2248,161 +1890,6 @@ mod tests {
         assert!(bad.iter().any(|f| f.token == "task_drain -"));
         let ok = run("pub fn task_drain(&self) -> Joules {\n    self.total() + self.base\n}\n");
         assert!(ok.iter().all(|f| f.rule != Rule::EnergyBounds));
-    }
-
-    /// unit-flow findings for a set of `(path, source)` library files.
-    fn unit_flow(files: &[(&str, &str)]) -> Vec<Finding> {
-        let sources: Vec<SourceFile> = files
-            .iter()
-            .map(|(path, src)| SourceFile {
-                rel_path: (*path).to_owned(),
-                crate_name: path.split('/').nth(1).unwrap_or("ff-sim").to_owned(),
-                kind: FileKind::Lib,
-                lines: preprocess(src),
-            })
-            .collect();
-        let trees = items::build(&sources);
-        let mut out = analyze(&sources, &trees);
-        out.retain(|f| f.rule == Rule::UnitFlow);
-        out
-    }
-
-    fn unit_tokens(src: &str) -> Vec<String> {
-        let found = unit_flow(&[("crates/ff-sim/src/a.rs", src)]);
-        found.into_iter().map(|f| f.token).collect()
-    }
-
-    #[test]
-    fn unit_flow_single_file_goldens() {
-        let cases: [(&str, &[&str]); 16] = [
-            // Additive arithmetic and comparisons between dimensions.
-            (
-                "fn f(start_us: u64, budget_s: u64) -> u64 {\n    start_us + budget_s\n}\n",
-                &["us+s"],
-            ),
-            (
-                "fn f(start_us: u64, dur_us: u64) -> u64 {\n    start_us + dur_us\n}\n",
-                &[],
-            ),
-            (
-                "fn f(t_us: u64, limit_ms: u64) -> bool {\n    t_us < limit_ms\n}\n",
-                &["us<ms"],
-            ),
-            (
-                "fn f(total_j: f64, t_us: f64) -> f64 {\n    total_j + t_us\n}\n",
-                &["j+us"],
-            ),
-            (
-                "fn f(d: Dur, start_us: u64) -> f64 {\n    d.as_secs_f64() + start_us\n}\n",
-                &["s+us"],
-            ),
-            (
-                "fn f(xs_us: Vec<u64>, cap_ms: u64) -> Vec<u64> {\n    let v: Vec<u64> = xs_us;\n    v\n}\n",
-                &[],
-            ),
-            (
-                "fn f(a: u64, b: u64) -> Dur {\n    Dur::from_millis(a) + Dur::from_secs(b)\n}\n",
-                &[],
-            ),
-            // Bindings carry the dimension; `*` and `/` rescale it away.
-            (
-                "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us;\n    begin + end_s\n}\n",
-                &["us+s"],
-            ),
-            (
-                "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us / 1_000_000;\n    begin + end_s\n}\n",
-                &[],
-            ),
-            // Statements spliced onto one line are walked one by one.
-            (
-                "fn f(span: Dur) {\n    let wakeup_ms = 50; let span_us = span.as_micros(); let s_us = span_us + wakeup_ms;\n}\n",
-                &["us+ms"],
-            ),
-            (
-                "fn f(now_us: u64, step_s: u64) {\n    let mut t_us = now_us;\n    t_us += step_s;\n}\n",
-                &["us+s"],
-            ),
-            // Return dimensions flow through the summaries.
-            (
-                "pub fn beacon_interval_ms() -> u64 {\n    100\n}\n\
-                 pub fn next_wake(now_us: u64) -> u64 {\n    let gap = beacon_interval_ms();\n    now_us + gap\n}\n",
-                &["us+ms"],
-            ),
-            (
-                "fn gap(step_ms: u64) -> u64 {\n    step_ms\n}\n\
-                 pub fn f(now_us: u64) -> u64 {\n    now_us + gap(3)\n}\n",
-                &["us+ms"],
-            ),
-            (
-                "pub fn beacon_interval_ms() -> u64 {\n    100\n}\n\
-                 pub fn next_wake(now_us: u64) -> u64 {\n    let gap_us = beacon_interval_ms() * 1_000;\n    now_us + gap_us\n}\n",
-                &[],
-            ),
-            (
-                "pub fn deadline_us() -> u64 {\n    9\n}\n\
-                 pub fn f() {\n    let wake_ms = deadline_us();\n    let _ = wake_ms;\n}\n",
-                &["let:wake_ms"],
-            ),
-            (
-                "pub fn window_ms(limit_s: u64) -> u64 {\n    return limit_s;\n}\n",
-                &["ret:window_ms"],
-            ),
-        ];
-        for (src, want) in cases {
-            assert_eq!(unit_tokens(src), want, "{src}");
-        }
-    }
-
-    #[test]
-    fn unit_flow_reports_the_offending_line() {
-        let f = unit_flow(&[(
-            "crates/ff-sim/src/a.rs",
-            "fn f(start_us: u64, end_s: u64) -> u64 {\n    let begin = start_us;\n    begin + end_s\n}\n",
-        )]);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("`begin` is us"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn unit_flow_checks_call_arguments_by_bare_name() {
-        // A free fn in another file.
-        let f = unit_flow(&[
-            (
-                "crates/ff-sim/src/a.rs",
-                "pub fn caller(deadline_s: u64) {\n    record(deadline_s, 4)\n}\n",
-            ),
-            (
-                "crates/ff-sim/src/b.rs",
-                "pub fn record(ts_us: u64, n: u64) {\n    let _ = (ts_us, n);\n}\n",
-            ),
-        ]);
-        let tokens: Vec<&str> = f.iter().map(|f| f.token.as_str()).collect();
-        assert_eq!(tokens, ["call:record"], "{f:?}");
-        assert!(f[0].message.contains("expects us"), "{}", f[0].message);
-        // A method in another crate, fed a summarised return value.
-        let f = unit_flow(&[
-            (
-                "crates/ff-device/src/a.rs",
-                "pub struct Meter;\n\
-                 impl Meter {\n    pub fn push_us(&mut self, ts_us: u64) {\n        let _ = ts_us;\n    }\n}\n",
-            ),
-            (
-                "crates/ff-sim/src/b.rs",
-                "pub fn last_beacon_ms() -> u64 {\n    5\n}\n\
-                 pub fn flush(m: &mut Meter) {\n    let stamp = last_beacon_ms();\n    m.push_us(stamp);\n}\n",
-            ),
-        ]);
-        let tokens: Vec<&str> = f.iter().map(|f| f.token.as_str()).collect();
-        assert_eq!(tokens, ["call:push_us"], "{f:?}");
-        // Same-named callees that disagree on their parameters are not
-        // judged.
-        let tokens = unit_tokens(
-            "pub struct A;\nimpl A {\n    pub fn record(&self, t_us: u64) {\n        let _ = t_us;\n    }\n}\n\
-             pub struct B;\nimpl B {\n    pub fn record(&self, t_ms: u64) {\n        let _ = t_ms;\n    }\n}\n\
-             pub fn f(b: &B, x_s: u64) {\n    b.record(x_s);\n}\n",
-        );
-        assert!(tokens.is_empty(), "{tokens:?}");
     }
 
     #[test]

@@ -80,7 +80,7 @@ const NON_INDEX_WORDS: [&str; 6] = ["mut", "dyn", "in", "as", "return", "else"];
 /// Method names so common on std containers/writers that a `expr.name(`
 /// call almost certainly targets a std type, not a workspace one.
 /// Qualified (`Type::name(`) and `self.name(` calls bypass this list.
-pub(crate) const STD_COLLIDING_METHODS: [&str; 34] = [
+const STD_COLLIDING_METHODS: [&str; 34] = [
     "abs",
     "append",
     "clear",

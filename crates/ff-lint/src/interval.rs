@@ -8,7 +8,7 @@
 //! property-tested from `tests/absint.rs`: concrete evaluation of a
 //! random expression always lands inside the inferred interval). `Sign`
 //! is the coarser five-point sign lattice; `absint` carries both, plus
-//! a unit dimension, as a product domain.
+//! a float taint, as a product domain.
 //!
 //! Design notes:
 //! - Endpoints are `f64` so one domain serves integer counters, joule

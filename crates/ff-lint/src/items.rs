@@ -5,7 +5,7 @@
 //! depth, and recovers the *item skeleton*: `fn`/`impl`/`mod`/`enum`/
 //! `struct`/`trait` boundaries, visibility, flattened signatures, and
 //! (for enums) the variant list. The semantic analyses — the call graph,
-//! the FSM model checker and the unit-flow pass — all consume this tree
+//! the FSM model checker and the abstract interpreter — all consume this tree
 //! instead of re-deriving structure from raw lines.
 //!
 //! The parser is approximate by design, leaning on the workspace being

@@ -2,7 +2,7 @@
 //!
 //! A std-only, dependency-free (no `syn`/`quote`; the build environment
 //! is offline) lint pass enforcing the properties the reproduction's
-//! credibility rests on. Thirteen rule families, in report order:
+//! credibility rests on. Twelve rule families, in report order:
 //!
 //! Per-line rules ([`rules`]):
 //!
@@ -14,7 +14,10 @@
 //!    aborting (`unwrap`/`expect`/`panic!`-family).
 //! 3. **unit-safety** — device/sim hot paths keep quantities in ff-base
 //!    newtypes (`Watts`, `Joules`, `Dur`, `Bytes`) rather than raw `as`
-//!    casts and `f64` seconds.
+//!    casts and `f64` seconds. Inside the newtypes, mixing units is a
+//!    type error: the compiler, not a lint, rejects `SimTime + Joules`
+//!    and `Dur + u64` (see the `compile_fail` examples in
+//!    `ff_base::time`).
 //! 4. **float-eq** — no `==`/`!=` against float literals.
 //! 5. **hygiene** — inventory of open-work markers and `#[allow]`
 //!    suppressions.
@@ -42,22 +45,18 @@
 //!    as machine-readable coverage debt.
 //!
 //! A numeric abstract interpretation ([`interval`], [`absint`]) — a
-//! signed-interval × sign × dimension product domain evaluated through
+//! signed-interval × sign × floatiness product domain evaluated through
 //! `let` bindings, accumulator widening, and a two-round
 //! function-summary fixpoint, seeded with the Table 1/2 constants —
-//! backs the last four:
+//! backs the last three:
 //!
-//! 10. **unit-flow** — the `_us`/`_ms`/`_s`/`_j`/`_bytes` suffix
-//!     convention propagated through bindings, call arguments and
-//!     return values; mixed-dimension arithmetic, contradicting `let`
-//!     suffixes, arguments and returns are findings.
-//! 11. **arith-safety** — division-by-zero freedom, `as` casts the
+//! 10. **arith-safety** — division-by-zero freedom, `as` casts the
 //!     inferred interval cannot prove lossless, and unchecked `+`/`*`
 //!     on `_bytes`/`_us` counters where `saturating_*` or the
 //!     `ff_base::checked` helpers exist.
-//! 12. **energy-bounds** — every `_j` accumulation provably ≥ 0 and
+//! 11. **energy-bounds** — every `_j` accumulation provably ≥ 0 and
 //!     battery `*drain*` functions monotone.
-//! 13. **timeout-order** — T_breakeven recomputed from the constant
+//! 12. **timeout-order** — T_breakeven recomputed from the constant
 //!     registry with interval arithmetic, statically ordered below the
 //!     disk idle timeout and above the WNIC PSM knee, with the
 //!     outage-retry ladder clamped and its clamp ceiling above the
@@ -312,7 +311,7 @@ pub fn analyze(root: &Path) -> Result<Analysis> {
 /// Run every analysis wave over an already-collected source set.
 ///
 /// Split out from [`analyze`] so the mutation engine ([`mutgen`]) can
-/// re-run all thirteen families against in-memory mutated sources
+/// re-run all twelve families against in-memory mutated sources
 /// without touching the filesystem (`root` is still needed by the
 /// trace-conformance pass, which replays committed JSONL traces).
 pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
@@ -357,7 +356,7 @@ pub fn collect_findings(root: &Path) -> Result<(Vec<Finding>, usize)> {
 /// let report = ff_lint::run(&root, &baseline).unwrap();
 ///
 /// assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
-/// // All thirteen families ran; nothing beyond the accepted ratchet.
+/// // All twelve families ran; nothing beyond the accepted ratchet.
 /// assert!(report.delta.new.is_empty(), "{:?}", report.delta.new);
 /// ```
 pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {

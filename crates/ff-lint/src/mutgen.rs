@@ -21,7 +21,7 @@
 //!
 //! Each mutant is applied **in memory**: the file's raw text is edited
 //! at a needle occurrence (fixed, or derived from the seed when several
-//! occurrences exist), re-preprocessed, and the full thirteen-family
+//! occurrences exist), re-preprocessed, and the full twelve-family
 //! analysis re-runs against the mutated source set. Mutants are never
 //! compiled — the lint is the system under test, not the compiler. A
 //! mutant is *killed* when the families the probe aims at all report
@@ -50,12 +50,11 @@ pub const DEFAULT_SEED: u64 = 0x00F1EE;
 /// Ratcheted minimum kill rate per family. Every family currently
 /// kills all of its probes; lowering a floor requires editing this
 /// table in the same commit that explains why.
-pub const FLOORS: [(Rule, f64); 13] = [
+pub const FLOORS: [(Rule, f64); 12] = [
     (Rule::Determinism, 1.0),
     (Rule::PanicSafety, 1.0),
     (Rule::PanicReach, 1.0),
     (Rule::UnitSafety, 1.0),
-    (Rule::UnitFlow, 1.0),
     (Rule::FloatEq, 1.0),
     (Rule::Fsm, 1.0),
     (Rule::Hygiene, 1.0),
@@ -199,28 +198,6 @@ pub fn probes() -> Vec<Probe> {
             replacement: "#[allow(dead_code)] pub struct Battery {",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::Hygiene],
-        },
-        Probe {
-            id: "mixed-unit-sum",
-            kind: MutKind::ConstPerturb,
-            file: "crates/ff-sim/src/faults.rs",
-            needle: "let span_us = span.as_micros().max(1_000_000);",
-            replacement: "let wakeup_ms = 50; let span_us = \
-                          span.as_micros().max(1_000_000); \
-                          let span_us = span_us + wakeup_ms;",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::UnitFlow],
-        },
-        Probe {
-            id: "joules-into-time",
-            kind: MutKind::ConstPerturb,
-            file: "crates/ff-sim/src/faults.rs",
-            needle: "let span_us = span.as_micros().max(1_000_000);",
-            replacement: "let cost_j = 3; let span_us = \
-                          span.as_micros().max(1_000_000); \
-                          let span_us = span_us + cost_j;",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::UnitFlow],
         },
         Probe {
             id: "standby-power-bump",

@@ -22,9 +22,6 @@ pub enum Rule {
     /// Raw `as` numeric casts and `f64`-seconds leakage in device/sim
     /// hot paths where ff-base newtypes exist.
     UnitSafety,
-    /// Mixed dimensions flowing through let-bindings, call sites and
-    /// returns (`_us` added to `_s`, joules passed to a `_us` param).
-    UnitFlow,
     /// `==`/`!=` against float literals.
     FloatEq,
     /// The extracted DK23DA / Aironet 350 state machines must be
@@ -62,7 +59,6 @@ impl Rule {
             Rule::PanicSafety => "panic-safety",
             Rule::PanicReach => "panic-reachability",
             Rule::UnitSafety => "unit-safety",
-            Rule::UnitFlow => "unit-flow",
             Rule::FloatEq => "float-eq",
             Rule::Fsm => "fsm",
             Rule::Hygiene => "hygiene",
@@ -75,13 +71,12 @@ impl Rule {
     }
 
     /// All families, in report order.
-    pub fn all() -> [Rule; 13] {
+    pub fn all() -> [Rule; 12] {
         [
             Rule::Determinism,
             Rule::PanicSafety,
             Rule::PanicReach,
             Rule::UnitSafety,
-            Rule::UnitFlow,
             Rule::FloatEq,
             Rule::Fsm,
             Rule::Hygiene,

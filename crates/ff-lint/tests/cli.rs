@@ -60,14 +60,14 @@ fn json_report_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn families_flag_lists_all_thirteen_rule_ids() {
+fn families_flag_lists_all_twelve_rule_ids() {
     let out = ff_lint().arg("--families").output().expect("spawn");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     let families: Vec<&str> = text.lines().collect();
-    assert_eq!(families.len(), 13, "families: {families:?}");
+    assert_eq!(families.len(), 12, "families: {families:?}");
+    assert!(!families.contains(&"unit-flow"), "families: {families:?}");
     for id in [
-        "unit-flow",
         "const-provenance",
         "trace-conformance",
         "arith-safety",

@@ -13,7 +13,6 @@ const DISK_GOOD: &str = include_str!("fixtures/disk_good.rs");
 const WNIC_GOOD: &str = include_str!("fixtures/wnic_good.rs");
 const WNIC_MISSING_ARM: &str = include_str!("fixtures/wnic_missing_arm.rs");
 const PANIC_REACH: &str = include_str!("fixtures/panic_reach.rs");
-const UNIT_MIX: &str = include_str!("fixtures/unit_mix.rs");
 
 fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ff-lint-semantic-{name}"));
@@ -198,19 +197,5 @@ fn panic_reaching_pub_fn_is_reported() {
         reach[0].message.contains("deep_helper"),
         "the report must name the path to the panic site: {}",
         reach[0].message
-    );
-}
-
-#[test]
-fn mixed_unit_call_and_addition_are_reported() {
-    let dir = temp_tree("unit-mix", &[("crates/ff-sim/src/lib.rs", UNIT_MIX)]);
-    let analysis = analyze(&dir).expect("analyze");
-    let mut tokens = tokens_for(&analysis.findings, Rule::UnitFlow);
-    tokens.sort_unstable();
-
-    assert_eq!(
-        tokens,
-        ["call:record_sample", "us+s"],
-        "both the mixed addition and the mixed-unit call site must be flagged"
     );
 }

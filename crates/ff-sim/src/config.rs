@@ -76,8 +76,9 @@ impl SimConfig {
     /// Reject a configuration the engine cannot replay: an invalid fault
     /// plan or retry ladder, a zero stage length or flusher interval (the
     /// run would never advance past t = 0), a buffer cache below 2Q's
-    /// 4 pages or an empty flash tier, or a link rate (`wnic.bandwidth`)
-    /// that is not finite or is below [`BytesPerSec::MIN_LINK_MBIT`].
+    /// 4 pages or an empty flash tier, a link rate (`wnic.bandwidth`)
+    /// that is not finite or is below [`BytesPerSec::MIN_LINK_MBIT`], or
+    /// a `wnic.latency` or `stage_len` past [`Dur::HORIZON`].
     pub(crate) fn validate(&self) -> Result<()> {
         self.faults.validate()?;
         self.retry.validate()?;
@@ -105,6 +106,18 @@ impl SimConfig {
                 rate * 8.0 / 1e6,
                 BytesPerSec::MIN_LINK_MBIT
             )));
+        }
+        for (field, span) in [
+            ("wnic.latency", self.wnic.latency),
+            ("stage_len", self.stage_len),
+        ] {
+            if span > Dur::HORIZON {
+                return Err(Error::Config(format!(
+                    "{field} of {} us is past the {} us horizon (2^53 us)",
+                    span.as_micros(),
+                    Dur::HORIZON.as_micros()
+                )));
+            }
         }
         Ok(())
     }

@@ -405,12 +405,12 @@ impl FaultPlan {
     /// A random-but-reproducible plan: 2–5 faults of mixed kinds spread
     /// over `span`. The same `(seed, span)` always yields the same plan.
     pub fn seeded(seed: u64, span: Dur) -> Self {
-        let span_us = span.as_micros().max(1_000_000);
+        let span = span.max(Dur::from_secs(1));
         let mut plan = FaultPlan::none();
         let mut rng = seeded_rng(split_seed(seed, 0xFA17));
         let n = rng.gen_range(2..=5u32);
         for _ in 0..n {
-            let at = Dur::from_micros(rng.gen_range(0..span_us));
+            let at = Dur::from_micros(rng.gen_range(0..span.as_micros()));
             // 0.5–20 s of trouble per fault.
             let dur = Dur::from_micros(rng.gen_range(500_000..=20_000_000u64));
             let fault = match rng.gen_range(0..5u32) {

@@ -1314,6 +1314,26 @@ mod tests {
         assert!(cfg.validate().is_ok());
     }
 
+    #[test]
+    fn durations_past_the_horizon_are_rejected_up_front() {
+        let past = Dur::HORIZON + Dur::from_micros(1);
+        for cfg in [
+            SimConfig::default().with_wnic_latency(past),
+            SimConfig {
+                stage_len: past,
+                ..SimConfig::default()
+            },
+        ] {
+            assert!(config_error(cfg));
+        }
+        let at = SimConfig {
+            stage_len: Dur::HORIZON,
+            ..SimConfig::default()
+        }
+        .with_wnic_latency(Dur::HORIZON);
+        assert!(at.validate().is_ok());
+    }
+
     /// A retry ladder whose first backoff alone jumps ~146,000 years
     /// ahead overflows `Dur` over its four attempts: the run is refused
     /// up front instead of filling the gap with flusher and stage ticks.

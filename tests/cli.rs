@@ -176,6 +176,26 @@ fn overflowing_latency_is_a_usage_error() {
 }
 
 #[test]
+fn durations_past_the_horizon_are_a_config_error() {
+    for (policy, flag, value, field) in [
+        ("wnic", "--latency-ms", "18446744073709551", "wnic.latency"),
+        ("wnic", "--latency-ms", "9223372036854", "wnic.latency"),
+        ("disk", "--stage-secs", "18446744073709", "stage_len"),
+    ] {
+        let out = flexsim()
+            .args(["--workload", "grep", "--policy", policy, flag, value])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(field) && err.contains("9007199254740992 us horizon"),
+            "{flag} {value}: {err}"
+        );
+    }
+}
+
+#[test]
 fn largest_seed_has_a_prior_run() {
     // The prior-run profile comes from the next seed, which wraps to 0.
     let out = flexsim()

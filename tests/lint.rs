@@ -115,7 +115,7 @@ fn fsm_family_is_pinned_at_zero() {
 
 #[test]
 fn semantic_families_are_pinned_at_zero() {
-    // Unit flow, constant provenance, trace conformance, and the
+    // Constant provenance, trace conformance, and the
     // abstract-interpretation families (arithmetic safety, energy
     // bounds, timeout ordering) started life with no accepted debt,
     // and this gate keeps it that way: empty in the baseline AND empty
@@ -125,7 +125,6 @@ fn semantic_families_are_pinned_at_zero() {
     let baseline = committed_baseline(&root);
     let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
     for rule in [
-        Rule::UnitFlow,
         Rule::ConstProvenance,
         Rule::TraceConformance,
         Rule::ArithSafety,
@@ -293,8 +292,8 @@ fn cli_exits_zero_on_the_clean_workspace() {
             .any(|r| r.get("rule").and_then(|v| v.as_str()) == Some("panic-reachability")),
         "missing panic-reachability family in: {text}"
     );
-    // Thirteen families, plus the conformance node.
-    assert_eq!(by_rule.len(), 13, "expected thirteen rule families: {text}");
+    // Twelve families, plus the conformance node.
+    assert_eq!(by_rule.len(), 12, "expected twelve rule families: {text}");
     let conformance = doc.get("conformance").expect("conformance node");
     assert_eq!(
         conformance.get("runtime_only").and_then(|v| v.as_u64()),
