@@ -28,9 +28,9 @@ use crate::source::{AppRequest, FaultNotice, Policy, PolicyCtx, Source, StageRep
 use ff_base::{Bytes, SimTime};
 use ff_device::ServiceOutcome;
 use ff_profile::{
-    burst::OnlineBurstBuilder, first_stage, BurstExtractor, BytePrefix, Estimator, Profile,
-    ProfiledBurst,
+    burst::OnlineBurstBuilder, first_stage, BurstExtractor, BytePrefix, Plan, Profile,
 };
+use std::ops::Range;
 
 /// FlexFetch tuning.
 #[derive(Debug, Clone)]
@@ -67,6 +67,9 @@ pub struct FlexFetch {
     old_profile: Profile,
     /// Running byte totals of `old_profile`; rebuilt whenever it is set.
     old_prefix: BytePrefix,
+    /// `old_profile` compiled against the disk layout: built by the
+    /// first decision that walks it, dropped whenever the profile is set.
+    plan: Option<Plan>,
     /// On-line profiler for the current run.
     online: OnlineBurstBuilder,
     /// Bytes observed so far this run. Merging keeps the sum of request
@@ -109,6 +112,7 @@ impl FlexFetch {
             config,
             old_prefix: BytePrefix::of(&profile.bursts),
             old_profile: profile,
+            plan: None,
             online,
             observed_bytes: Bytes::ZERO,
             current: Source::Disk,
@@ -177,9 +181,9 @@ impl FlexFetch {
         }
     }
 
-    /// Decide the source for the burst window `bursts`, starting from the
-    /// live device states in `ctx`.
-    fn decide_for(&self, ctx: &PolicyCtx<'_>, bursts: &[ProfiledBurst]) -> Source {
+    /// Decide the source for the profile's bursts `bursts`, starting from
+    /// the live device states in `ctx`.
+    fn decide_for(&mut self, ctx: &PolicyCtx<'_>, bursts: Range<usize>) -> Source {
         if bursts.is_empty() {
             // Nothing known about the future: keep whatever we have.
             return self.current;
@@ -192,16 +196,19 @@ impl FlexFetch {
         // includes the disk idling at 1.6 W between bursts; E_network
         // includes the card's PSM dwell at 0.39 W — the asymmetry that
         // sends sparse workloads to the network.
-        let (disk, wnic) = Estimator::new(ctx.layout).costs(bursts, *ctx.disk, *ctx.wnic, resident);
+        let plan = self
+            .plan
+            .get_or_insert_with(|| Plan::of(&self.old_profile.bursts, ctx.layout));
+        let (disk, wnic) = plan.costs(bursts, *ctx.disk, *ctx.wnic, resident);
         decide(disk, wnic, self.config.loss_rate)
     }
 
     /// The upcoming stage-worth of bursts according to the (possibly
-    /// spliced) profile: the window of the engine's stage length
-    /// starting at burst `skip`.
-    fn upcoming_stage(&self, ctx: &PolicyCtx<'_>, skip: usize) -> &[ProfiledBurst] {
+    /// spliced) profile: the indices of the window of the engine's stage
+    /// length starting at burst `skip` (empty past the profile's end).
+    fn upcoming_stage(&self, ctx: &PolicyCtx<'_>, skip: usize) -> Range<usize> {
         let remaining = self.old_profile.bursts.get(skip..).unwrap_or_default();
-        first_stage(remaining, ctx.stage_len)
+        skip..skip + first_stage(remaining, ctx.stage_len).len()
     }
 }
 
@@ -293,7 +300,7 @@ impl Policy for FlexFetch {
                 (skip, counted) = (0, 0);
             }
             while counted < next {
-                skip += self.upcoming_stage(ctx, skip).len();
+                skip = self.upcoming_stage(ctx, skip).end;
                 counted += 1;
             }
             self.static_skip = (skip, counted);
@@ -327,8 +334,12 @@ impl Policy for FlexFetch {
         // chose, the next stage uses the winner, "disregarding the
         // profile"; the profile resumes steering only once its advice
         // agrees with measured reality again.
-        let (disk_est, wnic_est) =
-            Estimator::new(ctx.layout).costs(&report.observed, *ctx.disk, *ctx.wnic, None);
+        let (disk_est, wnic_est) = Plan::of(&report.observed, ctx.layout).costs(
+            0..report.observed.len(),
+            *ctx.disk,
+            *ctx.wnic,
+            None,
+        );
         let winner = decide(disk_est, wnic_est, self.config.loss_rate);
 
         // Hysteresis: flipping costs a device transition, so require the
@@ -413,6 +424,7 @@ impl Policy for FlexFetch {
         // observed prefix means nothing against the new burst list.
         self.old_prefix = BytePrefix::of(&profile.bursts);
         self.old_profile = profile;
+        self.plan = None;
         self.last_n = 0;
         self.static_skip = (0, 0);
         self.forced = None;
@@ -445,7 +457,7 @@ mod tests {
     use super::*;
     use ff_base::{Dur, Joules};
     use ff_device::{DiskModel, DiskParams, WnicModel, WnicParams};
-    use ff_profile::{IoBurst, MergedRequest};
+    use ff_profile::{IoBurst, MergedRequest, ProfiledBurst};
     use ff_trace::{DiskLayout, FileId, FileMeta, FileSet, IoOp};
 
     struct World {
@@ -870,7 +882,8 @@ mod tests {
             }
             let stage = first_stage(&profile.bursts[skip..], c.stage_len);
             (!stage.is_empty()).then(|| {
-                let (d, n) = Estimator::new(c.layout).costs(stage, *c.disk, *c.wnic, None);
+                let plan = Plan::of(stage, c.layout);
+                let (d, n) = plan.costs(0..stage.len(), *c.disk, *c.wnic, None);
                 decide(d, n, 0.25)
             })
         };
@@ -995,6 +1008,49 @@ mod tests {
         p.inject_profile(&c, bursty_profile());
         assert_eq!(p.current_source(), Source::Disk);
         assert_eq!(p.decision_log().last().map(|d| d.2), Some("fault:profile"));
+    }
+
+    #[test]
+    fn injected_profile_decides_like_a_fresh_policy() {
+        let w = world();
+        let c = ctx(&w, SimTime::ZERO, &nores);
+        // One dense burst, then a sparse tail: the profile's decision is
+        // the disk at first and the WNIC once a splice passes the burst.
+        let mut bursts = vec![pb(0, 500, 0, 50_000_000)];
+        bursts.extend(intermittent_profile().bursts);
+        let q = Profile {
+            app: "q".into(),
+            bursts,
+        };
+        // `injected` walked its first profile (the WNIC's) before the
+        // swap; `fresh` has only ever held `q`.
+        let mut injected = FlexFetch::new(intermittent_profile(), FlexFetchConfig::default());
+        assert_eq!(injected.select(&c, &any_req()), Source::Wnic);
+        injected.inject_profile(&c, q.clone());
+        let mut fresh = FlexFetch::new(q, FlexFetchConfig::default());
+        fresh.select(&c, &any_req());
+        let last = |p: &FlexFetch| p.decision_log().last().copied();
+        assert_eq!(
+            last(&injected),
+            Some((SimTime::ZERO, Source::Disk, "fault:profile"))
+        );
+        assert_eq!(fresh.current_source(), Source::Disk);
+        // Observing one byte past the dense burst splices it away.
+        let past_burst = AppRequest {
+            len: Bytes(50_000_001),
+            ..any_req()
+        };
+        let out = ServiceOutcome {
+            complete: SimTime::from_millis(500),
+            service_time: Dur::from_millis(500),
+            energy: Joules(1.0),
+        };
+        for p in [&mut injected, &mut fresh] {
+            p.observe(&c, &past_burst, Some(Source::Disk), &out);
+        }
+        let splice = Some((SimTime::ZERO, Source::Wnic, "reeval:splice"));
+        assert_eq!(last(&injected), splice);
+        assert_eq!(last(&fresh), splice);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::rules::decide;
 use crate::source::{AppRequest, Policy, PolicyCtx, Source, StageReport};
 use ff_base::{Dur, Joules};
 use ff_device::{DiskModel, DiskParams, DiskState, PowerModel, WnicModel, WnicParams};
-use ff_profile::{Estimator, Profile};
+use ff_profile::{Plan, Profile};
 use ff_trace::DiskLayout;
 
 /// The planned choice sequence.
@@ -47,7 +47,7 @@ pub fn plan_oracle(
             per_stage: vec![Source::Disk],
         };
     }
-    let est = Estimator::new(layout);
+    let plan = Plan::of(&true_profile.bursts, layout);
 
     // Per (stage, disk-up?) costs and the disk state each option leaves
     // behind. The WNIC is approximated as starting each stage from PSM —
@@ -80,7 +80,8 @@ pub fn plan_oracle(
             // leaves the disk in standby, but whether the *stage itself*
             // ends with the disk up depends on its trailing gap: read
             // the walked disk before parking.
-            let walked = est.walk(&stage.bursts, mk_disk(), WnicModel::new(*wnic_params), None);
+            let bursts = stage.first_burst..stage.first_burst + stage.len();
+            let walked = plan.walk(bursts, mk_disk(), WnicModel::new(*wnic_params), None);
             let up_after = matches!(
                 walked.disk().state(),
                 DiskState::Idle | DiskState::SpinningUp(_)

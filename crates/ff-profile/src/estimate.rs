@@ -13,15 +13,19 @@
 //! away), and inter-burst think times advance the device clock so its
 //! timeout policy (spin-down / CAM→PSM) fires exactly as it would live.
 //!
-//! A window is walked once, in place: [`Estimator::walk`] steps the disk
-//! and the WNIC in lockstep, and §2.3.2 cache filtering asks the
-//! residency probe once per request as the walk reaches it. No filtered
-//! copy of the window is built.
+//! A burst sequence is compiled once into a [`Plan`]: one flat array of
+//! steps, each a request with its disk block already resolved against
+//! the layout, and one `(end, gap)` entry per burst. [`Plan::walk`]
+//! walks a range of the plan's bursts, stepping the disk and the WNIC in
+//! lockstep; §2.3.2 cache filtering asks the residency probe once per
+//! step as the walk reaches it. A walk looks up no block and builds no
+//! filtered copy of the window.
 
 use crate::burst::{MergedRequest, ProfiledBurst};
 use ff_base::{Bytes, Dur, Joules, SimTime};
 use ff_device::{DeviceRequest, Dir, DiskModel, PowerModel, WnicModel};
 use ff_trace::{DiskLayout, FileId, IoOp};
+use std::ops::Range;
 
 /// The `(T, E)` pair the decision rules consume.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,40 +47,74 @@ impl Estimate {
 /// resident in the buffer cache, in `[0, 1]`.
 pub type Residency<'r> = &'r dyn Fn(FileId, u64, Bytes) -> f64;
 
-/// Walks burst windows over device models.
+/// A burst sequence compiled against a disk layout, for walking any
+/// range of its bursts.
 #[derive(Debug, Clone)]
-pub struct Estimator<'a> {
-    layout: &'a DiskLayout,
+pub struct Plan {
+    /// Every request of every burst, in order.
+    steps: Vec<Step>,
+    /// Per burst: the index in `steps` one past its last request, and
+    /// the think gap after it.
+    bursts: Vec<(usize, Dur)>,
 }
 
-impl<'a> Estimator<'a> {
-    /// Estimator resolving disk blocks through `layout`.
-    pub fn new(layout: &'a DiskLayout) -> Self {
-        Estimator { layout }
+/// One profiled request and the disk block of its first byte (`None`
+/// past the file's end or for a file the layout does not hold).
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    req: MergedRequest,
+    block: Option<u64>,
+}
+
+impl Plan {
+    /// Compile `bursts`, resolving every request's disk block through
+    /// `layout` once.
+    pub fn of(bursts: &[ProfiledBurst], layout: &DiskLayout) -> Plan {
+        let mut steps = Vec::with_capacity(bursts.iter().map(|pb| pb.burst.requests.len()).sum());
+        let bursts = bursts
+            .iter()
+            .map(|pb| {
+                steps.extend(pb.burst.requests.iter().map(|&req| Step {
+                    req,
+                    block: layout.block_of(req.file, req.offset),
+                }));
+                (steps.len(), pb.gap_after)
+            })
+            .collect();
+        Plan { steps, bursts }
     }
 
-    /// Walk `bursts` over copies of `disk` and `wnic` in lockstep,
-    /// starting from each model's current power state (pass `*ctx.disk`
-    /// to start from the live disk), without parking.
+    /// Walk the bursts in `bursts` (indices into the compiled sequence)
+    /// over copies of `disk` and `wnic` in lockstep, starting from each
+    /// model's current power state (pass `*ctx.disk` to start from the
+    /// live disk), without parking.
     ///
     /// With `resident`, each request asks the probe once: a fully
     /// resident request never reaches a device, a partly resident one
     /// shrinks to `max(1, ceil(len · (1 − frac)))` bytes, and a burst
-    /// left empty with a zero gap is dropped.
+    /// left empty with a zero gap is dropped. A range that is not inside
+    /// the plan walks nothing.
     pub fn walk(
         &self,
-        bursts: &[ProfiledBurst],
+        bursts: Range<usize>,
         disk: DiskModel,
         wnic: WnicModel,
         resident: Option<Residency<'_>>,
-    ) -> Walked<'a> {
-        let mut disk = Lane::new(disk, Some(self.layout));
-        let mut wnic = Lane::new(wnic, None);
+    ) -> Walked {
+        let mut disk = Lane::new(disk);
+        let mut wnic = Lane::new(wnic);
         let mut kept_any = false;
-        for pb in bursts {
+        // The window's first step: where the burst before it ends.
+        let mut first = bursts
+            .start
+            .checked_sub(1)
+            .and_then(|b| self.bursts.get(b))
+            .map_or(0, |&(end, _)| end);
+        for &(end, gap_after) in self.bursts.get(bursts).unwrap_or_default() {
             // Without a probe every burst is kept.
             let mut kept = resident.is_none();
-            for req in &pb.burst.requests {
+            for step in self.steps.get(first..end).unwrap_or_default() {
+                let req = &step.req;
                 let len = match resident {
                     None => req.len,
                     Some(resident) => {
@@ -90,14 +128,15 @@ impl<'a> Estimator<'a> {
                         Bytes(remaining.max(1))
                     }
                 };
-                disk.serve(req, len);
-                wnic.serve(req, len);
+                disk.serve(device_request(req.op, len, step.block));
+                wnic.serve(device_request(req.op, len, None));
             }
-            if !kept && pb.gap_after.is_zero() {
+            first = end;
+            if !kept && gap_after.is_zero() {
                 continue; // nothing served and no think time passes
             }
-            disk.think(pb.gap_after);
-            wnic.think(pb.gap_after);
+            disk.think(gap_after);
+            wnic.think(gap_after);
             kept_any = true;
         }
         Walked {
@@ -107,11 +146,11 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// `((T_disk, E_disk), (T_network, E_network))` for servicing
-    /// `bursts`: [`Estimator::walk`], then [`Walked::park`].
+    /// `((T_disk, E_disk), (T_network, E_network))` for servicing the
+    /// bursts in `bursts`: [`Plan::walk`], then [`Walked::park`].
     pub fn costs(
         &self,
-        bursts: &[ProfiledBurst],
+        bursts: Range<usize>,
         disk: DiskModel,
         wnic: WnicModel,
         resident: Option<Residency<'_>>,
@@ -122,13 +161,13 @@ impl<'a> Estimator<'a> {
 
 /// A window walked over both devices, not yet parked.
 #[derive(Debug, Clone, Copy)]
-pub struct Walked<'a> {
-    disk: Lane<'a, DiskModel>,
-    wnic: Lane<'a, WnicModel>,
+pub struct Walked {
+    disk: Lane<DiskModel>,
+    wnic: Lane<WnicModel>,
     kept: bool,
 }
 
-impl Walked<'_> {
+impl Walked {
     /// The disk's power-state machine where the window's last gap ends.
     pub fn disk(&self) -> &DiskModel {
         &self.disk.model
@@ -153,35 +192,29 @@ impl Walked<'_> {
 }
 
 /// One device walking a window: a copy of its power-state machine, the
-/// walk's start and clock, the energy booked so far, and the layout
-/// resolving its request blocks (`None` sends the WNIC's blockless
-/// requests).
+/// walk's start and clock, and the energy booked so far.
 #[derive(Debug, Clone, Copy)]
-struct Lane<'a, M> {
+struct Lane<M> {
     model: M,
     start: SimTime,
     t: SimTime,
     energy: Joules,
-    layout: Option<&'a DiskLayout>,
 }
 
-impl<'a, M: PowerModel> Lane<'a, M> {
-    fn new(model: M, layout: Option<&'a DiskLayout>) -> Self {
+impl<M: PowerModel> Lane<M> {
+    fn new(model: M) -> Self {
         let start = model.clock();
         Lane {
             model,
             start,
             t: start,
             energy: Joules::ZERO,
-            layout,
         }
     }
 
-    /// Service `len` bytes of `req` as soon as the device is free:
-    /// requests inside a burst go back to back.
-    fn serve(&mut self, req: &MergedRequest, len: Bytes) {
-        let block = self.layout.and_then(|l| l.block_of(req.file, req.offset));
-        let req = device_request(req.op, len, block);
+    /// Service `req` as soon as the device is free: requests inside a
+    /// burst go back to back.
+    fn serve(&mut self, req: DeviceRequest) {
         self.t = self.model.service(self.t, &req, &mut self.energy).complete;
     }
 
@@ -234,10 +267,21 @@ mod tests {
         (fs, l)
     }
 
+    /// Both estimates of all of `bursts`, compiled against `layout`.
+    fn costs(
+        layout: &DiskLayout,
+        bursts: &[ProfiledBurst],
+        disk: DiskModel,
+        wnic: WnicModel,
+        resident: Option<Residency<'_>>,
+    ) -> (Estimate, Estimate) {
+        Plan::of(bursts, layout).costs(0..bursts.len(), disk, wnic, resident)
+    }
+
     /// The disk's estimate alone, next to an idle card.
-    fn disk_cost(est: &Estimator<'_>, bursts: &[ProfiledBurst], disk: DiskModel) -> Estimate {
+    fn disk_cost(layout: &DiskLayout, bursts: &[ProfiledBurst], disk: DiskModel) -> Estimate {
         let wnic = WnicModel::new(WnicParams::cisco_aironet350());
-        est.costs(bursts, disk, wnic, None).0
+        costs(layout, bursts, disk, wnic, None).0
     }
 
     fn burst(bytes_each: &[u64], gap: Dur) -> ProfiledBurst {
@@ -268,11 +312,10 @@ mod tests {
     #[test]
     fn disk_estimate_counts_positioning_transfer_and_idle() {
         let (_, l) = layout_for(1, 10_000_000);
-        let est = Estimator::new(&l);
         // One burst: 1 MB sequential (one merged request), then 5 s think.
         let bursts = vec![burst(&[1_000_000], Dur::from_secs(5))];
         let disk = DiskModel::new(DiskParams::hitachi_dk23da());
-        let e = disk_cost(&est, &bursts, disk);
+        let e = disk_cost(&l, &bursts, disk);
         // Time: 20 ms + 1/35 s + 5 s ≈ 5.0486 s (parking not counted in T).
         assert!((e.time.as_secs_f64() - 5.0486).abs() < 0.001, "{}", e.time);
         // Energy: 2 W × 48.6 ms + 1.6 W × 5 s ≈ 8.097 J, plus parking —
@@ -284,12 +327,11 @@ mod tests {
     #[test]
     fn long_gap_lets_the_estimated_disk_spin_down() {
         let (_, l) = layout_for(1, 10_000_000);
-        let est = Estimator::new(&l);
         let bursts = vec![
             burst(&[100_000], Dur::from_secs(30)), // > 20 s timeout
             burst(&[100_000], Dur::ZERO),
         ];
-        let e = disk_cost(&est, &bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
+        let e = disk_cost(&l, &bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
         // Second burst must pay a spin-up: ~23 ms + 30 s + 1.6 s + 23 ms.
         assert!(e.time > Dur::from_millis(31_600), "{}", e.time);
         assert!(e.time < Dur::from_secs(32), "{}", e.time);
@@ -300,13 +342,13 @@ mod tests {
     #[test]
     fn wnic_estimate_prefers_small_intermittent_loads() {
         let (_, l) = layout_for(1, 100_000_000);
-        let est = Estimator::new(&l);
         // Paced streaming: 64 KiB every 2.5 s — the mplayer shape (the
         // disk burns 1.6 W between refills; the card drops to PSM).
         let bursts: Vec<_> = (0..80)
             .map(|_| burst(&[65_536], Dur::from_millis(2_500)))
             .collect();
-        let (disk, wnic) = est.costs(
+        let (disk, wnic) = costs(
+            &l,
             &bursts,
             DiskModel::new(DiskParams::hitachi_dk23da()),
             WnicModel::new(WnicParams::cisco_aironet350()),
@@ -323,11 +365,11 @@ mod tests {
     #[test]
     fn disk_wins_big_sequential_bursts() {
         let (_, l) = layout_for(1, 100_000_000);
-        let est = Estimator::new(&l);
         // grep/search shape: one dense 50 MB burst.
         let reqs: Vec<u64> = vec![131_072; 400];
         let bursts = vec![burst(&reqs, Dur::ZERO)];
-        let (disk, wnic) = est.costs(
+        let (disk, wnic) = costs(
+            &l,
             &bursts,
             DiskModel::new(DiskParams::hitachi_dk23da()),
             WnicModel::new(WnicParams::cisco_aironet350()),
@@ -345,11 +387,10 @@ mod tests {
     #[test]
     fn estimate_starts_from_given_device_state() {
         let (_, l) = layout_for(1, 10_000_000);
-        let est = Estimator::new(&l);
         let bursts = vec![burst(&[4096], Dur::ZERO)];
-        let spun = disk_cost(&est, &bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
+        let spun = disk_cost(&l, &bursts, DiskModel::new(DiskParams::hitachi_dk23da()));
         let standby = disk_cost(
-            &est,
+            &l,
             &bursts,
             DiskModel::new_standby(DiskParams::hitachi_dk23da()),
         );
@@ -369,11 +410,10 @@ mod tests {
         want: &[ProfiledBurst],
     ) -> (Estimate, Estimate) {
         let (_, l) = layout_for(1, 10_000_000);
-        let est = Estimator::new(&l);
         let disk = DiskModel::new(DiskParams::hitachi_dk23da());
         let wnic = WnicModel::new(WnicParams::cisco_aironet350());
-        let got = est.costs(bursts, disk, wnic, Some(resident));
-        assert_eq!(got, est.costs(want, disk, wnic, None));
+        let got = costs(&l, bursts, disk, wnic, Some(resident));
+        assert_eq!(got, costs(&l, want, disk, wnic, None));
         got
     }
 
@@ -430,7 +470,6 @@ mod tests {
     #[test]
     fn walk_asks_the_probe_once_per_request() {
         let (_, l) = layout_for(1, 10_000_000);
-        let est = Estimator::new(&l);
         let asked = std::cell::Cell::new(0);
         let probe = |_, _, _| {
             asked.set(asked.get() + 1);
@@ -440,7 +479,8 @@ mod tests {
             burst(&[4096, 8192, 100], Dur::from_secs(2)),
             burst(&[65_536], Dur::ZERO),
         ];
-        est.costs(
+        costs(
+            &l,
             &bursts,
             DiskModel::new(DiskParams::hitachi_dk23da()),
             WnicModel::new(WnicParams::cisco_aironet350()),
@@ -452,26 +492,26 @@ mod tests {
     #[test]
     fn walked_disk_is_read_before_parking() {
         let (_, l) = layout_for(1, 10_000_000);
-        let est = Estimator::new(&l);
         let bursts = vec![
             burst(&[4096, 131_072], Dur::from_secs(25)),
             burst(&[65_536], Dur::from_millis(900)),
         ];
         let disk = DiskModel::new_standby(DiskParams::hitachi_dk23da());
         let wnic = WnicModel::new(WnicParams::cisco_aironet350());
-        let walked = est.walk(&bursts, disk, wnic, None);
+        let plan = Plan::of(&bursts, &l);
+        let walked = plan.walk(0..bursts.len(), disk, wnic, None);
         // The 900 ms gap leaves the spun-up disk idle.
         assert!(walked.disk().is_ready());
         let (d, w) = walked.park();
-        assert_eq!((d, w), est.costs(&bursts, disk, wnic, None));
+        assert_eq!((d, w), costs(&l, &bursts, disk, wnic, None));
         assert!(d.energy > Joules::ZERO && w.energy > Joules::ZERO);
     }
 
     #[test]
     fn empty_bursts_cost_only_idle() {
         let (_, l) = layout_for(1, 10_000);
-        let est = Estimator::new(&l);
-        let e = est.costs(
+        let e = costs(
+            &l,
             &[],
             DiskModel::new(DiskParams::hitachi_dk23da()),
             WnicModel::new(WnicParams::cisco_aironet350()),

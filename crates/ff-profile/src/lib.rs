@@ -12,10 +12,11 @@
 //!   sequence, serialisable to JSON so it persists across runs, plus the
 //!   §2.3.1 *splice* operation (replace the first N bursts with the
 //!   currently observed partial profile) and the §2.3.3 concurrent-merge.
-//! * [`estimate`] — the on-line simulator (§2.2): walks a burst window
-//!   once over copies of both device models, filtering cached requests
-//!   on the way (§2.3.2), to produce `(T_disk, E_disk)` and
-//!   `(T_network, E_network)` for a stage.
+//! * [`estimate`] — the on-line simulator (§2.2): compiles a burst
+//!   sequence once into a [`Plan`] with every disk block resolved, then
+//!   walks a range of its bursts over copies of both device models,
+//!   filtering cached requests on the way (§2.3.2), to produce
+//!   `(T_disk, E_disk)` and `(T_network, E_network)` for a stage.
 //! * [`hoard`] — extension: pick which files to hoard locally from the
 //!   recorded history under a disk-space budget (the paper delegates
 //!   this to Kuenning-style automated hoarding).
@@ -43,7 +44,7 @@ pub mod profile;
 pub mod stage;
 
 pub use burst::{BurstExtractor, IoBurst, MergedRequest, ProfiledBurst};
-pub use estimate::{device_request, Estimate, Estimator, Residency, Walked};
+pub use estimate::{device_request, Estimate, Plan, Residency, Walked};
 pub use hoard::{HoardPlan, HoardPlanner};
 pub use profile::{BytePrefix, Profile, Profiler};
 pub use stage::{first_stage, stages_of, Stage};

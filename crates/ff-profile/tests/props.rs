@@ -3,11 +3,12 @@
 use ff_base::{Bytes, Dur, Joules, SimTime};
 use ff_device::{DeviceRequest, DiskModel, DiskParams, Live, PowerModel, WnicModel, WnicParams};
 use ff_profile::{
-    device_request, first_stage, stages_of, Estimate, Estimator, IoBurst, MergedRequest, Profile,
+    device_request, first_stage, stages_of, Estimate, IoBurst, MergedRequest, Plan, Profile,
     ProfiledBurst, Residency,
 };
 use ff_trace::{DiskLayout, FileId, FileMeta, FileSet, IoOp};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Lay `(bytes, gap_us, dur_us)` triples out back to back as bursts of
 /// one request each.
@@ -161,18 +162,23 @@ fn reference_filter(
 }
 
 /// The estimator's one walk of both devices against the reference: the
-/// window, filtered through `resident` when given, walked by the two
-/// reference loops. Time must be equal and energy bit-equal.
-fn assert_walk_matches_reference(
+/// bursts `range` of `plan` (compiled from `bursts` against `layout`)
+/// walked on the plan, and `bursts[range]`, filtered through `resident`
+/// when given, walked by the two reference loops. Time must be equal
+/// and energy bit-equal.
+fn assert_window_matches_reference(
     layout: &DiskLayout,
+    plan: &Plan,
     bursts: &[ProfiledBurst],
+    range: Range<usize>,
     disk: DiskModel,
     wnic: WnicModel,
     resident: Option<Residency<'_>>,
 ) {
-    let (got_disk, got_wnic) = Estimator::new(layout).costs(bursts, disk, wnic, resident);
-    let filtered = resident.map(|r| reference_filter(bursts, r));
-    let walked = filtered.as_deref().unwrap_or(bursts);
+    let (got_disk, got_wnic) = plan.costs(range.clone(), disk, wnic, resident);
+    let window = &bursts[range];
+    let filtered = resident.map(|r| reference_filter(window, r));
+    let walked = filtered.as_deref().unwrap_or(window);
     let want_disk = reference_disk_cost(layout, walked, disk);
     let want_wnic = reference_wnic_cost(walked, wnic);
     prop_assert_eq!(got_disk.time, want_disk.time);
@@ -189,6 +195,18 @@ fn assert_walk_matches_reference(
         prop_assert_eq!(got_disk.energy, Joules::ZERO);
         prop_assert_eq!(got_wnic.energy, Joules::ZERO);
     }
+}
+
+/// [`assert_window_matches_reference`] over the whole of `bursts`.
+fn assert_walk_matches_reference(
+    layout: &DiskLayout,
+    bursts: &[ProfiledBurst],
+    disk: DiskModel,
+    wnic: WnicModel,
+    resident: Option<Residency<'_>>,
+) {
+    let plan = Plan::of(bursts, layout);
+    assert_window_matches_reference(layout, &plan, bursts, 0..bursts.len(), disk, wnic, resident);
 }
 
 /// A small file and a 200 MB one, so requests can be contiguous, short
@@ -440,7 +458,6 @@ proptest! {
     fn estimates_monotone_in_bytes(bursts in arb_bursts()) {
         prop_assume!(!bursts.is_empty());
         let (_, layout) = one_file_layout();
-        let est = Estimator::new(&layout);
         let bigger: Vec<ProfiledBurst> = bursts
             .iter()
             .map(|pb| {
@@ -451,9 +468,9 @@ proptest! {
                 out
             })
             .collect();
-        let costs = |bursts| {
-            est.costs(
-                bursts,
+        let costs = |bursts: &[ProfiledBurst]| {
+            Plan::of(bursts, &layout).costs(
+                0..bursts.len(),
                 DiskModel::new(DiskParams::hitachi_dk23da()),
                 WnicModel::new(WnicParams::cisco_aironet350()),
                 None,
@@ -524,5 +541,39 @@ proptest! {
         let resident = probe(&fracs, salt, all == 0);
         let (disk, wnic) = (disk_start(disk_kind, at_ms), wnic_start(wnic_kind, at_ms));
         assert_walk_matches_reference(&two_file_layout(), &bursts, disk, wnic, Some(&resident));
+    }
+
+    /// Every window `skip..skip + n` of one compiled plan, the empty ones
+    /// included, walked with and without a residency probe, costs what
+    /// the reference loops cost over `bursts[skip..skip + n]`: the
+    /// window's first step, its blocks (contiguous, far, past a file's
+    /// end, of a file the layout does not hold) and its filtering come
+    /// from the plan, not from a slice of the profile. A range reaching
+    /// past the plan walks nothing.
+    #[test]
+    fn plan_windows_match_the_reference_loops(
+        bursts in arb_filter_bursts(),
+        fracs in arb_fracs(),
+        salt in any::<u64>(),
+        disk_kind in 0u8..4,
+        wnic_kind in 0u8..3,
+        at_ms in 0u64..10_000,
+    ) {
+        let layout = two_file_layout();
+        let plan = Plan::of(&bursts, &layout);
+        let resident = probe(&fracs, salt, false);
+        let (disk, wnic) = (disk_start(disk_kind, at_ms), wnic_start(wnic_kind, at_ms));
+        for skip in 0..=bursts.len() {
+            for n in 0..=bursts.len() - skip {
+                for probe in [None, Some(&resident as Residency<'_>)] {
+                    assert_window_matches_reference(
+                        &layout, &plan, &bursts, skip..skip + n, disk, wnic, probe,
+                    );
+                }
+            }
+        }
+        let (d, w) = plan.costs(bursts.len()..bursts.len() + 2, disk, wnic, None);
+        prop_assert_eq!((d.energy, w.energy), (Joules::ZERO, Joules::ZERO));
+        prop_assert_eq!((d.time, w.time), (Dur::ZERO, Dur::ZERO));
     }
 }

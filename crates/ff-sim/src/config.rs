@@ -78,8 +78,10 @@ impl SimConfig {
     /// run would never advance past t = 0), a buffer cache below 2Q's
     /// 4 pages or an empty flash tier, a link rate (`wnic.bandwidth`)
     /// that is not finite or is below [`BytesPerSec::MIN_LINK_MBIT`], or
-    /// a `wnic.latency` or `stage_len` past [`Dur::HORIZON`].
-    pub(crate) fn validate(&self) -> Result<()> {
+    /// a `wnic.latency` or `stage_len` past [`Dur::HORIZON`]. Every run
+    /// checks this first; a front end calls it to reject a configuration
+    /// before it prints or writes anything.
+    pub fn validate(&self) -> Result<()> {
         self.faults.validate()?;
         self.retry.validate()?;
         if self.stage_len.is_zero() {

@@ -340,6 +340,23 @@ fn main() {
     let (trace, profile, pinned) =
         build_workload(&args.workload, args.seed).unwrap_or_else(|e| fail("workload", e));
 
+    let mut cfg = SimConfig::default()
+        .with_wnic_latency(args.latency)
+        .with_wnic_bandwidth_mbps(args.bandwidth_mbps)
+        .with_disk_only_files(pinned);
+    cfg.stage_len = args.stage_len;
+    if args.sync_writes {
+        cfg = cfg.with_sync_writes();
+    }
+    let hoard = args
+        .hoard_budget
+        .map(|budget| HoardPlanner::new(budget).plan(&profile, &trace.files));
+    if let Some(plan) = &hoard {
+        cfg = cfg.with_network_only_files(plan.missed.iter().copied());
+    }
+    // A rejected configuration prints nothing to stdout and writes no file.
+    cfg.validate().unwrap_or_else(|e| fail("flexsim", e));
+
     if let Some(path) = &args.save_trace {
         std::fs::write(path, strace::to_string(&trace))
             .unwrap_or_else(|e| fail(&format!("write {path}"), e));
@@ -351,24 +368,13 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("write {path}"), e));
         println!("profile -> {path}");
     }
-
-    let mut cfg = SimConfig::default()
-        .with_wnic_latency(args.latency)
-        .with_wnic_bandwidth_mbps(args.bandwidth_mbps)
-        .with_disk_only_files(pinned);
-    cfg.stage_len = args.stage_len;
-    if args.sync_writes {
-        cfg = cfg.with_sync_writes();
-    }
-    if let Some(budget) = args.hoard_budget {
-        let plan = HoardPlanner::new(budget).plan(&profile, &trace.files);
+    if let Some(plan) = &hoard {
         println!(
             "hoard: {} files / {} local, {} server-only",
             plan.hoarded.len(),
             plan.hoarded_bytes,
             plan.missed.len()
         );
-        cfg = cfg.with_network_only_files(plan.missed);
     }
 
     let stats = trace.stats();

@@ -192,6 +192,17 @@ fn durations_past_the_horizon_are_a_config_error() {
             err.contains(field) && err.contains("9007199254740992 us horizon"),
             "{flag} {value}: {err}"
         );
+        assert_eq!(
+            err.matches("invalid configuration:").count(),
+            1,
+            "{flag} {value}: {err}"
+        );
+        // No header for a run that never happened.
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} {value}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
 }
 
