@@ -4,11 +4,57 @@
 //! over a [`Dur`] yields [`Joules`]. Both are thin `f64` newtypes — the
 //! accumulation is always single-threaded inside one simulation, so results
 //! are deterministic.
+//!
+//! Energy spent only accumulates, and the type says so: `Joules` adds,
+//! scales and sums, and the one difference it offers is
+//! [`Joules::saturating_sub`], floored at zero. This compiles:
+//!
+//! ```
+//! use ff_base::Joules;
+//! let (mark, cost) = (Joules(3.0), Joules(0.5));
+//! let mut total = mark;
+//! total += cost;
+//! let spent = total.saturating_sub(mark);
+//! # let _ = (mark, cost, total, spent);
+//! ```
+//!
+//! Decrementing an accumulator does not:
+//!
+//! ```compile_fail
+//! use ff_base::Joules;
+//! let (mark, cost) = (Joules(3.0), Joules(0.5));
+//! let mut total = mark;
+//! total -= cost;
+//! let spent = total.saturating_sub(mark);
+//! # let _ = (mark, cost, total, spent);
+//! ```
+//!
+//! Nor does negating an energy:
+//!
+//! ```compile_fail
+//! use ff_base::Joules;
+//! let (mark, cost) = (Joules(3.0), Joules(0.5));
+//! let mut total = mark;
+//! total += -cost;
+//! let spent = total.saturating_sub(mark);
+//! # let _ = (mark, cost, total, spent);
+//! ```
+//!
+//! Nor does a bare difference, which could go negative:
+//!
+//! ```compile_fail
+//! use ff_base::Joules;
+//! let (mark, cost) = (Joules(3.0), Joules(0.5));
+//! let mut total = mark;
+//! total += cost;
+//! let spent = total - mark;
+//! # let _ = (mark, cost, total, spent);
+//! ```
 
 use crate::time::Dur;
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul};
 
 /// An amount of energy, in joules.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -43,6 +89,13 @@ impl Joules {
         } else {
             0.0
         }
+    }
+
+    /// The energy spent since an earlier reading `mark`: `self - mark`,
+    /// floored at zero (a NaN difference floors too).
+    #[inline]
+    pub fn saturating_sub(self, mark: Joules) -> Joules {
+        Joules((self.0 - mark.0).max(0.0))
     }
 
     /// The smaller of two energies.
@@ -95,29 +148,6 @@ impl AddAssign for Joules {
     #[inline]
     fn add_assign(&mut self, rhs: Joules) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sub for Joules {
-    type Output = Joules;
-    #[inline]
-    fn sub(self, rhs: Joules) -> Joules {
-        Joules(self.0 - rhs.0)
-    }
-}
-
-impl SubAssign for Joules {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Joules) {
-        self.0 -= rhs.0;
-    }
-}
-
-impl Neg for Joules {
-    type Output = Joules;
-    #[inline]
-    fn neg(self) -> Joules {
-        Joules(-self.0)
     }
 }
 
@@ -186,8 +216,9 @@ mod tests {
         let mut e = Joules(5.0) + Joules(2.94);
         e += Joules(0.06);
         assert!((e.get() - 8.0).abs() < 1e-12);
-        e -= Joules(3.0);
-        assert!((e.get() - 5.0).abs() < 1e-12);
+        assert!((e.saturating_sub(Joules(3.0)).get() - 5.0).abs() < 1e-12);
+        assert_eq!(Joules(3.0).saturating_sub(e), Joules::ZERO);
+        assert_eq!(Joules(f64::NAN).saturating_sub(e), Joules::ZERO);
         assert_eq!((Joules(6.0) / 2.0).get(), 3.0);
         assert_eq!((Joules(6.0) * 0.5).get(), 3.0);
     }

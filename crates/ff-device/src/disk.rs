@@ -326,6 +326,13 @@ mod tests {
         assert!((be.as_secs_f64() - 5.073).abs() < 0.01, "{be}");
         // And it can never be shorter than the transition itself.
         assert!(be >= Dur::from_millis(3_900));
+        // §3's ordering of the two devices' knees: the WNIC drops to PSM
+        // well inside the disk's break-even time, and the disk's idle
+        // timeout waits past it, so a timeout spin-down never costs more
+        // than it saves.
+        let psm = crate::wnic::WnicParams::cisco_aironet350().psm_timeout;
+        let timeout = DiskParams::hitachi_dk23da().timeout;
+        assert!(psm < be && be < timeout, "{psm} < {be} < {timeout}");
     }
 
     #[test]

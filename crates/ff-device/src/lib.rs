@@ -46,7 +46,7 @@
 //! disk.advance_to(SimTime::from_secs(60));
 //! assert!(!disk.model.is_ready());
 //! assert_eq!(disk.meter.transition_count("spin_down"), 1);
-//! assert!((disk.meter.total() - out.energy - idle).get().abs() < 1e-9);
+//! assert!((disk.meter.total().get() - out.energy.get() - idle.get()).abs() < 1e-9);
 //! ```
 
 #![warn(missing_docs)]

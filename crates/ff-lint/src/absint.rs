@@ -1,12 +1,13 @@
 //! Numeric abstract interpretation over the item tree.
 //!
-//! This pass proves *value-range* properties, which is what
-//! FlexFetch's energy argument actually rests on: energy accumulators
-//! never go negative, divisors never reach zero, counters do not
-//! silently truncate, and the paper's timeout constants satisfy the §3
-//! break-even ordering. Units are not its business: `ff-base`'s
-//! newtypes (`SimTime`, `Dur`, `Joules`, `Watts`, `Bytes`) make mixing
-//! them a type error.
+//! This pass proves *value-range* properties: divisors never reach
+//! zero and counters do not silently truncate. Units are not its
+//! business: `ff-base`'s newtypes (`SimTime`, `Dur`, `Joules`, `Watts`,
+//! `Bytes`) make mixing them a type error, and `Joules` has no
+//! subtraction or negation, so an energy cannot be decremented. Nor is
+//! the §3 timeout ordering: `DiskParams::break_even` computes the
+//! break-even time and ff-device's tests pin it below the disk timeout
+//! and above the WNIC's PSM timeout.
 //!
 //! The domain is a product of three components per expression:
 //!
@@ -32,31 +33,18 @@
 //! counter (`disk_bytes`, `deadline_us`), an energy (`cost_j`,
 //! `request_energy`) or a power is a non-negative quantity.
 //!
-//! Three rule families consume the facts, all pinned at zero:
+//! One rule family consumes the facts, pinned at zero:
 //!
 //! - **arith-safety** — divisions whose divisor provably may be zero
 //!   (interval contains zero, or an explicit `.max(0)` floor), lossy
 //!   narrowing and float→int `as` casts that the interval cannot prove
 //!   safe, and unchecked `+`/`*`/`+=` on `_bytes`/`_us` counters where
 //!   `saturating_*` or the `ff_base::checked` helpers exist.
-//! - **energy-bounds** — every `_j`/`_energy` accumulation must be
-//!   provably non-negative: no `-=` on energy accumulators, no `+=` of
-//!   a provably non-positive quantity, no negative `Joules(..)`
-//!   construction, and battery `*drain*` functions must stay monotone
-//!   (no subtraction in their bodies).
-//! - **timeout-order** — recomputes T_breakeven from the constant
-//!   registry with interval arithmetic and statically proves the §3
-//!   ordering: `0 < T_breakeven < DISK_TIMEOUT_S < outage-retry
-//!   ceiling`, where the ceiling is the retry ladder's clamp bound
-//!   (base backoff × 2^16; the ladder sum a `RetryPolicy` can reach is
-//!   far smaller, but the clamp is what bounds a runaway ladder), plus
-//!   `WNIC_PSM_TIMEOUT_MS < T_breakeven` and the requirement that
-//!   every backoff shift is `.min(..)`-clamped and overflow-free.
 
 use crate::consts;
 use crate::interval::{Interval, Sign};
 use crate::items::{self, Item, ItemTree};
-use crate::rules::{call_args, parse_num, Finding, Rule};
+use crate::rules::{parse_num, Finding, Rule};
 use crate::scan::{FileKind, SourceFile};
 use std::collections::BTreeMap;
 
@@ -84,9 +72,6 @@ fn is_energy_name(name: &str) -> bool {
 
 /// Crates whose library code is held to `arith-safety`.
 pub(crate) const ARITH_CRATES: [&str; 4] = ["ff-bench", "ff-profile", "ff-sim", "ff-trace"];
-
-/// Crates whose library code is held to `energy-bounds`.
-pub(crate) const ENERGY_CRATES: [&str; 2] = ["ff-device", "ff-sim"];
 
 /// Integer cast targets that narrow from the workspace's `u64`/`usize`
 /// counters; a cast to one of these must be interval-proven to fit.
@@ -1187,48 +1172,28 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
 // Rule families
 // ---------------------------------------------------------------------
 
-/// Run the three families over the workspace: arith-safety and
-/// energy-bounds over their crates' library code, timeout-order over
-/// the constant registry and the retry ladder.
+/// Run arith-safety over its crates' library code.
 pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding> {
     let ctab = consts::const_table(sources);
     let sums = build_summaries(sources, trees, &ctab);
     let mut out = Vec::new();
     for (file, tree) in sources.iter().zip(trees) {
-        if file.kind != FileKind::Lib {
-            continue;
-        }
-        let arith = ARITH_CRATES.contains(&file.crate_name.as_str());
-        let energy = ENERGY_CRATES.contains(&file.crate_name.as_str());
-        if !arith && !energy {
+        if file.kind != FileKind::Lib || !ARITH_CRATES.contains(&file.crate_name.as_str()) {
             continue;
         }
         for (_, item) in tree.fns() {
             if item.in_test {
                 continue;
             }
-            let fn_text = if arith {
-                fn_body_text(file, item)
-            } else {
-                String::new()
-            };
+            let fn_text = fn_body_text(file, item);
             let mut sink = |idx: usize, code: &str, env: &Env| {
-                if arith {
-                    check_divisions(file, idx, code, env, &sums, &fn_text, &mut out);
-                    check_casts(file, idx, code, env, &sums, &mut out);
-                    check_counters(file, idx, code, &mut out);
-                }
-                if energy {
-                    check_energy_line(file, idx, code, env, &sums, &mut out);
-                }
+                check_divisions(file, idx, code, env, &sums, &fn_text, &mut out);
+                check_casts(file, idx, code, env, &sums, &mut out);
+                check_counters(file, idx, code, &mut out);
             };
             walk_fn(file, item, &ctab, &sums, &mut sink);
-            if energy {
-                check_drain_fn(file, item, &mut out);
-            }
         }
     }
-    out.extend(timeout_order(sources, &ctab));
     out
 }
 
@@ -1464,303 +1429,6 @@ fn path_after(code: &str, start: usize) -> &str {
     code.get(begin..i).unwrap_or("").trim_matches('.')
 }
 
-/// energy-bounds: per-line accumulator checks.
-fn check_energy_line(
-    file: &SourceFile,
-    idx: usize,
-    code: &str,
-    env: &Env,
-    sums: &Sums,
-    out: &mut Vec<Finding>,
-) {
-    if let Some((lhs, op, rhs)) = split_compound(code) {
-        let seg = last_segment(lhs);
-        if is_energy_name(seg) {
-            if op == b'-' {
-                push(
-                    out,
-                    Rule::EnergyBounds,
-                    file,
-                    idx,
-                    format!("{seg} -="),
-                    format!(
-                        "energy accumulator `{seg}` is decremented; energy spent \
-                         is monotone non-decreasing in this model"
-                    ),
-                );
-            } else if op == b'+' {
-                let rv = eval_slice(rhs, env, sums);
-                if rv.iv.hi <= 0.0 {
-                    push(
-                        out,
-                        Rule::EnergyBounds,
-                        file,
-                        idx,
-                        format!("{seg} += nonpos"),
-                        format!(
-                            "`{rhs}` has interval {} (provably non-positive); an \
-                             energy accumulation must add a non-negative quantity",
-                            rv.iv
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    if code.contains("Joules(") {
-        for arg in call_args(code, "Joules(") {
-            let av = eval_slice(&arg, env, sums);
-            if av.iv.is_neg() {
-                push(
-                    out,
-                    Rule::EnergyBounds,
-                    file,
-                    idx,
-                    "Joules(neg)".to_owned(),
-                    format!(
-                        "`Joules({arg})` constructs a provably-negative energy \
-                         (interval {})",
-                        av.iv
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// energy-bounds: battery drain functions must be monotone — no
-/// subtraction anywhere in an energy-returning `*drain*` body.
-fn check_drain_fn(file: &SourceFile, item: &Item, out: &mut Vec<Finding>) {
-    if !item.name.contains("drain") {
-        return;
-    }
-    let sig = &item.signature;
-    if !sig.contains("-> Joules") && !sig.contains("-> f64") {
-        return;
-    }
-    let (lo, hi) = body_range(item);
-    for idx in lo..hi.min(file.lines.len()) {
-        let line = &file.lines[idx];
-        if line.in_test {
-            continue;
-        }
-        if line.code.contains(" - ") {
-            push(
-                out,
-                Rule::EnergyBounds,
-                file,
-                idx,
-                format!("{} -", item.name),
-                format!(
-                    "subtraction inside drain function `{}`; battery drain must \
-                     be a monotone sum of non-negative terms",
-                    item.name
-                ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// timeout-order
-// ---------------------------------------------------------------------
-
-/// Recompute T_breakeven from the constant registry and prove the §3
-/// ordering `0 < T_breakeven < DISK_TIMEOUT_S < retry-clamp ceiling`,
-/// plus `WNIC_PSM_TIMEOUT < T_breakeven` and ladder clamping.
-fn timeout_order(sources: &[SourceFile], ctab: &BTreeMap<String, f64>) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(registry) = sources.iter().find(|f| f.rel_path == consts::REGISTRY_PATH) else {
-        return out;
-    };
-    let anchor = |name: &str| -> usize {
-        registry
-            .lines
-            .iter()
-            .position(|l| l.code.contains(name))
-            .map(|i| i + 1)
-            .unwrap_or(1)
-    };
-    let mut fail = |line: usize, token: &str, message: String| {
-        out.push(Finding {
-            rule: Rule::TimeoutOrder,
-            file: consts::REGISTRY_PATH.to_owned(),
-            line,
-            token: token.to_owned(),
-            message,
-        });
-    };
-    let needed = [
-        "DISK_IDLE_POWER_W",
-        "DISK_SPINDOWN_ENERGY_J",
-        "DISK_SPINDOWN_TIME_MS",
-        "DISK_SPINUP_ENERGY_J",
-        "DISK_SPINUP_TIME_MS",
-        "DISK_STANDBY_POWER_W",
-        "DISK_TIMEOUT_S",
-        "WNIC_PSM_TIMEOUT_MS",
-    ];
-    let mut vals = BTreeMap::new();
-    for name in needed {
-        match ctab.get(name) {
-            Some(v) => {
-                vals.insert(name, Interval::point(*v));
-            }
-            None => {
-                fail(
-                    1,
-                    &format!("missing {name}"),
-                    format!("constant registry lacks `{name}`; T_breakeven unprovable"),
-                );
-            }
-        }
-    }
-    if vals.len() < needed.len() {
-        return out;
-    }
-    let get = |n: &str| vals.get(n).copied().unwrap_or(Interval::TOP);
-    let ms = Interval::point(1000.0);
-    let trans = get("DISK_SPINUP_TIME_MS")
-        .add(get("DISK_SPINDOWN_TIME_MS"))
-        .div(ms);
-    let denom = get("DISK_IDLE_POWER_W").sub(get("DISK_STANDBY_POWER_W"));
-    if !denom.is_pos() {
-        fail(
-            anchor("DISK_IDLE_POWER_W"),
-            "breakeven-undefined",
-            format!(
-                "idle - standby power has interval {denom}; T_breakeven is \
-                 undefined unless idle draw exceeds standby draw"
-            ),
-        );
-        return out;
-    }
-    let transition_cost = get("DISK_SPINUP_ENERGY_J")
-        .add(get("DISK_SPINDOWN_ENERGY_J"))
-        .sub(get("DISK_STANDBY_POWER_W").mul(trans));
-    let breakeven = transition_cost.div(denom).max_op(trans);
-    let timeout = get("DISK_TIMEOUT_S");
-    if !breakeven.is_pos() {
-        fail(
-            anchor("DISK_SPINUP_ENERGY_J"),
-            "breakeven-nonpositive",
-            format!("T_breakeven interval {breakeven} is not provably positive"),
-        );
-    }
-    if !(breakeven.hi < timeout.lo) {
-        fail(
-            anchor("DISK_TIMEOUT_S"),
-            "breakeven-vs-timeout",
-            format!(
-                "cannot prove T_breakeven {breakeven} < disk idle timeout \
-                 {timeout}: spinning down at the timeout would waste energy"
-            ),
-        );
-    }
-    let psm = get("WNIC_PSM_TIMEOUT_MS").div(ms);
-    if !(psm.hi < breakeven.lo) {
-        fail(
-            anchor("WNIC_PSM_TIMEOUT_MS"),
-            "psm-vs-breakeven",
-            format!(
-                "cannot prove WNIC PSM timeout {psm} s < disk T_breakeven \
-                 {breakeven}: the CAM->PSM knee must sit below the disk knee"
-            ),
-        );
-    }
-    out.extend(ladder_checks(sources, timeout));
-    out
-}
-
-/// Statically bound the outage-retry ladder: the base backoff from
-/// `RetryPolicy::default`, every backoff shift `.min(..)`-clamped, and
-/// `DISK_TIMEOUT_S` strictly below the clamp ceiling `backoff * 2^K`.
-fn ladder_checks(sources: &[SourceFile], disk_timeout: Interval) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut backoff_ms: Option<f64> = None;
-    let mut backoff_site = (String::new(), 1usize);
-    let mut clamp_exp: Option<f64> = None;
-    for file in sources {
-        if file.crate_name != "ff-sim" || file.kind != FileKind::Lib {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            let code = &line.code;
-            if backoff_ms.is_none() && file.rel_path.ends_with("faults.rs") {
-                // `backoff: Dur::from_millis(N)` inside the Default impl.
-                if code.trim_start().starts_with("backoff:") {
-                    for (needle, scale) in [("Dur::from_millis(", 1.0), ("Dur::from_secs(", 1000.0)]
-                    {
-                        if let Some(arg) = call_args(code, needle).first() {
-                            if let Some(v) = parse_num(arg) {
-                                backoff_ms = Some(v * scale);
-                                backoff_site = (file.rel_path.clone(), idx + 1);
-                            }
-                        }
-                    }
-                }
-            }
-            if code.contains("<<") && code.contains("backoff") {
-                match call_args(code, ".min(").first().and_then(|a| parse_num(a)) {
-                    Some(k) => {
-                        clamp_exp = Some(clamp_exp.map_or(k, |e: f64| e.max(k)));
-                    }
-                    None => {
-                        out.push(Finding {
-                            rule: Rule::TimeoutOrder,
-                            file: file.rel_path.clone(),
-                            line: idx + 1,
-                            token: "ladder-unclamped".to_owned(),
-                            message: "backoff shift without a `.min(..)` clamp: the \
-                                      retry ladder is unbounded"
-                                .to_owned(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let (Some(base_ms), Some(k)) = (backoff_ms, clamp_exp) else {
-        return out;
-    };
-    let ceiling_s = Interval::point(base_ms / 1000.0).mul(shl_pow(k));
-    if !(disk_timeout.hi < ceiling_s.lo) {
-        out.push(Finding {
-            rule: Rule::TimeoutOrder,
-            file: backoff_site.0.clone(),
-            line: backoff_site.1,
-            token: "timeout-vs-ceiling".to_owned(),
-            message: format!(
-                "cannot prove disk idle timeout {disk_timeout} s < outage-retry \
-                 clamp ceiling {ceiling_s} s (base backoff x 2^{k}); the ladder \
-                 must outlast the device timeout ordering"
-            ),
-        });
-    }
-    let base_us = base_ms * 1000.0;
-    if base_us * (2.0_f64).powi(k as i32) > u64::MAX as f64 {
-        out.push(Finding {
-            rule: Rule::TimeoutOrder,
-            file: backoff_site.0,
-            line: backoff_site.1,
-            token: "ladder-overflow".to_owned(),
-            message: format!("backoff * 2^{k} overflows the u64 microsecond ladder arithmetic"),
-        });
-    }
-    out
-}
-
-fn shl_pow(k: f64) -> Interval {
-    if !k.is_finite() || k > 63.0 || k < 0.0 {
-        Interval::NON_NEG
-    } else {
-        Interval::point((2.0_f64).powi(k as i32))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1870,26 +1538,6 @@ mod tests {
             run("pub fn f(a_us: u64, b_ms: u64) -> u64 {\n    let t = a_us + b_ms;\n    t\n}\n");
         let tokens: Vec<&str> = mixed.iter().map(|f| f.token.as_str()).collect();
         assert_eq!(tokens, ["a_us + b_ms"], "{mixed:?}");
-    }
-
-    #[test]
-    fn energy_rules_catch_decrement_and_negative_add() {
-        let dec = run("pub fn f(&mut self) {\n    self.request_energy -= 1.0;\n}\n");
-        assert!(dec.iter().any(|f| f.rule == Rule::EnergyBounds));
-        let neg = run("pub fn f(&mut self, out_j: f64) {\n    self.request_energy += -out_j;\n}\n");
-        assert!(neg
-            .iter()
-            .any(|f| f.rule == Rule::EnergyBounds && f.token.contains("nonpos")));
-        let ok = run("pub fn f(&mut self, out_j: f64) {\n    self.request_energy += out_j;\n}\n");
-        assert!(ok.iter().all(|f| f.rule != Rule::EnergyBounds), "{ok:?}");
-    }
-
-    #[test]
-    fn drain_functions_must_be_monotone() {
-        let bad = run("pub fn task_drain(&self) -> Joules {\n    self.total() - self.base\n}\n");
-        assert!(bad.iter().any(|f| f.token == "task_drain -"));
-        let ok = run("pub fn task_drain(&self) -> Joules {\n    self.total() + self.base\n}\n");
-        assert!(ok.iter().all(|f| f.rule != Rule::EnergyBounds));
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!   and the WNIC's CAM→PSM timeout path (`Cam → ToPsm`) and wake path
 //!   (`Psm → ToCam`) must exist;
 //! * **constant consistency** — the timeout arms must reference the
-//!   pinned parameters whose values `const-provenance` and
-//!   `timeout-order` audit (`timeout`/`spindown_energy`,
-//!   `psm_timeout`/`to_psm_energy`).
+//!   pinned parameters whose values `const-provenance` audits
+//!   (`timeout`/`spindown_energy`, `psm_timeout`/`to_psm_energy`).
 //!
 //! The two expected machines are *required*: if `disk.rs`/`wnic.rs`
 //! move or their `match self.state` disappears, that is itself a

@@ -91,11 +91,6 @@ impl Interval {
         self.lo > 0.0
     }
 
-    /// True when every member is `< 0`.
-    pub fn is_neg(self) -> bool {
-        self.hi < 0.0
-    }
-
     /// Least upper bound: the convex hull of the two intervals.
     pub fn join(self, other: Interval) -> Interval {
         Interval::new(self.lo.min(other.lo), self.hi.max(other.hi))

@@ -2,7 +2,7 @@
 //!
 //! A std-only, dependency-free (no `syn`/`quote`; the build environment
 //! is offline) lint pass enforcing the properties the reproduction's
-//! credibility rests on. Twelve rule families, in report order:
+//! credibility rests on. Ten rule families, in report order:
 //!
 //! Per-line rules ([`rules`]):
 //!
@@ -48,19 +48,19 @@
 //! signed-interval × sign × floatiness product domain evaluated through
 //! `let` bindings, accumulator widening, and a two-round
 //! function-summary fixpoint, seeded with the Table 1/2 constants —
-//! backs the last three:
+//! backs the last:
 //!
 //! 10. **arith-safety** — division-by-zero freedom, `as` casts the
 //!     inferred interval cannot prove lossless, and unchecked `+`/`*`
 //!     on `_bytes`/`_us` counters where `saturating_*` or the
 //!     `ff_base::checked` helpers exist.
-//! 11. **energy-bounds** — every `_j` accumulation provably ≥ 0 and
-//!     battery `*drain*` functions monotone.
-//! 12. **timeout-order** — T_breakeven recomputed from the constant
-//!     registry with interval arithmetic, statically ordered below the
-//!     disk idle timeout and above the WNIC PSM knee, with the
-//!     outage-retry ladder clamped and its clamp ceiling above the
-//!     timeout.
+//!
+//! Two properties are held by the code instead of a family: an energy
+//! cannot be decremented, because `ff_base::Joules` has no subtraction
+//! or negation (see the `compile_fail` examples in `ff_base::energy`),
+//! and the §3 ordering of the WNIC PSM timeout, the disk break-even
+//! time and the disk timeout is asserted on the real
+//! `ff_device::DiskParams` by its `break_even_is_a_few_seconds` test.
 //!
 //! Findings ratchet against a committed [`baseline`]: the run fails only
 //! on findings the baseline does not accept, so existing debt is
@@ -311,7 +311,7 @@ pub fn analyze(root: &Path) -> Result<Analysis> {
 /// Run every analysis wave over an already-collected source set.
 ///
 /// Split out from [`analyze`] so the mutation engine ([`mutgen`]) can
-/// re-run all twelve families against in-memory mutated sources
+/// re-run all ten families against in-memory mutated sources
 /// without touching the filesystem (`root` is still needed by the
 /// trace-conformance pass, which replays committed JSONL traces).
 pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
@@ -356,7 +356,7 @@ pub fn collect_findings(root: &Path) -> Result<(Vec<Finding>, usize)> {
 /// let report = ff_lint::run(&root, &baseline).unwrap();
 ///
 /// assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
-/// // All twelve families ran; nothing beyond the accepted ratchet.
+/// // All ten families ran; nothing beyond the accepted ratchet.
 /// assert!(report.delta.new.is_empty(), "{:?}", report.delta.new);
 /// ```
 pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {

@@ -10,8 +10,9 @@
 //! workspace sources. A fixed probe table ([`probes`]) pins, for each
 //! rule family, a real source location and a semantic mutation:
 //!
-//! - **operator-flip** — `+=` ↔ `-=`, a comparison direction, a clamp
-//!   removed from an expression;
+//! - **operator-flip** — a comparison turned into an equality, a
+//!   checked or saturating operation replaced by a raw operator or
+//!   cast, a redundant cast added;
 //! - **constant-perturbation** — a Table 1/2 registry constant nudged
 //!   off its pinned value;
 //! - **guard-removal** — a determinism or zero-guard discipline broken
@@ -21,7 +22,7 @@
 //!
 //! Each mutant is applied **in memory**: the file's raw text is edited
 //! at a needle occurrence (fixed, or derived from the seed when several
-//! occurrences exist), re-preprocessed, and the full twelve-family
+//! occurrences exist), re-preprocessed, and the full ten-family
 //! analysis re-runs against the mutated source set. Mutants are never
 //! compiled — the lint is the system under test, not the compiler. A
 //! mutant is *killed* when the families the probe aims at all report
@@ -50,7 +51,7 @@ pub const DEFAULT_SEED: u64 = 0x00F1EE;
 /// Ratcheted minimum kill rate per family. Every family currently
 /// kills all of its probes; lowering a floor requires editing this
 /// table in the same commit that explains why.
-pub const FLOORS: [(Rule, f64); 12] = [
+pub const FLOORS: [(Rule, f64); 10] = [
     (Rule::Determinism, 1.0),
     (Rule::PanicSafety, 1.0),
     (Rule::PanicReach, 1.0),
@@ -61,8 +62,6 @@ pub const FLOORS: [(Rule, f64); 12] = [
     (Rule::ConstProvenance, 1.0),
     (Rule::TraceConformance, 1.0),
     (Rule::ArithSafety, 1.0),
-    (Rule::EnergyBounds, 1.0),
-    (Rule::TimeoutOrder, 1.0),
 ];
 
 /// Mutation strategy, for reporting.
@@ -206,7 +205,7 @@ pub fn probes() -> Vec<Probe> {
             needle: "pub const DISK_STANDBY_POWER_W: f64 = 0.15;",
             replacement: "pub const DISK_STANDBY_POWER_W: f64 = 5.15;",
             occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::ConstProvenance, Rule::TimeoutOrder],
+            aimed: &[Rule::ConstProvenance],
         },
         Probe {
             id: "beacon-interval-drift",
@@ -279,60 +278,6 @@ pub fn probes() -> Vec<Probe> {
             replacement: "disk_bytes + wnic_bytes",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::ArithSafety],
-        },
-        Probe {
-            id: "energy-accumulator-flip",
-            kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/sim/io.rs",
-            needle: "energy += out.energy;",
-            replacement: "energy -= out.energy;",
-            occurrence: Occurrence::Auto,
-            aimed: &[Rule::EnergyBounds],
-        },
-        Probe {
-            id: "negative-spinup-charge",
-            kind: MutKind::OperatorFlip,
-            file: "crates/ff-device/src/disk.rs",
-            needle: "request_energy += self.params.spinup_energy;",
-            replacement: "request_energy += -self.params.spinup_energy;",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::EnergyBounds],
-        },
-        Probe {
-            id: "drain-monotone-flip",
-            kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/battery.rs",
-            needle: "report.total_energy() + self.base_power * report.exec_time",
-            replacement: "report.total_energy() - self.base_power * report.exec_time",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::EnergyBounds],
-        },
-        Probe {
-            id: "spinup-cost-bump",
-            kind: MutKind::ConstPerturb,
-            file: "crates/ff-device/src/consts.rs",
-            needle: "pub const DISK_SPINUP_ENERGY_J: f64 = 5.0;",
-            replacement: "pub const DISK_SPINUP_ENERGY_J: f64 = 50.0;",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::TimeoutOrder],
-        },
-        Probe {
-            id: "ladder-clamp-drop",
-            kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/faults.rs",
-            needle: "(1u64 << (attempt - 1).min(16))",
-            replacement: "(1u64 << (attempt - 1))",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::TimeoutOrder],
-        },
-        Probe {
-            id: "zero-backoff-base",
-            kind: MutKind::ConstPerturb,
-            file: "crates/ff-sim/src/faults.rs",
-            needle: "backoff: Dur::from_millis(500),",
-            replacement: "backoff: Dur::from_millis(0),",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::TimeoutOrder],
         },
     ]
 }

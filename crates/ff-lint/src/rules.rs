@@ -41,14 +41,6 @@ pub enum Rule {
     /// unchecked `+`/`*` on `_bytes`/`_us` counters where saturating or
     /// `ff_base::checked` alternatives exist.
     ArithSafety,
-    /// Every `_j`/energy accumulation must be provably non-negative and
-    /// battery drain functions monotone (abstract-interpretation wave).
-    EnergyBounds,
-    /// Statically prove the §3 timeout ordering — T_breakeven < disk
-    /// idle timeout < outage-retry clamp ceiling, PSM knee below the
-    /// disk knee — from the Table 1/2 registry, and that every backoff
-    /// ladder shift is clamped and overflow-free.
-    TimeoutOrder,
 }
 
 impl Rule {
@@ -65,13 +57,11 @@ impl Rule {
             Rule::ConstProvenance => "const-provenance",
             Rule::TraceConformance => "trace-conformance",
             Rule::ArithSafety => "arith-safety",
-            Rule::EnergyBounds => "energy-bounds",
-            Rule::TimeoutOrder => "timeout-order",
         }
     }
 
     /// All families, in report order.
-    pub fn all() -> [Rule; 12] {
+    pub fn all() -> [Rule; 10] {
         [
             Rule::Determinism,
             Rule::PanicSafety,
@@ -83,8 +73,6 @@ impl Rule {
             Rule::ConstProvenance,
             Rule::TraceConformance,
             Rule::ArithSafety,
-            Rule::EnergyBounds,
-            Rule::TimeoutOrder,
         ]
     }
 
@@ -105,9 +93,7 @@ impl Rule {
             | Rule::PanicReach
             | Rule::Fsm
             | Rule::TraceConformance
-            | Rule::ArithSafety
-            | Rule::EnergyBounds
-            | Rule::TimeoutOrder => "error",
+            | Rule::ArithSafety => "error",
             Rule::Hygiene => "note",
             _ => "warning",
         }

@@ -127,9 +127,7 @@ impl Policy for BlueFs {
                         &device_request(req.op, req.len, block),
                     )
                     .energy;
-                if outcome.energy > active_cost {
-                    self.ghost_hint += outcome.energy - active_cost;
-                }
+                self.ghost_hint += outcome.energy.saturating_sub(active_cost);
             }
         }
     }

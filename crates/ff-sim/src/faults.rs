@@ -263,7 +263,7 @@ impl RetryPolicy {
                 self.max_retries
             )));
         }
-        if self.checked_ladder().is_none() {
+        if self.ladder().is_none() {
             return Err(Error::Fault(format!(
                 "retry ladder of {} attempts ({} timeout, {} backoff) overflows simulated time",
                 self.max_retries, self.timeout, self.backoff
@@ -273,22 +273,23 @@ impl RetryPolicy {
     }
 
     /// Worst-case wall-clock cost of one exhausted ladder: every timeout
-    /// plus every backoff interval. Saturates at `Dur(u64::MAX)` for a
-    /// ladder [`RetryPolicy::validate`] rejects.
-    pub fn max_ladder(&self) -> Dur {
-        self.checked_ladder().unwrap_or(Dur(u64::MAX))
-    }
-
-    /// [`RetryPolicy::max_ladder`], or `None` when it overflows `Dur`.
-    fn checked_ladder(&self) -> Option<Dur> {
+    /// plus every backoff interval, or `None` when it overflows `Dur`
+    /// (a ladder [`RetryPolicy::validate`] rejects).
+    pub fn ladder(&self) -> Option<Dur> {
         let mut total = 0u64;
-        for attempt in 0..self.max_retries {
-            let wait = u64::checked_mul(self.backoff.as_micros(), 1u64 << attempt.min(16))?;
+        for step in 0..self.max_retries {
             total = total
                 .checked_add(self.timeout.as_micros())?
-                .checked_add(wait)?;
+                .checked_add(self.backoff_at(step)?.as_micros())?;
         }
         Some(Dur(total))
+    }
+
+    /// The wait after the `step`-th timeout (counting from zero):
+    /// `backoff · 2^step`, or `None` when it overflows `Dur`.
+    fn backoff_at(&self, step: u32) -> Option<Dur> {
+        let scale = 1u64.checked_shl(step)?;
+        self.backoff.as_micros().checked_mul(scale).map(Dur)
     }
 }
 
@@ -845,7 +846,8 @@ impl FaultTimeline {
             cur += self.retry.timeout;
             wnic.advance_to(cur);
             self.retries += 1;
-            let wait = self.retry.backoff * (1u64 << (attempt - 1).min(16));
+            // A validated ladder fits `Dur`, so the saturation never binds.
+            let wait = self.retry.backoff_at(attempt - 1).unwrap_or(Dur(u64::MAX));
             emit(rec, || ObsEvent::RequestRetry {
                 at: cur,
                 attempt,
@@ -1118,9 +1120,25 @@ mod tests {
         .is_err());
         // Default ladder: 4×2 s timeouts + 0.5+1+2+4 s backoffs = 15.5 s.
         assert_eq!(
-            RetryPolicy::default().max_ladder(),
-            Dur::from_millis(15_500)
+            RetryPolicy::default().ladder(),
+            Some(Dur::from_millis(15_500))
         );
+        // Past the 16 attempts `validate` allows, the doubling is still
+        // exact: 64 one-microsecond backoffs sum to 2^64 - 1 µs, exactly
+        // `u64::MAX`, and a 65th shifts past the u64 width. Neither
+        // panics nor wraps.
+        let tiny = RetryPolicy {
+            timeout: Dur::ZERO,
+            backoff: Dur(1),
+            max_retries: 64,
+        };
+        assert_eq!(tiny.ladder(), Some(Dur(u64::MAX)));
+        assert_eq!(tiny.backoff_at(64), None);
+        let longer = RetryPolicy {
+            max_retries: 65,
+            ..tiny
+        };
+        assert_eq!(longer.ladder(), None);
     }
 
     #[test]
@@ -1136,7 +1154,7 @@ mod tests {
             "{:?}",
             huge.validate()
         );
-        assert_eq!(huge.max_ladder(), Dur(u64::MAX), "saturates, never panics");
+        assert_eq!(huge.ladder(), None, "overflows, never panics");
         // The largest backoff whose ladder still fits is accepted, and
         // one microsecond more is not.
         let widest = (u64::MAX - 4_000_000) / 15;
@@ -1145,7 +1163,7 @@ mod tests {
             ..huge
         };
         assert!(fits.validate().is_ok());
-        assert_eq!(fits.max_ladder(), Dur(4_000_000 + 15 * widest));
+        assert_eq!(fits.ladder(), Some(Dur(4_000_000 + 15 * widest)));
         let over = RetryPolicy {
             backoff: Dur(widest + 1),
             ..huge

@@ -51,8 +51,8 @@ impl Stages {
             index: self.summaries.len(),
             start: self.start,
             end: now,
-            disk_energy: disk_total - self.disk_mark,
-            wnic_energy: wnic_total - self.wnic_mark,
+            disk_energy: disk_total.saturating_sub(self.disk_mark),
+            wnic_energy: wnic_total.saturating_sub(self.wnic_mark),
             fetched: fetched_total.saturating_sub(self.bytes_mark),
         };
         let report = StageReport {

@@ -13,7 +13,6 @@
 use crate::model::{FileId, FileSet};
 use ff_base::split_seed;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Block size used for layout addressing (matches the cache page size).
 pub const BLOCK_SIZE: u64 = 4096;
@@ -37,7 +36,9 @@ impl Extent {
 /// Sequential-with-gaps mapping of a [`FileSet`] onto disk blocks.
 #[derive(Debug, Clone, Default)]
 pub struct DiskLayout {
-    extents: BTreeMap<FileId, Extent>,
+    /// One extent per file, sorted by id (the [`FileSet`] iteration
+    /// order), so a lookup is a binary search.
+    extents: Vec<(FileId, Extent)>,
 }
 
 impl DiskLayout {
@@ -49,17 +50,17 @@ impl DiskLayout {
     /// gap derived from `seed`.
     pub fn build(files: &FileSet, seed: u64) -> Self {
         let mut rng = ff_base::seeded_rng(split_seed(seed, 0xD15C));
-        let mut extents = BTreeMap::new();
+        let mut extents = Vec::with_capacity(files.len());
         let mut cursor = 0u64;
         for meta in files.iter() {
             let blocks = meta.size.pages().max(1);
-            extents.insert(
+            extents.push((
                 meta.id,
                 Extent {
                     start: cursor,
                     blocks,
                 },
-            );
+            ));
             cursor += blocks + rng.gen_range(1..=Self::MAX_GAP_BLOCKS);
         }
         DiskLayout { extents }
@@ -67,13 +68,17 @@ impl DiskLayout {
 
     /// Extent of a file, if laid out.
     pub fn extent(&self, file: FileId) -> Option<Extent> {
-        self.extents.get(&file).copied()
+        let i = self
+            .extents
+            .binary_search_by_key(&file, |&(id, _)| id)
+            .ok()?;
+        self.extents.get(i).map(|&(_, e)| e)
     }
 
     /// Global block address of byte `offset` within `file`.
     /// Returns `None` for unknown files or offsets past the extent.
     pub fn block_of(&self, file: FileId, offset: u64) -> Option<u64> {
-        let e = self.extents.get(&file)?;
+        let e = self.extent(file)?;
         let rel = offset / BLOCK_SIZE;
         (rel < e.blocks).then_some(e.start + rel)
     }
@@ -148,6 +153,21 @@ mod tests {
         let l = DiskLayout::build(&fs, 1);
         assert!(l.block_of(FileId(99), 0).is_none());
         assert!(l.block_of(FileId(1), BLOCK_SIZE * 5).is_none());
+        // Sparse ids inserted out of order: each laid-out id is found,
+        // and the ids before, between and after them are not.
+        let mut sparse = FileSet::new();
+        for id in [30, 10, 20] {
+            sparse.insert(FileMeta {
+                id: FileId(id),
+                name: format!("f{id}"),
+                size: Bytes(100),
+            });
+        }
+        let l = DiskLayout::build(&sparse, 1);
+        for id in 0..=31 {
+            let laid_out = id > 0 && id % 10 == 0;
+            assert_eq!(l.extent(FileId(id)).is_some(), laid_out, "file {id}");
+        }
     }
 
     #[test]

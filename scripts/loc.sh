@@ -2,8 +2,10 @@
 # Non-test source lines, per file and per crate.
 #
 # Each crates/<crate>/src/**/*.rs counts up to (not including) its first
-# `#[cfg(test)]` line, so in-file test modules drop out; tests/, benches
-# and examples are not counted at all. Blank and comment lines count.
+# `#[cfg(test)]` attribute at column 0, so in-file test modules drop out
+# while a doc comment that mentions the attribute does not end the count;
+# tests/, benches and examples are not counted at all. Blank and comment
+# lines count.
 #
 # Usage: scripts/loc.sh [CRATE...]    (default: every crate under crates/)
 #        scripts/loc.sh ff-device ff-profile ff-policy ff-sim
@@ -25,7 +27,7 @@ for crate in "${crates[@]}"; do
     fi
     sum=0
     while IFS= read -r file; do
-        n=$(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
+        n=$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
         printf '%7d  %s\n' "$n" "$file"
         sum=$((sum + n))
     done < <(find "crates/$crate/src" -name '*.rs' | LC_ALL=C sort)

@@ -212,7 +212,11 @@ fn performance_recovers_once_faults_clear() {
     // the residual slowdown must stay within the fault window plus one
     // exhausted retry ladder of slack.
     let plan = FaultPlan::none().with_link_outage(Dur::from_secs(5), Dur::from_secs(10));
-    let bound = clean.exec_time + Dur::from_secs(10) + SimConfig::default().retry.max_ladder();
+    let ladder = SimConfig::default()
+        .retry
+        .ladder()
+        .expect("the default ladder fits");
+    let bound = clean.exec_time + Dur::from_secs(10) + ladder;
     for policy in ["disk", "flexfetch"] {
         let faulted = Simulation::new(SimConfig::default().with_faults(plan.clone()), &trace)
             .policy(build_policy(policy, "grep", 42).unwrap())

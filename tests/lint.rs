@@ -78,23 +78,6 @@ fn panic_safety_family_is_fully_burned_down() {
 }
 
 #[test]
-fn model_invariants_hold_for_the_paper_tables() {
-    // The DK23DA / Aironet 350 tables are pinned value by value by
-    // const-provenance, and their §3 break-even and timeout ordering is
-    // proved by timeout-order.
-    let root = workspace_root();
-    let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
-    let violations: Vec<_> = findings
-        .iter()
-        .filter(|f| matches!(f.rule, Rule::ConstProvenance | Rule::TimeoutOrder))
-        .collect();
-    assert!(
-        violations.is_empty(),
-        "DK23DA/Aironet-350 tables violate §3 invariants: {violations:?}"
-    );
-}
-
-#[test]
 fn fsm_family_is_pinned_at_zero() {
     let root = workspace_root();
     // No accepted FSM debt in the baseline…
@@ -115,12 +98,11 @@ fn fsm_family_is_pinned_at_zero() {
 
 #[test]
 fn semantic_families_are_pinned_at_zero() {
-    // Constant provenance, trace conformance, and the
-    // abstract-interpretation families (arithmetic safety, energy
-    // bounds, timeout ordering) started life with no accepted debt,
-    // and this gate keeps it that way: empty in the baseline AND empty
-    // in the tree, so any regression fails tier-1 rather than
-    // ratcheting.
+    // Constant provenance (the DK23DA / Aironet 350 tables pinned value
+    // by value), trace conformance and arithmetic safety started life
+    // with no accepted debt, and this gate keeps it that way: empty in
+    // the baseline AND empty in the tree, so any regression fails
+    // tier-1 rather than ratcheting.
     let root = workspace_root();
     let baseline = committed_baseline(&root);
     let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
@@ -128,8 +110,6 @@ fn semantic_families_are_pinned_at_zero() {
         Rule::ConstProvenance,
         Rule::TraceConformance,
         Rule::ArithSafety,
-        Rule::EnergyBounds,
-        Rule::TimeoutOrder,
     ] {
         assert!(
             baseline.is_empty_for(rule),
@@ -292,8 +272,8 @@ fn cli_exits_zero_on_the_clean_workspace() {
             .any(|r| r.get("rule").and_then(|v| v.as_str()) == Some("panic-reachability")),
         "missing panic-reachability family in: {text}"
     );
-    // Twelve families, plus the conformance node.
-    assert_eq!(by_rule.len(), 12, "expected twelve rule families: {text}");
+    // Ten families, plus the conformance node.
+    assert_eq!(by_rule.len(), 10, "expected ten rule families: {text}");
     let conformance = doc.get("conformance").expect("conformance node");
     assert_eq!(
         conformance.get("runtime_only").and_then(|v| v.as_u64()),
