@@ -1,15 +1,13 @@
 //! The benchmark and trace-export commands: `benchsim`, `benchpar`,
-//! `benchfaults`, `observe` and `chaostrace`. Their artifacts and
-//! schemas are documented in `docs/benchmarks.md`.
+//! `benchfaults` and `observe`. Their artifacts and schemas are
+//! documented in `docs/benchmarks.md`.
 
 use crate::{Args, Result, Sink, Usage};
 use ff_base::json::Value;
-use ff_base::Dur;
 use ff_bench::faults::{cell_json, fault_matrix, fault_run, FAULT_SCENARIOS};
 use ff_bench::grid::{sim_cell, sim_doc, sim_matrix_json, Grid};
-use ff_bench::observe::{build_policy, build_workload, observe_run, summary_json};
+use ff_bench::observe::{observe_run, summary_json};
 use ff_bench::observe::{POLICIES, WORKLOADS};
-use ff_sim::{EventLog, FaultPlan, RetryPolicy, SimConfig, Simulation};
 use std::fmt::Write;
 use std::time::Instant;
 
@@ -183,50 +181,6 @@ pub fn observe(args: &Args, o: &mut Sink) -> Result {
     writeln!(o.err, "wrote {jsonl} ({events} events) and {sum}")?;
     o.file(jsonl_path, run.log.to_jsonl());
     o.file(summary_path, format!("{summary}\n"));
-    Ok(())
-}
-
-/// `chaostrace`: two seeded server-outage schedules replayed on grep
-/// under WNIC-only (so the Aironet 350 machine cycles between CAM and
-/// PSM too), one JSONL event stream each, for ff-lint's
-/// trace-conformance pass:
-///
-/// * `chaos_ladder.jsonl` — a 3 s outage from t=0 against a
-///   300 ms/100 ms/3-attempt ladder: the first request exhausts the
-///   ladder, walking the server path `healthy → down → dead → healthy`;
-/// * `chaos_outage.jsonl` — a 2 s outage the default 15.5 s ladder
-///   rides out: `healthy → down → healthy`.
-pub fn chaostrace(args: &Args, o: &mut Sink) -> Result {
-    let fast_ladder = RetryPolicy {
-        timeout: Dur::from_millis(300),
-        backoff: Dur::from_millis(100),
-        max_retries: 3,
-    };
-    let ladder = FaultPlan::none().with_server_outage(Dur::ZERO, Dur::from_secs(3));
-    let outage = FaultPlan::none().with_server_outage(Dur::from_millis(500), Dur::from_secs(2));
-    for (name, plan, retry) in [
-        ("chaos_ladder", ladder, Some(fast_ladder)),
-        ("chaos_outage", outage, None),
-    ] {
-        let trace = build_workload("grep", args.seed)?;
-        let policy = build_policy("wnic", "grep", args.seed)?;
-        let mut config = SimConfig::default().with_faults(plan);
-        if let Some(retry) = retry {
-            config = config.with_retry(retry);
-        }
-        let mut log = EventLog::new();
-        let report = Simulation::new(config, &trace)
-            .policy(policy)
-            .run_recorded(&mut log)?;
-        let path = args.out_dir.join(format!("{name}.jsonl"));
-        let (shown, events) = (path.display(), log.len());
-        let (retries, failovers) = (report.retries, report.failovers);
-        writeln!(
-            o.err,
-            "wrote {shown} ({events} events, {retries} retries, {failovers} failovers)"
-        )?;
-        o.file(path, log.to_jsonl());
-    }
     Ok(())
 }
 

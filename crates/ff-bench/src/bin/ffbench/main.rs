@@ -159,7 +159,6 @@ const COMMANDS: &[Command] = &[
     cmd("benchpar", BENCH, bench::benchpar, "the benchsim grid at jobs=1 vs --jobs: byte-identity and speedup"),
     cmd("benchfaults", BENCH, bench::benchfaults, "fault scenario x policy x workload chaos matrix -> bench/BENCH_faults.json"),
     cmd("observe", OBSERVE, bench::observe, "one run's event stream as JSONL plus a summary"),
-    cmd("chaostrace", &["--seed N", "--out-dir DIR"], bench::chaostrace, "server-outage event streams for the conformance pass"),
 ];
 
 /// Commands whose stdout is a committed artifact.
@@ -261,7 +260,6 @@ fn all(_: &Args, o: &mut Sink) -> Result {
         ("benchsim", Args::default()),
         ("benchfaults", Args::default()),
         ("observe", observe),
-        ("chaostrace", Args::default()),
     ] {
         o.files.append(&mut run(name, &args)?.files);
     }

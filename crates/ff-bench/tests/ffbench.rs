@@ -24,7 +24,7 @@ fn committed(name: &str) -> String {
 
 /// Every command the driver must keep: the old binaries (bar the
 /// deleted `debug_probe`) plus `list` and `all`.
-const EXPECTED: [&str; 23] = [
+const EXPECTED: [&str; 22] = [
     "list",
     "all",
     "tables",
@@ -47,7 +47,6 @@ const EXPECTED: [&str; 23] = [
     "benchpar",
     "benchfaults",
     "observe",
-    "chaostrace",
 ];
 
 #[test]
@@ -86,7 +85,7 @@ fn unknown_command_exits_2_with_usage() {
 #[test]
 fn a_flag_the_command_does_not_take_exits_2_with_usage() {
     assert_usage_error(&["tables", "--seed", "7"]);
-    assert_usage_error(&["chaostrace", "--jobs", "2"]);
+    assert_usage_error(&["observe", "--jobs", "2"]);
     assert_usage_error(&["powertrace", "--policy", "disk"]);
     assert_usage_error(&["benchsim", "--seed"]);
     assert_usage_error(&["benchsim", "--jobs", "many"]);

@@ -17,10 +17,12 @@
 //! spin-down to finish and then pays the full spin-up — the paper's
 //! motivation for not blindly waking the disk.
 //!
-//! The state machine above is model-checked by `ff-lint` against the
-//! `match self.state` transitions in this file, and every transition is
-//! visible at run time as a `device_transition` observability event
-//! (DESIGN.md §9 and §10).
+//! The state machine above is checked by running it: the
+//! `machine_walk_follows_the_paper_cycle` test drives it from both
+//! constructors through every state and round the cycle, and in debug
+//! builds `advance_to` fails, naming the state, if a broken edge stops
+//! the clock. Every transition is visible at run time as a
+//! `device_transition` observability event (DESIGN.md §10).
 
 use crate::consts;
 use crate::meter::Meter;
@@ -190,6 +192,13 @@ impl DiskModel {
 
 impl PowerModel for DiskModel {
     fn advance_to(&mut self, now: SimTime, meter: &mut impl Meter) {
+        // A step that leaves the clock where it is must change the state,
+        // and a working machine takes fewer such steps in a row than it
+        // has states. Past that, a broken edge is looping without moving
+        // the clock: fail naming the state instead of hanging. Debug
+        // builds only; release code carries no guard.
+        #[cfg(debug_assertions)]
+        let mut stalled = 0u8;
         while self.clock < now {
             let at = self.clock;
             match self.state {
@@ -231,6 +240,11 @@ impl PowerModel for DiskModel {
                         self.idle_since = until;
                     }
                 }
+            }
+            #[cfg(debug_assertions)]
+            {
+                stalled = if self.clock == at { stalled + 1 } else { 0 };
+                debug_assert!(stalled < 4, "disk stuck in {:?} at {at}", self.state);
             }
         }
     }
@@ -296,8 +310,10 @@ impl PowerModel for DiskModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meter::walk::PathMeter;
     use crate::model::{Dir, Live};
     use ff_base::Bytes;
+    use std::collections::BTreeSet;
 
     fn disk() -> Live<DiskModel> {
         Live::new(DiskModel::new(DiskParams::hitachi_dk23da()))
@@ -541,6 +557,59 @@ mod tests {
         assert!(d.model.is_ready());
         d.advance_to(SimTime::from_secs(60));
         assert!(!d.model.is_ready());
+    }
+
+    /// The state each label is booked in: a dwell in the state it
+    /// names, a transition in the state it leaves.
+    fn booked_in(_last: &'static str, label: &'static str) -> &'static str {
+        match label {
+            "idle" | "active" | "spin_down" => "Idle",
+            "spinning_down" => "SpinningDown",
+            "standby" | "spin_up" => "Standby",
+            "spinning_up" => "SpinningUp",
+            other => panic!("unknown disk label {other}"),
+        }
+    }
+
+    fn name(state: DiskState) -> &'static str {
+        match state {
+            DiskState::Idle => "Idle",
+            DiskState::SpinningDown(_) => "SpinningDown",
+            DiskState::Standby => "Standby",
+            DiskState::SpinningUp(_) => "SpinningUp",
+        }
+    }
+
+    #[test]
+    fn machine_walk_follows_the_paper_cycle() {
+        let p = DiskParams::hitachi_dk23da();
+        let down = p.timeout + p.spindown_time;
+        // Idle gaps after the last request: none, then gaps straddling
+        // both timeouts: inside the idle timeout, exactly on it, inside
+        // the spin-down, exactly at its end, and deep in standby.
+        let gaps = [
+            Dur::ZERO,
+            p.timeout / 2,
+            p.timeout,
+            p.timeout + p.spindown_time / 2,
+            down,
+            down * 3,
+        ];
+        for mut disk in [DiskModel::new(p), DiskModel::new_standby(p)] {
+            let mut meter = PathMeter::new(name(disk.state()), booked_in);
+            let mut arrived = BTreeSet::new();
+            for gap in gaps {
+                let t = disk.clock() + gap;
+                disk.advance_to(t, &mut meter);
+                arrived.insert(name(disk.state()));
+                disk.service(t, &DeviceRequest::read(Bytes::kib(4), None), &mut meter);
+                assert_eq!(meter.last(), name(disk.state()));
+            }
+            // No request finds the disk spinning up: only `service`
+            // starts a spin-up, and it rides the spin-up out.
+            assert_eq!(arrived, BTreeSet::from(["Idle", "SpinningDown", "Standby"]));
+            meter.assert_cycle(["Idle", "SpinningDown", "Standby", "SpinningUp"]);
+        }
     }
 
     #[test]

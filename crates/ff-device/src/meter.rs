@@ -297,3 +297,71 @@ mod tests {
         assert_eq!(m.transition_count("nope"), 0);
     }
 }
+
+/// The machine-walk tests' [`Meter`].
+#[cfg(test)]
+pub(crate) mod walk {
+    use super::Meter;
+    use ff_base::{Dur, Joules, SimTime, Watts};
+    use std::collections::BTreeSet;
+
+    /// Keeps only the path of states a device model books into: each
+    /// dwell or transition is mapped to the state it is booked in by
+    /// `state_of(last state, label)`, and repeats collapse.
+    pub(crate) struct PathMeter {
+        path: Vec<&'static str>,
+        state_of: fn(&'static str, &'static str) -> &'static str,
+    }
+
+    impl PathMeter {
+        /// A path that starts in the constructor's state.
+        pub(crate) fn new(
+            start: &'static str,
+            state_of: fn(&'static str, &'static str) -> &'static str,
+        ) -> Self {
+            PathMeter {
+                path: vec![start],
+                state_of,
+            }
+        }
+
+        /// The state the last booking was made in.
+        pub(crate) fn last(&self) -> &'static str {
+            self.path.last().copied().unwrap_or_default()
+        }
+
+        fn book(&mut self, label: &'static str) {
+            let state = (self.state_of)(self.last(), label);
+            if state != self.last() {
+                self.path.push(state);
+            }
+        }
+
+        /// Assert that every step of the path goes one state on round
+        /// `cycle`, and that every state of `cycle` is left (and so
+        /// entered) at least once.
+        pub(crate) fn assert_cycle(&self, cycle: [&str; 4]) {
+            let mut left = BTreeSet::new();
+            for pair in self.path.windows(2) {
+                let (from, to) = (pair[0], pair[1]);
+                let next = cycle
+                    .iter()
+                    .position(|s| *s == from)
+                    .map(|i| cycle[(i + 1) % cycle.len()]);
+                assert_eq!(Some(to), next, "{from} -> {to} in {:?}", self.path);
+                left.insert(from);
+            }
+            assert_eq!(left.len(), cycle.len(), "{:?}", self.path);
+        }
+    }
+
+    impl Meter for PathMeter {
+        fn dwell(&mut self, _at: SimTime, state: &'static str, _power: Watts, _d: Dur) {
+            self.book(state);
+        }
+
+        fn transition(&mut self, _at: SimTime, name: &'static str, _energy: Joules) {
+            self.book(name);
+        }
+    }
+}

@@ -22,10 +22,12 @@
 //! round-trip latency to the remote server (a sweep axis in §3.3) dwells
 //! at the mode's idle power.
 //!
-//! The state machine above is model-checked by `ff-lint` against the
-//! `match self.state` transitions in this file, and every transition is
-//! visible at run time as a `device_transition` observability event
-//! (DESIGN.md §9 and §10).
+//! The state machine above is checked by running it: the
+//! `machine_walk_follows_the_paper_cycle` test drives it from both
+//! constructors through every state and round the cycle, and in debug
+//! builds `advance_to` fails, naming the state, if a broken edge stops
+//! the clock. Every transition is visible at run time as a
+//! `device_transition` observability event (DESIGN.md §10).
 
 use crate::consts;
 use crate::meter::Meter;
@@ -174,6 +176,13 @@ impl WnicModel {
 
 impl PowerModel for WnicModel {
     fn advance_to(&mut self, now: SimTime, meter: &mut impl Meter) {
+        // A step that leaves the clock where it is must change the state,
+        // and a working machine takes fewer such steps in a row than it
+        // has states. Past that, a broken edge is looping without moving
+        // the clock: fail naming the state instead of hanging. Debug
+        // builds only; release code carries no guard.
+        #[cfg(debug_assertions)]
+        let mut stalled = 0u8;
         while self.clock < now {
             let at = self.clock;
             match self.state {
@@ -212,6 +221,11 @@ impl PowerModel for WnicModel {
                         self.idle_since = until;
                     }
                 }
+            }
+            #[cfg(debug_assertions)]
+            {
+                stalled = if self.clock == at { stalled + 1 } else { 0 };
+                debug_assert!(stalled < 4, "WNIC stuck in {:?} at {at}", self.state);
             }
         }
     }
@@ -304,8 +318,10 @@ impl PowerModel for WnicModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meter::walk::PathMeter;
     use crate::model::Live;
     use ff_base::Bytes;
+    use std::collections::BTreeSet;
 
     fn wnic() -> Live<WnicModel> {
         Live::new(WnicModel::new(WnicParams::cisco_aironet350()))
@@ -496,5 +512,63 @@ mod tests {
         assert!(!w.model.is_ready());
         w.service(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
         assert!(w.model.is_ready());
+    }
+
+    /// The state each label is booked in: a dwell in the mode or switch
+    /// it names, a transition in the mode it leaves. Both switches dwell
+    /// as `switching`, the switch out of the last mode.
+    fn booked_in(last: &'static str, label: &'static str) -> &'static str {
+        match label {
+            "cam_idle" | "cam_transfer" | "cam_to_psm" => "Cam",
+            "psm_idle" | "psm_transfer" | "psm_to_cam" => "Psm",
+            "switching" if matches!(last, "Cam" | "ToPsm") => "ToPsm",
+            "switching" => "ToCam",
+            other => panic!("unknown WNIC label {other}"),
+        }
+    }
+
+    fn name(state: WnicState) -> &'static str {
+        match state {
+            WnicState::Cam => "Cam",
+            WnicState::ToPsm(_) => "ToPsm",
+            WnicState::Psm => "Psm",
+            WnicState::ToCam(_) => "ToCam",
+        }
+    }
+
+    #[test]
+    fn machine_walk_follows_the_paper_cycle() {
+        let p = WnicParams::cisco_aironet350();
+        let psm = p.psm_timeout + p.to_psm_time;
+        // Idle gaps after the last request: none, then gaps straddling
+        // both timeouts: inside the PSM timeout, exactly on it, inside
+        // the switch, exactly at its end, and deep in PSM.
+        let gaps = [
+            Dur::ZERO,
+            p.psm_timeout / 2,
+            p.psm_timeout,
+            p.psm_timeout + p.to_psm_time / 2,
+            psm,
+            psm * 3,
+        ];
+        // A request that forces CAM, then one a PSM beacon can drain.
+        let sizes = [Bytes::kib(64), Bytes(p.psm_packet_bytes)];
+        for mut card in [WnicModel::new(p), WnicModel::new_cam(p)] {
+            let mut meter = PathMeter::new(name(card.state()), booked_in);
+            for bytes in sizes {
+                let mut arrived = BTreeSet::new();
+                for gap in gaps {
+                    let t = card.clock() + gap;
+                    card.advance_to(t, &mut meter);
+                    arrived.insert(name(card.state()));
+                    card.service(t, &DeviceRequest::read(bytes, None), &mut meter);
+                    assert_eq!(meter.last(), name(card.state()));
+                }
+                // No request finds the card switching to CAM: only
+                // `service` starts that switch, and it rides it out.
+                assert_eq!(arrived, BTreeSet::from(["Cam", "ToPsm", "Psm"]), "{bytes}");
+            }
+            meter.assert_cycle(["Cam", "ToPsm", "Psm", "ToCam"]);
+        }
     }
 }

@@ -281,11 +281,11 @@ mod tests {
     fn zero_count_entries_are_dropped_on_load_and_write() {
         let text = "{\"version\": 1, \"entries\": [\
             {\"rule\": \"hygiene\", \"file\": \"b.rs\", \"token\": \"TODO\", \"count\": 1},\
-            {\"rule\": \"fsm\", \"file\": \"a.rs\", \"token\": \"dead\", \"count\": 0}\
+            {\"rule\": \"arith-safety\", \"file\": \"a.rs\", \"token\": \"div\", \"count\": 0}\
         ]}";
         let b = Baseline::parse(text).expect("parses");
         assert_eq!(b.len(), 1, "the empty family entry must be dropped");
-        assert!(!b.to_json().contains("\"fsm\""));
+        assert!(!b.to_json().contains("\"arith-safety\""));
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! [`crate::scan::preprocess`] gives us code with literals and comments
 //! blanked; this module walks those lines once per file, tracking brace
 //! depth, and recovers the *item skeleton*: `fn`/`impl`/`mod`/`enum`/
-//! `struct`/`trait` boundaries, visibility, flattened signatures, and
-//! (for enums) the variant list. The semantic analyses — the call graph,
-//! the FSM model checker and the abstract interpreter — all consume this tree
-//! instead of re-deriving structure from raw lines.
+//! `struct`/`trait` boundaries, visibility and flattened signatures. The
+//! semantic analyses — the call graph and the abstract interpreter —
+//! consume this tree instead of re-deriving structure from raw lines.
 //!
 //! The parser is approximate by design, leaning on the workspace being
 //! rustfmt-formatted: declarations start a line (after visibility), the
@@ -53,8 +52,6 @@ pub struct Item {
     pub signature: String,
     /// Parameter names of a `fn`, in order, `self` excluded.
     pub params: Vec<String>,
-    /// Enum variant names, declaration order.
-    pub variants: Vec<String>,
     /// 1-based line of the declaration keyword.
     pub decl_line: usize,
     /// 1-based line of the body's opening `{` (== decl_line for
@@ -114,21 +111,6 @@ impl ItemTree {
             .enumerate()
             .filter(|(_, i)| i.kind == ItemKind::Fn)
     }
-
-    /// Look up an enum by name.
-    pub fn enum_named(&self, name: &str) -> Option<&Item> {
-        self.items
-            .iter()
-            .find(|i| i.kind == ItemKind::Enum && i.name == name)
-    }
-
-    /// The innermost fn whose body spans `line` (1-based).
-    pub fn fn_at(&self, line: usize) -> Option<&Item> {
-        self.items
-            .iter()
-            .filter(|i| i.kind == ItemKind::Fn && i.decl_line <= line && line <= i.body_end)
-            .max_by_key(|i| i.decl_line)
-    }
 }
 
 /// Build the item tree for every source file, parallel to `sources`.
@@ -175,7 +157,6 @@ fn parse_file(file: &SourceFile) -> ItemTree {
     for (idx, line) in file.lines.iter().enumerate() {
         let line_no = idx + 1;
         let code = line.code.as_str();
-        let depth_at_start = depth;
 
         // Split the line at the declaration start so braces before it
         // (e.g. a closing `}` sharing the line) update depth first.
@@ -231,22 +212,6 @@ fn parse_file(file: &SourceFile) -> ItemTree {
         }
         if let Some(p) = pending.as_mut() {
             p.signature.push(' ');
-        }
-
-        // Enum variants: first token of body lines one level inside.
-        // Depth is taken at line *start* so a struct variant whose `{…}`
-        // spans lines (`DeviceState {` … `},`) still counts — by line
-        // end its own brace has already deepened `depth`.
-        if pending.is_none() {
-            if let Some(o) = open.last() {
-                if items[o.arena_idx].kind == ItemKind::Enum && depth_at_start == o.depth {
-                    if let Some(v) = leading_ident(code) {
-                        if items[o.arena_idx].body_start < line_no {
-                            items[o.arena_idx].variants.push(v.to_owned());
-                        }
-                    }
-                }
-            }
         }
     }
     ItemTree { items }
@@ -308,7 +273,6 @@ fn finish_item(p: Pending, body_line: usize, enclosing: Option<&Open>, items: &[
         vis: p.vis,
         signature: p.signature.split_whitespace().collect::<Vec<_>>().join(" "),
         params,
-        variants: Vec::new(),
         decl_line: p.decl_line,
         body_start: body_line,
         body_end: body_line,
@@ -497,7 +461,7 @@ fn fn_params(sig: &str) -> Vec<String> {
 }
 
 /// Split an argument list on top-level commas (ignoring `<>`/`()`/`[]`).
-pub fn split_args(s: &str) -> Vec<&str> {
+fn split_args(s: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut depth = 0i64;
     let mut start = 0;
@@ -516,24 +480,6 @@ pub fn split_args(s: &str) -> Vec<&str> {
         out.push(&s[start..]);
     }
     out
-}
-
-/// Leading identifier of a (variant) line, if it starts with one.
-fn leading_ident(code: &str) -> Option<&str> {
-    let t = code.trim_start();
-    if t.starts_with('#') {
-        return None;
-    }
-    let end = t
-        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .unwrap_or(t.len());
-    if end == 0 || !t.starts_with(|c: char| c.is_alphabetic() || c == '_') {
-        return None;
-    }
-    match t[end..].trim_start().chars().next() {
-        None | Some(',') | Some('(') | Some('{') | Some('=') => Some(&t[..end]),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -594,18 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn enums_collect_variants() {
-        let t = tree(
-            "pub enum DiskState {\n    Idle,\n    SpinningDown(SimTime),\n    Standby,\n    SpinningUp(SimTime),\n}\n",
-        );
-        let e = t.enum_named("DiskState").expect("enum");
-        assert_eq!(
-            e.variants,
-            ["Idle", "SpinningDown", "Standby", "SpinningUp"]
-        );
-    }
-
-    #[test]
     fn test_scope_is_inherited() {
         let t = tree("#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\nfn lib() {}\n");
         let helper = t.items.iter().find(|i| i.name == "helper").expect("helper");
@@ -638,12 +572,5 @@ mod tests {
         assert_eq!(t.items.len(), 2);
         assert_eq!(t.items[1].name, "after");
         assert_eq!(t.items[1].parent, None);
-    }
-
-    #[test]
-    fn fn_at_finds_innermost() {
-        let t = tree("fn outer() {\n    let x = 1;\n}\nfn other() {}\n");
-        assert_eq!(t.fn_at(2).map(|i| i.name.as_str()), Some("outer"));
-        assert_eq!(t.fn_at(4).map(|i| i.name.as_str()), Some("other"));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A std-only, dependency-free (no `syn`/`quote`; the build environment
 //! is offline) lint pass enforcing the properties the reproduction's
-//! credibility rests on. Ten rule families, in report order:
+//! credibility rests on. Eight rule families, in report order:
 //!
 //! Per-line rules ([`rules`]):
 //!
@@ -22,27 +22,18 @@
 //! 5. **hygiene** — inventory of open-work markers and `#[allow]`
 //!    suppressions.
 //!
-//! A semantic layer ([`items`] → [`callgraph`], [`fsm`], [`consts`],
-//! [`conformance`]) recovers item boundaries from the preprocessed
-//! lines and runs cross-file analyses:
+//! A semantic layer ([`items`] → [`callgraph`], [`consts`]) recovers
+//! item boundaries from the preprocessed lines and runs cross-file
+//! analyses:
 //!
 //! 6. **panic-reachability** — which public APIs of the simulation
 //!    crates can transitively reach a panic site (`unwrap`, `expect`,
 //!    `panic!`-family, slice indexing) through the workspace call graph.
-//! 7. **fsm** — the DK23DA and Aironet 350 `match self.state` machines
-//!    (and the server-path failover machine), extracted into transition
-//!    tables and model-checked for exhaustiveness, reachability,
-//!    deadlock-freedom, and the presence of the spin-down / CAM→PSM
-//!    timeout paths tied to the pinned constants.
-//! 8. **const-provenance** — every Table 1/Table 2 physical constant
+//! 7. **const-provenance** — every Table 1/Table 2 physical constant
 //!    has one home, `ff-device::consts`; a matching numeric literal
 //!    anywhere else in the simulation crates is a shadowed constant,
 //!    and the registry itself is cross-checked against the pinned
 //!    values.
-//! 9. **trace-conformance** — the committed observe/chaos JSONL traces
-//!    replayed against the extracted machines: every runtime transition
-//!    must be a static edge, and never-exercised static edges surface
-//!    as machine-readable coverage debt.
 //!
 //! A numeric abstract interpretation ([`interval`], [`absint`]) — a
 //! signed-interval × sign × floatiness product domain evaluated through
@@ -50,17 +41,22 @@
 //! function-summary fixpoint, seeded with the Table 1/2 constants —
 //! backs the last:
 //!
-//! 10. **arith-safety** — division-by-zero freedom, `as` casts the
-//!     inferred interval cannot prove lossless, and unchecked `+`/`*`
-//!     on `_bytes`/`_us` counters where `saturating_*` or the
-//!     `ff_base::checked` helpers exist.
+//! 8. **arith-safety** — division-by-zero freedom, `as` casts the
+//!    inferred interval cannot prove lossless, and unchecked `+`/`*`
+//!    on `_bytes`/`_us` counters where `saturating_*` or the
+//!    `ff_base::checked` helpers exist.
 //!
-//! Two properties are held by the code instead of a family: an energy
-//! cannot be decremented, because `ff_base::Joules` has no subtraction
-//! or negation (see the `compile_fail` examples in `ff_base::energy`),
-//! and the §3 ordering of the WNIC PSM timeout, the disk break-even
-//! time and the disk timeout is asserted on the real
+//! Three properties are held by the code instead of a family. An
+//! energy cannot be decremented, because `ff_base::Joules` has no
+//! subtraction or negation (see the `compile_fail` examples in
+//! `ff_base::energy`). The §3 ordering of the WNIC PSM timeout, the
+//! disk break-even time and the disk timeout is asserted on the real
 //! `ff_device::DiskParams` by its `break_even_is_a_few_seconds` test.
+//! And the disk, WNIC and server-path state machines are checked by
+//! running them: each device model's
+//! `machine_walk_follows_the_paper_cycle` test drives it through every
+//! state and round the paper's cycle, and `ff-sim`'s
+//! `server_path_machine_table` test pins the failover table.
 //!
 //! Findings ratchet against a committed [`baseline`]: the run fails only
 //! on findings the baseline does not accept, so existing debt is
@@ -73,9 +69,7 @@
 pub mod absint;
 pub mod baseline;
 pub mod callgraph;
-pub mod conformance;
 pub mod consts;
-pub mod fsm;
 pub mod interval;
 pub mod items;
 pub mod mutgen;
@@ -100,11 +94,6 @@ pub struct Report {
     pub delta: Delta,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// State machines extracted by the [`fsm`] analysis, whether or not
-    /// they produced findings.
-    pub fsm_tables: Vec<fsm::FsmTable>,
-    /// Trace-replay coverage from the [`conformance`] pass.
-    pub trace_coverage: conformance::Coverage,
 }
 
 impl Report {
@@ -199,40 +188,6 @@ impl Report {
             .iter()
             .flat_map(|(_, _, members)| members.iter().map(finding_node))
             .collect();
-        let fsm_node = |t: &fsm::FsmTable| {
-            Value::Object(vec![
-                ("file".into(), Value::Str(t.file.clone())),
-                ("enum".into(), Value::Str(t.enum_name.clone())),
-                (
-                    "states".into(),
-                    Value::Array(t.states.iter().map(|s| Value::Str(s.clone())).collect()),
-                ),
-                (
-                    "initial".into(),
-                    Value::Array(t.initial.iter().map(|s| Value::Str(s.clone())).collect()),
-                ),
-                (
-                    "transitions".into(),
-                    Value::Array(
-                        t.transitions
-                            .iter()
-                            .map(|tr| {
-                                Value::Object(vec![
-                                    ("from".into(), Value::Str(tr.from.clone())),
-                                    ("to".into(), Value::Str(tr.to.clone())),
-                                    ("line".into(), Value::UInt(tr.line as u64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        };
-        let runtime_only = self
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::TraceConformance && f.token.starts_with("runtime-only:"))
-            .count() as u64;
         let doc = Value::Object(vec![
             (
                 "summary".into(),
@@ -249,14 +204,6 @@ impl Report {
                     ("clean".into(), Value::Bool(self.is_clean())),
                     ("by_rule".into(), Value::Array(per_rule)),
                 ]),
-            ),
-            (
-                "fsm".into(),
-                Value::Array(self.fsm_tables.iter().map(fsm_node).collect()),
-            ),
-            (
-                "conformance".into(),
-                self.trace_coverage.to_json_value(runtime_only),
             ),
             ("new".into(), Value::Array(new)),
             (
@@ -286,10 +233,6 @@ pub struct Analysis {
     /// Per-line rule findings plus semantic-layer findings, sorted in
     /// (rule, file, line, token) order.
     pub findings: Vec<Finding>,
-    /// State machines the [`fsm`] analysis extracted.
-    pub fsm_tables: Vec<fsm::FsmTable>,
-    /// Trace-replay coverage from the [`conformance`] pass.
-    pub trace_coverage: conformance::Coverage,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -305,33 +248,26 @@ pub fn analyze(root: &Path) -> Result<Analysis> {
             root.display()
         )));
     }
-    Ok(analyze_sources(&sources, root))
+    Ok(analyze_sources(&sources))
 }
 
 /// Run every analysis wave over an already-collected source set.
 ///
 /// Split out from [`analyze`] so the mutation engine ([`mutgen`]) can
-/// re-run all ten families against in-memory mutated sources
-/// without touching the filesystem (`root` is still needed by the
-/// trace-conformance pass, which replays committed JSONL traces).
-pub fn analyze_sources(sources: &[SourceFile], root: &Path) -> Analysis {
+/// re-run all eight families against in-memory mutated sources
+/// without touching the filesystem.
+pub fn analyze_sources(sources: &[SourceFile]) -> Analysis {
     let mut findings = rules::run_all(sources);
     let trees = items::build(sources);
     let graph = callgraph::Graph::build(sources, &trees);
     findings.extend(callgraph::panic_reachability(sources, &trees, &graph));
-    let (fsm_tables, fsm_findings) = fsm::analyze(sources, &trees);
-    findings.extend(fsm_findings);
     findings.extend(consts::analyze(sources));
     findings.extend(absint::analyze(sources, &trees));
-    let (trace_coverage, conformance_findings) = conformance::analyze(root, &fsm_tables);
-    findings.extend(conformance_findings);
     findings.sort_by(|a, b| {
         (a.rule, &a.file, a.line, &a.token).cmp(&(b.rule, &b.file, b.line, &b.token))
     });
     Analysis {
         findings,
-        fsm_tables,
-        trace_coverage,
         files_scanned: sources.len(),
     }
 }
@@ -356,7 +292,7 @@ pub fn collect_findings(root: &Path) -> Result<(Vec<Finding>, usize)> {
 /// let report = ff_lint::run(&root, &baseline).unwrap();
 ///
 /// assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
-/// // All ten families ran; nothing beyond the accepted ratchet.
+/// // All eight families ran; nothing beyond the accepted ratchet.
 /// assert!(report.delta.new.is_empty(), "{:?}", report.delta.new);
 /// ```
 pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {
@@ -366,8 +302,6 @@ pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {
         findings: analysis.findings,
         delta,
         files_scanned: analysis.files_scanned,
-        fsm_tables: analysis.fsm_tables,
-        trace_coverage: analysis.trace_coverage,
     })
 }
 
@@ -405,8 +339,6 @@ mod tests {
             findings: analysis.findings,
             delta,
             files_scanned: analysis.files_scanned,
-            fsm_tables: analysis.fsm_tables,
-            trace_coverage: analysis.trace_coverage,
         };
         assert!(report.is_clean());
         let table = report.to_table();
@@ -417,20 +349,5 @@ mod tests {
             doc.get("summary").and_then(|s| s.get("clean")),
             Some(&ff_base::json::Value::Bool(true))
         );
-        // The conformance node is part of the document contract.
-        assert!(doc.get("conformance").is_some());
-    }
-
-    #[test]
-    fn self_scan_extracts_both_device_fsms() {
-        let root = default_root();
-        let analysis = analyze(&root).expect("scan ok");
-        let enums: Vec<&str> = analysis
-            .fsm_tables
-            .iter()
-            .map(|t| t.enum_name.as_str())
-            .collect();
-        assert!(enums.contains(&"DiskState"), "{enums:?}");
-        assert!(enums.contains(&"WnicState"), "{enums:?}");
     }
 }

@@ -104,7 +104,7 @@ OPTIONS:
                         baselined debt as notes)
     --killscore PATH    run the mutation engine instead of a plain scan:
                         apply every probe mutant in memory, re-run all
-                        ten families per mutant, write the per-family
+                        eight families per mutant, write the per-family
                         kill matrix to PATH and fail if any family's kill
                         rate is below its recorded floor
     --seed N            occurrence-selection seed for --killscore

@@ -16,13 +16,11 @@
 //! - **constant-perturbation** — a Table 1/2 registry constant nudged
 //!   off its pinned value;
 //! - **guard-removal** — a determinism or zero-guard discipline broken
-//!   (ordered map → hash map, a wall-clock read introduced);
-//! - **transition-drop** — a state-machine commit edge or its meter
-//!   record removed.
+//!   (ordered map → hash map, a wall-clock read introduced).
 //!
 //! Each mutant is applied **in memory**: the file's raw text is edited
 //! at a needle occurrence (fixed, or derived from the seed when several
-//! occurrences exist), re-preprocessed, and the full ten-family
+//! occurrences exist), re-preprocessed, and the full eight-family
 //! analysis re-runs against the mutated source set. Mutants are never
 //! compiled — the lint is the system under test, not the compiler. A
 //! mutant is *killed* when the families the probe aims at all report
@@ -51,16 +49,14 @@ pub const DEFAULT_SEED: u64 = 0x00F1EE;
 /// Ratcheted minimum kill rate per family. Every family currently
 /// kills all of its probes; lowering a floor requires editing this
 /// table in the same commit that explains why.
-pub const FLOORS: [(Rule, f64); 10] = [
+pub const FLOORS: [(Rule, f64); 8] = [
     (Rule::Determinism, 1.0),
     (Rule::PanicSafety, 1.0),
     (Rule::PanicReach, 1.0),
     (Rule::UnitSafety, 1.0),
     (Rule::FloatEq, 1.0),
-    (Rule::Fsm, 1.0),
     (Rule::Hygiene, 1.0),
     (Rule::ConstProvenance, 1.0),
-    (Rule::TraceConformance, 1.0),
     (Rule::ArithSafety, 1.0),
 ];
 
@@ -74,8 +70,6 @@ pub enum MutKind {
     /// A discipline guard broken (ordered map, wall-clock hygiene,
     /// zero-floor divisor guard).
     GuardRemoval,
-    /// A state-machine commit edge or its meter record dropped.
-    TransitionDrop,
 }
 
 impl MutKind {
@@ -85,7 +79,6 @@ impl MutKind {
             MutKind::OperatorFlip => "operator-flip",
             MutKind::ConstPerturb => "constant-perturbation",
             MutKind::GuardRemoval => "guard-removal",
-            MutKind::TransitionDrop => "transition-drop",
         }
     }
 }
@@ -215,42 +208,6 @@ pub fn probes() -> Vec<Probe> {
             replacement: "pub const WNIC_BEACON_INTERVAL_MS: u64 = 250;",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::ConstProvenance],
-        },
-        Probe {
-            id: "spindown-commit-drop",
-            kind: MutKind::TransitionDrop,
-            file: "crates/ff-device/src/disk.rs",
-            needle: "self.state = DiskState::Standby;",
-            replacement: "self.state = DiskState::Idle;",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::Fsm, Rule::TraceConformance],
-        },
-        Probe {
-            id: "spindown-meter-drop",
-            kind: MutKind::TransitionDrop,
-            file: "crates/ff-device/src/disk.rs",
-            needle: ".transition(self.clock, \"spin_down\", self.params.spindown_energy);",
-            replacement: ".dwell_only();",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::Fsm],
-        },
-        Probe {
-            id: "server-path-recovery-drop",
-            kind: MutKind::TransitionDrop,
-            file: "crates/ff-sim/src/faults.rs",
-            needle: "self.state = ServerPathState::Healthy;",
-            replacement: "self.state = ServerPathState::MarkedDead(until, dead);",
-            occurrence: Occurrence::Fixed(2),
-            aimed: &[Rule::Fsm, Rule::TraceConformance],
-        },
-        Probe {
-            id: "server-path-down-recovery-drop",
-            kind: MutKind::TransitionDrop,
-            file: "crates/ff-sim/src/faults.rs",
-            needle: "self.state = ServerPathState::Healthy;",
-            replacement: "self.state = ServerPathState::MarkedDead(until, until);",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::TraceConformance],
         },
         Probe {
             id: "divisor-floor-to-zero",
@@ -448,7 +405,7 @@ fn replace_occurrence(text: &str, needle: &str, occ: usize, replacement: &str) -
 pub fn run(root: &Path, seed: u64) -> Result<KillMatrix> {
     let sources = scan::collect_sources(root)
         .map_err(|e| Error::Io(format!("scanning {}: {e}", root.display())))?;
-    let clean = crate::analyze_sources(&sources, root);
+    let clean = crate::analyze_sources(&sources);
     let self_base = Baseline::from_findings(&clean.findings);
     let mut mutants = Vec::new();
     for probe in probes() {
@@ -488,7 +445,7 @@ pub fn run(root: &Path, seed: u64) -> Result<KillMatrix> {
         if let Some(slot) = mutated_sources.get_mut(src_idx) {
             slot.lines = scan::preprocess(&mutated);
         }
-        let analysis = crate::analyze_sources(&mutated_sources, root);
+        let analysis = crate::analyze_sources(&mutated_sources);
         let delta = self_base.compare(&analysis.findings);
         let fired: BTreeSet<Rule> = delta
             .new

@@ -24,18 +24,12 @@ pub enum Rule {
     UnitSafety,
     /// `==`/`!=` against float literals.
     FloatEq,
-    /// The extracted DK23DA / Aironet 350 state machines must be
-    /// exhaustive, reachable, deadlock-free, and keep their timeout arms.
-    Fsm,
     /// Work-marker inventory and lint-suppression audit.
     Hygiene,
     /// Numeric literals that shadow a canonical Table 1/Table 2 constant
     /// instead of citing `ff_device::consts`, and drift between that
     /// module and the lint's pinned registry.
     ConstProvenance,
-    /// Replayed observe/chaos JSONL traces must only take transitions
-    /// the extracted state machines contain.
-    TraceConformance,
     /// Interval-proven arithmetic safety: division-by-zero freedom,
     /// lossy `as` casts the inferred range cannot justify, and
     /// unchecked `+`/`*` on `_bytes`/`_us` counters where saturating or
@@ -52,26 +46,22 @@ impl Rule {
             Rule::PanicReach => "panic-reachability",
             Rule::UnitSafety => "unit-safety",
             Rule::FloatEq => "float-eq",
-            Rule::Fsm => "fsm",
             Rule::Hygiene => "hygiene",
             Rule::ConstProvenance => "const-provenance",
-            Rule::TraceConformance => "trace-conformance",
             Rule::ArithSafety => "arith-safety",
         }
     }
 
     /// All families, in report order.
-    pub fn all() -> [Rule; 10] {
+    pub fn all() -> [Rule; 8] {
         [
             Rule::Determinism,
             Rule::PanicSafety,
             Rule::PanicReach,
             Rule::UnitSafety,
             Rule::FloatEq,
-            Rule::Fsm,
             Rule::Hygiene,
             Rule::ConstProvenance,
-            Rule::TraceConformance,
             Rule::ArithSafety,
         ]
     }
@@ -89,11 +79,7 @@ impl Rule {
     /// `note`.
     pub fn severity(self) -> &'static str {
         match self {
-            Rule::PanicSafety
-            | Rule::PanicReach
-            | Rule::Fsm
-            | Rule::TraceConformance
-            | Rule::ArithSafety => "error",
+            Rule::PanicSafety | Rule::PanicReach | Rule::ArithSafety => "error",
             Rule::Hygiene => "note",
             _ => "warning",
         }

@@ -60,16 +60,22 @@ fn json_report_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn families_flag_lists_all_ten_rule_ids() {
+fn families_flag_lists_all_eight_rule_ids() {
     let out = ff_lint().arg("--families").output().expect("spawn");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     let families: Vec<&str> = text.lines().collect();
-    assert_eq!(families.len(), 10, "families: {families:?}");
-    for gone in ["unit-flow", "energy-bounds", "timeout-order"] {
+    assert_eq!(families.len(), 8, "families: {families:?}");
+    for gone in [
+        "unit-flow",
+        "energy-bounds",
+        "timeout-order",
+        "fsm",
+        "trace-conformance",
+    ] {
         assert!(!families.contains(&gone), "families: {families:?}");
     }
-    for id in ["const-provenance", "trace-conformance", "arith-safety"] {
+    for id in ["const-provenance", "arith-safety"] {
         assert!(families.contains(&id), "missing {id} in {families:?}");
     }
 }

@@ -5,8 +5,8 @@
 //! `tests/fixtures/mutations/`. Those twins rotted whenever a detector
 //! changed shape and covered only six families. The engine replaces
 //! them: deterministic, seed-derived mutants (operator flips, constant
-//! perturbations, guard removals, transition drops) are applied to the
-//! real workspace sources *in memory*, all ten families re-run per
+//! perturbations, guard removals) are applied to the
+//! real workspace sources *in memory*, all eight families re-run per
 //! mutant, and a mutant counts as killed only when every family it was
 //! aimed at reports a finding beyond the committed baseline.
 //!

@@ -78,9 +78,9 @@ impl SimConfig {
     /// run would never advance past t = 0), a buffer cache below 2Q's
     /// 4 pages or an empty flash tier, a link rate (`wnic.bandwidth`)
     /// that is not finite or is below [`BytesPerSec::MIN_LINK_MBIT`], or
-    /// a `wnic.latency` or `stage_len` past [`Dur::HORIZON`]. Every run
-    /// checks this first; a front end calls it to reject a configuration
-    /// before it prints or writes anything.
+    /// a `stage_len` or any `Dur` of `disk` or `wnic` past
+    /// [`Dur::HORIZON`]. Every run checks this first; a front end calls
+    /// it to reject a configuration before it prints or writes anything.
     pub fn validate(&self) -> Result<()> {
         self.faults.validate()?;
         self.retry.validate()?;
@@ -109,9 +109,20 @@ impl SimConfig {
                 BytesPerSec::MIN_LINK_MBIT
             )));
         }
+        let (disk, wnic) = (&self.disk, &self.wnic);
         for (field, span) in [
-            ("wnic.latency", self.wnic.latency),
+            ("wnic.latency", wnic.latency),
             ("stage_len", self.stage_len),
+            ("disk.spinup_time", disk.spinup_time),
+            ("disk.spindown_time", disk.spindown_time),
+            ("disk.timeout", disk.timeout),
+            ("disk.seek", disk.seek),
+            ("disk.rotation", disk.rotation),
+            ("disk.short_seek", disk.short_seek),
+            ("wnic.to_psm_time", wnic.to_psm_time),
+            ("wnic.to_cam_time", wnic.to_cam_time),
+            ("wnic.psm_timeout", wnic.psm_timeout),
+            ("wnic.beacon_interval", wnic.beacon_interval),
         ] {
             if span > Dur::HORIZON {
                 return Err(Error::Config(format!(

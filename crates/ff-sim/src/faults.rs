@@ -540,8 +540,7 @@ enum Step {
     Stayed,
     /// Accepted, entering the state with this label: the payload of the
     /// `server_path` event, the trace export hook that makes the failover
-    /// state visible to the observability layer (and to the static↔
-    /// dynamic conformance check downstream).
+    /// state visible to the observability layer.
     Entered(&'static str),
 }
 

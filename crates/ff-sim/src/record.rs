@@ -158,7 +158,8 @@ pub enum Event {
         at: SimTime,
         /// Which device.
         device: Device,
-        /// State entered (the FSM names of DESIGN.md §9).
+        /// State entered (the device's dwell label: `idle`, `standby`,
+        /// `cam_idle`, `switching`, …).
         state: &'static str,
     },
     /// A device fired a one-shot transition (`spin_up`, `cam_to_psm`,

@@ -1316,21 +1316,38 @@ mod tests {
 
     #[test]
     fn durations_past_the_horizon_are_rejected_up_front() {
+        type Set = fn(&mut SimConfig, Dur);
+        let fields: [(&str, Set); 12] = [
+            ("wnic.latency", |c, d| c.wnic.latency = d),
+            ("stage_len", |c, d| c.stage_len = d),
+            ("disk.spinup_time", |c, d| c.disk.spinup_time = d),
+            ("disk.spindown_time", |c, d| c.disk.spindown_time = d),
+            ("disk.timeout", |c, d| c.disk.timeout = d),
+            ("disk.seek", |c, d| c.disk.seek = d),
+            ("disk.rotation", |c, d| c.disk.rotation = d),
+            ("disk.short_seek", |c, d| c.disk.short_seek = d),
+            ("wnic.to_psm_time", |c, d| c.wnic.to_psm_time = d),
+            ("wnic.to_cam_time", |c, d| c.wnic.to_cam_time = d),
+            ("wnic.psm_timeout", |c, d| c.wnic.psm_timeout = d),
+            ("wnic.beacon_interval", |c, d| c.wnic.beacon_interval = d),
+        ];
         let past = Dur::HORIZON + Dur::from_micros(1);
-        for cfg in [
-            SimConfig::default().with_wnic_latency(past),
-            SimConfig {
-                stage_len: past,
-                ..SimConfig::default()
-            },
-        ] {
-            assert!(config_error(cfg));
+        // A `u64::MAX` µs idle timeout would overflow `idle_since +
+        // timeout` in the disk and WNIC models.
+        for (field, set) in fields {
+            for span in [past, Dur::from_micros(u64::MAX)] {
+                let mut cfg = SimConfig::default();
+                set(&mut cfg, span);
+                match rejection(cfg) {
+                    Some(Error::Config(msg)) => assert!(msg.contains(field), "{msg}"),
+                    other => panic!("{field} of {span}: {other:?}"),
+                }
+            }
         }
-        let at = SimConfig {
-            stage_len: Dur::HORIZON,
-            ..SimConfig::default()
+        let mut at = SimConfig::default();
+        for (_, set) in fields {
+            set(&mut at, Dur::HORIZON);
         }
-        .with_wnic_latency(Dur::HORIZON);
         assert!(at.validate().is_ok());
     }
 

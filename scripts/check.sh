@@ -107,7 +107,7 @@ run_step "ff-lint (ratchet vs crates/ff-lint/baseline.json)" lint_step
 run_step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" doc_step
 run_step "cargo build --release" cargo build --release
 # The default members' tests (the root package and every crate) include
-# the chaos suite, trace conformance, the absint soundness properties,
+# the chaos suite, the device machine walks, the absint soundness properties,
 # the mutation matrix and the doctests; the vendored shims are not
 # default members, so their tests run as a step of their own.
 run_step "cargo test -q" cargo test -q

@@ -12,6 +12,7 @@ use ff_bench::faults::{check_invariants, fault_run, FAULT_SCENARIOS};
 use ff_bench::observe::{build_policy, build_workload, ObservedRun, POLICIES};
 use flexfetch::base::Dur;
 use flexfetch::prelude::*;
+use flexfetch::sim::record::{Device, Event};
 
 /// The acceptance schedule: a WNIC link outage dropped mid-stage (100 s
 /// is the middle of the third 40 s evaluation stage) plus a background
@@ -167,26 +168,28 @@ fn seeded_schedules_are_survivable_and_deterministic() {
     }
 }
 
+/// Server dead for the first 3 s (the closed-loop grep run finishes in
+/// well under 60 s, so the server must recover mid-run), with a fast
+/// 300 ms/100 ms/3-attempt ladder so the first request exhausts it
+/// quickly.
+fn fast_ladder_outage() -> SimConfig {
+    SimConfig::default()
+        .with_faults(FaultPlan::none().with_server_outage(Dur::ZERO, Dur::from_secs(3)))
+        .with_retry(RetryPolicy {
+            timeout: Dur::from_millis(300),
+            backoff: Dur::from_millis(100),
+            max_retries: 3,
+        })
+}
+
 #[test]
 fn retry_ladder_is_walked_then_dropped_after_recovery() {
     let trace = build_workload("grep", 42).unwrap();
-    // Server dead for the first 3 s (the closed-loop grep run finishes
-    // in well under 60 s, so the server must recover mid-run), with a
-    // fast ladder so the first request exhausts it quickly.
-    let plan = FaultPlan::none().with_server_outage(Dur::ZERO, Dur::from_secs(3));
-    let retry = RetryPolicy {
-        timeout: Dur::from_millis(300),
-        backoff: Dur::from_millis(100),
-        max_retries: 3,
-    };
     let mut log = EventLog::new();
-    let report = Simulation::new(
-        SimConfig::default().with_faults(plan).with_retry(retry),
-        &trace,
-    )
-    .policy(PolicyKind::WnicOnly)
-    .run_recorded(&mut log)
-    .unwrap();
+    let report = Simulation::new(fast_ladder_outage(), &trace)
+        .policy(PolicyKind::WnicOnly)
+        .run_recorded(&mut log)
+        .unwrap();
     assert!(report.retries > 0, "the outage must cost timeouts");
     assert!(
         report.failovers > 0,
@@ -198,6 +201,57 @@ fn retry_ladder_is_walked_then_dropped_after_recovery() {
     assert!(report.wnic_requests > 0, "recovery must restore the WNIC");
     assert!(report.disk_requests > 0, "failovers must have hit the disk");
     assert_eq!(log.count("request_retry"), report.retries);
+}
+
+/// The server-path machine and the Aironet 350 machine walk their
+/// cycles under two server outages on grep, WNIC-only: the fast ladder
+/// is exhausted, and a 2 s outage at 500 ms is ridden out by the
+/// default ladder.
+#[test]
+fn server_outages_walk_the_failover_and_wnic_cycles() {
+    let trace = build_workload("grep", 42).unwrap();
+    let outage = SimConfig::default().with_faults(
+        FaultPlan::none().with_server_outage(Dur::from_millis(500), Dur::from_secs(2)),
+    );
+    for (config, server_path) in [
+        (fast_ladder_outage(), ["down", "dead", "healthy"].as_slice()),
+        (outage, ["down", "healthy"].as_slice()),
+    ] {
+        let mut log = EventLog::new();
+        Simulation::new(config, &trace)
+            .policy(PolicyKind::WnicOnly)
+            .run_recorded(&mut log)
+            .unwrap();
+        let entered: Vec<&str> = log
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::ServerPathChange { state, .. } => Some(state),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(entered, server_path);
+        // The card drops to PSM and comes back to CAM.
+        let wnic: Vec<&str> = log
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::DeviceState {
+                    device: Device::Wnic,
+                    state,
+                    ..
+                } => Some(state),
+                _ => None,
+            })
+            .collect();
+        let psm = wnic.iter().position(|s| *s == "psm_idle");
+        let cam = psm.and_then(|i| wnic[i..].iter().position(|s| *s == "cam_idle"));
+        assert!(
+            cam.is_some(),
+            "{server_path:?}: no psm_idle then cam_idle in {} WNIC states",
+            wnic.len()
+        );
+    }
 }
 
 #[test]

@@ -78,39 +78,16 @@ fn panic_safety_family_is_fully_burned_down() {
 }
 
 #[test]
-fn fsm_family_is_pinned_at_zero() {
-    let root = workspace_root();
-    // No accepted FSM debt in the baseline…
-    let baseline = committed_baseline(&root);
-    assert_eq!(
-        baseline.keys_for_rule(Rule::Fsm).count(),
-        0,
-        "the fsm family must have an empty baseline"
-    );
-    // …and the extracted DK23DA / Aironet 350 machines model-check clean.
-    let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
-    let fsm: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Fsm).collect();
-    assert!(
-        fsm.is_empty(),
-        "non-exhaustive/unreachable/deadlocked state machines: {fsm:?}"
-    );
-}
-
-#[test]
 fn semantic_families_are_pinned_at_zero() {
     // Constant provenance (the DK23DA / Aironet 350 tables pinned value
-    // by value), trace conformance and arithmetic safety started life
-    // with no accepted debt, and this gate keeps it that way: empty in
-    // the baseline AND empty in the tree, so any regression fails
-    // tier-1 rather than ratcheting.
+    // by value) and arithmetic safety started life with no accepted
+    // debt, and this gate keeps it that way: empty in the baseline AND
+    // empty in the tree, so any regression fails tier-1 rather than
+    // ratcheting.
     let root = workspace_root();
     let baseline = committed_baseline(&root);
     let (findings, _) = ff_lint::collect_findings(&root).expect("scan succeeds");
-    for rule in [
-        Rule::ConstProvenance,
-        Rule::TraceConformance,
-        Rule::ArithSafety,
-    ] {
+    for rule in [Rule::ConstProvenance, Rule::ArithSafety] {
         assert!(
             baseline.is_empty_for(rule),
             "the {} family must have an empty baseline",
@@ -119,81 +96,6 @@ fn semantic_families_are_pinned_at_zero() {
         let hits: Vec<_> = findings.iter().filter(|f| f.rule == rule).collect();
         assert!(hits.is_empty(), "{} findings: {hits:?}", rule.as_str());
     }
-}
-
-#[test]
-fn device_fsm_tables_are_extracted_from_the_workspace() {
-    let root = workspace_root();
-    let analysis = ff_lint::analyze(&root).expect("scan succeeds");
-    let disk = analysis
-        .fsm_tables
-        .iter()
-        .find(|t| t.enum_name == "DiskState")
-        .expect("DiskState machine extracted from crates/ff-device/src/disk.rs");
-    let wnic = analysis
-        .fsm_tables
-        .iter()
-        .find(|t| t.enum_name == "WnicState")
-        .expect("WnicState machine extracted from crates/ff-device/src/wnic.rs");
-    // The four-edge cycles from the paper's device models (§3).
-    for (from, to) in [
-        ("Idle", "SpinningDown"),
-        ("SpinningDown", "Standby"),
-        ("Standby", "SpinningUp"),
-        ("SpinningUp", "Idle"),
-    ] {
-        assert!(disk.has_transition(from, to), "disk {from} -> {to}");
-    }
-    for (from, to) in [
-        ("Cam", "ToPsm"),
-        ("ToPsm", "Psm"),
-        ("Psm", "ToCam"),
-        ("ToCam", "Cam"),
-    ] {
-        assert!(wnic.has_transition(from, to), "wnic {from} -> {to}");
-    }
-    // The failover machine: the outage / retry-ladder / recovery cycle
-    // in ff-sim.
-    let server = analysis
-        .fsm_tables
-        .iter()
-        .find(|t| t.enum_name == "ServerPathState")
-        .expect("ServerPathState machine extracted from crates/ff-sim/src/faults.rs");
-    for (from, to) in [
-        ("Healthy", "Down"),
-        ("Down", "Healthy"),
-        ("Down", "MarkedDead"),
-        ("MarkedDead", "Healthy"),
-    ] {
-        assert!(server.has_transition(from, to), "server {from} -> {to}");
-    }
-}
-
-#[test]
-fn committed_traces_conform_to_the_static_model() {
-    let root = workspace_root();
-    let analysis = ff_lint::analyze(&root).expect("scan succeeds");
-    let coverage = &analysis.trace_coverage;
-    assert!(
-        !coverage.traces.is_empty(),
-        "the committed bench traces must be replayed"
-    );
-    let runtime_only: Vec<_> = analysis
-        .findings
-        .iter()
-        .filter(|f| f.rule == Rule::TraceConformance)
-        .collect();
-    assert!(
-        runtime_only.is_empty(),
-        "every runtime transition must be a static edge: {runtime_only:?}"
-    );
-    // The chaos traces walk every non-self edge of all three machines,
-    // so the coverage-debt ledger is empty.
-    assert!(
-        coverage.unexercised.is_empty(),
-        "static edges never exercised by a committed trace: {:?}",
-        coverage.unexercised
-    );
 }
 
 /// Materialise a minimal fake workspace containing one seeded violation.
@@ -248,19 +150,9 @@ fn cli_exits_zero_on_the_clean_workspace() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("\"clean\": true"), "unexpected JSON: {text}");
 
-    // The JSON report must carry the extracted device transition tables
-    // and the per-family summary, including panic-reachability.
+    // The JSON report must carry the per-family summary, including
+    // panic-reachability.
     let doc = ff_base::json::Value::parse(&text).expect("stdout is JSON");
-    let fsm = doc
-        .get("fsm")
-        .and_then(|v| v.as_array())
-        .expect("fsm array");
-    let enums: Vec<_> = fsm
-        .iter()
-        .filter_map(|t| t.get("enum").and_then(|v| v.as_str()))
-        .collect();
-    assert!(enums.contains(&"DiskState"), "missing DiskState: {enums:?}");
-    assert!(enums.contains(&"WnicState"), "missing WnicState: {enums:?}");
     let by_rule = doc
         .get("summary")
         .and_then(|s| s.get("by_rule"))
@@ -272,14 +164,7 @@ fn cli_exits_zero_on_the_clean_workspace() {
             .any(|r| r.get("rule").and_then(|v| v.as_str()) == Some("panic-reachability")),
         "missing panic-reachability family in: {text}"
     );
-    // Ten families, plus the conformance node.
-    assert_eq!(by_rule.len(), 10, "expected ten rule families: {text}");
-    let conformance = doc.get("conformance").expect("conformance node");
-    assert_eq!(
-        conformance.get("runtime_only").and_then(|v| v.as_u64()),
-        Some(0),
-        "committed traces must replay with no runtime-only transitions: {text}"
-    );
+    assert_eq!(by_rule.len(), 8, "expected eight rule families: {text}");
 }
 
 #[test]
