@@ -358,6 +358,33 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_range_costs_one_pass_over_the_chunks() {
+        let mut c = BufferCache::new(CacheConfig {
+            capacity_pages: 512,
+            readahead_max_pages: 0,
+            ..Default::default()
+        });
+        let size = Bytes(2_000 * 4096);
+        for page in [0, 1, 63, 64, 200, 1_000, 1_001] {
+            c.read(SimTime::ZERO, F, page * 4096, Bytes(4096), size);
+        }
+        c.read(SimTime::ZERO, FileId(8), 0, Bytes(4 * 4096), size);
+        let by_page = (0..1_100)
+            .filter(|&p| c.resident_fraction(F, p * 4096, Bytes(4096)) == 1.0)
+            .count();
+        assert_eq!(by_page, 7);
+        let small = c.resident_fraction(F, 0, Bytes(1_100 * 4096));
+        assert!((small * 1_100.0 - 7.0).abs() < 1e-9, "{small}");
+        // 2^62 bytes are 2^50 pages, or 2^44 chunk keys to probe; the
+        // count scans the live chunks instead, and the fraction is that
+        // count over a power of two, exactly.
+        assert_eq!(
+            c.resident_fraction(F, 0, Bytes(1 << 62)),
+            7.0 / (1_u64 << 50) as f64
+        );
+    }
+
+    #[test]
     fn demand_stats_accumulate() {
         let mut c = cache(64);
         c.read(SimTime::ZERO, F, 0, Bytes(4096), SZ);

@@ -12,18 +12,20 @@
 //! This type tracks *membership only* (like [`crate::twoq::TwoQ`]); the
 //! simulator owns the flash device model and pays the transfer costs.
 
-use crate::page::{PageKey, PageList, PageTable, Slot};
+use crate::page::{PageKey, PageList, PageTable, Slot, StampList};
+use ff_base::SimTime;
 
 /// Page-granular LRU flash cache with a destage queue: one page table
-/// holding one LRU list, with a page's table mark set while it is
-/// buffered for destage.
+/// holding one LRU list, with the pages buffered for destage stamped on
+/// a second list.
 #[derive(Debug, Clone)]
 pub struct FlashCache {
     capacity_pages: usize,
     table: PageTable,
     lru: PageList,
-    /// Marked pages: buffered for destage to the disk (still resident).
-    dirty: usize,
+    /// Pages buffered for destage to the disk (still resident), all
+    /// stamped at time zero, so in the order they were first buffered.
+    destage: StampList,
 }
 
 impl FlashCache {
@@ -34,7 +36,7 @@ impl FlashCache {
             capacity_pages,
             table: PageTable::default(),
             lru: PageList::new(0),
-            dirty: 0,
+            destage: StampList::new(),
         }
     }
 
@@ -45,7 +47,7 @@ impl FlashCache {
 
     /// Dirty (buffered-write) page count.
     pub fn dirty_count(&self) -> usize {
-        self.dirty
+        self.destage.len()
     }
 
     /// Is `page` resident? Refreshes its LRU position.
@@ -78,19 +80,18 @@ impl FlashCache {
             Some(slot) => slot,
             None => self.table.insert(&mut self.lru, page),
         };
-        if dirty && !self.table.marked(slot) {
-            self.table.set_mark(slot);
-            self.dirty += 1;
+        if dirty {
+            self.table.stamp(&mut self.destage, slot, SimTime::ZERO);
         }
         let mut spilled = Vec::new();
         while self.lru.len() > self.capacity_pages {
-            let Some((victim, marked)) = self.table.pop_front_marked(&mut self.lru) else {
+            let Some((victim, key)) = self.table.take_front(&mut self.lru) else {
                 break;
             };
-            if marked {
-                self.dirty -= 1;
-                spilled.push(victim);
+            if self.table.unstamp(&mut self.destage, victim) {
+                spilled.push(key);
             }
+            self.table.remove(victim);
         }
         spilled
     }
@@ -98,11 +99,10 @@ impl FlashCache {
     /// Drain the destage queue (the disk is awake), ascending: the
     /// pages remain cached but are clean afterwards.
     pub fn take_destage(&mut self) -> Vec<PageKey> {
-        let mut pages = Vec::with_capacity(self.dirty);
-        if self.dirty > 0 {
-            self.table.take_marked(&mut pages);
-            self.dirty = 0;
-        }
+        let mut pages = Vec::with_capacity(self.destage.len());
+        self.table
+            .take_stamped(&mut self.destage, |_| true, &mut pages);
+        pages.sort_unstable();
         pages
     }
 }

@@ -4,8 +4,6 @@
 use ff_base::size::PAGE_SIZE;
 use ff_base::SimTime;
 use ff_trace::FileId;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 
 /// One 4 KiB page of one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -35,12 +33,126 @@ pub fn push_run(runs: &mut Vec<(u64, u64)>, page: u64) {
 }
 
 /// Pages per directory chunk: consecutive pages of one file share a
-/// chunk, so a request's run of pages pays one directory descent per
+/// chunk, so a request's run of pages pays one directory probe per
 /// chunk it spans.
 const CHUNK: u64 = 64;
 
 /// The null link.
 const NIL: u32 = u32::MAX;
+
+/// A chunk's directory key: its file and its page index / `CHUNK`.
+type ChunkKey = (FileId, u64);
+
+/// One directory slot: a chunk's key and id, or `NIL` for an empty slot.
+#[derive(Debug, Clone, Copy)]
+struct DirSlot {
+    at: ChunkKey,
+    chunk: u32,
+}
+
+const EMPTY: DirSlot = DirSlot {
+    at: (FileId(0), 0),
+    chunk: NIL,
+};
+
+/// The directory from a chunk's key to its id: an open-addressed table
+/// with linear probing, at most half full, whose slot count is a power
+/// of two. The hash is a fixed function of the key, and the table has
+/// no iterator, so its slot order cannot reach any output. Removal
+/// shifts the rest of the cluster back instead of leaving tombstones,
+/// so a probe ends at the first empty slot.
+#[derive(Debug, Clone, Default)]
+struct Dir {
+    slots: Vec<DirSlot>,
+    len: usize,
+}
+
+/// The home slot of `at` in a table of `mask + 1` slots: both key words
+/// through a 64-bit finaliser (MurmurHash3's fmix64), so every key bit
+/// reaches the low bits the mask keeps.
+fn home(at: ChunkKey, mask: usize) -> usize {
+    let mut h = at.0 .0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ at.1;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^= h >> 33;
+    h as usize & mask
+}
+
+impl Dir {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The slot holding `at`, or the empty slot that ends its probe
+    /// (`None` only while the table has no slots).
+    fn probe(&self, at: ChunkKey) -> Option<usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut i = home(at, mask);
+        loop {
+            let slot = self.slots.get(i)?;
+            if slot.chunk == NIL || slot.at == at {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn get(&self, at: ChunkKey) -> Option<u32> {
+        let slot = self.slots.get(self.probe(at)?)?;
+        (slot.chunk != NIL).then_some(slot.chunk)
+    }
+
+    /// Enter `at`, which must be absent, as chunk `chunk`.
+    fn insert(&mut self, at: ChunkKey, chunk: u32) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let grown = vec![EMPTY; (self.slots.len() * 2).max(16)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for slot in old.into_iter().filter(|s| s.chunk != NIL) {
+                self.put(slot);
+            }
+        }
+        debug_assert!(self.get(at).is_none(), "{at:?} is already in the directory");
+        self.put(DirSlot { at, chunk });
+        self.len += 1;
+    }
+
+    /// Write `slot` into the empty slot that ends its key's probe.
+    fn put(&mut self, slot: DirSlot) {
+        if let Some(free) = self.probe(slot.at).and_then(|i| self.slots.get_mut(i)) {
+            *free = slot;
+        }
+    }
+
+    /// Drop `at` if present. Each later slot of its cluster moves back
+    /// into the hole when the hole lies between that slot's home and
+    /// the slot, so no probe meets an empty slot before its key.
+    fn remove(&mut self, at: ChunkKey) {
+        let present = |&i: &usize| self.slots.get(i).is_some_and(|s| s.chunk != NIL);
+        let Some(mut hole) = self.probe(at).filter(present) else {
+            return;
+        };
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let Some(&next) = self.slots.get(j).filter(|s| s.chunk != NIL) else {
+                break;
+            };
+            if j.wrapping_sub(home(next.at, mask)) & mask >= j.wrapping_sub(hole) & mask {
+                if let Some(h) = self.slots.get_mut(hole) {
+                    *h = next;
+                }
+                hole = j;
+            }
+        }
+        if let Some(h) = self.slots.get_mut(hole) {
+            *h = EMPTY;
+        }
+        self.len -= 1;
+    }
+}
 
 /// A page in the table: its key, its links on its list and the chunk
 /// holding its slot and its list's tag.
@@ -53,17 +165,18 @@ struct Node {
 }
 
 /// `CHUNK` consecutive pages of one file: the node of each (or `NIL`),
-/// the tag of the list each present page is on, one mark bit per page,
-/// how many are present, and the directory key the chunk sits under. A
-/// tag is only meaningful where its slot is not `NIL`; a mark is set
-/// only where its slot is not `NIL`.
+/// the tag of the list each present page is on, one mark bit per page
+/// (set while the page is stamped), how many are present, and the
+/// directory key the chunk sits under. A tag is only meaningful where
+/// its slot is not `NIL`; a mark is set only where its slot is not
+/// `NIL`.
 #[derive(Debug, Clone)]
 struct Chunk {
     slots: [u32; CHUNK as usize],
     tags: [u8; CHUNK as usize],
     marks: u64,
     live: u32,
-    at: (FileId, u64),
+    at: ChunkKey,
 }
 
 /// A handle on a page's node, valid until the page is removed.
@@ -159,23 +272,24 @@ impl Default for StampList {
 /// pushed and popped, an LRU when hits move them to the back.
 ///
 /// Nodes live in a slab with a free list; list operations are O(1).
-/// A page is found through an ordered directory from `(file, index /
+/// A page is found through a hashed directory from `(file, index /
 /// CHUNK)` to a chunk of slots. `finger` caches the answer of the last
 /// mutable lookup — the chunk it reached, or `NIL` when there was none
-/// — so a run of pages in one chunk pays one directory descent whether
+/// — so a run of pages in one chunk pays one directory probe whether
 /// the chunk exists or not. A chunk enters the directory only in
 /// `insert`, which points the finger at it, and freeing the finger's
 /// chunk clears the finger, so a cached answer is always exact. Each
 /// page's list tag and mark bit sit in its chunk beside its slot, so
 /// counting a range's pages by tag reads contiguous bytes and touches
 /// no node. Moving or removing a page reaches its slot, tag and mark
-/// through `Node::chunk`, with no descent, and a chunk leaves the
+/// through `Node::chunk`, with no probe, and a chunk leaves the
 /// directory when its last page does.
 ///
-/// An owner may also keep its marked pages on a [`StampList`] in the
-/// order of the times they were stamped; `stamps` holds those links,
-/// indexed like `nodes` and grown only when a page is first stamped.
-/// Such an owner unstamps a page before it removes it.
+/// An owner may keep some of its pages on a [`StampList`] in the order
+/// of the times they were stamped; a stamped page is marked in its
+/// chunk, and `stamps` holds the links, indexed like `nodes` and grown
+/// only when a page is first stamped. Such an owner unstamps a page
+/// before it removes it.
 #[derive(Debug, Clone)]
 pub struct PageTable {
     nodes: Vec<Node>,
@@ -183,8 +297,8 @@ pub struct PageTable {
     free_node: u32,
     chunks: Vec<Chunk>,
     free_chunks: Vec<u32>,
-    dir: BTreeMap<(FileId, u64), u32>,
-    finger: Option<((FileId, u64), u32)>,
+    dir: Dir,
+    finger: Option<(ChunkKey, u32)>,
 }
 
 impl Default for PageTable {
@@ -195,21 +309,21 @@ impl Default for PageTable {
             free_node: NIL,
             chunks: Vec::new(),
             free_chunks: Vec::new(),
-            dir: BTreeMap::new(),
+            dir: Dir::default(),
             finger: None,
         }
     }
 }
 
 /// The directory key of `key`'s chunk and its slot within the chunk.
-fn split(key: PageKey) -> ((FileId, u64), usize) {
+fn split(key: PageKey) -> (ChunkKey, usize) {
     ((key.file, key.index / CHUNK), (key.index % CHUNK) as usize)
 }
 
 /// A chunk for directory key `at`: a freed one (whose slots are all
 /// `NIL` and marks clear) or a new one. The caller enters it in the
 /// directory.
-fn alloc_chunk(chunks: &mut Vec<Chunk>, free_chunks: &mut Vec<u32>, at: (FileId, u64)) -> u32 {
+fn alloc_chunk(chunks: &mut Vec<Chunk>, free_chunks: &mut Vec<u32>, at: ChunkKey) -> u32 {
     match free_chunks.pop() {
         Some(c) => {
             if let Some(chunk) = chunks.get_mut(c as usize) {
@@ -247,11 +361,11 @@ impl PageTable {
     }
 
     /// The chunk under directory key `at`: the finger's answer, or one
-    /// descent.
-    fn chunk_at(&self, at: (FileId, u64)) -> Option<u32> {
+    /// probe.
+    fn chunk_at(&self, at: ChunkKey) -> Option<u32> {
         match self.finger {
             Some((f, c)) if f == at => (c != NIL).then_some(c),
-            _ => self.dir.get(&at).copied(),
+            _ => self.dir.get(at),
         }
     }
 
@@ -308,21 +422,18 @@ impl PageTable {
 
     /// The chunk under directory key `at`, created when there is none,
     /// with the finger moved to it. The one place a chunk enters the
-    /// directory: one descent, or none when the finger already answers.
-    fn chunk_for(&mut self, at: (FileId, u64)) -> u32 {
+    /// directory: no lookup when the finger already answers, else one.
+    fn chunk_for(&mut self, at: ChunkKey) -> u32 {
         let c = match self.finger {
-            Some((f, c)) if f == at && c != NIL => c,
-            Some((f, _)) if f == at => {
-                let c = alloc_chunk(&mut self.chunks, &mut self.free_chunks, at);
-                self.dir.insert(at, c);
-                c
-            }
-            _ => match self.dir.entry(at) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    *e.insert(alloc_chunk(&mut self.chunks, &mut self.free_chunks, at))
-                }
-            },
+            Some((f, c)) if f == at => c,
+            _ => self.dir.get(at).unwrap_or(NIL),
+        };
+        let c = if c == NIL {
+            let c = alloc_chunk(&mut self.chunks, &mut self.free_chunks, at);
+            self.dir.insert(at, c);
+            c
+        } else {
+            c
         };
         self.finger = Some((at, c));
         c
@@ -384,15 +495,12 @@ impl PageTable {
         Some((slot, key))
     }
 
-    /// Remove the oldest page of `list` from the table.
+    /// Remove the oldest page of `list`, which must not be stamped,
+    /// from the table.
     pub fn pop_front(&mut self, list: &mut PageList) -> Option<PageKey> {
-        self.pop_front_marked(list).map(|(key, _)| key)
-    }
-
-    /// Remove the oldest page of `list` from the table, with its mark.
-    pub fn pop_front_marked(&mut self, list: &mut PageList) -> Option<(PageKey, bool)> {
         let (slot, key) = self.take_front(list)?;
-        Some((key, self.remove(slot)))
+        self.remove(slot);
+        Some(key)
     }
 
     /// The chunk holding the page in `slot`, and the page's position
@@ -400,45 +508,6 @@ impl PageTable {
     fn place(&self, slot: Slot) -> Option<(usize, usize)> {
         let node = self.nodes.get(slot.0 as usize)?;
         Some((node.chunk as usize, split(node.key).1))
-    }
-
-    /// Mark the page in `slot`. Marks are the owner's: the table only
-    /// keeps them with their pages, clears them when a page leaves, and
-    /// reads them out in key order.
-    pub fn set_mark(&mut self, slot: Slot) {
-        let Some((c, i)) = self.place(slot) else {
-            return;
-        };
-        if let Some(chunk) = self.chunks.get_mut(c) {
-            chunk.marks |= 1 << i;
-        }
-    }
-
-    /// Whether the page in `slot` is marked.
-    pub fn marked(&self, slot: Slot) -> bool {
-        self.place(slot)
-            .and_then(|(c, i)| self.chunks.get(c).map(|chunk| chunk.marks >> i & 1 == 1))
-            .unwrap_or(false)
-    }
-
-    /// Append every marked page to `out` in ascending key order (the
-    /// directory's order, then bit order within a chunk), clearing the
-    /// marks. The pages stay where they are.
-    pub fn take_marked(&mut self, out: &mut Vec<PageKey>) {
-        for (&(file, ci), &c) in &self.dir {
-            let Some(chunk) = self.chunks.get_mut(c as usize) else {
-                continue;
-            };
-            let mut marks = std::mem::take(&mut chunk.marks);
-            while marks != 0 {
-                let i = u64::from(marks.trailing_zeros());
-                out.push(PageKey {
-                    file,
-                    index: ci * CHUNK + i,
-                });
-                marks &= marks - 1;
-            }
-        }
     }
 
     /// Mark the page in `slot` and link it into `list` by `at`, after
@@ -530,41 +599,39 @@ impl PageTable {
         was
     }
 
-    /// Remove the unlinked `slot` from the table: clear its chunk slot
-    /// and mark, and free the chunk (and the finger, if it points there)
-    /// once it is empty. Returns whether the page was marked.
-    pub fn remove(&mut self, slot: Slot) -> bool {
+    /// Remove the unlinked, unstamped `slot` from the table: clear its
+    /// chunk slot, and free the chunk (and the finger, if it points
+    /// there) once it is empty.
+    pub fn remove(&mut self, slot: Slot) {
         let Slot(s) = slot;
         let Some(node) = self.nodes.get_mut(s as usize) else {
-            return false;
+            return;
         };
         let (c, i) = (node.chunk, split(node.key).1);
         node.next = self.free_node;
         self.free_node = s;
         let Some(chunk) = self.chunks.get_mut(c as usize) else {
-            return false;
+            return;
         };
-        let marked = chunk.marks >> i & 1 == 1;
-        chunk.marks &= !(1 << i);
+        debug_assert_eq!(chunk.marks >> i & 1, 0, "slot {s} is still stamped");
         if let Some(slot) = chunk.slots.get_mut(i) {
             *slot = NIL;
             chunk.live -= 1;
         }
         if chunk.live == 0 {
-            self.dir.remove(&chunk.at);
+            self.dir.remove(chunk.at);
             self.free_chunks.push(c);
             if matches!(self.finger, Some((_, f)) if f == c) {
                 self.finger = None;
             }
         }
-        marked
     }
 
     /// Pages of `file` with index in `first..=last` whose list tag
     /// passes `keep`. A range inside one chunk takes the finger or one
-    /// directory lookup; a longer one walks a directory range, which
-    /// orders chunks by file first and so never reaches a neighbouring
-    /// file's pages.
+    /// probe. A longer one probes each of its chunk keys when there are
+    /// fewer of those than live chunks, else scans the chunks, so a
+    /// range of any length costs at most one pass over the live chunks.
     pub fn count_in(
         &self,
         file: FileId,
@@ -576,32 +643,39 @@ impl PageTable {
         if lo == hi {
             return self
                 .chunk_at((file, lo))
-                .map_or(0, |c| self.count_chunk(c, lo, first, last, &keep));
+                .map_or(0, |c| self.count_chunk(c, first, last, &keep));
         }
-        self.dir
-            .range((file, lo)..=(file, hi))
-            .map(|(&(_, ci), &c)| self.count_chunk(c, ci, first, last, &keep))
+        if hi - lo < self.dir.len() as u64 {
+            return (lo..=hi)
+                .filter_map(|ci| self.dir.get((file, ci)))
+                .map(|c| self.count_chunk(c, first, last, &keep))
+                .sum();
+        }
+        // A freed chunk keeps its old key, but all its slots are `NIL`.
+        self.chunks
+            .iter()
+            .filter(|chunk| chunk.at.0 == file && (lo..=hi).contains(&chunk.at.1))
+            .map(|chunk| chunk.count(first, last, &keep))
             .sum()
     }
 
-    /// Pages of chunk `c` (directory index `ci`) with index in
-    /// `first..=last` whose tag passes `keep`.
-    fn count_chunk(
-        &self,
-        c: u32,
-        ci: u64,
-        first: u64,
-        last: u64,
-        keep: &impl Fn(u8) -> bool,
-    ) -> usize {
-        let Some(chunk) = self.chunks.get(c as usize) else {
-            return 0;
-        };
-        let base = ci * CHUNK;
+    /// `count_in` over chunk `c` alone.
+    fn count_chunk(&self, c: u32, first: u64, last: u64, keep: &impl Fn(u8) -> bool) -> usize {
+        self.chunks
+            .get(c as usize)
+            .map_or(0, |chunk| chunk.count(first, last, keep))
+    }
+}
+
+impl Chunk {
+    /// Pages of this chunk with index in `first..=last`, a range that
+    /// overlaps the chunk, whose tag passes `keep`.
+    fn count(&self, first: u64, last: u64, keep: &impl Fn(u8) -> bool) -> usize {
+        let base = self.at.1 * CHUNK;
         let lo = (first.max(base) - base) as usize;
         let hi = (last.min(base + (CHUNK - 1)) - base) as usize;
-        let slots = chunk.slots.get(lo..=hi).unwrap_or_default();
-        let tags = chunk.tags.get(lo..=hi).unwrap_or_default();
+        let slots = self.slots.get(lo..=hi).unwrap_or_default();
+        let tags = self.tags.get(lo..=hi).unwrap_or_default();
         slots
             .iter()
             .zip(tags)
@@ -613,6 +687,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn key(file: u64, index: u64) -> PageKey {
         PageKey {
@@ -882,9 +957,9 @@ mod tests {
     }
 
     #[test]
-    fn marks_stay_with_their_pages_and_read_out_in_key_order() {
+    fn stamps_stay_with_their_pages() {
         let mut t = PageTable::default();
-        let mut a = PageList::new(0);
+        let (mut a, mut dirty) = (PageList::new(0), StampList::new());
         let keys = [
             key(2, 0),
             key(1, u64::MAX),
@@ -893,27 +968,109 @@ mod tests {
             key(2, 5),
         ];
         let slots: Vec<Slot> = keys.iter().map(|&k| t.insert(&mut a, k)).collect();
-        for &s in &slots {
-            t.set_mark(s);
+        for (at, &s) in (0..).zip(&slots) {
+            t.stamp(&mut dirty, s, SimTime::from_secs(at));
         }
-        t.set_mark(slots[0]); // marking twice is marking once
-        assert!(slots.iter().all(|&s| t.marked(s)));
-        // The oldest page leaves with its mark, and its slot is clean
-        // for the page that reuses it.
-        assert_eq!(t.pop_front_marked(&mut a), Some((key(2, 0), true)));
+        // Stamping twice keeps the first place and time.
+        t.stamp(&mut dirty, slots[0], SimTime::from_secs(9));
+        assert_eq!(dirty.len(), 5);
+        // The oldest page leaves unstamped, and its slot is clean for
+        // the page that reuses it.
+        let (slot, k) = t.take_front(&mut a).unwrap();
+        assert_eq!(k, keys[0]);
+        assert!(t.unstamp(&mut dirty, slot));
+        t.remove(slot);
         let reused = t.insert(&mut a, key(3, 1));
         assert_eq!(reused, slots[0]);
-        assert!(!t.marked(reused), "a freed page's mark must not survive");
-        let mut out = Vec::new();
-        t.take_marked(&mut out);
-        assert_eq!(
-            out,
-            vec![key(1, 63), key(1, 64), key(1, u64::MAX), key(2, 5)]
+        assert!(
+            !t.unstamp(&mut dirty, reused),
+            "a freed page's mark survived"
         );
-        assert!(slots[1..].iter().all(|&s| !t.marked(s)), "taking clears");
-        t.take_marked(&mut out);
-        assert_eq!(out.len(), 4, "nothing left to take");
-        assert_eq!(t.pop_front_marked(&mut a), Some((key(1, u64::MAX), false)));
+        let mut out = Vec::new();
+        t.take_stamped(&mut dirty, |at| at <= SimTime::from_secs(2), &mut out);
+        assert_eq!(out, keys[1..3], "the due prefix, in stamp order");
+        t.take_stamped(&mut dirty, |_| true, &mut out);
+        assert_eq!(out, keys[1..]);
+        assert!(dirty.is_empty());
+        assert!(slots[1..].iter().all(|&s| !t.unstamp(&mut dirty, s)));
+    }
+
+    #[test]
+    fn directory_matches_a_btreemap() {
+        // Random inserts, removes and gets against a `BTreeMap`. Most
+        // keys are drawn from ones whose hash puts them in the last 16
+        // slots of every table from 32 to 256 slots, so their clusters
+        // wrap the table's end and removals land inside clusters; the
+        // table grows from 16 to 256 slots and shrinks back.
+        let mut rng = 0x5851_f42d_4c95_7f2d_u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let all: Vec<ChunkKey> = (1..4)
+            .flat_map(|f| (0..1_000).map(move |ci| (FileId(f), ci)))
+            .chain([(FileId(u64::MAX), u64::MAX / CHUNK)])
+            .collect();
+        let clustered: Vec<ChunkKey> = all
+            .iter()
+            .copied()
+            .filter(|&at| home(at, 255) >= 240)
+            .collect();
+        assert!(clustered.len() > 100, "{} clustered keys", clustered.len());
+        let mut dir = Dir::default();
+        let mut model: BTreeMap<ChunkKey, u32> = BTreeMap::new();
+        let (mut wrapped, mut shifts, mut sizes) = (0, 0, BTreeSet::new());
+        for step in 0..20_000_u32 {
+            let pool = if next(5) == 0 { &all } else { &clustered };
+            let at = pool[next(pool.len() as u64) as usize];
+            // Fill to 120 keys (a 256-slot table), drain to 8, repeat.
+            let target = if step / 2_500 % 2 == 0 { 120 } else { 8 };
+            match next(4) {
+                0 => assert_eq!(dir.get(at), model.get(&at).copied(), "step {step}"),
+                1 | 2 if model.len() < target => {
+                    if !model.contains_key(&at) {
+                        dir.insert(at, step);
+                        model.insert(at, step);
+                    }
+                }
+                _ => {
+                    // Half the removals take a present key.
+                    let at = match next(2) {
+                        0 => model.keys().nth(next(model.len().max(1) as u64) as usize),
+                        _ => None,
+                    }
+                    .copied()
+                    .unwrap_or(at);
+                    let mid_cluster = model.contains_key(&at)
+                        && dir.probe(at).is_some_and(|i| {
+                            dir.slots[(i + 1) & (dir.slots.len() - 1)].chunk != NIL
+                        });
+                    shifts += usize::from(mid_cluster);
+                    dir.remove(at);
+                    model.remove(&at);
+                }
+            }
+            assert_eq!(dir.len(), model.len(), "step {step}");
+            sizes.insert(dir.slots.len());
+            if step % 64 == 0 {
+                for &k in &clustered {
+                    assert_eq!(dir.get(k), model.get(&k).copied(), "step {step}: {k:?}");
+                }
+                let mask = dir.slots.len().wrapping_sub(1);
+                wrapped += (0..)
+                    .zip(&dir.slots)
+                    .filter(|&(i, s)| s.chunk != NIL && i < home(s.at, mask))
+                    .count();
+            }
+        }
+        assert_eq!(
+            sizes.into_iter().collect::<Vec<_>>(),
+            [16, 32, 64, 128, 256]
+        );
+        assert!(wrapped > 1_000, "{wrapped} wrapped entries seen");
+        assert!(shifts > 1_000, "{shifts} removals inside a cluster");
     }
 
     #[test]

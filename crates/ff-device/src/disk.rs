@@ -273,12 +273,17 @@ impl PowerModel for DiskModel {
         if let DiskState::SpinningUp(until) = self.state {
             self.advance_to(until, meter);
         }
-        // Wake from standby.
+        // Wake from standby. A zero-length spin-up ends here, since
+        // `advance_to` takes no step that does not move the clock.
         if self.state == DiskState::Standby {
             meter.transition(self.clock, "spin_up", self.params.spinup_energy);
             request_energy += self.params.spinup_energy;
             let until = self.clock + self.params.spinup_time;
-            self.state = DiskState::SpinningUp(until);
+            self.state = if until == self.clock {
+                DiskState::Idle
+            } else {
+                DiskState::SpinningUp(until)
+            };
             self.advance_to(until, meter);
         }
         debug_assert_eq!(self.state, DiskState::Idle);
@@ -610,6 +615,24 @@ mod tests {
             assert_eq!(arrived, BTreeSet::from(["Idle", "SpinningDown", "Standby"]));
             meter.assert_cycle(["Idle", "SpinningDown", "Standby", "SpinningUp"]);
         }
+    }
+
+    #[test]
+    fn a_zero_spin_up_wakes_the_disk_in_service() {
+        let p = DiskParams {
+            spinup_time: Dur::ZERO,
+            ..DiskParams::hitachi_dk23da()
+        };
+        let mut d = Live::new(DiskModel::new_standby(p));
+        let out = d.service(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), Some(0)));
+        assert_eq!(d.model.state(), DiskState::Idle);
+        assert_eq!(d.meter.transition_count("spin_up"), 1);
+        // The spin-down timer runs from the end of the transfer.
+        d.advance_to(out.complete + p.timeout);
+        assert_eq!(
+            d.model.state(),
+            DiskState::SpinningDown(out.complete + p.timeout + p.spindown_time)
+        );
     }
 
     #[test]

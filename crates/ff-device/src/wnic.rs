@@ -276,11 +276,17 @@ impl PowerModel for WnicModel {
             self.clock += transfer;
             // Remains in PSM.
         } else {
+            // A zero-length switch ends here, since `advance_to` takes
+            // no step that does not move the clock.
             if self.state == WnicState::Psm {
                 meter.transition(self.clock, "psm_to_cam", self.params.to_cam_energy);
                 request_energy += self.params.to_cam_energy;
                 let until = self.clock + self.params.to_cam_time;
-                self.state = WnicState::ToCam(until);
+                self.state = if until == self.clock {
+                    WnicState::Cam
+                } else {
+                    WnicState::ToCam(until)
+                };
                 self.advance_to(until, meter);
             }
             debug_assert_eq!(self.state, WnicState::Cam);
@@ -386,6 +392,24 @@ mod tests {
         assert!(out.energy.get() > 0.51);
         assert_eq!(w.model.state(), WnicState::Cam);
         assert_eq!(w.meter.transition_count("psm_to_cam"), 1);
+    }
+
+    #[test]
+    fn a_zero_switch_wakes_the_card_in_service() {
+        let p = WnicParams {
+            to_cam_time: Dur::ZERO,
+            ..WnicParams::cisco_aironet350()
+        };
+        let mut w = Live::new(WnicModel::new(p));
+        let out = w.service(SimTime::ZERO, &DeviceRequest::read(Bytes::kib(64), None));
+        assert_eq!(w.model.state(), WnicState::Cam);
+        assert_eq!(w.meter.transition_count("psm_to_cam"), 1);
+        // The CAM idle timer runs from the end of the 48.7 ms transfer:
+        // the switch back to PSM is due at about 1.26 s, not 1.21 s.
+        w.advance_to(SimTime::from_secs(1));
+        let due = out.complete + p.psm_timeout + p.to_psm_time;
+        assert_eq!(w.model.state(), WnicState::ToPsm(due));
+        assert!((due.as_secs_f64() - 1.2587).abs() < 1e-3, "{due}");
     }
 
     #[test]
