@@ -1,6 +1,10 @@
 //! The benchmark and trace-export commands: `benchsim`, `benchpar`,
 //! `benchfaults` and `observe`. Their artifacts and schemas are
 //! documented in `docs/benchmarks.md`.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the benchmark's own wall clock: it times the runs and never feeds a simulation"
+)]
 
 use crate::{Args, Result, Sink, Usage};
 use ff_base::json::Value;

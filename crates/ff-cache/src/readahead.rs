@@ -114,17 +114,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::explicit_counter_loop)]
     fn windows_double_up_to_max() {
         let mut ra = Readahead::default();
         let mut submitted = vec![ra.on_access(F, 0, 0).unwrap().1];
-        let mut next = 1;
         // Consume sequentially for a while, recording each new window.
-        for _ in 0..2000 {
+        for next in 1..=2000 {
             if let Some((_, len)) = ra.on_access(F, next, next) {
                 submitted.push(len);
             }
-            next += 1;
         }
         // 4, 8, 16, 32, 32, 32 ...
         assert_eq!(&submitted[..4], &[4, 8, 16, 32]);

@@ -98,6 +98,10 @@ impl DiskParams {
     /// The *break-even time* (§1.1): the minimum quiet period for which
     /// spinning down saves energy. Solves
     /// `E_down + E_up + P_standby·(T − T_down − T_up) = P_idle·T`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "solves the break-even energy balance in f64 seconds, once per parameter set"
+    )]
     pub fn break_even(&self) -> Dur {
         let trans_t = self.spindown_time + self.spinup_time;
         let trans_e = self.spindown_energy.get() + self.spinup_energy.get();

@@ -50,6 +50,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// Unit safety: hot paths keep quantities in ff-base newtypes, so a raw
+// `as` cast or an f64-seconds read (`Dur::as_secs_f64`, listed in
+// `clippy.toml`) carries an `#[expect]` saying why it leaves them.
+#![warn(clippy::as_conversions, clippy::disallowed_methods)]
 
 pub mod consts;
 pub mod disk;

@@ -81,6 +81,11 @@ pub struct ShareSpindown {
 
 impl ShareSpindown {
     /// Panel of `n` timeouts log-spaced between `lo` and `hi`.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::as_conversions,
+        reason = "log-spacing the expert timeouts is f64 arithmetic on seconds and panel indices"
+    )]
     pub fn new(params: DiskParams, lo: Dur, hi: Dur, n: usize) -> Self {
         assert!(n >= 2, "need at least two experts");
         assert!(lo < hi && lo > Dur::ZERO);
@@ -106,6 +111,10 @@ impl ShareSpindown {
     }
 
     /// The timeout the algorithm would act with right now (weighted mean).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the weighted mean of the expert timeouts is taken in f64 seconds"
+    )]
     pub fn current_timeout(&self) -> Dur {
         let wsum: f64 = self.weights.iter().sum();
         let mean = self
@@ -121,6 +130,10 @@ impl ShareSpindown {
     /// Observe one completed idle period: charge the acted timeout,
     /// update expert weights by their would-have-been losses.
     /// Returns the energy this period actually cost.
+    #[expect(
+        clippy::as_conversions,
+        reason = "the share step divides the weight pool by the expert count as f64"
+    )]
     pub fn observe(&mut self, idle: Dur) -> Joules {
         let acted = self.current_timeout();
         let cost = period_energy(&self.params, idle, acted);

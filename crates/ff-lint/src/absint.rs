@@ -372,13 +372,13 @@ impl<'a> Eval<'a> {
             let rhs = self.term();
             v = match op {
                 TK::Plus => AbsVal {
-                    iv: v.iv.add(rhs.iv),
-                    sign: v.sign.add(rhs.sign),
+                    iv: v.iv + rhs.iv,
+                    sign: v.sign + rhs.sign,
                     floaty: v.floaty || rhs.floaty,
                 },
                 _ => AbsVal {
-                    iv: v.iv.sub(rhs.iv),
-                    sign: v.sign.add(rhs.sign.neg()),
+                    iv: v.iv - rhs.iv,
+                    sign: v.sign + -rhs.sign,
                     floaty: v.floaty || rhs.floaty,
                 },
             };
@@ -398,12 +398,12 @@ impl<'a> Eval<'a> {
             let rhs = self.unary();
             v = match op {
                 TK::Star => refine(AbsVal {
-                    iv: v.iv.mul(rhs.iv),
-                    sign: v.sign.mul(rhs.sign),
+                    iv: v.iv * rhs.iv,
+                    sign: v.sign * rhs.sign,
                     floaty: v.floaty || rhs.floaty,
                 }),
                 TK::Slash => refine(AbsVal {
-                    iv: v.iv.div(rhs.iv),
+                    iv: v.iv / rhs.iv,
                     sign: Sign::Unknown,
                     floaty: v.floaty || rhs.floaty,
                 }),
@@ -440,8 +440,8 @@ impl<'a> Eval<'a> {
                 self.bump();
                 let v = self.unary();
                 return refine(AbsVal {
-                    iv: v.iv.neg(),
-                    sign: v.sign.neg(),
+                    iv: -v.iv,
+                    sign: -v.sign,
                     floaty: v.floaty,
                 });
             }
@@ -645,13 +645,13 @@ fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
         "sqrt" | "len" | "as_micros" | "as_millis" | "as_secs" => AbsVal::counter(),
         "get" | "clone" | "copied" | "into" => v,
         "saturating_add" => refine(AbsVal {
-            iv: v.iv.add(arg(0).iv),
-            sign: v.sign.add(arg(0).sign),
+            iv: v.iv + arg(0).iv,
+            sign: v.sign + arg(0).sign,
             floaty: v.floaty,
         }),
         "saturating_sub" => {
             // Unsigned saturating subtraction floors at zero.
-            let iv = v.iv.sub(arg(0).iv).max_op(Interval::point(0.0));
+            let iv = (v.iv - arg(0).iv).max_op(Interval::point(0.0));
             refine(AbsVal {
                 iv,
                 sign: Sign::NonNeg,
@@ -659,8 +659,8 @@ fn apply_method(v: AbsVal, name: &str, args: &[AbsVal]) -> AbsVal {
             })
         }
         "saturating_mul" => refine(AbsVal {
-            iv: v.iv.mul(arg(0).iv),
-            sign: v.sign.mul(arg(0).sign),
+            iv: v.iv * arg(0).iv,
+            sign: v.sign * arg(0).sign,
             floaty: v.floaty,
         }),
         "as_secs_f64" | "as_mib_f64" => AbsVal {
@@ -860,11 +860,11 @@ fn operand_right(code: &str, from: usize) -> &str {
                 }
                 i += 1;
             }
-        } else if is_ident_byte(c) || c == b':' {
-            i += 1;
-        } else if c == b'.' && i + 1 < b.len() && (is_ident_byte(b[i + 1]) || b[i + 1] == b'(') {
-            i += 1;
-        } else if c == b'?' {
+        } else if is_ident_byte(c)
+            || c == b':'
+            || c == b'?'
+            || (c == b'.' && i + 1 < b.len() && (is_ident_byte(b[i + 1]) || b[i + 1] == b'('))
+        {
             i += 1;
         } else if c == b' '
             && code
@@ -1013,9 +1013,9 @@ fn bind(code: &str, env: &mut Env, sums: &Sums) {
         if let Some(old) = env.get(name).cloned() {
             let rv = eval_slice(rhs, env, sums);
             let next = match op {
-                b'+' => old.iv.add(rv.iv),
-                b'-' => old.iv.sub(rv.iv),
-                _ => old.iv.mul(rv.iv),
+                b'+' => old.iv + rv.iv,
+                b'-' => old.iv - rv.iv,
+                _ => old.iv * rv.iv,
             };
             // Accumulators run inside loops the line walk cannot
             // see; widen so one abstract pass covers every trip.

@@ -217,16 +217,20 @@ mod tests {
     #[test]
     fn round_trips_through_json() {
         let fs = [
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 3),
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 9),
-            finding(Rule::Hygiene, "b.rs", "TODO", 1),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 3),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 9),
+            finding(Rule::ArithSafety, "b.rs", "div", 1),
         ];
         let b = Baseline::from_findings(&fs);
         let text = b.to_json();
         let back = Baseline::parse(&text).expect("parses");
         assert_eq!(back, b);
         assert_eq!(
-            back.allowed(&("panic-safety".into(), "a.rs".into(), ".unwrap()".into())),
+            back.allowed(&(
+                "panic-reachability".into(),
+                "a.rs".into(),
+                "Disk::service".into()
+            )),
             2
         );
     }
@@ -234,8 +238,8 @@ mod tests {
     #[test]
     fn equal_counts_are_clean_and_fewer_is_improved() {
         let fs = [
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 3),
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 9),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 3),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 9),
         ];
         let b = Baseline::from_findings(&fs);
         assert!(b.compare(&fs).is_clean());
@@ -246,11 +250,11 @@ mod tests {
 
     #[test]
     fn overshoot_is_flagged_with_all_occurrences() {
-        let base = [finding(Rule::PanicSafety, "a.rs", ".unwrap()", 3)];
+        let base = [finding(Rule::PanicReach, "a.rs", "Disk::service", 3)];
         let b = Baseline::from_findings(&base);
         let now = [
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 3),
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 40),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 3),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 40),
         ];
         let d = b.compare(&now);
         assert!(!d.is_clean());
@@ -262,9 +266,9 @@ mod tests {
     fn unknown_key_is_new_against_empty_baseline() {
         let b = Baseline::empty();
         let now = [finding(
-            Rule::Determinism,
+            Rule::PanicReach,
             "crates/ff-sim/src/x.rs",
-            "thread_rng",
+            "Simulation::run",
             1,
         )];
         assert!(!b.compare(&now).is_clean());
@@ -280,7 +284,7 @@ mod tests {
     #[test]
     fn zero_count_entries_are_dropped_on_load_and_write() {
         let text = "{\"version\": 1, \"entries\": [\
-            {\"rule\": \"hygiene\", \"file\": \"b.rs\", \"token\": \"TODO\", \"count\": 1},\
+            {\"rule\": \"const-provenance\", \"file\": \"b.rs\", \"token\": \"0.15\", \"count\": 1},\
             {\"rule\": \"arith-safety\", \"file\": \"a.rs\", \"token\": \"div\", \"count\": 0}\
         ]}";
         let b = Baseline::parse(text).expect("parses");
@@ -294,10 +298,10 @@ mod tests {
         // again — the two documents must match byte for byte, so a
         // regenerated baseline never churns the committed file.
         let fs = [
-            finding(Rule::Hygiene, "z.rs", "TODO", 1),
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 3),
-            finding(Rule::PanicSafety, "a.rs", ".unwrap()", 9),
-            finding(Rule::Determinism, "m.rs", "HashMap", 2),
+            finding(Rule::ArithSafety, "z.rs", "div", 1),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 3),
+            finding(Rule::PanicReach, "a.rs", "Disk::service", 9),
+            finding(Rule::ConstProvenance, "m.rs", "0.15", 2),
         ];
         let first = Baseline::from_findings(&fs).to_json();
         let second = Baseline::parse(&first).expect("parses").to_json();

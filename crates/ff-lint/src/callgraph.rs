@@ -24,12 +24,12 @@
 //! `.unwrap()` / `.expect("` / `panic!` / `unreachable!` / `todo!`
 //! token or a slice-indexing expression (`v[i]`). Reachability is
 //! propagated backwards over the call graph; the reported findings are
-//! the public API fns of the five deterministic simulation crates (see
-//! [`crate::rules::DETERMINISM_CRATES`]) from which a panic source is
-//! reachable, each with the shortest call path as evidence.
+//! the public API fns of the five simulation crates (`API_CRATES`)
+//! from which a panic source is reachable, each with the shortest call
+//! path as evidence.
 
 use crate::items::{Item, ItemTree};
-use crate::rules::{Finding, Rule, DETERMINISM_CRATES};
+use crate::rules::{Finding, Rule};
 use crate::scan::{FileKind, SourceFile};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -58,6 +58,11 @@ pub struct Graph {
 
 /// Tokens whose presence in a body makes the fn a direct panic source.
 const PANIC_BODY_TOKENS: [&str; 5] = [".unwrap()", ".expect(\"", "panic!", "unreachable!", "todo!"];
+
+/// Crates whose public API is checked: the simulation state lives
+/// here. `ff-base` only hosts the newtypes and `ff-trace` replays
+/// recorded traces.
+const API_CRATES: [&str; 5] = ["ff-sim", "ff-device", "ff-cache", "ff-policy", "ff-profile"];
 
 /// The dependency closure of the simulation crates — the only possible
 /// callees of simulation code. Cargo forbids dependency cycles, so the
@@ -299,7 +304,7 @@ pub fn panic_reachability(
     let mut out = Vec::new();
     for (fi, tree) in trees.iter().enumerate() {
         let file = &sources[fi];
-        if file.kind != FileKind::Lib || !DETERMINISM_CRATES.contains(&file.crate_name.as_str()) {
+        if file.kind != FileKind::Lib || !API_CRATES.contains(&file.crate_name.as_str()) {
             continue;
         }
         for (ii, item) in tree.fns() {
@@ -335,7 +340,7 @@ fn describe_path(
             .map(|i: &Item| i.qualified_name(&trees[fi].items))
             .unwrap_or_default()
     };
-    let chain: Vec<String> = path.iter().map(|n| name_of(n)).collect();
+    let chain: Vec<String> = path.iter().map(name_of).collect();
     let site = path
         .last()
         .and_then(|n| graph.panics.get(n).and_then(|s| s.first().map(|s| (n, s))));

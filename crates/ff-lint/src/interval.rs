@@ -20,6 +20,7 @@
 //!   is pushed straight to its infinity so iteration terminates.
 
 use std::fmt;
+use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A closed interval `[lo, hi]` over the extended reals.
 ///
@@ -112,49 +113,6 @@ impl Interval {
         Interval::new(lo, hi)
     }
 
-    /// Interval addition.
-    pub fn add(self, other: Interval) -> Interval {
-        Interval::new(add_bound(self.lo, other.lo), add_bound(self.hi, other.hi))
-    }
-
-    /// Interval subtraction.
-    pub fn sub(self, other: Interval) -> Interval {
-        self.add(other.neg())
-    }
-
-    /// Interval negation.
-    pub fn neg(self) -> Interval {
-        Interval::new(-self.hi, -self.lo)
-    }
-
-    /// Interval multiplication (all four endpoint products).
-    pub fn mul(self, other: Interval) -> Interval {
-        let p = [
-            mul_bound(self.lo, other.lo),
-            mul_bound(self.lo, other.hi),
-            mul_bound(self.hi, other.lo),
-            mul_bound(self.hi, other.hi),
-        ];
-        let mut lo = p[0];
-        let mut hi = p[0];
-        for &v in &p[1..] {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        Interval::new(lo, hi)
-    }
-
-    /// Interval division. A divisor whose range includes zero widens the
-    /// result to `TOP`; the `arith-safety` family reports the division
-    /// itself, so the value domain only has to stay sound.
-    pub fn div(self, other: Interval) -> Interval {
-        if other.contains_zero() {
-            return Interval::TOP;
-        }
-        let inv = Interval::new(1.0 / other.hi, 1.0 / other.lo);
-        self.mul(inv)
-    }
-
     /// Pointwise `max`, the abstraction of `a.max(b)`.
     pub fn max_op(self, other: Interval) -> Interval {
         Interval::new(self.lo.max(other.lo), self.hi.max(other.hi))
@@ -170,7 +128,7 @@ impl Interval {
         if self.lo >= 0.0 {
             self
         } else if self.hi <= 0.0 {
-            self.neg()
+            -self
         } else {
             Interval::new(0.0, self.hi.max(-self.lo))
         }
@@ -200,6 +158,63 @@ impl Interval {
     }
 }
 
+/// Interval addition.
+impl Add for Interval {
+    type Output = Interval;
+    fn add(self, other: Interval) -> Interval {
+        Interval::new(add_bound(self.lo, other.lo), add_bound(self.hi, other.hi))
+    }
+}
+
+/// Interval subtraction.
+impl Sub for Interval {
+    type Output = Interval;
+    fn sub(self, other: Interval) -> Interval {
+        self + -other
+    }
+}
+
+/// Interval negation.
+impl Neg for Interval {
+    type Output = Interval;
+    fn neg(self) -> Interval {
+        Interval::new(-self.hi, -self.lo)
+    }
+}
+
+/// Interval multiplication (all four endpoint products).
+impl Mul for Interval {
+    type Output = Interval;
+    fn mul(self, other: Interval) -> Interval {
+        let p = [
+            mul_bound(self.lo, other.lo),
+            mul_bound(self.lo, other.hi),
+            mul_bound(self.hi, other.lo),
+            mul_bound(self.hi, other.hi),
+        ];
+        let mut lo = p[0];
+        let mut hi = p[0];
+        for &v in &p[1..] {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        Interval::new(lo, hi)
+    }
+}
+
+/// Interval division. A divisor whose range includes zero widens the
+/// result to `TOP`; the `arith-safety` family reports the division
+/// itself, so the value domain only has to stay sound.
+impl Div for Interval {
+    type Output = Interval;
+    fn div(self, other: Interval) -> Interval {
+        if other.contains_zero() {
+            return Interval::TOP;
+        }
+        self * Interval::new(1.0 / other.hi, 1.0 / other.lo)
+    }
+}
+
 impl fmt::Display for Interval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {}]", self.lo, self.hi)
@@ -225,9 +240,7 @@ fn add_bound(a: f64, b: f64) -> f64 {
 /// `a * b` on bounds with the interval-arithmetic convention
 /// `0 * inf = 0` (a zero factor annihilates regardless of magnitude).
 fn mul_bound(a: f64, b: f64) -> f64 {
-    let az = a >= 0.0 && a <= 0.0;
-    let bz = b >= 0.0 && b <= 0.0;
-    if az || bz {
+    if a == 0.0 || b == 0.0 {
         return 0.0;
     }
     a * b
@@ -255,9 +268,10 @@ pub enum Sign {
     Unknown,
 }
 
-impl Sign {
-    /// Sign addition.
-    pub fn add(self, other: Sign) -> Sign {
+/// Sign addition.
+impl Add for Sign {
+    type Output = Sign;
+    fn add(self, other: Sign) -> Sign {
         use Sign::*;
         match (self, other) {
             (Zero, s) | (s, Zero) => s,
@@ -268,9 +282,12 @@ impl Sign {
             _ => Unknown,
         }
     }
+}
 
-    /// Sign multiplication.
-    pub fn mul(self, other: Sign) -> Sign {
+/// Sign multiplication.
+impl Mul for Sign {
+    type Output = Sign;
+    fn mul(self, other: Sign) -> Sign {
         use Sign::*;
         match (self, other) {
             (Zero, _) | (_, Zero) => Zero,
@@ -284,9 +301,12 @@ impl Sign {
             (NonPos, NonPos) => NonNeg,
         }
     }
+}
 
-    /// Sign negation.
-    pub fn neg(self) -> Sign {
+/// Sign negation.
+impl Neg for Sign {
+    type Output = Sign;
+    fn neg(self) -> Sign {
         use Sign::*;
         match self {
             Neg => Pos,
@@ -297,7 +317,9 @@ impl Sign {
             Unknown => Unknown,
         }
     }
+}
 
+impl Sign {
     /// Least upper bound in the sign lattice.
     pub fn join(self, other: Sign) -> Sign {
         use Sign::*;
@@ -330,26 +352,26 @@ mod tests {
     fn arithmetic_covers_concrete_results() {
         let a = Interval::new(2.0, 4.0);
         let b = Interval::new(-1.0, 3.0);
-        assert_eq!(a.add(b), Interval::new(1.0, 7.0));
-        assert_eq!(a.sub(b), Interval::new(-1.0, 5.0));
-        assert_eq!(a.mul(b), Interval::new(-4.0, 12.0));
-        assert!(a.mul(b).contains(2.0 * -1.0));
-        assert!(a.mul(b).contains(4.0 * 3.0));
+        assert_eq!(a + b, Interval::new(1.0, 7.0));
+        assert_eq!(a - b, Interval::new(-1.0, 5.0));
+        assert_eq!(a * b, Interval::new(-4.0, 12.0));
+        assert!((a * b).contains(2.0 * -1.0));
+        assert!((a * b).contains(4.0 * 3.0));
     }
 
     #[test]
     fn division_through_zero_is_top() {
         let a = Interval::point(1.0);
-        assert!(a.div(Interval::new(-1.0, 1.0)).is_top());
-        assert_eq!(a.div(Interval::new(2.0, 4.0)), Interval::new(0.25, 0.5));
+        assert!((a / Interval::new(-1.0, 1.0)).is_top());
+        assert_eq!(a / Interval::new(2.0, 4.0), Interval::new(0.25, 0.5));
     }
 
     #[test]
     fn zero_times_infinity_annihilates() {
         let z = Interval::point(0.0);
-        assert_eq!(z.mul(Interval::TOP), Interval::point(0.0));
+        assert_eq!(z * Interval::TOP, Interval::point(0.0));
         let counter = Interval::NON_NEG;
-        assert!(counter.mul(counter).is_nonneg());
+        assert!((counter * counter).is_nonneg());
     }
 
     #[test]
@@ -376,20 +398,20 @@ mod tests {
         assert_eq!(Interval::NON_NEG.sign(), Sign::NonNeg);
         assert_eq!(Interval::point(0.0).sign(), Sign::Zero);
         assert_eq!(Interval::new(-3.0, -1.0).sign(), Sign::Neg);
-        assert_eq!(Sign::Pos.mul(Sign::Neg), Sign::Neg);
-        assert_eq!(Sign::NonNeg.add(Sign::Pos), Sign::Pos);
+        assert_eq!(Sign::Pos * Sign::Neg, Sign::Neg);
+        assert_eq!(Sign::NonNeg + Sign::Pos, Sign::Pos);
         assert_eq!(Sign::Pos.join(Sign::Zero), Sign::NonNeg);
         // The product stays consistent: projecting after an interval op
         // is never more precise than sign algebra claims.
         let a = Interval::new(2.0, 3.0);
         let b = Interval::new(-4.0, -1.0);
-        assert_eq!(a.mul(b).sign(), a.sign().mul(b.sign()));
+        assert_eq!((a * b).sign(), a.sign() * b.sign());
     }
 
     #[test]
     fn nan_never_escapes() {
         let t = Interval::TOP;
-        for v in [t.add(t), t.sub(t), t.mul(t), t.div(t), t.neg()] {
+        for v in [t + t, t - t, t * t, t / t, -t] {
             assert!(!v.lo.is_nan() && !v.hi.is_nan());
         }
     }

@@ -224,12 +224,8 @@ fn sig_step(p: &mut Pending, c: char) -> SigStep {
         '(' => p.paren += 1,
         ')' => p.paren -= 1,
         '<' => p.angle += 1,
-        '>' => {
-            // `->` is not a closing angle bracket.
-            if !p.signature.ends_with('-') {
-                p.angle = (p.angle - 1).max(0);
-            }
-        }
+        // `->` is not a closing angle bracket.
+        '>' if !p.signature.ends_with('-') => p.angle = (p.angle - 1).max(0),
         '{' if p.paren == 0 => return SigStep::OpenBody,
         ';' if p.paren == 0 && p.angle <= 0 => return SigStep::CloseBraceless,
         _ => {}

@@ -1,35 +1,18 @@
 //! # ff-lint — workspace static analysis for the FlexFetch simulator
 //!
 //! A std-only, dependency-free (no `syn`/`quote`; the build environment
-//! is offline) lint pass enforcing the properties the reproduction's
-//! credibility rests on. Eight rule families, in report order:
-//!
-//! Per-line rules ([`rules`]):
-//!
-//! 1. **determinism** — simulation crates must not read wall-clock time,
-//!    ambient RNGs, or iterate unordered hash maps; simulation state
-//!    comes only from `ff_base::rng` (seeded) and `ff_base::time`
-//!    (simulated). A run must be bit-identical given a seed.
-//! 2. **panic-safety** — library code propagates errors instead of
-//!    aborting (`unwrap`/`expect`/`panic!`-family).
-//! 3. **unit-safety** — device/sim hot paths keep quantities in ff-base
-//!    newtypes (`Watts`, `Joules`, `Dur`, `Bytes`) rather than raw `as`
-//!    casts and `f64` seconds. Inside the newtypes, mixing units is a
-//!    type error: the compiler, not a lint, rejects `SimTime + Joules`
-//!    and `Dur + u64` (see the `compile_fail` examples in
-//!    `ff_base::time`).
-//! 4. **float-eq** — no `==`/`!=` against float literals.
-//! 5. **hygiene** — inventory of open-work markers and `#[allow]`
-//!    suppressions.
+//! is offline) analysis of the properties the reproduction's
+//! credibility rests on that no clippy lint can see, because each one
+//! spans files. Three rule families, in report order.
 //!
 //! A semantic layer ([`items`] → [`callgraph`], [`consts`]) recovers
 //! item boundaries from the preprocessed lines and runs cross-file
 //! analyses:
 //!
-//! 6. **panic-reachability** — which public APIs of the simulation
+//! 1. **panic-reachability** — which public APIs of the simulation
 //!    crates can transitively reach a panic site (`unwrap`, `expect`,
 //!    `panic!`-family, slice indexing) through the workspace call graph.
-//! 7. **const-provenance** — every Table 1/Table 2 physical constant
+//! 2. **const-provenance** — every Table 1/Table 2 physical constant
 //!    has one home, `ff-device::consts`; a matching numeric literal
 //!    anywhere else in the simulation crates is a shadowed constant,
 //!    and the registry itself is cross-checked against the pinned
@@ -41,10 +24,23 @@
 //! function-summary fixpoint, seeded with the Table 1/2 constants —
 //! backs the last:
 //!
-//! 8. **arith-safety** — division-by-zero freedom, `as` casts the
+//! 3. **arith-safety** — division-by-zero freedom, `as` casts the
 //!    inferred interval cannot prove lossless, and unchecked `+`/`*`
 //!    on `_bytes`/`_us` counters where `saturating_*` or the
 //!    `ff_base::checked` helpers exist.
+//!
+//! The per-line contract is clippy's, at the levels in the workspace
+//! `Cargo.toml` and `clippy.toml`, run with warnings denied by the
+//! root package's `tests/lint.rs`: no wall clock, ambient RNG or hash
+//! map in simulation code (`disallowed_types`); no `unwrap`, `expect`,
+//! `panic!`, `unreachable!` or `todo!` in library code; no raw `as`
+//! cast or `Dur::as_secs_f64` in ff-device and ff-sim without a
+//! reasoned `#[expect]` (`as_conversions`, `disallowed_methods`); no
+//! exact float comparison (`float_cmp`, which exempts comparisons with
+//! zero); and no `#[allow]` without a reason. Inside the ff-base
+//! newtypes, mixing units is a type error: the compiler rejects
+//! `SimTime + Joules` and `Dur + u64` (see the `compile_fail` examples
+//! in `ff_base::time`).
 //!
 //! Three properties are held by the code instead of a family. An
 //! energy cannot be decremented, because `ff_base::Joules` has no
@@ -230,15 +226,15 @@ fn digits(mut n: usize) -> usize {
 /// comparison.
 #[derive(Debug)]
 pub struct Analysis {
-    /// Per-line rule findings plus semantic-layer findings, sorted in
-    /// (rule, file, line, token) order.
+    /// Every family's findings, sorted in (rule, file, line, token)
+    /// order.
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
-/// Scan the workspace under `root`, run the per-line rules and the
-/// semantic layer, and produce all findings.
+/// Scan the workspace under `root`, run the three families and
+/// produce all findings.
 pub fn analyze(root: &Path) -> Result<Analysis> {
     let sources = scan::collect_sources(root)
         .map_err(|e| Error::Io(format!("scanning {}: {e}", root.display())))?;
@@ -254,13 +250,12 @@ pub fn analyze(root: &Path) -> Result<Analysis> {
 /// Run every analysis wave over an already-collected source set.
 ///
 /// Split out from [`analyze`] so the mutation engine ([`mutgen`]) can
-/// re-run all eight families against in-memory mutated sources
+/// re-run all three families against in-memory mutated sources
 /// without touching the filesystem.
 pub fn analyze_sources(sources: &[SourceFile]) -> Analysis {
-    let mut findings = rules::run_all(sources);
     let trees = items::build(sources);
     let graph = callgraph::Graph::build(sources, &trees);
-    findings.extend(callgraph::panic_reachability(sources, &trees, &graph));
+    let mut findings = callgraph::panic_reachability(sources, &trees, &graph);
     findings.extend(consts::analyze(sources));
     findings.extend(absint::analyze(sources, &trees));
     findings.sort_by(|a, b| {
@@ -292,7 +287,7 @@ pub fn collect_findings(root: &Path) -> Result<(Vec<Finding>, usize)> {
 /// let report = ff_lint::run(&root, &baseline).unwrap();
 ///
 /// assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
-/// // All eight families ran; nothing beyond the accepted ratchet.
+/// // All three families ran; nothing beyond the accepted ratchet.
 /// assert!(report.delta.new.is_empty(), "{:?}", report.delta.new);
 /// ```
 pub fn run(root: &Path, baseline: &Baseline) -> Result<Report> {

@@ -82,7 +82,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 const USAGE: &str = "\
-ff-lint: static analysis for the FlexFetch workspace
+ff-lint: cross-file static analysis for the FlexFetch workspace
+(panic-reachability, const-provenance, arith-safety; the per-line
+lints are clippy's, run by tests/lint.rs)
 
 USAGE:
     ff-lint [--json] [--github] [--families] [--root PATH] [--baseline PATH]
@@ -104,7 +106,7 @@ OPTIONS:
                         baselined debt as notes)
     --killscore PATH    run the mutation engine instead of a plain scan:
                         apply every probe mutant in memory, re-run all
-                        eight families per mutant, write the per-family
+                        three families per mutant, write the per-family
                         kill matrix to PATH and fail if any family's kill
                         rate is below its recorded floor
     --seed N            occurrence-selection seed for --killscore
@@ -301,7 +303,7 @@ fn to_sarif(report: &Report) -> Value {
         .findings
         .iter()
         .map(|f| {
-            let level = if new.iter().any(|n| *n == f) {
+            let level = if new.contains(&f) {
                 f.rule.severity()
             } else {
                 "note"

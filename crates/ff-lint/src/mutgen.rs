@@ -10,17 +10,17 @@
 //! workspace sources. A fixed probe table ([`probes`]) pins, for each
 //! rule family, a real source location and a semantic mutation:
 //!
-//! - **operator-flip** — a comparison turned into an equality, a
-//!   checked or saturating operation replaced by a raw operator or
-//!   cast, a redundant cast added;
+//! - **operator-flip** — a checked or saturating operation replaced by
+//!   a raw operator or cast;
 //! - **constant-perturbation** — a Table 1/2 registry constant nudged
 //!   off its pinned value;
-//! - **guard-removal** — a determinism or zero-guard discipline broken
-//!   (ordered map → hash map, a wall-clock read introduced).
+//! - **guard-removal** — a guard discipline broken (a debug assertion
+//!   turned into a panic, a slice index in a pub API, a divisor's
+//!   zero floor dropped).
 //!
 //! Each mutant is applied **in memory**: the file's raw text is edited
 //! at a needle occurrence (fixed, or derived from the seed when several
-//! occurrences exist), re-preprocessed, and the full eight-family
+//! occurrences exist), re-preprocessed, and the full three-family
 //! analysis re-runs against the mutated source set. Mutants are never
 //! compiled — the lint is the system under test, not the compiler. A
 //! mutant is *killed* when the families the probe aims at all report
@@ -49,13 +49,8 @@ pub const DEFAULT_SEED: u64 = 0x00F1EE;
 /// Ratcheted minimum kill rate per family. Every family currently
 /// kills all of its probes; lowering a floor requires editing this
 /// table in the same commit that explains why.
-pub const FLOORS: [(Rule, f64); 8] = [
-    (Rule::Determinism, 1.0),
-    (Rule::PanicSafety, 1.0),
+pub const FLOORS: [(Rule, f64); 3] = [
     (Rule::PanicReach, 1.0),
-    (Rule::UnitSafety, 1.0),
-    (Rule::FloatEq, 1.0),
-    (Rule::Hygiene, 1.0),
     (Rule::ConstProvenance, 1.0),
     (Rule::ArithSafety, 1.0),
 ];
@@ -67,7 +62,7 @@ pub enum MutKind {
     OperatorFlip,
     /// A pinned registry constant nudged off its Table 1/2 value.
     ConstPerturb,
-    /// A discipline guard broken (ordered map, wall-clock hygiene,
+    /// A guard discipline broken (debug assertion, slice index,
     /// zero-floor divisor guard).
     GuardRemoval,
 }
@@ -119,32 +114,13 @@ pub struct Probe {
 pub fn probes() -> Vec<Probe> {
     vec![
         Probe {
-            id: "ordered-map-to-hash",
-            kind: MutKind::GuardRemoval,
-            file: "crates/ff-sim/src/record.rs",
-            needle: "BTreeMap",
-            replacement: "HashMap",
-            occurrence: Occurrence::Auto,
-            aimed: &[Rule::Determinism],
-        },
-        Probe {
-            id: "wall-clock-in-report-path",
-            kind: MutKind::GuardRemoval,
-            file: "crates/ff-sim/src/sim.rs",
-            needle: "self.disk.advance_to(final_t);",
-            replacement: "self.disk.advance_to(final_t); \
-                          let _wall = std::time::SystemTime::now();",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::Determinism],
-        },
-        Probe {
             id: "debug-assert-to-panic",
             kind: MutKind::GuardRemoval,
             file: "crates/ff-sim/src/battery.rs",
             needle: "debug_assert!(total > 0.0);",
             replacement: "if total <= 0.0 { panic!(\"zero draw\"); }",
             occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::PanicSafety, Rule::PanicReach],
+            aimed: &[Rule::PanicReach],
         },
         Probe {
             id: "slice-index-in-pub-api",
@@ -154,42 +130,6 @@ pub fn probes() -> Vec<Probe> {
             replacement: "self.capacity_wh[0] * 3600.0",
             occurrence: Occurrence::Fixed(1),
             aimed: &[Rule::PanicReach],
-        },
-        Probe {
-            id: "unwrap-outside-sim-closure",
-            kind: MutKind::GuardRemoval,
-            file: "crates/ff-bench/src/pool.rs",
-            needle: ".unwrap_or(4)",
-            replacement: ".unwrap()",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::PanicSafety],
-        },
-        Probe {
-            id: "raw-f64-cast",
-            kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/battery.rs",
-            needle: ".as_secs_f64();",
-            replacement: ".as_secs_f64() as f64;",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::UnitSafety],
-        },
-        Probe {
-            id: "float-guard-to-equality",
-            kind: MutKind::OperatorFlip,
-            file: "crates/ff-sim/src/battery.rs",
-            needle: "if secs > 0.0 {",
-            replacement: "if secs == 0.0 {",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::FloatEq],
-        },
-        Probe {
-            id: "allow-suppression",
-            kind: MutKind::GuardRemoval,
-            file: "crates/ff-sim/src/battery.rs",
-            needle: "pub struct Battery {",
-            replacement: "#[allow(dead_code)] pub struct Battery {",
-            occurrence: Occurrence::Fixed(1),
-            aimed: &[Rule::Hygiene],
         },
         Probe {
             id: "standby-power-bump",

@@ -5,10 +5,8 @@
 //! character-level state machine that:
 //!
 //! * blanks the contents of string/char literals and comments, so rules
-//!   that search for tokens like `HashMap` or `.unwrap()` never match
-//!   prose or test fixtures embedded in strings,
-//! * collects the comment text per line separately (the hygiene rule
-//!   inventories open-work markers, which live *in* comments),
+//!   that search for tokens like `.unwrap()` or a numeric literal never
+//!   match prose or test fixtures embedded in strings,
 //! * tracks brace depth and `#[cfg(test)]` / `#[test]` attributes so
 //!   rules can skip test-only code inside library files.
 //!
@@ -24,10 +22,10 @@ use std::path::{Path, PathBuf};
 pub enum FileKind {
     /// Library code under `src/` — full rule set.
     Lib,
-    /// Binary code (`src/main.rs`, `src/bin/**`) — panic rules relaxed
-    /// (a CLI reporting to a terminal may abort).
+    /// Binary code (`src/main.rs`, `src/bin/**`) — not part of any
+    /// library API, so no family checks it.
     Bin,
-    /// Tests, benches and examples — only hygiene applies.
+    /// Tests, benches and examples — not checked.
     Test,
 }
 
@@ -36,8 +34,6 @@ pub enum FileKind {
 pub struct Line {
     /// Code with comments and literal contents blanked to spaces.
     pub code: String,
-    /// Comment text that appeared on this line (line or block comments).
-    pub comment: String,
     /// True when the line is inside a `#[cfg(test)]` module or a
     /// `#[test]` function.
     pub in_test: bool,
@@ -181,9 +177,8 @@ enum LexState {
 /// and mark test-scoped lines.
 pub fn preprocess(text: &str) -> Vec<Line> {
     let chars: Vec<char> = text.chars().collect();
-    let mut lines: Vec<(String, String)> = Vec::new();
+    let mut lines: Vec<String> = Vec::new();
     let mut code = String::new();
-    let mut comment = String::new();
     let mut state = LexState::Code;
     let mut i = 0;
 
@@ -193,7 +188,7 @@ pub fn preprocess(text: &str) -> Vec<Line> {
             if let LexState::LineComment = state {
                 state = LexState::Code;
             }
-            lines.push((std::mem::take(&mut code), std::mem::take(&mut comment)));
+            lines.push(std::mem::take(&mut code));
             i += 1;
             continue;
         }
@@ -232,10 +227,7 @@ pub fn preprocess(text: &str) -> Vec<Line> {
                     i += 1;
                 }
             }
-            LexState::LineComment => {
-                comment.push(c);
-                i += 1;
-            }
+            LexState::LineComment => i += 1,
             LexState::BlockComment(depth) => {
                 let next = chars.get(i + 1).copied();
                 if c == '*' && next == Some('/') {
@@ -249,7 +241,6 @@ pub fn preprocess(text: &str) -> Vec<Line> {
                     state = LexState::BlockComment(depth + 1);
                     i += 2;
                 } else {
-                    comment.push(c);
                     i += 1;
                 }
             }
@@ -300,8 +291,8 @@ pub fn preprocess(text: &str) -> Vec<Line> {
             }
         }
     }
-    if !code.is_empty() || !comment.is_empty() {
-        lines.push((code, comment));
+    if !code.is_empty() {
+        lines.push(code);
     }
 
     mark_test_scopes(lines)
@@ -343,12 +334,12 @@ fn count_hashes(chars: &[char], from: usize) -> usize {
 
 /// Second pass: brace-depth tracking to mark `#[cfg(test)]` / `#[test]`
 /// scopes.
-fn mark_test_scopes(lines: Vec<(String, String)>) -> Vec<Line> {
+fn mark_test_scopes(lines: Vec<String>) -> Vec<Line> {
     let mut out = Vec::with_capacity(lines.len());
     let mut depth: i64 = 0;
     let mut scopes: Vec<i64> = Vec::new();
     let mut pending = false;
-    for (code, comment) in lines {
+    for code in lines {
         let had_attr = code.contains("#[cfg(test)]")
             || code.contains("#[test]")
             || code.contains("#[cfg(all(test");
@@ -380,11 +371,7 @@ fn mark_test_scopes(lines: Vec<(String, String)>) -> Vec<Line> {
         if pending && !saw_brace && code.trim_end().ends_with(';') {
             pending = false;
         }
-        out.push(Line {
-            code,
-            comment,
-            in_test,
-        });
+        out.push(Line { code, in_test });
     }
     out
 }
@@ -398,7 +385,6 @@ mod tests {
         let src = "let x = \"HashMap::new()\"; // uses HashMap\nlet y = 1;\n";
         let lines = preprocess(src);
         assert!(!lines[0].code.contains("HashMap"));
-        assert!(lines[0].comment.contains("uses HashMap"));
         assert!(lines[1].code.contains("let y"));
     }
 
@@ -407,7 +393,6 @@ mod tests {
         let src = "a();\n/* unwrap()\n   more */ b();\n";
         let lines = preprocess(src);
         assert!(!lines[1].code.contains("unwrap"));
-        assert!(lines[1].comment.contains("unwrap"));
         assert!(lines[2].code.contains("b()"));
     }
 

@@ -60,24 +60,16 @@ fn json_report_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn families_flag_lists_all_eight_rule_ids() {
+fn families_flag_lists_all_three_rule_ids() {
     let out = ff_lint().arg("--families").output().expect("spawn");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     let families: Vec<&str> = text.lines().collect();
-    assert_eq!(families.len(), 8, "families: {families:?}");
-    for gone in [
-        "unit-flow",
-        "energy-bounds",
-        "timeout-order",
-        "fsm",
-        "trace-conformance",
-    ] {
-        assert!(!families.contains(&gone), "families: {families:?}");
-    }
-    for id in ["const-provenance", "arith-safety"] {
-        assert!(families.contains(&id), "missing {id} in {families:?}");
-    }
+    assert_eq!(
+        families,
+        ["panic-reachability", "const-provenance", "arith-safety"],
+        "families: {families:?}"
+    );
 }
 
 #[test]
@@ -99,7 +91,7 @@ fn violation_without_baseline_exits_one() {
         "violation",
         &[(
             "crates/ff-sim/src/lib.rs",
-            "pub fn t() { let _ = std::time::Instant::now(); }\n",
+            "pub fn t(v: Option<u8>) -> u8 { v.unwrap() }\n",
         )],
     );
     let out = ff_lint()
@@ -113,7 +105,7 @@ fn violation_without_baseline_exits_one() {
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("Instant"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("panic-reachability"));
 }
 
 #[test]

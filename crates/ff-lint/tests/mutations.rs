@@ -6,7 +6,7 @@
 //! changed shape and covered only six families. The engine replaces
 //! them: deterministic, seed-derived mutants (operator flips, constant
 //! perturbations, guard removals) are applied to the
-//! real workspace sources *in memory*, all eight families re-run per
+//! real workspace sources *in memory*, all three families re-run per
 //! mutant, and a mutant counts as killed only when every family it was
 //! aimed at reports a finding beyond the committed baseline.
 //!

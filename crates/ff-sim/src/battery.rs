@@ -32,6 +32,10 @@ impl Battery {
     }
 
     /// Mean I/O power of a finished run.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mean power divides joules by seconds, once per finished run"
+    )]
     pub fn io_power(report: &SimReport) -> Watts {
         let secs = report.exec_time.as_secs_f64();
         if secs > 0.0 {
@@ -68,6 +72,10 @@ impl Battery {
 
     /// Relative lifetime extension of `better` over `worse`, in percent
     /// (zero when the reference lifetime degenerates to zero).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a ratio of two lifetimes is unitless, so seconds cancel"
+    )]
     pub fn extension_pct(&self, better: &SimReport, worse: &SimReport) -> f64 {
         let a = self.lifetime(better).as_secs_f64();
         let b = self.lifetime(worse).as_secs_f64();

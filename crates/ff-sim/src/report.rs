@@ -29,6 +29,10 @@ impl StageSummary {
     }
 
     /// Mean system I/O power over the stage.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "mean power divides joules by seconds, once per stage summary"
+    )]
     pub fn mean_power_w(&self) -> f64 {
         let secs = self.end.saturating_since(self.start).as_secs_f64();
         if secs > 0.0 {
@@ -108,6 +112,10 @@ impl SimReport {
     }
 
     /// Demand-page hit ratio in `[0, 1]` (0 when nothing was read).
+    #[expect(
+        clippy::as_conversions,
+        reason = "a ratio of two page counts, reported as f64"
+    )]
     pub fn hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {

@@ -33,7 +33,7 @@
 
 use crate::model::{FileId, FileMeta, FileSet, IoOp, Trace, TraceRecord};
 use ff_base::{Bytes, Dur, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Import statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -52,12 +52,12 @@ pub struct StraceImporter {
     name: String,
     pgid: u32,
     /// path → inode.
-    inodes: HashMap<String, u64>,
+    inodes: BTreeMap<String, u64>,
     next_inode: u64,
     /// (pid, fd) → (file, offset).
-    fds: HashMap<(u32, i64), (FileId, u64)>,
+    fds: BTreeMap<(u32, i64), (FileId, u64)>,
     /// file → high-water size.
-    sizes: HashMap<FileId, u64>,
+    sizes: BTreeMap<FileId, u64>,
     records: Vec<TraceRecord>,
     /// First timestamp seen (rebased to zero).
     epoch: Option<f64>,
@@ -72,10 +72,10 @@ impl StraceImporter {
         StraceImporter {
             name: name.into(),
             pgid,
-            inodes: HashMap::new(),
+            inodes: BTreeMap::new(),
             next_inode: base_inode,
-            fds: HashMap::new(),
-            sizes: HashMap::new(),
+            fds: BTreeMap::new(),
+            sizes: BTreeMap::new(),
             records: Vec::new(),
             epoch: None,
             stats: ImportStats::default(),

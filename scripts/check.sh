@@ -10,8 +10,13 @@
 # one-shot goal is to see every broken gate, and an `if !`-guarded or
 # trailing-`||` step would silently swallow its status.)
 #
-# The lint step writes its JSON report to results/lint-report.json so CI
-# can upload it as an artifact, and runs with --forbid-stale so a
+# The per-line lints are clippy's: the `cargo test -q` step runs
+# tests/lint.rs, which runs `cargo clippy` over the ff-* crates and the
+# root package with warnings denied (and fails if clippy is missing).
+# The ff-lint step checks the three cross-file families
+# (panic-reachability, const-provenance, arith-safety). It writes its
+# JSON report to results/lint-report.json so CI can upload it as an
+# artifact, and runs with --forbid-stale so a
 # baseline listing already-fixed debt fails the gate instead of rotting.
 # On failure it re-runs in human-readable mode — in GitHub Actions (or
 # with FF_LINT_GITHUB=1) that re-run also emits ::error annotations that
@@ -107,7 +112,7 @@ run_step "ff-lint (ratchet vs crates/ff-lint/baseline.json)" lint_step
 run_step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)" doc_step
 run_step "cargo build --release" cargo build --release
 # The default members' tests (the root package and every crate) include
-# the chaos suite, the device machine walks, the absint soundness properties,
+# the clippy gate (tests/lint.rs), the chaos suite, the device machine walks, the absint soundness properties,
 # the mutation matrix and the doctests; the vendored shims are not
 # default members, so their tests run as a step of their own.
 run_step "cargo test -q" cargo test -q

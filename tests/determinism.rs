@@ -1,10 +1,11 @@
 //! End-to-end determinism: two identical `flexsim` invocations must
 //! produce byte-identical output.
 //!
-//! This is the behavioural counterpart of the ff-lint determinism rule:
-//! the static pass forbids wall-clock time, ambient RNGs and unordered
-//! iteration in the simulation crates; this test observes the payoff at
-//! the process boundary. Any regression — a `HashMap` iteration order
+//! This is the behavioural counterpart of clippy's `disallowed_types`
+//! (`clippy.toml`, enforced by `tests/lint.rs`): the static pass forbids
+//! wall-clock time and hash maps in the workspace's library code, and
+//! the simulation takes its randomness only from seeded RNGs; this test
+//! observes the payoff at the process boundary. Any regression — a `HashMap` iteration order
 //! leaking into a report, an unseeded RNG — shows up as a byte diff.
 
 use std::process::Command;
