@@ -36,7 +36,7 @@ impl Default for CacheConfig {
 }
 
 /// What a read did at the cache level.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadOutcome {
     /// Pages found resident.
     pub hit_pages: u64,
@@ -63,7 +63,7 @@ impl ReadOutcome {
 }
 
 /// What a write did at the cache level.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// Dirty pages evicted to make room — must be written out now.
     pub evicted_dirty: Vec<PageKey>,
@@ -107,6 +107,9 @@ pub struct BufferCache {
     readahead: Readahead,
     writeback: Writeback,
     stats: CacheStats,
+    /// 2Q's victims of the current call, kept across calls so a call
+    /// that evicts allocates nothing once this has grown.
+    victims: Vec<Victim>,
 }
 
 impl BufferCache {
@@ -117,12 +120,14 @@ impl BufferCache {
             readahead: Readahead::new(config.readahead_max_pages),
             writeback: Writeback::new(config.writeback),
             stats: CacheStats::default(),
+            victims: Vec::new(),
         }
     }
 
     /// Application read of `len` bytes at `offset` in `file` (whose total
     /// size is `file_size`). Returns hits, demand-miss runs, and the
-    /// readahead to issue.
+    /// readahead to issue. See [`BufferCache::read_into`], which reuses
+    /// the caller's buffers.
     pub fn read(
         &mut self,
         now: SimTime,
@@ -131,19 +136,38 @@ impl BufferCache {
         len: Bytes,
         file_size: Bytes,
     ) -> ReadOutcome {
-        let _ = now;
         let mut out = ReadOutcome::default();
+        self.read_into(now, file, offset, len, file_size, &mut out);
+        out
+    }
+
+    /// [`BufferCache::read`] into `out`, which is cleared first and
+    /// keeps its capacity from call to call.
+    pub fn read_into(
+        &mut self,
+        now: SimTime,
+        file: FileId,
+        offset: u64,
+        len: Bytes,
+        file_size: Bytes,
+        out: &mut ReadOutcome,
+    ) {
+        let _ = now;
+        out.hit_pages = 0;
+        out.demand.clear();
+        out.prefetch.clear();
+        out.evicted_dirty.clear();
         if len.is_zero() {
-            return out;
+            return;
         }
-        let mut evicted = Vec::new();
+        self.victims.clear();
         let pages = pages_covering(offset, len.get());
         let (first, last) = (*pages.start(), *pages.end());
 
         // Demand pages: classify hits vs misses, merging misses into runs.
         for p in pages {
             let key = PageKey { file, index: p };
-            if self.twoq.touch(key, &mut evicted).is_hit() {
+            if self.twoq.touch(key, &mut self.victims).is_hit() {
                 self.stats.hits += 1;
                 out.hit_pages += 1;
             } else {
@@ -157,17 +181,14 @@ impl BufferCache {
         if let Some((start, n)) = self.readahead.on_access(file, first, last) {
             for p in start..(start + n).min(file_size.pages()) {
                 let key = PageKey { file, index: p };
-                if self.twoq.prefetch(key, &mut evicted) {
+                if self.twoq.prefetch(key, &mut self.victims) {
                     self.stats.readahead_pages += 1;
                     push_run(&mut out.prefetch, p);
                 }
             }
         }
-        out.evicted_dirty = evicted
-            .into_iter()
-            .filter_map(|v| v.dirty.then_some(v.key))
-            .collect();
-        out
+        let dirty = self.victims.iter().filter_map(|v| v.dirty.then_some(v.key));
+        out.evicted_dirty.extend(dirty);
     }
 
     /// Application write (write-allocate, dirty in cache).
@@ -176,20 +197,38 @@ impl BufferCache {
     /// before any of them left: a page of the written range that is
     /// evicted is reported once, at its first eviction, whether or not
     /// it was dirty then, and ends the request clean even when it was
-    /// written again after that eviction.
+    /// written again after that eviction. See
+    /// [`BufferCache::write_into`], which reuses the caller's buffer.
     pub fn write(&mut self, now: SimTime, file: FileId, offset: u64, len: Bytes) -> WriteOutcome {
         let mut out = WriteOutcome::default();
+        self.write_into(now, file, offset, len, &mut out);
+        out
+    }
+
+    /// [`BufferCache::write`] into `out`, which is cleared first and
+    /// keeps its capacity from call to call.
+    pub fn write_into(
+        &mut self,
+        now: SimTime,
+        file: FileId,
+        offset: u64,
+        len: Bytes,
+        out: &mut WriteOutcome,
+    ) {
+        out.evicted_dirty.clear();
         if len.is_zero() {
-            return out;
+            return;
         }
-        let mut evicted = Vec::new();
+        self.victims.clear();
         let pages = pages_covering(offset, len.get());
         for p in pages.clone() {
             self.twoq
-                .write(PageKey { file, index: p }, now, &mut evicted);
+                .write(PageKey { file, index: p }, now, &mut self.victims);
         }
+        // Only a write longer than the cache evicts its own pages, so
+        // this set stays empty, and unallocated, on the common path.
         let mut reported = BTreeSet::new();
-        for Victim { key, dirty } in evicted {
+        for &Victim { key, dirty } in &self.victims {
             if key.file == file && pages.contains(&key.index) {
                 if reported.insert(key.index) {
                     self.twoq.clean(key);
@@ -199,7 +238,6 @@ impl BufferCache {
                 out.evicted_dirty.push(key);
             }
         }
-        out
     }
 
     /// Run the flusher: dirty pages due for write-back at `now`, given
@@ -524,5 +562,49 @@ mod tests {
         assert_eq!(r.fetch_pages(), 0);
         let w = c.write(SimTime::ZERO, F, 0, Bytes::ZERO);
         assert!(w.evicted_dirty.is_empty());
+    }
+
+    #[test]
+    fn reused_outcomes_are_cleared_before_they_are_filled() {
+        // Two identical caches, small enough that reads push written
+        // pages out: one fills outcomes left over from other calls, the
+        // other returns fresh ones.
+        let mut reused = cache(4);
+        let mut fresh = cache(4);
+        let key = |index| PageKey { file: F, index };
+        let mut r = ReadOutcome {
+            hit_pages: 9,
+            demand: vec![(1, 2)],
+            prefetch: vec![(3, 4)],
+            evicted_dirty: vec![key(5)],
+        };
+        let mut w = WriteOutcome {
+            evicted_dirty: vec![key(6)],
+        };
+        let t = SimTime::ZERO;
+        let mut dirty_evictions = 0;
+        for (page, pages, write) in [
+            (0, 2, true),
+            (0, 1, false),
+            (20, 3, false),
+            (40, 1, true),
+            (60, 4, false),
+            (60, 0, false),
+            (61, 6, true),
+            (80, 0, true),
+        ] {
+            let (offset, len) = (page * 4096, Bytes(pages * 4096));
+            if write {
+                reused.write_into(t, F, offset, len, &mut w);
+                assert_eq!(w, fresh.write(t, F, offset, len), "write at {page}");
+                dirty_evictions += w.evicted_dirty.len();
+            } else {
+                reused.read_into(t, F, offset, len, SZ, &mut r);
+                assert_eq!(r, fresh.read(t, F, offset, len, SZ), "read at {page}");
+                dirty_evictions += r.evicted_dirty.len();
+            }
+        }
+        assert!(dirty_evictions > 0, "no call evicted a dirty page");
+        assert_eq!(reused.stats(), fresh.stats());
     }
 }

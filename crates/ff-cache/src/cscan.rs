@@ -8,8 +8,6 @@
 //! sweep passes the highest request it jumps back to the lowest pending
 //! address (the "circular" in C-SCAN).
 
-use std::collections::BTreeMap;
-
 /// One pending disk request in block units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockRequest {
@@ -31,9 +29,11 @@ impl BlockRequest {
 /// A C-SCAN elevator queue over block addresses.
 #[derive(Debug, Clone, Default)]
 pub struct CScanQueue {
-    /// Pending requests keyed by start block (one per start; merges fold
-    /// contiguous neighbours together).
-    pending: BTreeMap<u64, BlockRequest>,
+    /// Pending requests sorted by start block (one per start; merges
+    /// fold contiguous neighbours together). A batch holds a handful of
+    /// runs, so a sorted array beats a tree, and `clear` keeps its
+    /// capacity for the next batch.
+    pending: Vec<BlockRequest>,
     /// Current head position (block address of the last dispatch end).
     head: u64,
 }
@@ -59,69 +59,69 @@ impl CScanQueue {
         self.head
     }
 
+    /// Drop every pending request and park the head at block 0, as
+    /// [`CScanQueue::new`] does, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.pending.clear();
+        self.head = 0;
+    }
+
     /// Enqueue a request, merging with block-contiguous neighbours
     /// (front and back). Overlapping requests are merged conservatively
-    /// into their union.
+    /// into their union, which takes the tag of `req`.
     pub fn push(&mut self, req: BlockRequest) {
         let mut start = req.start;
         let mut end = req.end();
-        let tag = req.tag;
-
+        // Everything from `after` on starts past `req.start`.
+        let after = self.pending.partition_point(|r| r.start <= start);
+        let mut lo = after;
         // Merge with a predecessor that touches or overlaps us.
-        if let Some((&pstart, prev)) = self.pending.range(..=start).next_back() {
-            if prev.end() >= start {
-                start = pstart;
-                end = end.max(prev.end());
-                self.pending.remove(&pstart);
-            }
+        let prev = after.checked_sub(1).and_then(|i| self.pending.get(i));
+        if let Some(prev) = prev.filter(|p| p.end() >= start) {
+            start = prev.start;
+            end = end.max(prev.end());
+            lo -= 1;
         }
         // Merge with successors we touch or overlap.
-        while let Some((&nstart, next)) = self.pending.range(start..).next() {
-            if nstart <= end {
-                end = end.max(next.end());
-                self.pending.remove(&nstart);
-            } else {
-                break;
-            }
+        let mut hi = after;
+        while let Some(next) = self.pending.get(hi).filter(|n| n.start <= end) {
+            end = end.max(next.end());
+            hi += 1;
         }
-        self.pending.insert(
+        let merged = BlockRequest {
             start,
-            BlockRequest {
-                start,
-                blocks: end - start,
-                tag,
-            },
-        );
+            blocks: end - start,
+            tag: req.tag,
+        };
+        self.pending.splice(lo..hi, [merged]);
     }
 
     /// Dispatch the next request per C-SCAN order: the lowest start at or
     /// above the head, wrapping to the lowest overall when the sweep is
     /// exhausted. Advances the head past the dispatched request.
     pub fn pop(&mut self) -> Option<BlockRequest> {
-        let key = self
+        if self.pending.is_empty() {
+            return None;
+        }
+        let next = self.pending.partition_point(|r| r.start < self.head);
+        let req = self
             .pending
-            .range(self.head..)
-            .next()
-            .or_else(|| self.pending.iter().next())
-            .map(|(&k, _)| k)?;
-        let req = self.pending.remove(&key)?;
+            .remove(if next == self.pending.len() { 0 } else { next });
         self.head = req.end();
         Some(req)
-    }
-
-    /// Drain everything in dispatch order.
-    pub fn drain_sweep(&mut self) -> Vec<BlockRequest> {
-        let mut out = Vec::with_capacity(self.pending.len());
-        while let Some(r) = self.pop() {
-            out.push(r);
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Dispatch order of everything pending.
+    fn drain(q: &mut CScanQueue) -> Vec<BlockRequest> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
 
     fn req(start: u64, blocks: u64) -> BlockRequest {
         BlockRequest {
@@ -137,7 +137,7 @@ mod tests {
         q.push(req(50, 1));
         q.push(req(10, 1));
         q.push(req(90, 1));
-        let order: Vec<u64> = q.drain_sweep().iter().map(|r| r.start).collect();
+        let order: Vec<u64> = drain(&mut q).iter().map(|r| r.start).collect();
         assert_eq!(order, vec![10, 50, 90]);
     }
 
@@ -151,7 +151,7 @@ mod tests {
         // still served (ascending from the bottom, not reversing).
         q.push(req(10, 1));
         q.push(req(60, 1));
-        let order: Vec<u64> = q.drain_sweep().iter().map(|r| r.start).collect();
+        let order: Vec<u64> = drain(&mut q).iter().map(|r| r.start).collect();
         assert_eq!(
             order,
             vec![60, 10],
@@ -215,5 +215,97 @@ mod tests {
         let mut q = CScanQueue::new();
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn clear_keeps_nothing_and_parks_the_head() {
+        let mut q = CScanQueue::new();
+        q.push(req(50, 2));
+        q.push(req(10, 1));
+        assert_eq!(q.pop().unwrap().start, 10);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.head(), 0);
+        q.push(req(5, 1));
+        assert_eq!(q.pop().unwrap().start, 5);
+    }
+
+    /// The tree-backed queue this one replaced: the reference for merge
+    /// order, tags and dispatch order.
+    #[derive(Default)]
+    struct Reference {
+        pending: BTreeMap<u64, BlockRequest>,
+        head: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, req: BlockRequest) {
+            let mut start = req.start;
+            let mut end = req.end();
+            if let Some((&pstart, prev)) = self.pending.range(..=start).next_back() {
+                if prev.end() >= start {
+                    start = pstart;
+                    end = end.max(prev.end());
+                    self.pending.remove(&pstart);
+                }
+            }
+            while let Some((&nstart, next)) = self.pending.range(start..).next() {
+                if nstart > end {
+                    break;
+                }
+                end = end.max(next.end());
+                self.pending.remove(&nstart);
+            }
+            let blocks = end - start;
+            self.pending.insert(
+                start,
+                BlockRequest {
+                    start,
+                    blocks,
+                    tag: req.tag,
+                },
+            );
+        }
+
+        fn pop(&mut self) -> Option<BlockRequest> {
+            let key = self
+                .pending
+                .range(self.head..)
+                .next()
+                .or_else(|| self.pending.iter().next())
+                .map(|(&k, _)| k)?;
+            let req = self.pending.remove(&key)?;
+            self.head = req.end();
+            Some(req)
+        }
+    }
+
+    proptest! {
+        /// Random pushes over a narrow span (so they overlap, touch,
+        /// share starts and leave zero gaps), some of zero length,
+        /// interleaved with pops that move the head and wrap it: every
+        /// pop and every length agrees with the tree-backed reference.
+        #[test]
+        fn matches_the_tree_backed_reference(
+            ops in proptest::collection::vec((0u8..4, 0u64..120, 0u64..10), 1..200),
+        ) {
+            let mut q = CScanQueue::new();
+            let mut r = Reference::default();
+            for (i, &(op, start, blocks)) in ops.iter().enumerate() {
+                if op == 0 {
+                    prop_assert_eq!(q.pop(), r.pop(), "pop {}", i);
+                    prop_assert_eq!(q.head(), r.head, "head after pop {}", i);
+                } else {
+                    let tag = i as u64;
+                    q.push(BlockRequest { start, blocks, tag });
+                    r.push(BlockRequest { start, blocks, tag });
+                }
+                prop_assert_eq!(q.len(), r.pending.len(), "len after op {}", i);
+            }
+            while let Some(want) = r.pop() {
+                prop_assert_eq!(q.pop(), Some(want));
+            }
+            prop_assert!(q.is_empty());
+        }
     }
 }

@@ -26,6 +26,11 @@ fn random_requests(seed: u64, n: usize, span: u64) -> Vec<BlockRequest> {
         .collect()
 }
 
+/// Pop everything pending, in dispatch order.
+fn drain(q: &mut CScanQueue) -> Vec<BlockRequest> {
+    std::iter::from_fn(|| q.pop()).collect()
+}
+
 /// Split a dispatch order into ascending runs by start address.
 fn ascending_runs(order: &[BlockRequest]) -> usize {
     if order.is_empty() {
@@ -48,7 +53,7 @@ fn drain_is_at_most_two_ascending_runs() {
         for r in random_requests(seed, 50, 10_000) {
             q.push(r);
         }
-        let order = q.drain_sweep();
+        let order = drain(&mut q);
         let runs = ascending_runs(&order);
         assert!(
             runs <= 2,
@@ -74,7 +79,7 @@ fn pending_requests_stay_disjoint_after_merging() {
             q.push(r);
         }
         let mut segments: Vec<(u64, u64)> =
-            q.drain_sweep().iter().map(|r| (r.start, r.end())).collect();
+            drain(&mut q).iter().map(|r| (r.start, r.end())).collect();
         segments.sort_unstable();
         for w in segments.windows(2) {
             assert!(
@@ -96,7 +101,7 @@ fn dispatch_covers_exactly_the_pushed_blocks() {
             expected.extend(r.start..r.end());
         }
         let mut served = BTreeSet::new();
-        for r in q.drain_sweep() {
+        for r in drain(&mut q) {
             for b in r.start..r.end() {
                 assert!(served.insert(b), "seed {seed}: block {b} dispatched twice");
             }
@@ -128,7 +133,7 @@ fn two_identical_workloads_drain_identically() {
         for r in random_requests(7, 100, 5_000) {
             q.push(r);
         }
-        q.drain_sweep()
+        drain(&mut q)
     };
     assert_eq!(build(), build(), "elevator order must be deterministic");
 }

@@ -60,7 +60,7 @@ proptest! {
             q.push(BlockRequest { start, blocks, tag: i as u64 });
             expect.extend(start..start + blocks);
         }
-        let drained = q.drain_sweep();
+        let drained: Vec<BlockRequest> = std::iter::from_fn(|| q.pop()).collect();
         let mut got = std::collections::BTreeSet::new();
         for r in &drained {
             for b in r.start..r.end() {

@@ -45,7 +45,7 @@ use crate::consts;
 use crate::interval::{Interval, Sign};
 use crate::items::{self, Item, ItemTree};
 use crate::rules::{parse_num, Finding, Rule};
-use crate::scan::{FileKind, SourceFile};
+use crate::scan::SourceFile;
 use std::collections::BTreeMap;
 
 /// Counter suffixes: byte counts and integer time at a fixed scale.
@@ -1111,9 +1111,6 @@ fn summary_round(
 ) -> Sums {
     let mut next = Sums::default();
     for (file, tree) in sources.iter().zip(trees) {
-        if file.kind != FileKind::Lib {
-            continue;
-        }
         for (_, item) in tree.fns() {
             if item.in_test {
                 continue;
@@ -1156,9 +1153,6 @@ pub fn fn_summaries(sources: &[SourceFile]) -> BTreeMap<String, Interval> {
     let bare = build_summaries(sources, &trees, &ctab);
     let mut out = BTreeMap::new();
     for (file, tree) in sources.iter().zip(&trees) {
-        if file.kind != FileKind::Lib {
-            continue;
-        }
         for (_, item) in tree.fns() {
             if let Some(iv) = bare.get(&item.name) {
                 out.insert(format!("{}::{}", file.crate_name, item.name), *iv);
@@ -1178,7 +1172,7 @@ pub(crate) fn analyze(sources: &[SourceFile], trees: &[ItemTree]) -> Vec<Finding
     let sums = build_summaries(sources, trees, &ctab);
     let mut out = Vec::new();
     for (file, tree) in sources.iter().zip(trees) {
-        if file.kind != FileKind::Lib || !ARITH_CRATES.contains(&file.crate_name.as_str()) {
+        if !ARITH_CRATES.contains(&file.crate_name.as_str()) {
             continue;
         }
         for (_, item) in tree.fns() {
@@ -1480,7 +1474,6 @@ mod tests {
         SourceFile {
             rel_path: "crates/ff-sim/src/x.rs".to_owned(),
             crate_name: "ff-sim".to_owned(),
-            kind: FileKind::Lib,
             lines: preprocess(src),
         }
     }

@@ -30,7 +30,7 @@
 
 use crate::items::{Item, ItemTree};
 use crate::rules::{Finding, Rule};
-use crate::scan::{FileKind, SourceFile};
+use crate::scan::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A node: (file index, arena index) of a fn item.
@@ -142,9 +142,7 @@ impl Graph {
         let mut g = Graph::default();
         // Pass 1: register all fn nodes by simple name.
         for (fi, tree) in trees.iter().enumerate() {
-            if sources[fi].kind != FileKind::Lib
-                || !GRAPH_CRATES.contains(&sources[fi].crate_name.as_str())
-            {
+            if !GRAPH_CRATES.contains(&sources[fi].crate_name.as_str()) {
                 continue;
             }
             for (ii, item) in tree.fns() {
@@ -169,9 +167,7 @@ impl Graph {
         };
         // Pass 2: scan bodies for calls and panic sites.
         for (fi, tree) in trees.iter().enumerate() {
-            if sources[fi].kind != FileKind::Lib
-                || !GRAPH_CRATES.contains(&sources[fi].crate_name.as_str())
-            {
+            if !GRAPH_CRATES.contains(&sources[fi].crate_name.as_str()) {
                 continue;
             }
             let file = &sources[fi];
@@ -304,7 +300,7 @@ pub fn panic_reachability(
     let mut out = Vec::new();
     for (fi, tree) in trees.iter().enumerate() {
         let file = &sources[fi];
-        if file.kind != FileKind::Lib || !API_CRATES.contains(&file.crate_name.as_str()) {
+        if !API_CRATES.contains(&file.crate_name.as_str()) {
             continue;
         }
         for (ii, item) in tree.fns() {
@@ -472,7 +468,6 @@ mod tests {
             .map(|(path, krate, src)| SourceFile {
                 rel_path: (*path).to_owned(),
                 crate_name: (*krate).to_owned(),
-                kind: FileKind::Lib,
                 lines: preprocess(src),
             })
             .collect()

@@ -20,7 +20,7 @@
 //! the registry module itself are exempt.
 
 use crate::rules::{call_args, parse_num, Finding, Rule};
-use crate::scan::{FileKind, SourceFile};
+use crate::scan::SourceFile;
 use std::collections::BTreeMap;
 
 /// Path of the single-source-of-truth module, workspace-relative.
@@ -169,10 +169,7 @@ pub fn analyze(sources: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
 
     for file in sources {
-        if file.kind != FileKind::Lib
-            || !AUDITED_CRATES.contains(&file.crate_name.as_str())
-            || file.rel_path == REGISTRY_PATH
-        {
+        if !AUDITED_CRATES.contains(&file.crate_name.as_str()) || file.rel_path == REGISTRY_PATH {
             continue;
         }
         for (idx, line) in file.lines.iter().enumerate() {
@@ -260,7 +257,6 @@ mod tests {
         SourceFile {
             rel_path: rel_path.to_owned(),
             crate_name: crate_name.to_owned(),
-            kind: FileKind::Lib,
             lines: preprocess(src),
         }
     }

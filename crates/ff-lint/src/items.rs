@@ -481,13 +481,12 @@ fn split_args(s: &str) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{preprocess, FileKind};
+    use crate::scan::preprocess;
 
     fn tree(src: &str) -> ItemTree {
         let file = SourceFile {
             rel_path: "crates/x/src/lib.rs".into(),
             crate_name: "x".into(),
-            kind: FileKind::Lib,
             lines: preprocess(src),
         };
         parse_file(&file)

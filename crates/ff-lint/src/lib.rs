@@ -74,7 +74,7 @@ pub mod scan;
 
 pub use baseline::{Baseline, Delta};
 pub use rules::{Finding, Rule};
-pub use scan::{FileKind, SourceFile};
+pub use scan::SourceFile;
 
 use ff_base::json::Value;
 use ff_base::{Error, Result};

@@ -17,18 +17,6 @@
 
 use std::path::{Path, PathBuf};
 
-/// Where a file sits in its crate, which decides which rules apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Library code under `src/` — full rule set.
-    Lib,
-    /// Binary code (`src/main.rs`, `src/bin/**`) — not part of any
-    /// library API, so no family checks it.
-    Bin,
-    /// Tests, benches and examples — not checked.
-    Test,
-}
-
 /// One preprocessed source line.
 #[derive(Debug, Clone)]
 pub struct Line {
@@ -39,7 +27,8 @@ pub struct Line {
     pub in_test: bool,
 }
 
-/// A scanned file: workspace-relative path, role and preprocessed lines.
+/// A scanned library file: workspace-relative path, crate and
+/// preprocessed lines.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Path relative to the workspace root, with `/` separators.
@@ -47,18 +36,19 @@ pub struct SourceFile {
     /// Name of the crate the file belongs to (`ff-sim`, `flexfetch-repro`
     /// for the root package).
     pub crate_name: String,
-    /// Which rule scope the file falls into.
-    pub kind: FileKind,
     /// Preprocessed lines, index 0 = line 1.
     pub lines: Vec<Line>,
 }
 
-/// Collect and preprocess every first-party `.rs` file under `root`.
+/// Collect and preprocess every first-party library `.rs` file under
+/// `root`: the files the families check.
 ///
-/// Scope: the root package (`src/`, `tests/`, `benches/`, `examples/`)
-/// and every crate under `crates/`. `vendor/` is excluded on purpose —
-/// those shims stand in for crates.io dependencies and e.g.
-/// `crossbeam` legitimately spawns threads.
+/// Scope: `src/` of the root package and of every crate under
+/// `crates/`, without binaries (`main.rs`, `src/bin/**`): those are no
+/// part of any library API. Tests, benches and examples are not read.
+/// `vendor/` is excluded on purpose — those shims stand in for
+/// crates.io dependencies and e.g. `crossbeam` legitimately spawns
+/// threads.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     scan_package(root, "flexfetch-repro", &mut files)?;
@@ -84,24 +74,15 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
 
 /// Scan one package directory (the workspace root or a `crates/*` dir).
 fn scan_package(pkg: &Path, crate_name: &str, out: &mut Vec<SourceFile>) -> std::io::Result<()> {
-    let root = pkg;
-    for (sub, kind) in [
-        ("src", FileKind::Lib),
-        ("tests", FileKind::Test),
-        ("benches", FileKind::Test),
-        ("examples", FileKind::Test),
-    ] {
-        let dir = root.join(sub);
-        if dir.is_dir() {
-            walk_rs(&dir, kind, crate_name, root, out)?;
-        }
+    let src = pkg.join("src");
+    if src.is_dir() {
+        walk_rs(&src, crate_name, pkg, out)?;
     }
     Ok(())
 }
 
 fn walk_rs(
     dir: &Path,
-    kind: FileKind,
     crate_name: &str,
     pkg_root: &Path,
     out: &mut Vec<SourceFile>,
@@ -111,24 +92,13 @@ fn walk_rs(
         .collect();
     entries.sort();
     for path in entries {
+        let name = path.file_name().unwrap_or_default();
         if path.is_dir() {
-            // The root package's src/ contains crates/ and vendor/ only
-            // via the workspace root — but scan_package passes pkg_root
-            // joined with src, so nested dirs here are modules or bin/.
-            let nested_kind = if path.file_name().map(|n| n == "bin").unwrap_or(false) {
-                FileKind::Bin
-            } else {
-                kind
-            };
-            walk_rs(&path, nested_kind, crate_name, pkg_root, out)?;
-        } else if path.extension().map(|e| e == "rs").unwrap_or(false) {
-            let file_kind = if kind == FileKind::Lib
-                && path.file_name().map(|n| n == "main.rs").unwrap_or(false)
-            {
-                FileKind::Bin
-            } else {
-                kind
-            };
+            // Nested dirs under src/ are modules, or bin/.
+            if name != "bin" {
+                walk_rs(&path, crate_name, pkg_root, out)?;
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") && name != "main.rs" {
             let text = std::fs::read_to_string(&path)?;
             let rel = path
                 .strip_prefix(pkg_root.parent().unwrap_or(pkg_root))
@@ -141,7 +111,6 @@ fn walk_rs(
             out.push(SourceFile {
                 rel_path,
                 crate_name: crate_name.to_owned(),
-                kind: file_kind,
                 lines: preprocess(&text),
             });
         }

@@ -10,13 +10,13 @@ use crate::faults::{injected_profile, Effect, FaultTimeline};
 use crate::record::{emit, Device, Event as ObsEvent, NullRecorder, Recorder, Tracer};
 use crate::report::SimReport;
 use ff_base::{size::PAGE_SIZE, Bytes, Dur, Error, Joules, Result, SimTime};
-use ff_cache::{BufferCache, FlashCache};
+use ff_cache::{BufferCache, FlashCache, ReadOutcome, WriteOutcome};
 use ff_device::{
     DeviceRequest, DiskModel, FlashModel, Live, PowerModel, ServiceOutcome, WnicModel,
 };
 use ff_policy::{AppRequest, Policy, PolicyCtx, PolicyKind, Source};
-use ff_trace::{DiskLayout, FileId, IoOp, Trace, TraceRecord};
-use io::FlashTier;
+use ff_trace::{DiskLayout, FileId, IoOp, Trace};
+use io::{FlashTier, IoBuffers};
 use stage::Stages;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -83,12 +83,12 @@ impl<'t> Simulation<'t> {
     /// assert!(log.count("decision") > 0);
     /// ```
     pub fn run_recorded(self, recorder: &mut dyn Recorder) -> Result<SimReport> {
-        self.trace.validate()?;
+        let file_sizes = self.trace.file_sizes()?;
         self.config.validate()?;
         if self.trace.is_empty() {
             return Err(Error::Config("cannot simulate an empty trace".into()));
         }
-        Runner::new(self.config, self.trace, self.policy, recorder).run()
+        Ok(Runner::new(self.config, self.trace, file_sizes, self.policy, recorder).run())
     }
 }
 
@@ -111,6 +111,8 @@ type QueuedEvent = (SimTime, u64, EventKind);
 struct Runner<'t, 'r> {
     cfg: SimConfig,
     trace: &'t Trace,
+    /// Each record's file size, by record index, from validation.
+    file_sizes: Vec<Bytes>,
     policy: Box<dyn Policy>,
     /// Observability sink, `None` for a disabled recorder so untraced
     /// runs never construct events.
@@ -119,6 +121,11 @@ struct Runner<'t, 'r> {
     wnic: Live<WnicModel>,
     flash: Option<FlashTier>,
     cache: BufferCache,
+    /// The cache's outcome for the current call, reused across calls.
+    read_out: ReadOutcome,
+    write_out: WriteOutcome,
+    /// The I/O path's reused buffers.
+    io: IoBuffers,
     layout: DiskLayout,
     /// Per-process-group `(record index, think time after)` queues,
     /// consumed front to back.
@@ -139,6 +146,7 @@ impl<'t, 'r> Runner<'t, 'r> {
     fn new(
         cfg: SimConfig,
         trace: &'t Trace,
+        file_sizes: Vec<Bytes>,
         policy: Box<dyn Policy>,
         recorder: &'r mut dyn Recorder,
     ) -> Self {
@@ -203,12 +211,16 @@ impl<'t, 'r> Runner<'t, 'r> {
         let mut runner = Runner {
             cfg,
             trace,
+            file_sizes,
             policy,
             recorder,
             disk,
             wnic,
             flash,
             cache,
+            read_out: ReadOutcome::default(),
+            write_out: WriteOutcome::default(),
+            io: IoBuffers::default(),
             layout,
             queues,
             events: BinaryHeap::new(),
@@ -401,13 +413,12 @@ impl<'t, 'r> Runner<'t, 'r> {
         routed
     }
 
-    /// Process one application system call; returns its completion time.
-    /// Fails on a record naming a file absent from the trace's file
-    /// table (a malformed trace).
-    fn process_call(&mut self, t: SimTime, rec: &TraceRecord) -> Result<SimTime> {
+    /// Process record `idx`, one application system call; returns its
+    /// completion time.
+    fn process_call(&mut self, t: SimTime, idx: usize) -> SimTime {
         self.app_requests += 1;
-        let meta = self.trace.files.get(rec.file);
-        let meta_size = meta.ok_or(Error::UnknownFile(rec.file.0))?.size;
+        let rec = self.trace.records[idx];
+        let file_size = self.file_sizes[idx];
         let app_req = AppRequest {
             file: rec.file,
             op: rec.op,
@@ -431,7 +442,9 @@ impl<'t, 'r> Runner<'t, 'r> {
 
         match rec.op {
             IoOp::Read => {
-                let out = self.cache.read(t, rec.file, rec.offset, rec.len, meta_size);
+                let mut out = std::mem::take(&mut self.read_out);
+                self.cache
+                    .read_into(t, rec.file, rec.offset, rec.len, file_size, &mut out);
                 emit(&mut self.recorder, || ObsEvent::CacheRead {
                     at: t,
                     file: rec.file.0,
@@ -457,10 +470,13 @@ impl<'t, 'r> Runner<'t, 'r> {
                         observed.observe(t, done, rec.file, IoOp::Read, rec.offset, Bytes(fetched));
                     }
                 }
+                self.read_out = out;
             }
             IoOp::Write => {
                 // Into the page cache; the flusher pays the device cost.
-                let wout = self.cache.write(t, rec.file, rec.offset, rec.len);
+                let mut wout = std::mem::take(&mut self.write_out);
+                self.cache
+                    .write_into(t, rec.file, rec.offset, rec.len, &mut wout);
                 if !wout.evicted_dirty.is_empty() {
                     let (source, external, _) = self.route(t, &app_req);
                     routed = Some((source, external));
@@ -468,6 +484,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                     energy += e;
                     done = d;
                 }
+                self.write_out = wout;
             }
         }
 
@@ -486,7 +503,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             };
             self.with_policy(done, |p, ctx| p.observe(ctx, &app_req, source, &outcome));
         }
-        Ok(done)
+        done
     }
 
     /// Flusher wake-up: write back due dirty pages asynchronously, and
@@ -501,7 +518,7 @@ impl<'t, 'r> Runner<'t, 'r> {
         self.write_back(now, &pages);
     }
 
-    fn run(mut self) -> Result<SimReport> {
+    fn run(mut self) -> SimReport {
         while let Some(Reverse((t, _, kind))) = self.events.pop() {
             match kind {
                 EventKind::Issue(pid) => {
@@ -510,8 +527,7 @@ impl<'t, 'r> Runner<'t, 'r> {
                         debug_assert!(false, "issue event without queued record");
                         continue;
                     };
-                    let rec = self.trace.records[idx];
-                    let done = self.process_call(t, &rec)?;
+                    let done = self.process_call(t, idx);
                     self.last_completion = self.last_completion.max(done);
                     self.remaining_calls -= 1;
                     if self.queues.get(&pid).is_some_and(|q| !q.is_empty()) {
@@ -571,7 +587,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             None => (None, 0, Bytes::ZERO),
         };
         let (disk, wnic) = (self.disk, self.wnic);
-        Ok(SimReport {
+        SimReport {
             policy: self.policy.name().to_string(),
             workload: self.trace.name.clone(),
             exec_time: self.last_completion.saturating_since(SimTime::ZERO),
@@ -598,7 +614,7 @@ impl<'t, 'r> Runner<'t, 'r> {
             recorded_profile: self.policy.recorded_profile(),
             decisions: self.decisions,
             stage_summaries,
-        })
+        }
     }
 }
 
@@ -607,7 +623,7 @@ mod tests {
     use super::*;
     use crate::faults::{FaultPlan, RetryPolicy};
     use crate::record::EventLog;
-    use ff_trace::{Grep, Workload};
+    use ff_trace::{Grep, TraceRecord, Workload};
 
     /// A config whose plan holds one silent outage over `start..end`.
     fn silent_outage(start: Dur, end: Dur) -> SimConfig {
@@ -982,6 +998,36 @@ mod tests {
             dur: Dur::from_millis(1),
         });
         trace
+    }
+
+    #[test]
+    fn file_table_errors_surface_from_the_validation_pass() {
+        let mut absent = lone_write();
+        absent.records[0].file = FileId(9);
+        let run = |trace: &Trace| Simulation::new(SimConfig::default(), trace).run();
+        assert!(matches!(run(&absent), Err(Error::UnknownFile(9))));
+        let mut past_end = lone_write();
+        past_end.records[0].offset = 4_096;
+        assert!(matches!(
+            run(&past_end),
+            Err(Error::OutOfBounds {
+                inode: 1,
+                end: 69_632,
+                size: 65_536
+            })
+        ));
+        // The per-record sizes are the files' sizes, in record order.
+        let mut two = lone_write();
+        two.files.insert(ff_trace::FileMeta {
+            id: FileId(2),
+            name: "in".into(),
+            size: Bytes(8_192),
+        });
+        let mut read = two.records[0];
+        (read.file, read.op, read.len) = (FileId(2), IoOp::Read, Bytes(4_096));
+        two.records.push(read);
+        assert_eq!(two.file_sizes().unwrap(), [Bytes(65_536), Bytes(8_192)]);
+        assert!(run(&two).is_ok());
     }
 
     #[test]

@@ -14,6 +14,33 @@ use ff_trace::{FileId, IoOp};
 /// A list of contiguous page runs `(first_page, n_pages)`.
 type PageRuns = Vec<(u64, u64)>;
 
+/// A list of per-file page runs `(file, (first_page, n_pages))`.
+type FileRuns = Vec<(FileId, (u64, u64))>;
+
+/// The buffers the I/O path reuses from call to call, so that a fetch
+/// or a write-back allocates nothing once they have grown. Each one is
+/// taken out for the span of a call and put back after it.
+#[derive(Default)]
+pub(super) struct IoBuffers {
+    /// Demand runs resident in flash, then (discarded) readahead ones.
+    flash_hits: PageRuns,
+    /// Demand runs the flash tier leaves to the routed device.
+    demand: PageRuns,
+    /// Readahead runs the flash tier leaves to the routed device.
+    prefetch: PageRuns,
+    /// Dirty pages squeezed out of flash, bound for the disk.
+    spilled: Vec<PageKey>,
+    /// The sort buffer of [`file_runs`].
+    sorted: Vec<PageKey>,
+    /// [`Runner::write_dirty`]'s runs, held while each is written.
+    dirty_runs: FileRuns,
+    /// [`Runner::write_pages_to_disk`]'s runs; it runs while
+    /// `dirty_runs` is held.
+    disk_runs: FileRuns,
+    /// The C-SCAN queue of a disk fetch.
+    queue: CScanQueue,
+}
+
 /// The flash tier (DESIGN §7): its live device and its page membership.
 pub(super) struct FlashTier {
     pub(super) model: Live<FlashModel>,
@@ -21,25 +48,30 @@ pub(super) struct FlashTier {
 }
 
 impl FlashTier {
-    /// Split page runs of `file` by flash residency (runs stay
-    /// contiguous). Flash LRU positions refresh on lookups.
-    fn partition(&mut self, file: FileId, runs: &[(u64, u64)]) -> (PageRuns, PageRuns) {
-        let mut hits: PageRuns = Vec::new();
-        let mut misses: PageRuns = Vec::new();
+    /// Split page runs of `file` by flash residency into `hits` and
+    /// `misses`, cleared first (runs stay contiguous). Flash LRU
+    /// positions refresh on lookups.
+    fn partition(
+        &mut self,
+        file: FileId,
+        runs: &[(u64, u64)],
+        hits: &mut PageRuns,
+        misses: &mut PageRuns,
+    ) {
+        hits.clear();
+        misses.clear();
         for &(page, n) in runs {
             for pg in page..page + n {
                 let hit = self.pages.lookup(PageKey { file, index: pg });
-                push_run(if hit { &mut hits } else { &mut misses }, pg);
+                push_run(if hit { &mut *hits } else { &mut *misses }, pg);
             }
         }
-        (hits, misses)
     }
 
     /// Copy page runs of `file` into flash — clean copies of fetched
-    /// pages, or parked writes when `dirty`. Returns the dirty pages
-    /// squeezed out, which must reach the disk now.
-    fn fill(&mut self, file: FileId, runs: &[(u64, u64)], dirty: bool) -> Vec<PageKey> {
-        let mut spilled = Vec::new();
+    /// pages, or parked writes when `dirty`. Appends the dirty pages
+    /// squeezed out, which must reach the disk now, to `spilled`.
+    fn fill(&mut self, file: FileId, runs: &[(u64, u64)], dirty: bool, spilled: &mut Vec<PageKey>) {
         for &(page, n) in runs {
             for index in page..page + n {
                 let key = PageKey { file, index };
@@ -50,7 +82,6 @@ impl FlashTier {
                 });
             }
         }
-        spilled
     }
 }
 
@@ -97,32 +128,38 @@ impl Runner<'_, '_> {
 
         // Flash tier: pages resident in flash are served there; the rest
         // go to the routed device and are then copied into flash.
-        let misses;
+        let mut miss_d = std::mem::take(&mut self.io.demand);
+        let mut miss_p = std::mem::take(&mut self.io.prefetch);
         let (demand, prefetch) = if let Some(flash) = self.flash.as_mut() {
-            let (hit_d, miss_d) = flash.partition(file, demand);
-            let (_, miss_p) = flash.partition(file, prefetch);
+            let hits = &mut self.io.flash_hits;
+            flash.partition(file, demand, hits, &mut miss_d);
             // Serve flash hits (blocking for the application).
             let mut cur = t;
-            for &(_, n) in &hit_d {
+            for &(_, n) in hits.iter() {
                 let req = DeviceRequest::read(Bytes(n * PAGE_SIZE), None);
                 let out = flash.model.service(cur, &req);
                 cur = out.complete;
                 energy += out.energy;
             }
             app_done = app_done.max(cur);
+            // Readahead pages resident in flash need no fetch at all.
+            flash.partition(file, prefetch, hits, &mut miss_p);
             // Populate flash with what the device is about to fetch.
-            let mut spilled = flash.fill(file, &miss_d, false);
-            spilled.extend(flash.fill(file, &miss_p, false));
+            let mut spilled = std::mem::take(&mut self.io.spilled);
+            spilled.clear();
+            flash.fill(file, &miss_d, false, &mut spilled);
+            flash.fill(file, &miss_p, false, &mut spilled);
             energy += self.write_pages_to_disk(cur, &spilled).1;
-            misses = (miss_d, miss_p);
-            (&misses.0[..], &misses.1[..])
+            self.io.spilled = spilled;
+            (&miss_d[..], &miss_p[..])
         } else {
             (demand, prefetch)
         };
         match source {
             Source::Disk => {
                 // C-SCAN over the combined batch; tag 1 = demand.
-                let mut q = CScanQueue::new();
+                let mut q = std::mem::take(&mut self.io.queue);
+                q.clear();
                 for (runs, tag) in [(demand, 1), (prefetch, 0)] {
                     for &(page, n) in runs {
                         if let Some(start) = self.layout.block_of(file, page * PAGE_SIZE) {
@@ -135,7 +172,7 @@ impl Runner<'_, '_> {
                     }
                 }
                 let mut cur = t;
-                for r in q.drain_sweep() {
+                while let Some(r) = q.pop() {
                     let req = DeviceRequest::read(Bytes(r.blocks * PAGE_SIZE), Some(r.start));
                     let out = self.service(cur, Source::Disk, req);
                     cur = out.complete;
@@ -144,6 +181,7 @@ impl Runner<'_, '_> {
                         app_done = app_done.max(out.complete);
                     }
                 }
+                self.io.queue = q;
             }
             Source::Wnic => {
                 let mut cur = t;
@@ -160,6 +198,7 @@ impl Runner<'_, '_> {
                 }
             }
         }
+        (self.io.demand, self.io.prefetch) = (miss_d, miss_p);
         (app_done, energy)
     }
 
@@ -167,13 +206,16 @@ impl Runner<'_, '_> {
     fn write_pages_to_disk(&mut self, t: SimTime, pages: &[PageKey]) -> (SimTime, Joules) {
         let mut cur = t;
         let mut energy = Joules::ZERO;
-        for (file, (start, n)) in file_runs(pages) {
+        let mut runs = std::mem::take(&mut self.io.disk_runs);
+        file_runs(pages, &mut self.io.sorted, &mut runs);
+        for &(file, (start, n)) in &runs {
             let block = self.layout.block_of(file, start * PAGE_SIZE);
             let req = DeviceRequest::write(Bytes(n * PAGE_SIZE), block);
             let out = self.service(cur, Source::Disk, req);
             cur = out.complete;
             energy += out.energy;
         }
+        self.io.disk_runs = runs;
         (cur, energy)
     }
 
@@ -216,7 +258,9 @@ impl Runner<'_, '_> {
     ) -> (SimTime, Joules) {
         let mut cur = t;
         let mut energy = Joules::ZERO;
-        for (file, (index, n)) in file_runs(pages) {
+        let mut runs = std::mem::take(&mut self.io.dirty_runs);
+        file_runs(pages, &mut self.io.sorted, &mut runs);
+        for &(file, (index, n)) in &runs {
             let block = self.layout.block_of(file, index * PAGE_SIZE);
             let mut src = if self.cfg.disk_only_files.contains(&file) {
                 Source::Disk
@@ -239,8 +283,11 @@ impl Runner<'_, '_> {
                 let out = flash.model.service(cur, &DeviceRequest::write(bytes, None));
                 cur = out.complete;
                 energy += out.energy;
-                let spilled = flash.fill(file, &[(index, n)], true);
+                let mut spilled = std::mem::take(&mut self.io.spilled);
+                spilled.clear();
+                flash.fill(file, &[(index, n)], true, &mut spilled);
                 let (d, e) = self.write_pages_to_disk(cur, &spilled);
+                self.io.spilled = spilled;
                 cur = d;
                 energy += e;
                 continue;
@@ -258,23 +305,28 @@ impl Runner<'_, '_> {
                 energy += out.energy;
             }
         }
+        self.io.dirty_runs = runs;
         (cur, energy)
     }
 }
 
 /// Sort `pages` into per-file contiguous runs `(file, (first_page,
-/// n_pages))`, built with [`push_run`].
-fn file_runs(pages: &[PageKey]) -> impl Iterator<Item = (FileId, (u64, u64))> {
-    let mut sorted = pages.to_vec();
-    sorted.sort();
-    let mut by_file: Vec<(FileId, PageRuns)> = Vec::new();
-    for p in sorted {
-        match by_file.last_mut() {
-            Some((file, runs)) if *file == p.file => push_run(runs, p.index),
-            _ => by_file.push((p.file, vec![(p.index, 1)])),
+/// n_pages))` in `runs`, built with [`push_run`]'s rule: a page that
+/// does not directly follow the last run, a duplicate included, starts
+/// a new one. Both buffers are cleared first; `sorted` only holds the sort.
+fn file_runs(pages: &[PageKey], sorted: &mut Vec<PageKey>, runs: &mut FileRuns) {
+    sorted.clear();
+    sorted.extend_from_slice(pages);
+    // Equal keys are identical, so an unstable sort orders them as a
+    // stable one would, without its merge buffer.
+    sorted.sort_unstable();
+    runs.clear();
+    for &PageKey { file, index } in sorted.iter() {
+        match runs.last_mut() {
+            Some((f, (first, n))) if *f == file && *first + *n == index => *n += 1,
+            _ => runs.push((file, (index, 1))),
         }
     }
-    (by_file.into_iter()).flat_map(|(file, runs)| runs.into_iter().map(move |run| (file, run)))
 }
 
 #[cfg(test)]
@@ -294,18 +346,26 @@ mod tests {
             key(1, 2),
             key(1, 2),
             key(1, 7),
+            key(2, 5),
         ];
-        let runs: Vec<_> = file_runs(&pages).collect();
-        // A duplicate page starts a new run, as a non-adjacent one does.
+        // Left-over contents of both buffers are dropped.
+        let mut sorted = vec![key(9, 9)];
+        let mut runs = vec![(FileId(9), (9, 9))];
+        file_runs(&pages, &mut sorted, &mut runs);
+        // A duplicate page starts a new run, as a non-adjacent one does;
+        // runs never span two files.
         assert_eq!(
             runs,
             [
                 (FileId(1), (1, 2)),
                 (FileId(1), (2, 2)),
                 (FileId(1), (7, 1)),
-                (FileId(2), (4, 1)),
+                (FileId(2), (4, 2)),
             ]
         );
-        assert_eq!(file_runs(&[]).count(), 0);
+        file_runs(&[key(3, 0), key(3, 0)], &mut sorted, &mut runs);
+        assert_eq!(runs, [(FileId(3), (0, 1)), (FileId(3), (0, 1))]);
+        file_runs(&[], &mut sorted, &mut runs);
+        assert!(runs.is_empty());
     }
 }

@@ -231,6 +231,14 @@ impl Trace {
     /// requests. A record-level [`Error::Parse`] carries the 1-based
     /// record index as its `line`.
     pub fn validate(&self) -> Result<()> {
+        self.file_sizes().map(|_| ())
+    }
+
+    /// [`Trace::validate`], returning the size of each record's file
+    /// by record index: the one file-table lookup per record a replay
+    /// needs, made by the pass that checks it.
+    pub fn file_sizes(&self) -> Result<Vec<Bytes>> {
+        let mut sizes = Vec::with_capacity(self.records.len());
         let mut prev = SimTime::ZERO;
         for (i, r) in self.records.iter().enumerate() {
             if r.ts < prev {
@@ -261,8 +269,9 @@ impl Trace {
                     size: meta.size.get(),
                 });
             }
+            sizes.push(meta.size);
         }
-        Ok(())
+        Ok(sizes)
     }
 
     /// Sequential composition: run `other` after `self`, separated by
